@@ -28,8 +28,7 @@ fn main() {
     );
 
     // The 128/256 KB rows sit *below* the paper's smallest buffer: they are
-    // the I/O-bound regime (pool hit ratio well under 0.9) where the
-    // prefetch pipeline's overlap actually matters, which the
+    // the I/O-bound regime (pool hit ratio well under 0.9), which the
     // publication-size grid never exercises.
     let buffers_kb: Vec<u64> = match args.dataset {
         DatasetKind::Automotive => vec![128, 256, 600, 1024, 2 * 1024, 12 * 1024],
@@ -44,13 +43,7 @@ fn main() {
         let mut rows = Vec::new();
         for &kb in &buffers_kb {
             for alg in algorithms {
-                let cfg = bench_config(
-                    kb_to_pages(kb),
-                    args.on_disk,
-                    args.threads,
-                    args.prefetch,
-                    obs.clone(),
-                );
+                let cfg = bench_config(kb_to_pages(kb), args.on_disk, args.threads, obs.clone());
                 let p = run_once(&table, alg, eps, 60, &cfg);
                 points.push(p.json_fields());
                 rows.push(vec![

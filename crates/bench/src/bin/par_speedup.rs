@@ -10,8 +10,7 @@
 //! the coordinator performs all of it.
 //!
 //! A second sweep repeats the thread counts under a tiny (I/O-bound)
-//! buffer, where speedup saturates on the coordinator's page I/O — the
-//! regime the `--prefetch N` pipeline overlaps.
+//! buffer, where speedup saturates on the coordinator's page I/O.
 //!
 //! ```bash
 //! cargo run --release -p iolap-bench --bin par_speedup
@@ -42,7 +41,7 @@ fn main() {
     // Two regimes: the CPU-bound one the worker pool targets (components
     // buffer-resident), and an I/O-bound one (tiny pool, hit ratio well
     // under 0.9) where wall-clock is dominated by the coordinator's page
-    // I/O — the regime the prefetch pipeline (`--prefetch N`) overlaps.
+    // I/O.
     let io_bound_pages: usize = args.extra_or("io-buffer-pages", 96);
     for (label, pages) in [
         ("CPU-bound (components resident)", buffer_pages),
@@ -51,7 +50,7 @@ fn main() {
         let mut rows = Vec::new();
         let mut base_secs = 0.0f64;
         for threads in thread_counts {
-            let cfg = bench_config(pages, args.on_disk, threads, args.prefetch, obs.clone());
+            let cfg = bench_config(pages, args.on_disk, threads, obs.clone());
             // Best-of-N: the quantity of interest is the schedule's cost,
             // not allocator/OS noise.
             let mut best = run_once(&table, Algorithm::Transitive, epsilon, 60, &cfg);

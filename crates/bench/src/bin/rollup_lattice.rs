@@ -172,7 +172,7 @@ fn main() {
     println!("Rollup lattice — {:?} dataset, {} facts, {k} dimensions", args.dataset, args.facts);
 
     let obs = args.obs();
-    let cfg = bench_config(buffer_pages, args.on_disk, args.threads, args.prefetch, obs.clone());
+    let cfg = bench_config(buffer_pages, args.on_disk, args.threads, obs.clone());
     let policy = PolicySpec::em_count(epsilon).with_max_iters(16);
     let run = allocate(&table, &policy, Algorithm::Transitive, &cfg).expect("allocation");
     let all_facts: Vec<u64> = table.facts().iter().map(|f| f.id).collect();

@@ -133,7 +133,7 @@ fn main() {
     );
 
     let obs = args.obs();
-    let cfg = bench_config(buffer_pages, args.on_disk, args.threads, args.prefetch, obs.clone());
+    let cfg = bench_config(buffer_pages, args.on_disk, args.threads, obs.clone());
     let policy = PolicySpec::em_count(epsilon).with_max_iters(16);
     let run = allocate(&table, &policy, Algorithm::Transitive, &cfg).expect("allocation");
     let mut edb = run.edb;

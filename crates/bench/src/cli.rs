@@ -22,9 +22,6 @@ pub struct Args {
     /// Worker threads for Transitive step 3 (`1` = sequential, `0` = one
     /// per core).
     pub threads: usize,
-    /// Prefetch read-ahead depth in pages (`0` = pipeline off). Accounted
-    /// page I/O is unchanged either way — only overlapped.
-    pub prefetch: usize,
     /// Write machine-readable results to this path as JSON.
     pub json: Option<String>,
     /// Write a JSONL span/metric trace of every run to this path.
@@ -44,7 +41,6 @@ impl Args {
             paper_scale: false,
             on_disk: false,
             threads: 1,
-            prefetch: 0,
             json: None,
             trace_out: None,
             extra: Vec::new(),
@@ -69,7 +65,6 @@ impl Args {
                 "--paper-scale" => out.paper_scale = true,
                 "--on-disk" => out.on_disk = true,
                 "--threads" => out.threads = take(&mut i).parse().expect("--threads N"),
-                "--prefetch" => out.prefetch = take(&mut i).parse().expect("--prefetch N"),
                 "--json" => out.json = Some(take(&mut i)),
                 "--trace-out" => out.trace_out = Some(take(&mut i)),
                 // Sugar for the serve_load sweep: `--connections 256,1000`
@@ -77,7 +72,7 @@ impl Args {
                 "--connections" => out.extra.push(("connections".into(), take(&mut i))),
                 "--help" | "-h" => {
                     eprintln!(
-                        "flags: --facts N --seed S --dataset automotive|synthetic --paper-scale --on-disk --threads N --prefetch N --json PATH --trace-out PATH [key=value ...]"
+                        "flags: --facts N --seed S --dataset automotive|synthetic --paper-scale --on-disk --threads N --json PATH --trace-out PATH [key=value ...]"
                     );
                     std::process::exit(0);
                 }
@@ -140,7 +135,6 @@ mod tests {
             paper_scale: false,
             on_disk: false,
             threads: 1,
-            prefetch: 0,
             json: None,
             trace_out: None,
             extra: vec![("eps".into(), "0.05".into())],

@@ -17,8 +17,6 @@ pub struct OnePoint {
     pub epsilon: f64,
     /// Step-3 worker threads (Transitive; `1` elsewhere).
     pub threads: usize,
-    /// Prefetch read-ahead depth in pages (`0` = pipeline off).
-    pub prefetch_depth: usize,
     /// Full run report.
     pub report: RunReport,
 }
@@ -37,12 +35,11 @@ impl OnePoint {
 
     /// The point as JSON fields, for `write_json` outputs.
     pub fn json_fields(&self) -> Vec<(&'static str, Json)> {
-        let mut fields = vec![
+        vec![
             ("algorithm", Json::S(self.algorithm.to_string())),
             ("buffer_pages", Json::U(self.buffer_pages as u64)),
             ("epsilon", Json::F(self.epsilon)),
             ("threads", Json::U(self.threads as u64)),
-            ("prefetch_depth", Json::U(self.prefetch_depth as u64)),
             ("iterations", Json::U(u64::from(self.report.iterations))),
             ("converged", Json::B(self.report.converged)),
             ("alloc_secs", Json::F(self.alloc_secs())),
@@ -50,14 +47,7 @@ impl OnePoint {
             ("pool_hits", Json::U(self.report.pool_hits)),
             ("pool_misses", Json::U(self.report.pool_misses)),
             ("pool_hit_ratio", Json::F(self.report.pool_hit_ratio())),
-        ];
-        if let Some(pf) = self.report.prefetch {
-            fields.push(("prefetch_issued", Json::U(pf.issued)));
-            fields.push(("prefetch_hits", Json::U(pf.hits)));
-            fields.push(("prefetch_wasted", Json::U(pf.wasted)));
-            fields.push(("prefetch_late", Json::U(pf.late)));
-        }
-        fields
+        ]
     }
 }
 
@@ -80,27 +70,18 @@ pub fn run_once(
         buffer_pages: cfg.buffer_pages,
         epsilon,
         threads: cfg.threads,
-        prefetch_depth: if cfg.prefetch.is_enabled() { cfg.prefetch.depth } else { 0 },
         report: run.report,
     }
 }
 
 /// The harness binaries' standard config: `buffer_pages` of in-memory
-/// (or real-file, with `--on-disk`) backing, step-3 worker `threads`,
-/// `prefetch` pages of read-ahead (`0` = pipeline off), and the
-/// invocation's observability handle.
-pub fn bench_config(
-    buffer_pages: usize,
-    on_disk: bool,
-    threads: usize,
-    prefetch: usize,
-    obs: Obs,
-) -> AllocConfig {
+/// (or real-file, with `--on-disk`) backing, step-3 worker `threads`, and
+/// the invocation's observability handle.
+pub fn bench_config(buffer_pages: usize, on_disk: bool, threads: usize, obs: Obs) -> AllocConfig {
     AllocConfig::builder()
         .buffer_pages(buffer_pages)
         .in_memory_backing(!on_disk)
         .threads(threads)
-        .prefetch_depth(prefetch)
         .obs(obs)
         .build()
 }
@@ -215,7 +196,7 @@ mod tests {
     #[test]
     fn run_once_smoke() {
         let table = iolap_model::paper_example::table1();
-        let cfg = bench_config(64, false, 1, 0, Obs::disabled());
+        let cfg = bench_config(64, false, 1, Obs::disabled());
         let p = run_once(&table, Algorithm::Block, 0.05, 50, &cfg);
         assert!(p.report.converged);
         assert_eq!(p.buffer_pages, 64);

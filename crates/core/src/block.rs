@@ -74,9 +74,6 @@ pub fn run_block_with_sets(
                 .iter()
                 .map(|&ti| GroupWindow::new(prep.tables[ti].clone(), OnLoad::ResetGamma))
                 .collect();
-            // The Γ pass reads the cells file strictly in order; stage it
-            // ahead of the per-cell `get`s (advisory, no accounting change).
-            prep.cells.hint_all();
             for i in 0..n_cells {
                 let cell = prep.cells.get(i)?;
                 let anc = AncCache::compute(&schema, &cell.key);

@@ -52,12 +52,7 @@ pub struct ExtendedDatabase {
 impl ExtendedDatabase {
     /// An empty EDB stored in `env`.
     pub fn create(env: &iolap_storage::Env, k: usize) -> Result<Self> {
-        let mut file = env.create_file("edb", EdbCodec { k })?;
-        // The EDB is append-only while it is materialized; let the prefetch
-        // thread (when enabled) flush finished pages behind the writer.
-        // Each page is still written exactly once — accounted I/O is
-        // unchanged, only overlapped with the emit loop.
-        file.set_write_behind(16);
+        let file = env.create_file("edb", EdbCodec { k })?;
         Ok(ExtendedDatabase {
             file,
             num_precise_entries: 0,
@@ -392,8 +387,6 @@ pub fn materialize(
             .iter()
             .map(|&ti| GroupWindow::new(prep.tables[ti].clone(), OnLoad::ResetGamma))
             .collect();
-        // Sequential cell reads: stage the cells file in the background.
-        prep.cells.hint_all();
         for i in 0..prep.cells.len() {
             let cell = prep.cells.get(i)?;
             let anc = AncCache::compute(&schema, &cell.key);
@@ -417,7 +410,6 @@ pub fn materialize(
     for set in sets {
         let mut windows: Vec<GroupWindow> =
             set.iter().map(|&ti| GroupWindow::new(prep.tables[ti].clone(), OnLoad::Keep)).collect();
-        prep.cells.hint_all();
         for i in 0..prep.cells.len() {
             let cell = prep.cells.get(i)?;
             let anc = AncCache::compute(&schema, &cell.key);

@@ -78,7 +78,6 @@ pub use error::{CoreError, Result};
 pub use estimate::{plan, PlanEstimate};
 pub use ingest::{MutationRecovery, MutationWal};
 pub use iolap_model::{CellOrder, PageFormat, SegmentLayout};
-pub use iolap_storage::{PrefetchConfig, PrefetchStats};
 pub use maintain::{CompactionPlan, CompactionResult, MaintainableEdb, UpdateReport};
 pub use policy::{CandidateCells, Convergence, PolicySpec, Quantity};
 pub use prep::{prepare, PreparedData};

@@ -150,12 +150,6 @@ impl GroupWindow {
                 });
             }
             self.next_group += 1;
-            // Read-ahead: while the scan computes over this group, stage
-            // the next group's fact pages in the background (advisory; a
-            // no-op without a prefetch pipeline).
-            if let Some(n) = self.meta.groups.get(self.next_group) {
-                facts.hint_range(n.fact_start, n.fact_end - n.fact_start);
-            }
         }
         Ok(())
     }
@@ -265,15 +259,6 @@ impl ChainWindow {
             if self.pending.is_none() {
                 if self.next_idx >= self.len {
                     break;
-                }
-                // The window loads records strictly in file order; keep the
-                // prefetcher a few pages ahead (one hint per page crossing).
-                let rpp = facts.recs_per_page() as u64;
-                if self.next_idx.is_multiple_of(rpp) {
-                    let depth = facts.pool().prefetch_depth() as u64;
-                    if depth > 0 {
-                        facts.hint_range(self.next_idx, depth * rpp);
-                    }
                 }
                 let rec = facts.get(self.next_idx)?;
                 let region = region_of(schema, &rec.dims);

@@ -2,7 +2,7 @@
 //! allocation run — the quantities Section 11's figures plot.
 
 use iolap_obs::Metrics;
-use iolap_storage::{IoSnapshot, PrefetchStats};
+use iolap_storage::IoSnapshot;
 use std::fmt;
 use std::time::Duration;
 
@@ -55,9 +55,6 @@ pub struct RunReport {
     pub pool_misses: u64,
     /// Component statistics (Transitive only).
     pub components: Option<ComponentStats>,
-    /// Prefetch pipeline census over this run (`None` when the pipeline is
-    /// disabled). All advisory: accounted I/O is identical either way.
-    pub prefetch: Option<PrefetchStats>,
     /// Number of EDB segments in the run's output view (1 for a fresh
     /// allocation; base + deltas under maintenance).
     pub edb_segments: u64,
@@ -170,12 +167,6 @@ impl RunReport {
         ] {
             metrics.gauge(&format!("report.{name}")).set(v as i64);
         }
-        if let Some(p) = &self.prefetch {
-            metrics.counter("report.prefetch.issued").add(p.issued);
-            metrics.counter("report.prefetch.hits").add(p.hits);
-            metrics.counter("report.prefetch.wasted").add(p.wasted);
-            metrics.counter("report.prefetch.late").add(p.late);
-        }
         if let Some(c) = &self.components {
             for (name, v) in [
                 ("total", c.total),
@@ -240,13 +231,6 @@ impl fmt::Display for RunReport {
         )?;
         if self.unallocatable > 0 {
             writeln!(f, "  unallocatable imprecise facts: {}", self.unallocatable)?;
-        }
-        if let Some(p) = &self.prefetch {
-            writeln!(
-                f,
-                "  prefetch: {} issued, {} hits, {} wasted, {} late",
-                p.issued, p.hits, p.wasted, p.late
-            )?;
         }
         if let Some(c) = &self.components {
             writeln!(

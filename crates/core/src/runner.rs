@@ -12,7 +12,7 @@ use crate::report::RunReport;
 use crate::transitive::run_transitive;
 use iolap_model::FactTable;
 use iolap_obs::Obs;
-use iolap_storage::{Env, PrefetchConfig};
+use iolap_storage::Env;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -83,10 +83,6 @@ pub struct AllocConfig {
     /// Observability handle threaded into the storage environment and
     /// the allocation passes. Disabled (free) by default.
     pub obs: Obs,
-    /// Asynchronous I/O prefetch pipeline (read-ahead + write-behind).
-    /// Disabled by default; enabling it overlaps the sequential passes'
-    /// page I/O with compute while keeping accounted I/O bit-identical.
-    pub prefetch: PrefetchConfig,
 }
 
 impl Default for AllocConfig {
@@ -101,7 +97,6 @@ impl Default for AllocConfig {
             threads: 1,
             policy: None,
             obs: Obs::disabled(),
-            prefetch: PrefetchConfig::disabled(),
         }
     }
 }
@@ -110,21 +105,6 @@ impl AllocConfig {
     /// Start building a config (the preferred construction path).
     pub fn builder() -> AllocConfigBuilder {
         AllocConfigBuilder { cfg: AllocConfig::default() }
-    }
-
-    /// In-memory backing with the given pool size (tests & examples).
-    ///
-    /// Deprecated for external use; every internal caller has migrated to
-    /// [`AllocConfig::builder`] (the builder's `in_memory(n)` shorthand is
-    /// the drop-in replacement and is *not* deprecated). One gated
-    /// equivalence test keeps this constructor honest until it is removed.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `AllocConfig::builder().in_memory(n).build()` (or \
-                `.buffer_pages(n).in_memory_backing(true)` for the long form)"
-    )]
-    pub fn in_memory(buffer_pages: usize) -> Self {
-        AllocConfig { buffer_pages, in_memory_backing: true, ..Default::default() }
     }
 
     fn effective_sort_pages(&self) -> usize {
@@ -137,10 +117,7 @@ impl AllocConfig {
 
     /// Build the storage environment this config describes.
     pub fn build_env(&self, tag: &str) -> Result<Env> {
-        let mut b = Env::builder(tag)
-            .pool_pages(self.buffer_pages)
-            .obs(self.obs.clone())
-            .prefetch(self.prefetch);
+        let mut b = Env::builder(tag).pool_pages(self.buffer_pages).obs(self.obs.clone());
         if self.in_memory_backing {
             b = b.in_memory();
         }
@@ -234,22 +211,6 @@ impl AllocConfigBuilder {
         self
     }
 
-    /// Configure the asynchronous I/O prefetch pipeline (disabled by
-    /// default). Prefetch never changes accounted page I/O — it only
-    /// overlaps it with compute.
-    pub fn prefetch(mut self, cfg: PrefetchConfig) -> Self {
-        self.cfg.prefetch = cfg;
-        self
-    }
-
-    /// Shorthand: enable prefetch with the given staging depth (in pages)
-    /// and one background thread. `0` disables.
-    pub fn prefetch_depth(mut self, depth: usize) -> Self {
-        self.cfg.prefetch =
-            if depth == 0 { PrefetchConfig::disabled() } else { PrefetchConfig::depth(depth) };
-        self
-    }
-
     /// Finish building.
     pub fn build(self) -> AllocConfig {
         self.cfg
@@ -292,7 +253,6 @@ pub fn allocate_in_env(
     let sort_pages = cfg.effective_sort_pages();
     let mut report = RunReport { algorithm: algorithm.to_string(), ..Default::default() };
     let (hits0, misses0) = env.pool().hit_stats();
-    let prefetch0 = env.pool().prefetch_stats();
     let obs = env.obs().clone();
     let mut run_span =
         obs.span_with("alloc.run", vec![("algorithm".to_string(), algorithm.to_string().into())]);
@@ -419,9 +379,6 @@ pub fn allocate_in_env(
     let (hits1, misses1) = env.pool().hit_stats();
     report.pool_hits = hits1 - hits0;
     report.pool_misses = misses1 - misses0;
-    if let (Some(before), Some(after)) = (prefetch0, env.pool().prefetch_stats()) {
-        report.prefetch = Some(after - before);
-    }
 
     run_span.record("iterations", report.iterations);
     drop(run_span);
@@ -519,21 +476,6 @@ mod tests {
         assert_eq!(cfg.threads, 4);
         assert_eq!(cfg.policy, Some(PolicySpec::uniform()));
         assert!(cfg.obs.is_enabled());
-    }
-
-    // The one sanctioned internal use of the deprecated constructor: an
-    // equivalence guard that keeps it behaving like the builder path until
-    // it is removed. Everything else goes through `AllocConfig::builder()`.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_in_memory_still_matches_builder() {
-        let old = AllocConfig::in_memory(96);
-        let new = AllocConfig::builder().in_memory(96).build();
-        assert_eq!(old.buffer_pages, new.buffer_pages);
-        assert_eq!(old.in_memory_backing, new.in_memory_backing);
-        assert_eq!(old.sort_pages, new.sort_pages);
-        assert_eq!(old.threads, new.threads);
-        assert_eq!(old.prefetch, new.prefetch);
     }
 
     #[test]

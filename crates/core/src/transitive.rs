@@ -601,10 +601,6 @@ impl ComponentWalk<'_> {
         facts.clear();
         cells.reserve(head.nc as usize);
         facts.reserve(head.nf as usize);
-        // Both files are read strictly in ccid order; stage this
-        // component's record ranges while the previous one computes.
-        self.prep.cells.hint_range(self.cell_pos, head.nc);
-        self.prep.facts.hint_range(self.fact_pos, head.nf);
         for _ in 0..head.nc {
             cells.push(self.prep.cells.get(self.cell_pos)?);
             self.cell_pos += 1;
@@ -638,8 +634,6 @@ fn run_external_component(
     let mut sub_cells: RecordFile<CellRecord, CellCodec> =
         env.create_file("cc-cells", cell_codec)?;
     let mut keys = Vec::with_capacity(head.nc as usize);
-    walk.prep.cells.hint_range(walk.cell_pos, head.nc);
-    walk.prep.facts.hint_range(walk.fact_pos, head.nf);
     for _ in 0..head.nc {
         let c = walk.prep.cells.get(walk.cell_pos)?;
         keys.push(c.key);

@@ -19,6 +19,9 @@ use crate::MAX_DIMS;
 use iolap_obs::json::{self, Json};
 use std::path::Path;
 
+/// The hash the manifests' `fingerprint` fields are written with.
+pub use iolap_storage::Fnv1a64Legacy as FingerprintHasher;
+
 /// One shard's slice of the partitioned dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardManifest {

@@ -39,6 +39,7 @@
 use crate::records::EdbRecord;
 use crate::region::CellKey;
 use crate::MAX_DIMS;
+pub use iolap_storage::fnv1a64;
 use iolap_storage::PAGE_SIZE;
 
 /// Page format tag carried by the segment footer.
@@ -200,17 +201,6 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
         v >>= 7;
     }
     out.push(v as u8);
-}
-
-/// FNV-1a 64 over `bytes` — fast, table-free corruption detection (not a
-/// cryptographic MAC).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Bounds-checked reader over an encoded page body.

@@ -37,13 +37,10 @@
 
 use crate::error::{Result, StorageError};
 use crate::pager::{PageId, Pager, PAGE_SIZE};
-use crate::prefetch::{PrefetchConfig, PrefetchShared, PrefetchStats, Work};
-use iolap_obs::Obs;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Identifies a file registered with a [`BufferPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -67,15 +64,6 @@ struct Frame {
     buf: FrameBuf,
     pin: usize,
     dirty: bool,
-    /// The write-behind worker already wrote this frame's bytes to disk —
-    /// uncounted. A frame can be `dirty && flushed`: the *charge* for the
-    /// write is still owed, and lands (via [`Pager::note_behind_write`])
-    /// at the exact point the synchronous schedule would have written the
-    /// page — eviction or flush — where the physical transfer is skipped.
-    /// If the file is discarded first, neither schedule charges anything.
-    /// Re-dirtying the page through a guard clears the flag, so stale disk
-    /// bytes can never satisfy a charge-only write-back.
-    flushed: bool,
     referenced: bool,
 }
 
@@ -87,7 +75,6 @@ impl Frame {
             buf: Arc::new(RwLock::new(Box::new([0u8; PAGE_SIZE]))),
             pin: 0,
             dirty: false,
-            flushed: false,
             referenced: false,
         }
     }
@@ -119,7 +106,7 @@ impl Shard {
 
     /// Find a frame to (re)use, evicting an unpinned one if the shard is at
     /// capacity. Returns the frame index with `key == None`.
-    fn grab_frame(&mut self, pf: Option<&PrefetchShared>) -> Result<usize> {
+    fn grab_frame(&mut self) -> Result<usize> {
         if self.frames.len() < self.capacity {
             self.frames.push(Frame::empty());
             return Ok(self.frames.len() - 1);
@@ -137,35 +124,23 @@ impl Shard {
                 f.referenced = false;
                 continue;
             }
-            self.evict(i, pf)?;
+            self.evict(i)?;
             return Ok(i);
         }
         Err(StorageError::PoolExhausted { capacity: self.capacity })
     }
 
-    fn evict(&mut self, i: usize, pf: Option<&PrefetchShared>) -> Result<()> {
+    fn evict(&mut self, i: usize) -> Result<()> {
         if let Some((file, page)) = self.frames[i].key.take() {
             self.stats.evictions += 1;
             self.map.remove(&(file, page));
             if self.frames[i].dirty {
                 let pager = self.frames[i].pager.clone().expect("resident frame lost its pager");
-                if self.frames[i].flushed {
-                    // The write-behind worker already put these bytes on
-                    // disk; only the deferred charge lands here.
-                    pager.lock().note_behind_write();
-                } else {
-                    let buf = Arc::clone(&self.frames[i].buf);
-                    let guard = buf.read();
-                    pager.lock().write_page(page, &guard[..])?;
-                }
+                let buf = Arc::clone(&self.frames[i].buf);
+                let guard = buf.read();
+                pager.lock().write_page(page, &guard[..])?;
                 self.frames[i].dirty = false;
-                // The disk copy just changed: a staged prefetch of this page
-                // (if any) is stale now.
-                if let Some(pf) = pf {
-                    pf.invalidate(file, page);
-                }
             }
-            self.frames[i].flushed = false;
             self.frames[i].pager = None;
         }
         Ok(())
@@ -173,12 +148,12 @@ impl Shard {
 
     /// Shrink to the shard capacity by evicting unpinned frames.
     /// Best-effort: pinned frames are skipped.
-    fn shrink(&mut self, pf: Option<&PrefetchShared>) -> Result<()> {
+    fn shrink(&mut self) -> Result<()> {
         while self.frames.len() > self.capacity {
             let Some(i) = self.frames.iter().rposition(|f| f.pin == 0) else {
                 return Ok(());
             };
-            self.evict(i, pf)?;
+            self.evict(i)?;
             self.frames.swap_remove(i);
             // Fix the map entry of the frame that moved into slot `i`.
             if i < self.frames.len() {
@@ -195,31 +170,14 @@ impl Shard {
     /// contiguous pages of the same file into single
     /// [`Pager::write_contiguous`] calls. Counts exactly one write per page
     /// either way; only the syscall shape changes.
-    fn write_back_coalesced(
-        &mut self,
-        pf: Option<&PrefetchShared>,
-        mut select: impl FnMut(&Frame) -> bool,
-    ) -> Result<()> {
+    fn write_back_coalesced(&mut self, mut select: impl FnMut(&Frame) -> bool) -> Result<()> {
         let mut dirty: Vec<(FileId, PageId, usize)> = Vec::new();
-        let mut behind: Vec<usize> = Vec::new();
         for (i, f) in self.frames.iter().enumerate() {
             if f.dirty && select(f) {
-                if f.flushed {
-                    // Already on disk via write-behind: charge-only below.
-                    behind.push(i);
-                } else if let Some((file, page)) = f.key {
+                if let Some((file, page)) = f.key {
                     dirty.push((file, page, i));
                 }
             }
-        }
-        for i in behind {
-            let pager = self.frames[i].pager.clone().expect("resident frame lost its pager");
-            pager.lock().note_behind_write();
-            self.frames[i].dirty = false;
-            self.frames[i].flushed = false;
-        }
-        if dirty.is_empty() {
-            return Ok(());
         }
         dirty.sort_unstable_by_key(|&(f, p, _)| (f, p));
         let mut i = 0;
@@ -233,17 +191,13 @@ impl Shard {
             {
                 i += 1;
             }
-            self.write_run(pf, &dirty[start..i])?;
+            self.write_run(&dirty[start..i])?;
         }
         Ok(())
     }
 
-    fn write_run(
-        &mut self,
-        pf: Option<&PrefetchShared>,
-        run: &[(FileId, PageId, usize)],
-    ) -> Result<()> {
-        let (file, first, idx0) = run[0];
+    fn write_run(&mut self, run: &[(FileId, PageId, usize)]) -> Result<()> {
+        let (_, first, idx0) = run[0];
         let pager = self.frames[idx0].pager.clone().expect("resident frame lost its pager");
         if run.len() == 1 {
             let buf = Arc::clone(&self.frames[idx0].buf);
@@ -258,69 +212,8 @@ impl Shard {
             }
             pager.lock().write_contiguous(first, &big)?;
         }
-        for &(_, page, fi) in run {
+        for &(_, _, fi) in run {
             self.frames[fi].dirty = false;
-            if let Some(pf) = pf {
-                pf.invalidate(file, page);
-            }
-        }
-        Ok(())
-    }
-
-    /// Background write-behind over the frames accepted by `select`:
-    /// physically write dirty, not-yet-flushed pages **without** charging
-    /// [`IoStats`], coalescing contiguous runs, and mark them `flushed`
-    /// while keeping them dirty. The charge stays owed and is paid where
-    /// the synchronous schedule pays it — see [`Frame::flushed`].
-    fn write_behind_coalesced(
-        &mut self,
-        pf: &PrefetchShared,
-        mut select: impl FnMut(&Frame) -> bool,
-    ) -> Result<()> {
-        let mut dirty: Vec<(FileId, PageId, usize)> = Vec::new();
-        for (i, f) in self.frames.iter().enumerate() {
-            if f.dirty && !f.flushed && select(f) {
-                if let Some((file, page)) = f.key {
-                    dirty.push((file, page, i));
-                }
-            }
-        }
-        if dirty.is_empty() {
-            return Ok(());
-        }
-        dirty.sort_unstable_by_key(|&(f, p, _)| (f, p));
-        let mut i = 0;
-        while i < dirty.len() {
-            let start = i;
-            i += 1;
-            while i < dirty.len()
-                && dirty[i].0 == dirty[start].0
-                && dirty[i].1 == dirty[i - 1].1 + 1
-                && i - start < MAX_COALESCED_PAGES
-            {
-                i += 1;
-            }
-            let run = &dirty[start..i];
-            let (file, first, idx0) = run[0];
-            let pager = self.frames[idx0].pager.clone().expect("resident frame lost its pager");
-            if run.len() == 1 {
-                let buf = Arc::clone(&self.frames[idx0].buf);
-                let guard = buf.read();
-                pager.lock().write_page_nocount(first, &guard[..])?;
-            } else {
-                let mut big = vec![0u8; run.len() * PAGE_SIZE];
-                for (j, &(_, _, fi)) in run.iter().enumerate() {
-                    let buf = Arc::clone(&self.frames[fi].buf);
-                    let guard = buf.read();
-                    big[j * PAGE_SIZE..(j + 1) * PAGE_SIZE].copy_from_slice(&guard[..]);
-                }
-                pager.lock().write_contiguous_nocount(first, &big)?;
-            }
-            for &(_, page, fi) in run {
-                self.frames[fi].flushed = true;
-                // The disk copy just changed; drop any staged prefetch.
-                pf.invalidate(file, page);
-            }
         }
         Ok(())
     }
@@ -339,39 +232,9 @@ struct PoolShared {
     reserved: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// The prefetch pipeline, installed at most once by
-    /// [`BufferPool::enable_prefetch`]. Kept alongside a fast-path flag so
-    /// the disabled configuration never takes this mutex on a pin.
-    prefetch: Mutex<Option<Arc<PrefetchShared>>>,
-    prefetch_on: AtomicBool,
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl PoolShared {
-    /// The live prefetcher, or `None` when disabled / shut down.
-    fn prefetcher(&self) -> Option<Arc<PrefetchShared>> {
-        if !self.prefetch_on.load(Ordering::Acquire) {
-            return None;
-        }
-        self.prefetch.lock().clone()
-    }
-
-    /// Best-effort write-behind: physically write dirty, unpinned pages of
-    /// `file` strictly below `upto` — uncounted, deferring the cost-model
-    /// charge to the frame's eviction/flush (see [`Frame::flushed`]) —
-    /// skipping any shard whose latch is contended (those pages get written
-    /// at eviction instead — still charged exactly once either way).
-    fn flush_behind_try(&self, pf: &PrefetchShared, file: FileId, upto: PageId) -> Result<()> {
-        for shard in &self.shards {
-            let Some(mut shard) = shard.try_lock() else {
-                continue;
-            };
-            shard.write_behind_coalesced(pf, |f| {
-                f.pin == 0 && matches!(f.key, Some((fl, p)) if fl == file && p < upto)
-            })?;
-        }
-        Ok(())
-    }
     fn shard_of(&self, file: FileId, page: PageId) -> &Arc<Mutex<Shard>> {
         let n = self.shards.len();
         if n == 1 {
@@ -396,78 +259,13 @@ impl PoolShared {
         let reserved = self.reserved.load(Ordering::Relaxed);
         let n = self.shards.len();
         let effective = capacity.saturating_sub(reserved).max(n);
-        let pf = self.prefetcher();
         for (i, shard) in self.shards.iter().enumerate() {
             let share = effective / n + usize::from(i < effective % n);
             let mut shard = shard.lock();
             shard.capacity = share;
-            shard.shrink(pf.as_deref())?;
+            shard.shrink()?;
         }
         Ok(())
-    }
-}
-
-impl Drop for PoolShared {
-    fn drop(&mut self) {
-        if let Some(pf) = self.prefetch.get_mut().take() {
-            pf.shutdown();
-        }
-        let handles = std::mem::take(self.workers.get_mut());
-        let me = std::thread::current().id();
-        for h in handles {
-            // The last pool handle can, in principle, be dropped from a
-            // worker's own transient upgrade; never join ourselves.
-            if h.thread().id() != me {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-/// Body of one background prefetch thread. Holds only a weak reference to
-/// the pool so a forgotten pool shuts the pipeline down instead of leaking.
-///
-/// Lock discipline: the worker never *blocks* on a shard latch (residency
-/// checks and write-behind use `try_lock`) and never holds the prefetch
-/// mutex across a pager read — the two rules that keep consumers free to
-/// wait on [`PrefetchShared::take`] while holding a shard latch.
-fn prefetch_worker(pf: Arc<PrefetchShared>, pool: Weak<PoolShared>) {
-    while let Some(work) = pf.next_work() {
-        match work {
-            Work::Read(file, page) => {
-                let Some(pool) = pool.upgrade() else {
-                    pf.complete_read(file, page, None);
-                    break;
-                };
-                // Skip pages already resident (best effort: a contended
-                // latch means someone is touching the shard right now, so
-                // reading anyway is harmless — a stale staged copy is
-                // impossible because every write-back invalidates it).
-                let resident = pool
-                    .shard_of(file, page)
-                    .try_lock()
-                    .map(|s| s.map.contains_key(&(file, page)))
-                    .unwrap_or(false);
-                if resident {
-                    pf.complete_read(file, page, None);
-                    continue;
-                }
-                let pager = pool.files.lock()[file.0 as usize].clone();
-                let bytes = pager.and_then(|p| {
-                    let mut buf = Box::new([0u8; PAGE_SIZE]);
-                    // Uncounted transfer; the cost-model charge happens at
-                    // the consumer pin-miss that consumes this page.
-                    p.lock().read_page_nocount(page, &mut buf[..]).ok().map(|_| buf)
-                });
-                pf.complete_read(file, page, bytes);
-            }
-            Work::Flush(file, upto) => {
-                let Some(pool) = pool.upgrade() else {
-                    continue;
-                };
-                let _ = pool.flush_behind_try(&pf, file, upto);
-            }
-        }
     }
 }
 
@@ -500,9 +298,6 @@ impl BufferPool {
                 reserved: AtomicUsize::new(0),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
-                prefetch: Mutex::new(None),
-                prefetch_on: AtomicBool::new(false),
-                workers: Mutex::new(Vec::new()),
             }),
         };
         pool.shared.redistribute().expect("initial redistribute cannot evict");
@@ -529,14 +324,10 @@ impl BufferPool {
                         shard.frames[i].key = None;
                         shard.frames[i].pager = None;
                         shard.frames[i].dirty = false;
-                        shard.frames[i].flushed = false;
                         shard.map.remove(&(f, p));
                     }
                 }
             }
-        }
-        if let Some(pf) = self.shared.prefetcher() {
-            pf.invalidate_from(file, 0);
         }
         self.shared.files.lock()[file.0 as usize] = None;
     }
@@ -563,28 +354,17 @@ impl BufferPool {
         self.shared.misses.fetch_add(1, Ordering::Relaxed);
         shard.stats.misses += 1;
         let pager = self.shared.pager(file);
-        let pf = self.shared.prefetcher();
-        let i = shard.grab_frame(pf.as_deref())?;
+        let i = shard.grab_frame()?;
         {
             let buf = Arc::clone(&shard.frames[i].buf);
             let mut guard = buf.write();
-            match pf.as_deref().and_then(|p| p.take(file, page)) {
-                Some(bytes) => {
-                    // Served from the prefetch staging area: same charge,
-                    // at the same accounting point, as the synchronous read
-                    // it replaced.
-                    guard[..].copy_from_slice(&bytes[..]);
-                    pager.lock().note_prefetched_read();
-                }
-                None => pager.lock().read_page(page, &mut guard[..])?,
-            }
+            pager.lock().read_page(page, &mut guard[..])?;
         }
         let f = &mut shard.frames[i];
         f.key = Some((file, page));
         f.pager = Some(pager);
         f.pin = 1;
         f.dirty = false;
-        f.flushed = false;
         f.referenced = true;
         let buf = Arc::clone(&f.buf);
         shard.map.insert((file, page), i);
@@ -600,8 +380,7 @@ impl BufferPool {
         let page = pager.lock().allocate_page()?;
         let shard_arc = Arc::clone(self.shared.shard_of(file, page));
         let mut shard = shard_arc.lock();
-        let pf = self.shared.prefetcher();
-        let i = shard.grab_frame(pf.as_deref())?;
+        let i = shard.grab_frame()?;
         {
             let buf = Arc::clone(&shard.frames[i].buf);
             buf.write().fill(0);
@@ -611,7 +390,6 @@ impl BufferPool {
         f.pager = Some(pager);
         f.pin = 1;
         f.dirty = true;
-        f.flushed = false;
         f.referenced = true;
         let buf = Arc::clone(&f.buf);
         shard.map.insert((file, page), i);
@@ -623,10 +401,9 @@ impl BufferPool {
     /// pages into single transfers. Pinned frames are flushed too (they
     /// stay resident and pinned, but become clean).
     pub fn flush_all(&self) -> Result<()> {
-        let pf = self.shared.prefetcher();
         for shard in &self.shared.shards {
             let mut shard = shard.lock();
-            shard.write_back_coalesced(pf.as_deref(), |_| true)?;
+            shard.write_back_coalesced(|_| true)?;
         }
         Ok(())
     }
@@ -635,13 +412,9 @@ impl BufferPool {
     /// durability point for write-ahead logging. Other files' frames are
     /// left alone.
     pub fn sync_file(&self, file: FileId) -> Result<()> {
-        let pf = self.shared.prefetcher();
         for shard in &self.shared.shards {
             let mut shard = shard.lock();
-            shard.write_back_coalesced(
-                pf.as_deref(),
-                |f| matches!(f.key, Some((fid, _)) if fid == file),
-            )?;
+            shard.write_back_coalesced(|f| matches!(f.key, Some((fid, _)) if fid == file))?;
         }
         self.shared.pager(file).lock().sync()
     }
@@ -659,16 +432,10 @@ impl BufferPool {
                         shard.frames[i].key = None;
                         shard.frames[i].pager = None;
                         shard.frames[i].dirty = false;
-                        shard.frames[i].flushed = false;
                         shard.map.remove(&(f, p));
                     }
                 }
             }
-        }
-        // Page ids at or past the cut may be re-used later; drop any staged
-        // or queued prefetch work for them first.
-        if let Some(pf) = self.shared.prefetcher() {
-            pf.invalidate_from(file, pages);
         }
         self.shared.pager(file).lock().truncate(pages)
     }
@@ -677,14 +444,11 @@ impl BufferPool {
     /// next scan re-reads from disk. Used by benchmarks to reproduce "cold"
     /// passes deterministically.
     pub fn purge_file(&self, file: FileId) -> Result<()> {
-        let pf = self.shared.prefetcher();
         for shard in &self.shared.shards {
             let mut shard = shard.lock();
             for i in 0..shard.frames.len() {
                 match shard.frames[i].key {
-                    Some((f, _)) if f == file && shard.frames[i].pin == 0 => {
-                        shard.evict(i, pf.as_deref())?
-                    }
+                    Some((f, _)) if f == file && shard.frames[i].pin == 0 => shard.evict(i)?,
                     _ => {}
                 }
             }
@@ -748,97 +512,6 @@ impl BufferPool {
             .iter()
             .map(|s| s.lock().frames.iter().filter(|f| f.key.is_some()).count())
             .sum()
-    }
-
-    /// Number of frames currently pinned (used by degradation tests to
-    /// prove nothing leaks a pin across a prefetcher failure).
-    pub fn pinned(&self) -> usize {
-        self.shared
-            .shards
-            .iter()
-            .map(|s| s.lock().frames.iter().filter(|f| f.pin > 0).count())
-            .sum()
-    }
-
-    /// Install the asynchronous prefetch pipeline on this pool. A no-op
-    /// when `cfg` is disabled or a pipeline is already installed; at most
-    /// one pipeline ever runs per pool.
-    pub fn enable_prefetch(&self, cfg: &PrefetchConfig, obs: &Obs) {
-        if !cfg.is_enabled() {
-            return;
-        }
-        let pf = Arc::new(PrefetchShared::new(cfg, obs));
-        {
-            let mut slot = self.shared.prefetch.lock();
-            if slot.is_some() {
-                return;
-            }
-            *slot = Some(Arc::clone(&pf));
-        }
-        let mut handles = self.shared.workers.lock();
-        for _ in 0..cfg.threads.max(1) {
-            let pf = Arc::clone(&pf);
-            let weak = Arc::downgrade(&self.shared);
-            handles.push(
-                std::thread::Builder::new()
-                    .name("iolap-prefetch".into())
-                    .spawn(move || prefetch_worker(pf, weak))
-                    .expect("spawning prefetch worker"),
-            );
-        }
-        drop(handles);
-        self.shared.prefetch_on.store(true, Ordering::Release);
-    }
-
-    /// True when a live prefetch pipeline is attached.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.shared.prefetch_on.load(Ordering::Acquire)
-    }
-
-    /// Read-ahead distance of the attached pipeline (0 when disabled).
-    pub fn prefetch_depth(&self) -> usize {
-        self.shared.prefetcher().map_or(0, |p| p.depth())
-    }
-
-    /// Hint that pages `[start, end)` of `file` will be read sequentially
-    /// soon. Advisory and free when prefetching is disabled.
-    pub fn prefetch_hint(&self, file: FileId, start: PageId, end: PageId) {
-        if let Some(pf) = self.shared.prefetcher() {
-            pf.hint(file, start, end);
-        }
-    }
-
-    /// Ask the background pipeline to flush dirty pages of `file` strictly
-    /// below `upto`. Only sound for append-only files whose pages below the
-    /// append point are final (re-dirtying a flushed page would add a second
-    /// write the synchronous schedule does not perform). Advisory and free
-    /// when prefetching is disabled.
-    pub fn flush_behind(&self, file: FileId, upto: PageId) {
-        if let Some(pf) = self.shared.prefetcher() {
-            pf.flush_hint(file, upto);
-        }
-    }
-
-    /// Lifetime counters of the prefetch pipeline, if one was ever
-    /// installed (they survive [`poison_prefetch`](Self::poison_prefetch)).
-    pub fn prefetch_stats(&self) -> Option<PrefetchStats> {
-        self.shared.prefetch.lock().as_ref().map(|p| p.stats())
-    }
-
-    /// Fault injection: kill the prefetch pipeline mid-flight. Workers
-    /// drain, in-flight reads are cancelled, waiting consumers fall back to
-    /// synchronous reads — the pool itself stays fully functional. Used by
-    /// the crash-degradation tests.
-    pub fn poison_prefetch(&self) {
-        let pf = self.shared.prefetch.lock().clone();
-        if let Some(pf) = pf {
-            pf.shutdown();
-        }
-        self.shared.prefetch_on.store(false, Ordering::Release);
-        let handles = std::mem::take(&mut *self.shared.workers.lock());
-        for h in handles {
-            let _ = h.join();
-        }
     }
 }
 
@@ -909,11 +582,6 @@ impl Drop for PageGuard {
         let f = &mut shard.frames[i];
         debug_assert!(f.pin > 0);
         f.pin -= 1;
-        if self.dirty {
-            // New bytes since any background flush: the disk copy is stale,
-            // so the next write-back must be a real (counted) write.
-            f.flushed = false;
-        }
         f.dirty |= self.dirty;
     }
 }

@@ -6,7 +6,6 @@ use crate::codec::Codec;
 use crate::error::Result;
 use crate::file::RecordFile;
 use crate::pager::{FilePager, MemPager, ObservedPager, Pager};
-use crate::prefetch::PrefetchConfig;
 use crate::stats::IoStats;
 use crate::tempdir::TempDir;
 use iolap_obs::Obs;
@@ -31,7 +30,6 @@ pub struct EnvBuilder {
     backing: Backing,
     dir: Option<PathBuf>,
     obs: Obs,
-    prefetch: PrefetchConfig,
 }
 
 impl EnvBuilder {
@@ -63,13 +61,6 @@ impl EnvBuilder {
         self
     }
 
-    /// Attach an asynchronous prefetch pipeline (see [`PrefetchConfig`]).
-    /// The default configuration is disabled: no threads, no overhead.
-    pub fn prefetch(mut self, cfg: PrefetchConfig) -> Self {
-        self.prefetch = cfg;
-        self
-    }
-
     /// Build the environment.
     pub fn build(self) -> Result<Env> {
         let tempdir = match (&self.backing, self.dir) {
@@ -79,7 +70,6 @@ impl EnvBuilder {
         };
         let stats = IoStats::new();
         let pool = BufferPool::new(self.pool_pages);
-        pool.enable_prefetch(&self.prefetch, &self.obs);
         Ok(Env {
             inner: Arc::new(EnvInner {
                 tempdir,
@@ -117,7 +107,6 @@ impl Env {
             backing: Backing::Disk,
             dir: None,
             obs: Obs::disabled(),
-            prefetch: PrefetchConfig::disabled(),
         }
     }
 
@@ -141,11 +130,6 @@ impl Env {
     /// (disabled unless [`EnvBuilder::obs`] installed a live one).
     pub fn obs(&self) -> &Obs {
         &self.inner.obs
-    }
-
-    /// True when this environment's pool runs a live prefetch pipeline.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.inner.pool.prefetch_enabled()
     }
 
     /// Create a new record file named `name` (disk mode) or anonymous

@@ -17,12 +17,6 @@ use crate::file::RecordFile;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// How often (in completed append pages) run and merge-output files ask the
-/// prefetch pipeline to flush finished pages in the background. Purely a
-/// latency knob: the accounted write count is unchanged (each page is
-/// written exactly once either way).
-const WRITE_BEHIND_EVERY: u64 = 16;
-
 /// Memory budget for the sorter, in pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SortBudget {
@@ -98,13 +92,8 @@ impl ExternalSorter {
                     chunk.push(r);
                 }
                 if chunk.len() >= run_records || (at_end && !chunk.is_empty()) {
-                    // Double-buffered run generation: while this run is
-                    // sorted and written, the prefetcher stages the next
-                    // run's input pages in the background.
-                    cursor.hint_ahead(run_records as u64);
                     chunk.sort_by_key(|a| key(a));
                     let mut run = self.env.create_temp_file(codec.clone())?;
-                    run.set_write_behind(WRITE_BEHIND_EVERY);
                     run.extend(chunk.iter())?;
                     run.seal();
                     runs.push(run);
@@ -190,9 +179,6 @@ impl ExternalSorter {
 
         let codec = batch[0].codec().clone();
         let mut out = self.env.create_temp_file(codec)?;
-        // The merged output is append-only until sealed; let the prefetch
-        // thread flush it behind the append point while the heap merges.
-        out.set_write_behind(WRITE_BEHIND_EVERY);
         {
             let mut cursors: Vec<_> = batch.iter_mut().map(|r| r.scan()).collect();
             let mut heap: BinaryHeap<HeapEntry<K>> = BinaryHeap::new();

@@ -26,10 +26,6 @@ pub struct RecordFile<T, C: Codec<T>> {
     /// Cached guard for the page being appended to, to avoid re-pinning on
     /// every push.
     append_guard: Option<(PageId, PageGuard)>,
-    /// When set, every `n` completed append pages a background flush of the
-    /// pages below the append point is requested (write-behind). Only sound
-    /// for append-only files; see [`RecordFile::set_write_behind`].
-    write_behind_every: Option<u64>,
     _marker: PhantomData<fn() -> T>,
 }
 
@@ -47,7 +43,6 @@ impl<T, C: Codec<T>> RecordFile<T, C> {
             len: 0,
             recs_per_page,
             append_guard: None,
-            write_behind_every: None,
             _marker: PhantomData,
         }
     }
@@ -89,40 +84,6 @@ impl<T, C: Codec<T>> RecordFile<T, C> {
         (page, slot * self.codec.size())
     }
 
-    /// Advisory read-ahead hint: records `[start, start + n)` will be read
-    /// sequentially soon. No-op when the pool has no prefetch pipeline.
-    /// Hints never change accounted I/O — they only overlap it with compute.
-    pub fn hint_range(&self, start: u64, n: u64) {
-        if n == 0 || start >= self.len || !self.pool.prefetch_enabled() {
-            return;
-        }
-        let end_rec = (start + n).min(self.len);
-        let first = start / self.recs_per_page as u64;
-        let end = (end_rec - 1) / self.recs_per_page as u64 + 1;
-        self.pool.prefetch_hint(self.file, first, end);
-    }
-
-    /// Advisory read-ahead hint covering the whole file.
-    pub fn hint_all(&self) {
-        self.hint_range(0, self.len);
-    }
-
-    /// Enable write-behind: every `every_pages` completed append pages, ask
-    /// the prefetch pipeline to flush the dirty pages below the append point
-    /// in the background. No-op when the pool has no prefetch pipeline.
-    ///
-    /// Only sound for append-only files — once a page is behind the append
-    /// point it must never be modified again, otherwise the background flush
-    /// and a later write-back would write the page twice (changing accounted
-    /// I/O). [`RecordFile::set`] debug-asserts this discipline, and
-    /// [`RecordFile::seal`] ends the write-behind phase (the file becomes an
-    /// ordinary mutable file again).
-    pub fn set_write_behind(&mut self, every_pages: u64) {
-        if every_pages > 0 && self.pool.prefetch_enabled() {
-            self.write_behind_every = Some(every_pages);
-        }
-    }
-
     /// Append one record.
     pub fn push(&mut self, v: &T) -> Result<()> {
         let (page, off) = self.locate(self.len);
@@ -138,15 +99,6 @@ impl<T, C: Codec<T>> RecordFile<T, C> {
                 self.pool.pin(self.file, page)?
             };
             self.append_guard = Some((page, guard));
-            if need_new_page && page > 0 {
-                if let Some(every) = self.write_behind_every {
-                    if page.is_multiple_of(every) {
-                        // Pages < `page` are complete and (append-only
-                        // discipline) final; flush them in the background.
-                        self.pool.flush_behind(self.file, page);
-                    }
-                }
-            }
         }
         let size = self.codec.size();
         let guard = &mut self.append_guard.as_mut().expect("guard set above").1;
@@ -182,10 +134,6 @@ impl<T, C: Codec<T>> RecordFile<T, C> {
 
     /// Overwrite the record at `index`.
     pub fn set(&mut self, index: u64, v: &T) -> Result<()> {
-        debug_assert!(
-            self.write_behind_every.is_none(),
-            "set() on a write-behind file breaks the append-only discipline"
-        );
         if index >= self.len {
             return Err(StorageError::RecordOutOfBounds { index, len: self.len });
         }
@@ -202,24 +150,7 @@ impl<T, C: Codec<T>> RecordFile<T, C> {
         // Release the append guard so a full-file scan sees stable pages
         // and so the cursor's pins don't compete with it.
         self.append_guard = None;
-        let lookahead = self.pool.prefetch_depth() as u64;
-        let mut hinted_upto = 0;
-        if lookahead > 0 && start < self.len {
-            let (first, _) = self.locate(start);
-            let end = (first + lookahead).min(self.num_pages());
-            if first < end {
-                self.pool.prefetch_hint(self.file, first, end);
-            }
-            hinted_upto = first + lookahead;
-        }
-        ScanCursor {
-            file: self,
-            next: start,
-            current: None,
-            last_read: None,
-            hinted_upto,
-            lookahead,
-        }
+        ScanCursor { file: self, next: start, current: None, last_read: None }
     }
 
     /// Sequential cursor over the whole file.
@@ -293,11 +224,9 @@ impl<T, C: Codec<T>> RecordFile<T, C> {
 
     /// Release the cached append-page pin. Call when a file has been fully
     /// written and will sit idle (e.g. a finished sort run) so its pinned
-    /// page does not occupy a pool frame. Also ends any write-behind phase:
-    /// the sealed file may be mutated again.
+    /// page does not occupy a pool frame.
     pub fn seal(&mut self) {
         self.append_guard = None;
-        self.write_behind_every = None;
     }
 
     /// Remove this file from the pool entirely, discarding its pages.
@@ -334,11 +263,6 @@ pub struct ScanCursor<'a, T, C: Codec<T>> {
     next: u64,
     current: Option<(PageId, PageGuard)>,
     last_read: Option<u64>,
-    /// Exclusive upper bound of pages already hinted to the prefetcher.
-    hinted_upto: PageId,
-    /// How many pages ahead of the current page to keep hinted (0 = prefetch
-    /// disabled; no hint calls are made at all).
-    lookahead: u64,
 }
 
 impl<T, C: Codec<T>> ScanCursor<'_, T, C> {
@@ -365,10 +289,6 @@ impl<T, C: Codec<T>> ScanCursor<'_, T, C> {
 
     /// Overwrite the record most recently returned by `next()`.
     pub fn write_back(&mut self, v: &T) -> Result<()> {
-        debug_assert!(
-            self.file.write_behind_every.is_none(),
-            "write_back() on a write-behind file breaks the append-only discipline"
-        );
         let index = self
             .last_read
             .ok_or_else(|| StorageError::InvalidConfig("write_back before next()".into()))?;
@@ -386,39 +306,7 @@ impl<T, C: Codec<T>> ScanCursor<'_, T, C> {
         self.last_read = None;
     }
 
-    /// Hint that roughly the next `records` records from the cursor's
-    /// position will be read soon — beyond the automatic per-page lookahead.
-    /// Used by the external sorter to stage run N+1 while run N is sorted
-    /// and written ("double-buffered run generation"). No-op when the pool
-    /// has no prefetch pipeline.
-    pub fn hint_ahead(&mut self, records: u64) {
-        if self.lookahead == 0 || records == 0 || self.next >= self.file.len {
-            return;
-        }
-        let (first, _) = self.file.locate(self.next);
-        let pages = records.div_ceil(self.file.recs_per_page as u64) + 1;
-        let end = (first + pages).min(self.file.num_pages());
-        let start = self.hinted_upto.max(first);
-        if start < end {
-            self.file.pool.prefetch_hint(self.file.file, start, end);
-            self.hinted_upto = end;
-        }
-    }
-
     fn ensure_page(&mut self, page: PageId) -> Result<()> {
-        if self.lookahead > 0 {
-            // Keep the prefetcher `lookahead` pages ahead of the scan. The
-            // top-up happens at page crossings, so one short hint per page.
-            let want = page + 1 + self.lookahead;
-            if self.hinted_upto < want {
-                let end = want.min(self.file.num_pages());
-                let start = self.hinted_upto.max(page + 1);
-                if start < end {
-                    self.file.pool.prefetch_hint(self.file.file, start, end);
-                }
-                self.hinted_upto = want;
-            }
-        }
         let held = matches!(&self.current, Some((p, _)) if *p == page);
         if !held {
             self.current = None; // unpin previous before pinning next

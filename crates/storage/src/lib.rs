@@ -20,10 +20,6 @@
 //!   merge), the cost model assumed by the paper's Theorems 6, 7 and 10
 //!   ("we make the standard assumption that external sort requires two
 //!   passes over a relation").
-//! * [`prefetch`] — an asynchronous read-ahead / write-behind pipeline
-//!   ([`PrefetchConfig`]) that overlaps the sequential passes' I/O with
-//!   compute while keeping accounted page I/O bit-identical to the
-//!   synchronous schedule.
 //!
 //! The default page size is 4 KiB, matching the paper's experimental setup
 //! ("We set the page size to 4KB, and each tuple was 40 bytes in size").
@@ -50,13 +46,13 @@ pub mod error;
 pub mod extsort;
 pub mod file;
 pub mod pager;
-pub mod prefetch;
 pub mod segfile;
 pub mod stats;
 pub mod tempdir;
 pub mod wal;
 
 mod env;
+mod fnv;
 
 pub use buffer::{BufferPool, Reservation, ShardStats};
 pub use codec::Codec;
@@ -64,8 +60,8 @@ pub use env::{Env, EnvBuilder};
 pub use error::{Result, StorageError};
 pub use extsort::{external_sort, ExternalSorter, SortBudget};
 pub use file::{RecordFile, ScanCursor};
+pub use fnv::{fnv1a64, Fnv1a, Fnv1a64Legacy};
 pub use pager::{FilePager, MemPager, ObservedPager, PageId, Pager, PAGE_SIZE};
-pub use prefetch::{PrefetchConfig, PrefetchStats};
 pub use stats::{IoSnapshot, IoStats};
 pub use tempdir::TempDir;
 pub use wal::{Wal, WalRecovery};

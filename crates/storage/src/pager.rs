@@ -31,74 +31,16 @@ pub trait Pager: Send {
     /// Number of pages currently in the device.
     fn num_pages(&self) -> u64;
 
-    /// Read page `page` into `buf` (`buf.len() == PAGE_SIZE`).
-    fn read_page(&mut self, page: PageId, buf: &mut [u8]) -> Result<()> {
-        self.read_page_nocount(page, buf)?;
-        self.stats().add_reads(1);
-        Ok(())
-    }
+    /// Read page `page` into `buf` (`buf.len() == PAGE_SIZE`), charging one
+    /// read to [`IoStats`].
+    fn read_page(&mut self, page: PageId, buf: &mut [u8]) -> Result<()>;
 
-    /// Read page `page` into `buf` **without** charging [`IoStats`].
-    ///
-    /// This is the prefetcher's read path: the background worker transfers
-    /// the bytes uncounted, and the cost-model charge happens later — once,
-    /// via [`note_prefetched_read`](Pager::note_prefetched_read) — at the
-    /// consumer pin-miss that the read replaced. Prefetched pages that are
-    /// never consumed are charged to nobody, keeping accounted I/O
-    /// bit-identical to the synchronous schedule.
-    fn read_page_nocount(&mut self, page: PageId, buf: &mut [u8]) -> Result<()>;
-
-    /// Charge one read to [`IoStats`] for a page that was transferred
-    /// earlier via [`read_page_nocount`](Pager::read_page_nocount) and is
-    /// being consumed now. Decorators that mirror traffic into secondary
-    /// counters (e.g. [`ObservedPager`]) must count it there too, so the
-    /// mirrors stay in lockstep with the accounted stats.
-    fn note_prefetched_read(&mut self) {
-        self.stats().add_reads(1);
-    }
-
-    /// Write `buf` (`buf.len() == PAGE_SIZE`) to page `page`.
+    /// Write `buf` (`buf.len() == PAGE_SIZE`) to page `page`, charging one
+    /// write to [`IoStats`].
     ///
     /// Writing the page exactly one past the end extends the device by one
     /// page; writing further past the end is an error.
-    fn write_page(&mut self, page: PageId, buf: &[u8]) -> Result<()> {
-        self.write_page_nocount(page, buf)?;
-        self.stats().add_writes(1);
-        Ok(())
-    }
-
-    /// Write page `page` **without** charging [`IoStats`].
-    ///
-    /// This is the write-behind path: the background worker performs the
-    /// physical transfer early (overlapped with computation) and the
-    /// cost-model charge is deferred — to exactly one
-    /// [`note_behind_write`](Pager::note_behind_write) at the moment the
-    /// synchronous schedule would have written the page (eviction or
-    /// flush), or to nothing at all if the file is discarded first, which
-    /// is also what the synchronous schedule pays for a discarded dirty
-    /// page.
-    fn write_page_nocount(&mut self, page: PageId, buf: &[u8]) -> Result<()>;
-
-    /// [`write_contiguous`](Pager::write_contiguous) without the charge:
-    /// the write-behind equivalent, coalescing the syscalls while leaving
-    /// the accounting to later [`note_behind_write`](Pager::note_behind_write)
-    /// calls (one per page, at the synchronous schedule's charge points).
-    fn write_contiguous_nocount(&mut self, first: PageId, buf: &[u8]) -> Result<()> {
-        debug_assert!(buf.len().is_multiple_of(PAGE_SIZE));
-        for (i, chunk) in buf.chunks_exact(PAGE_SIZE).enumerate() {
-            self.write_page_nocount(first + i as u64, chunk)?;
-        }
-        Ok(())
-    }
-
-    /// Charge one write to [`IoStats`] for a page that was physically
-    /// written earlier via [`write_page_nocount`](Pager::write_page_nocount)
-    /// and whose charge point (eviction or flush in the synchronous
-    /// schedule) has arrived now. Decorators that mirror traffic into
-    /// secondary counters must count it there too.
-    fn note_behind_write(&mut self) {
-        self.stats().add_writes(1);
-    }
+    fn write_page(&mut self, page: PageId, buf: &[u8]) -> Result<()>;
 
     /// Write `buf.len() / PAGE_SIZE` contiguous pages starting at `first`.
     ///
@@ -186,7 +128,7 @@ impl Pager for FilePager {
         self.num_pages
     }
 
-    fn read_page_nocount(&mut self, page: PageId, buf: &mut [u8]) -> Result<()> {
+    fn read_page(&mut self, page: PageId, buf: &mut [u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), PAGE_SIZE);
         if page >= self.num_pages {
             return Err(StorageError::PageOutOfBounds { page, len: self.num_pages });
@@ -195,10 +137,11 @@ impl Pager for FilePager {
         self.file
             .read_exact(buf)
             .map_err(|e| StorageError::io(format!("reading page {page}"), e))?;
+        self.stats.add_reads(1);
         Ok(())
     }
 
-    fn write_page_nocount(&mut self, page: PageId, buf: &[u8]) -> Result<()> {
+    fn write_page(&mut self, page: PageId, buf: &[u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), PAGE_SIZE);
         if page > self.num_pages {
             return Err(StorageError::PageOutOfBounds { page, len: self.num_pages });
@@ -210,17 +153,11 @@ impl Pager for FilePager {
         if page == self.num_pages {
             self.num_pages += 1;
         }
+        self.stats.add_writes(1);
         Ok(())
     }
 
     fn write_contiguous(&mut self, first: PageId, buf: &[u8]) -> Result<()> {
-        let n = (buf.len() / PAGE_SIZE) as u64;
-        self.write_contiguous_nocount(first, buf)?;
-        self.stats.add_writes(n);
-        Ok(())
-    }
-
-    fn write_contiguous_nocount(&mut self, first: PageId, buf: &[u8]) -> Result<()> {
         debug_assert!(buf.len().is_multiple_of(PAGE_SIZE));
         let n = (buf.len() / PAGE_SIZE) as u64;
         if n == 0 {
@@ -234,6 +171,7 @@ impl Pager for FilePager {
             .write_all(buf)
             .map_err(|e| StorageError::io(format!("writing pages {first}..{}", first + n), e))?;
         self.num_pages = self.num_pages.max(first + n);
+        self.stats.add_writes(n);
         Ok(())
     }
 
@@ -286,17 +224,18 @@ impl Pager for MemPager {
         self.pages.len() as u64
     }
 
-    fn read_page_nocount(&mut self, page: PageId, buf: &mut [u8]) -> Result<()> {
+    fn read_page(&mut self, page: PageId, buf: &mut [u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), PAGE_SIZE);
         let src = self
             .pages
             .get(page as usize)
             .ok_or(StorageError::PageOutOfBounds { page, len: self.pages.len() as u64 })?;
         buf.copy_from_slice(&src[..]);
+        self.stats.add_reads(1);
         Ok(())
     }
 
-    fn write_page_nocount(&mut self, page: PageId, buf: &[u8]) -> Result<()> {
+    fn write_page(&mut self, page: PageId, buf: &[u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), PAGE_SIZE);
         let n = self.pages.len() as u64;
         if page > n {
@@ -306,6 +245,7 @@ impl Pager for MemPager {
             self.pages.push(Box::new([0u8; PAGE_SIZE]));
         }
         self.pages[page as usize].copy_from_slice(buf);
+        self.stats.add_writes(1);
         Ok(())
     }
 
@@ -363,42 +303,16 @@ impl Pager for ObservedPager {
         Ok(())
     }
 
-    fn read_page_nocount(&mut self, page: PageId, buf: &mut [u8]) -> Result<()> {
-        // Not mirrored: the obs counter tracks *accounted* reads, which are
-        // charged only when the staged page is consumed (see below).
-        self.inner.read_page_nocount(page, buf)
-    }
-
-    fn note_prefetched_read(&mut self) {
-        self.inner.note_prefetched_read();
-        self.reads.inc();
-    }
-
     fn write_page(&mut self, page: PageId, buf: &[u8]) -> Result<()> {
         self.inner.write_page(page, buf)?;
         self.writes.inc();
         Ok(())
     }
 
-    fn write_page_nocount(&mut self, page: PageId, buf: &[u8]) -> Result<()> {
-        // Not mirrored: the obs counter tracks *accounted* writes, which
-        // are charged only when the deferred charge lands (see below).
-        self.inner.write_page_nocount(page, buf)
-    }
-
     fn write_contiguous(&mut self, first: PageId, buf: &[u8]) -> Result<()> {
         self.inner.write_contiguous(first, buf)?;
         self.writes.add((buf.len() / PAGE_SIZE) as u64);
         Ok(())
-    }
-
-    fn write_contiguous_nocount(&mut self, first: PageId, buf: &[u8]) -> Result<()> {
-        self.inner.write_contiguous_nocount(first, buf)
-    }
-
-    fn note_behind_write(&mut self) {
-        self.inner.note_behind_write();
-        self.writes.inc();
     }
 
     fn allocate_page(&mut self) -> Result<PageId> {

@@ -44,6 +44,7 @@ use crate::buffer::{BufferPool, FileId};
 use crate::codec::Codec;
 use crate::error::{Result, StorageError};
 use crate::file::RecordFile;
+use crate::fnv::Fnv1a64Legacy;
 use crate::pager::{FilePager, MemPager, Pager, PAGE_SIZE};
 use crate::stats::IoStats;
 use std::path::Path;
@@ -59,16 +60,6 @@ const KIND_DATA: u8 = 1;
 const KIND_COMMIT: u8 = 2;
 /// Pages of dedicated buffer-pool cache in front of the log file.
 const WAL_POOL_PAGES: usize = 64;
-
-/// FNV-1a 64 — dependency-free and plenty for torn-write detection.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
 
 /// Raw frame codec: the WAL validates frames itself, so the codec is a
 /// plain fixed-width byte copy.
@@ -98,7 +89,7 @@ fn encode_frame(kind: u8, len: u8, seq: u64, batch: u64, payload: &[u8]) -> [u8;
     f[8..16].copy_from_slice(&seq.to_le_bytes());
     f[16..24].copy_from_slice(&batch.to_le_bytes());
     f[24..24 + payload.len()].copy_from_slice(payload);
-    let crc = fnv1a64(&f[..88]);
+    let crc = Fnv1a64Legacy::hash(&f[..88]);
     f[88..96].copy_from_slice(&crc.to_le_bytes());
     f
 }
@@ -125,7 +116,7 @@ fn parse_frame(raw: &[u8; FRAME_BYTES]) -> Option<ParsedFrame> {
         return None;
     }
     let crc = u64::from_le_bytes(raw[88..96].try_into().expect("8 bytes"));
-    if crc != fnv1a64(&raw[..88]) {
+    if crc != Fnv1a64Legacy::hash(&raw[..88]) {
         return None;
     }
     Some(ParsedFrame {
@@ -335,6 +326,14 @@ mod tests {
 
     fn payloads(b: &[&[u8]]) -> Vec<Vec<u8>> {
         b.iter().map(|p| p.to_vec()).collect()
+    }
+
+    #[test]
+    fn frame_checksum_is_a_pinned_format_constant() {
+        // Logs written by earlier builds must keep replaying: a checksum
+        // that drifts turns every committed frame into a "torn tail".
+        let f = encode_frame(KIND_DATA, 3, 7, 2, b"abc");
+        assert_eq!(u64::from_le_bytes(f[88..96].try_into().unwrap()), 0x7e8a_daef_5c7e_0ed0);
     }
 
     #[test]

@@ -64,7 +64,7 @@ const USAGE: &str = "usage: iolap demo | gen | allocate | serve | query | shard 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("demo") => cmd_demo(),
+        Some("demo") => cmd_demo(&args[1..]),
         Some("gen") => cmd_gen(&args[1..]),
         Some("allocate") => cmd_allocate(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
@@ -112,9 +112,31 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// What every subcommand does before reading its flags: `--help` prints
+/// the usage line and succeeds, and a `--flag` the usage line does not
+/// name is a usage error (exit 2). `flag()` looks flags up by name, so
+/// without this a misspelt or retired flag would run with the default
+/// and say nothing. Returns the exit code when the command is done.
+fn preflight(usage: &str, args: &[String]) -> Option<i32> {
+    if has_flag(args, "--help") {
+        eprintln!("{usage}");
+        return Some(0);
+    }
+    let known = |a: &str| {
+        usage.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).any(|tok| tok == a)
+    };
+    let bad = args.iter().find(|a| a.starts_with("--") && !known(a))?;
+    eprintln!("iolap: unknown flag {bad}");
+    eprintln!("{usage}");
+    Some(2)
+}
+
 // ---------------------------------------------------------------------------
 
-fn cmd_demo() -> i32 {
+fn cmd_demo(args: &[String]) -> i32 {
+    if let Some(code) = preflight("iolap demo", args) {
+        return code;
+    }
     let table = paper_example::table1();
     let schema = table.schema().clone();
     println!("Paper running example (Table 1): {} facts", table.len());
@@ -131,10 +153,11 @@ fn cmd_demo() -> i32 {
 
 // ---------------------------------------------------------------------------
 
+const GEN_USAGE: &str = "iolap gen --kind automotive|synthetic --facts N --seed S --out DIR";
+
 fn cmd_gen(args: &[String]) -> i32 {
-    if has_flag(args, "--help") {
-        eprintln!("iolap gen --kind automotive|synthetic --facts N --seed S --out DIR");
-        return 0;
+    if let Some(code) = preflight(GEN_USAGE, args) {
+        return code;
     }
     let kind: DatasetKind = flag(args, "--kind")
         .unwrap_or_else(|| "automotive".into())
@@ -163,14 +186,13 @@ fn quote(s: &str) -> String {
 
 // ---------------------------------------------------------------------------
 
+const ALLOCATE_USAGE: &str = "iolap allocate --data DIR [--algorithm A] [--policy P] \
+     [--epsilon E] [--buffer-kb KB] [--threads N] [--rollup DIM:LEVEL] \
+     [--edb-out FILE] [--trace-out FILE]";
+
 fn cmd_allocate(args: &[String]) -> i32 {
-    if has_flag(args, "--help") {
-        eprintln!(
-            "iolap allocate --data DIR [--algorithm A] [--policy P] [--epsilon E] \
-             [--buffer-kb KB] [--threads N] [--prefetch N] [--rollup DIM:LEVEL] \
-             [--edb-out FILE] [--trace-out FILE]"
-        );
-        return 0;
+    if let Some(code) = preflight(ALLOCATE_USAGE, args) {
+        return code;
     }
     let dir = PathBuf::from(flag(args, "--data").expect("--data DIR required"));
     let algorithm: Algorithm = flag(args, "--algorithm")
@@ -195,9 +217,6 @@ fn cmd_allocate(args: &[String]) -> i32 {
     let buffer_pages = ((buffer_kb * 1024) as usize).div_ceil(4096).max(8);
     let threads: usize =
         flag(args, "--threads").unwrap_or_else(|| "1".into()).parse().expect("--threads N");
-    // Read-ahead depth in pages; 0 keeps the prefetch pipeline off.
-    let prefetch: usize =
-        flag(args, "--prefetch").unwrap_or_else(|| "0".into()).parse().expect("--prefetch N");
 
     // Ingest.
     let db = match Iolap::open(&dir) {
@@ -220,12 +239,8 @@ fn cmd_allocate(args: &[String]) -> i32 {
         let sink = JsonlSink::create(&path).expect("--trace-out file");
         obs = Obs::with_sink(Arc::new(sink));
     }
-    let cfg = AllocConfig::builder()
-        .buffer_pages(buffer_pages)
-        .threads(threads)
-        .prefetch_depth(prefetch)
-        .obs(obs.clone())
-        .build();
+    let cfg =
+        AllocConfig::builder().buffer_pages(buffer_pages).threads(threads).obs(obs.clone()).build();
     let mut run = db.config(cfg).policy(policy).allocate(algorithm).expect("allocation");
     obs.flush();
     println!("{}", run.report);
@@ -272,12 +287,11 @@ fn cmd_allocate(args: &[String]) -> i32 {
 
 const QUERY_USAGE: &str = "iolap query --data DIR [--region Dim=Node,...] \
      [--rollup DIM@LEVEL] [--agg sum|count|avg] [--policy P] [--epsilon E] \
-     [--buffer-kb KB] [--stats]";
+     [--buffer-kb KB] [--stats]   (--dir is an alias for --data)";
 
 fn cmd_query(args: &[String]) -> i32 {
-    if has_flag(args, "--help") {
-        eprintln!("{QUERY_USAGE}");
-        return 0;
+    if let Some(code) = preflight(QUERY_USAGE, args) {
+        return code;
     }
     let Some(dir) = flag(args, "--data").or_else(|| flag(args, "--dir")) else {
         eprintln!("iolap query: --data DIR is required");
@@ -428,17 +442,15 @@ fn cmd_query(args: &[String]) -> i32 {
 
 // ---------------------------------------------------------------------------
 
+const SERVE_USAGE: &str = "iolap serve --data DIR [--addr HOST:PORT] [--policy P] \
+     [--epsilon E] [--buffer-kb KB] [--workers N] [--queue N] [--cache N] \
+     [--max-conns N] [--timeout-ms MS] [--idle-ms MS] [--role single|shard] \
+     [--no-wal] [--group-ms MS] [--group-frames N]   (--dir is an alias for --data)";
+
 fn cmd_serve(args: &[String]) -> i32 {
-    if has_flag(args, "--help") {
-        eprintln!(
-            "iolap serve --data DIR [--addr HOST:PORT] [--policy P] [--epsilon E] \
-             [--buffer-kb KB] [--workers N] [--queue N] [--cache N] \
-             [--max-conns N] [--timeout-ms MS] [--idle-ms MS] [--role single|shard] \
-             [--no-wal] [--group-ms MS] [--group-frames N]"
-        );
-        return 0;
+    if let Some(code) = preflight(SERVE_USAGE, args) {
+        return code;
     }
-    // --dir is accepted as an alias for --data (matches the README).
     let Some(dir) = flag(args, "--data").or_else(|| flag(args, "--dir")) else {
         eprintln!("iolap serve: --data DIR is required");
         return 2;
@@ -558,12 +570,11 @@ fn wait_for_stdin_eof() {
 // ---------------------------------------------------------------------------
 
 const SHARD_USAGE: &str = "iolap shard --data DIR --out DIR --shards N \
-     [--policy P] [--epsilon E] [--buffer-kb KB]";
+     [--policy P] [--epsilon E] [--buffer-kb KB]   (--dir is an alias for --data)";
 
 fn cmd_shard(args: &[String]) -> i32 {
-    if has_flag(args, "--help") {
-        eprintln!("{SHARD_USAGE}");
-        return 0;
+    if let Some(code) = preflight(SHARD_USAGE, args) {
+        return code;
     }
     let Some(data) = flag(args, "--data").or_else(|| flag(args, "--dir")) else {
         eprintln!("iolap shard: --data DIR is required");
@@ -629,9 +640,8 @@ const ROUTER_USAGE: &str = "iolap router --cluster DIR --shard ADDR[,ADDR...] \
      [--max-conns N] [--timeout-ms MS] [--idle-ms MS]";
 
 fn cmd_router(args: &[String]) -> i32 {
-    if has_flag(args, "--help") {
-        eprintln!("{ROUTER_USAGE}");
-        return 0;
+    if let Some(code) = preflight(ROUTER_USAGE, args) {
+        return code;
     }
     let Some(cluster_dir) = flag(args, "--cluster") else {
         eprintln!("iolap router: --cluster DIR is required");

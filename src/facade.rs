@@ -64,18 +64,6 @@ impl Iolap {
         self
     }
 
-    /// Enable the asynchronous I/O prefetch pipeline with the given
-    /// staging depth in pages (`0` disables; shorthand for rebuilding the
-    /// config). Accounted page I/O is unchanged — only overlapped.
-    pub fn prefetch_depth(mut self, depth: usize) -> Self {
-        self.cfg.prefetch = if depth == 0 {
-            iolap_storage::PrefetchConfig::disabled()
-        } else {
-            iolap_storage::PrefetchConfig::depth(depth)
-        };
-        self
-    }
-
     /// The dataset's schema.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema

@@ -87,5 +87,4 @@ pub mod prelude {
         ServeConfig, ServeConfigBuilder, ServeError, Server, ServerBuilder, ServerHandle,
         ShedPolicy,
     };
-    pub use iolap_storage::{PrefetchConfig, PrefetchStats};
 }

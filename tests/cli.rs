@@ -100,6 +100,29 @@ fn version_prints_cargo_package_version() {
 }
 
 #[test]
+fn every_subcommand_rejects_an_unknown_flag() {
+    // Flags are looked up by name, so before this check a misspelt or
+    // retired one ran with the default and said nothing. The check comes
+    // first: none of these gets as far as asking for its required flags.
+    for (cmd, flag) in [
+        ("demo", "--verbose"),
+        ("gen", "--fact"),
+        ("allocate", "--bufer-kb"),
+        ("query", "--aggregate"),
+        ("serve", "--worker"),
+        ("shard", "--shard"),
+        ("router", "--shards"),
+    ] {
+        let out = iolap().args([cmd, flag, "64"]).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{cmd} {flag}: usage errors exit 2");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{cmd}: {err}");
+        assert!(err.contains(&format!("iolap {cmd}")), "{cmd}: prints its usage line: {err}");
+        assert!(out.stdout.is_empty(), "{cmd}: errors go to stderr, not stdout");
+    }
+}
+
+#[test]
 fn serve_requires_data_flag() {
     let out = iolap().arg("serve").output().expect("spawn");
     assert_eq!(out.status.code(), Some(2));

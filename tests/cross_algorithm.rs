@@ -155,43 +155,6 @@ fn thread_count_does_not_change_the_edb() {
 }
 
 #[test]
-fn prefetch_does_not_change_the_edb() {
-    // The prefetch pipeline overlaps I/O with computation but must not
-    // perturb what any pass *sees*: every staged page is invalidated on
-    // write-back and consumed only at the pin-miss it replaces, so the
-    // materialized EDB must be bit-identical with the pipeline on — for
-    // every algorithm, including buffer sizes that force external sorts
-    // and Block-fallback components through the write-behind path.
-    let table = generate(&GeneratorConfig::synthetic(3_000, 11));
-    let policy = PolicySpec::em_count(0.01);
-    let edb_with = |alg: Algorithm, depth: usize, pages: usize| {
-        let cfg = AllocConfig::builder().in_memory(pages).prefetch_depth(depth).build();
-        let mut run = allocate(&table, &policy, alg, &cfg).unwrap();
-        assert!(run.report.converged, "{alg} with prefetch depth {depth} did not converge");
-        run.edb.weight_map().unwrap()
-    };
-    for alg in [Algorithm::Basic, Algorithm::Independent, Algorithm::Block, Algorithm::Transitive] {
-        for pages in [4096, 48] {
-            let reference = edb_with(alg, 0, pages);
-            let got = edb_with(alg, 32, pages);
-            assert_eq!(reference.len(), got.len(), "{alg} @ {pages}p");
-            for (id, ea) in &reference {
-                let eb = &got[id];
-                assert_eq!(ea.len(), eb.len(), "{alg} @ {pages}p: fact {id}");
-                for ((ca, wa), (cb, wb)) in ea.iter().zip(eb.iter()) {
-                    assert_eq!(ca, cb, "{alg} @ {pages}p: fact {id} cells");
-                    assert_eq!(
-                        wa.to_bits(),
-                        wb.to_bits(),
-                        "{alg} @ {pages}p: fact {id} weights {wa} vs {wb}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn measure_policy_agrees_across_algorithms() {
     let table = generate(&GeneratorConfig::automotive(2_000, 9));
     let policy = PolicySpec::em_measure(0.02);

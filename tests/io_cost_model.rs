@@ -9,7 +9,7 @@
 //! flat, and Independent must exceed Block (the `7T·W|C|` sorts).
 
 use iolap::core::{allocate, Algorithm, AllocConfig, PolicySpec};
-use iolap::datagen::{generate, GeneratorConfig};
+use iolap::datagen::{generate, scaled, DatasetKind, GeneratorConfig};
 use iolap::model::FactTable;
 
 fn table() -> FactTable {
@@ -25,31 +25,6 @@ fn alloc_ios(table: &FactTable, alg: Algorithm, iters: u32) -> u64 {
     let run = allocate(table, &policy, alg, &cfg).unwrap();
     assert_eq!(run.report.iterations, iters);
     run.report.io_alloc.total()
-}
-
-#[test]
-fn prefetch_keeps_accounted_io_bit_identical() {
-    // The tentpole contract of the prefetch pipeline: enabling it must not
-    // move a single page of *accounted* I/O in any phase of any algorithm —
-    // read-ahead stages pages without charging them until the pass consumes
-    // them, and write-behind defers its charge to the moment the synchronous
-    // schedule would have written.
-    let t = generate(&GeneratorConfig::automotive(8_000, 13));
-    let policy = PolicySpec::em_count(0.0).with_max_iters(3);
-    for alg in [Algorithm::Basic, Algorithm::Independent, Algorithm::Block, Algorithm::Transitive] {
-        let run_with = |depth: usize| {
-            let cfg = AllocConfig::builder().in_memory(96).prefetch_depth(depth).build();
-            allocate(&t, &policy, alg, &cfg).unwrap()
-        };
-        let off = run_with(0);
-        let on = run_with(32);
-        assert!(off.report.prefetch.is_none(), "{alg}: stats without a pipeline");
-        assert!(on.report.prefetch.is_some(), "{alg}: no stats with a pipeline");
-        assert_eq!(off.report.io_prep, on.report.io_prep, "{alg}: prep I/O diverged");
-        assert_eq!(off.report.io_alloc, on.report.io_alloc, "{alg}: alloc I/O diverged");
-        assert_eq!(off.report.io_edb, on.report.io_edb, "{alg}: EDB I/O diverged");
-        assert_eq!(off.report.iterations, on.report.iterations, "{alg}: iterations diverged");
-    }
 }
 
 #[test]
@@ -104,4 +79,36 @@ fn block_io_tracks_theorem7_magnitude() {
         (0.4..=2.0).contains(&ratio),
         "measured {measured} vs Theorem 7 prediction {predicted} (ratio {ratio:.2})"
     );
+}
+
+/// Accounted page traffic of one run: (reads, writes) of the prep, alloc and
+/// EDB phases, pool hits and misses, EDB entries.
+type Pinned = ([(u64, u64); 3], (u64, u64), u64);
+
+#[test]
+fn accounted_io_is_pinned_per_algorithm() {
+    // The cost model counts every transfer at a fixed point of the one
+    // synchronous schedule, so a change to the pager, pool or record-file
+    // layers that moves a single page shows up here as a number, not as a
+    // tolerance. Re-record only with a change that is meant to move
+    // accounted I/O, and say so (DESIGN.md §2.13).
+    const PINNED: [(Algorithm, Pinned); 4] = [
+        (Algorithm::Basic, ([(0, 66), (0, 0), (28, 41)], (222, 28), 3600)),
+        (Algorithm::Independent, ([(0, 66), (93, 1439), (51, 75)], (12308, 144), 3600)),
+        (Algorithm::Block, ([(0, 66), (0, 0), (28, 41)], (22038, 28), 3600)),
+        (Algorithm::Transitive, ([(0, 66), (23, 73), (28, 42)], (10769, 51), 3600)),
+    ];
+    let t = scaled(DatasetKind::Automotive, 5_000, 42);
+    let policy = PolicySpec::em_count(0.01);
+    let cfg = AllocConfig::builder().in_memory(96).build();
+    for (alg, want) in PINNED {
+        let run = allocate(&t, &policy, alg, &cfg).unwrap();
+        let r = &run.report;
+        let got: Pinned = (
+            [r.io_prep, r.io_alloc, r.io_edb].map(|io| (io.reads, io.writes)),
+            (r.pool_hits, r.pool_misses),
+            run.edb.num_entries(),
+        );
+        assert_eq!(got, want, "{alg}: accounted I/O moved");
+    }
 }
