@@ -35,7 +35,9 @@ use iolap_obs::{json, Counter, Gauge, Obs};
 use iolap_query::{AggResult, RollupParts};
 use iolap_serve::http::Request;
 use iolap_serve::snapshot::{resolve_level, resolve_region};
-use iolap_serve::{engine, http_roundtrip, wire, EngineHandle, Handler, Response, ServeConfig};
+use iolap_serve::{
+    engine, http_roundtrip, wire, EngineHandle, Handler, Response, ServeConfig, Step,
+};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -398,8 +400,11 @@ struct RouterApp {
 }
 
 impl Handler for RouterApp {
-    fn handle(&self, req: &Request) -> Response {
-        handle_request(req, &self.shared)
+    /// Every leg blocks on a backend socket, so nothing is answered on
+    /// the reactor.
+    fn begin(&self, req: Request) -> Step {
+        let shared = self.shared.clone();
+        Step::Work(Box::new(move || handle_request(&req, &shared)))
     }
 }
 

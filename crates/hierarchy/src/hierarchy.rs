@@ -1,5 +1,6 @@
 //! The [`Hierarchy`] type: one dimension's hierarchical domain.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 
@@ -66,6 +67,10 @@ pub struct Hierarchy {
     anc: Vec<Vec<u32>>,
     /// Arena ids of the nodes at each level (index `l-1`), in DFS order.
     level_nodes: Vec<Vec<NodeId>>,
+    /// Explicit display name → the lowest arena id carrying it (names
+    /// need not be unique; a first-match scan of the arena is the
+    /// contract). Built once here: the server resolves names per request.
+    names: HashMap<Box<str>, NodeId>,
 }
 
 impl Hierarchy {
@@ -97,7 +102,13 @@ impl Hierarchy {
             }
             anc.push(row);
         }
-        let h = Hierarchy { name, level_names, nodes, leaf_nodes, anc, level_nodes };
+        let mut names = HashMap::new();
+        for (i, n) in nodes.iter().enumerate() {
+            if let Some(s) = &n.name {
+                names.entry(s.as_str().into()).or_insert(NodeId(i as u32));
+            }
+        }
+        let h = Hierarchy { name, level_names, nodes, leaf_nodes, anc, level_nodes, names };
         debug_assert!(h.validate().is_ok(), "builder produced invalid hierarchy");
         h
     }
@@ -221,12 +232,48 @@ impl Hierarchy {
         x.lo < y.hi && y.lo < x.hi
     }
 
-    /// Look a node up by display name (linear; for examples and tests).
+    /// Look a node up by its explicit display name. Where several nodes
+    /// share a name, the lowest arena id wins.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.nodes.iter().position(|n| n.name.as_deref() == Some(name)).map(|i| NodeId(i as u32))
+        self.names.get(name).copied()
     }
 
-    /// Display name of a node, falling back to `level:lo..hi`.
+    /// The inverse of [`node_name`](Self::node_name): explicit names
+    /// first, then the `Level[lo..hi]` form synthesized for anonymous
+    /// nodes — so any name the system prints resolves back.
+    pub fn resolve_name(&self, name: &str) -> Option<NodeId> {
+        self.node_by_name(name).or_else(|| self.anonymous_by_name(name))
+    }
+
+    /// Parse `Level[lo..hi]` and find the unnamed node it was printed for.
+    fn anonymous_by_name(&self, name: &str) -> Option<NodeId> {
+        // Only the canonical decimal `node_name` prints ("07" and "+7"
+        // are not names of anything).
+        fn index(s: &str) -> Option<u32> {
+            let canonical =
+                s.bytes().all(|b| b.is_ascii_digit()) && (s == "0" || !s.starts_with('0'));
+            if canonical {
+                s.parse().ok()
+            } else {
+                None
+            }
+        }
+        let (level, range) = name.strip_suffix(']')?.rsplit_once('[')?;
+        let (lo, hi) = range.split_once("..")?;
+        let (lo, hi) = (index(lo)?, index(hi)?);
+        // Level names need not be unique either: lowest id over them all.
+        (1..=self.levels())
+            .filter(|&l| self.level_name(l) == level)
+            .filter_map(|l| {
+                let at = self.nodes_at_level(l);
+                let i = at.binary_search_by_key(&lo, |&id| self.node(id).lo).ok()?;
+                let n = self.node(at[i]);
+                (n.hi == hi && n.name.is_none()).then_some(at[i])
+            })
+            .min()
+    }
+
+    /// Display name of a node, falling back to `Level[lo..hi]`.
     pub fn node_name(&self, id: NodeId) -> String {
         let n = self.node(id);
         match &n.name {
@@ -408,6 +455,33 @@ mod tests {
         assert_eq!(h.ancestor_of(ma, 3), east);
         assert_eq!(h.ancestor_of(ma, 2), ma);
         assert_eq!(h.ancestor_of(ma, 4), h.all());
+    }
+
+    /// The name map and the `Level[lo..hi]` parser must answer exactly
+    /// what the scans they replaced answered: the first node, in arena
+    /// order, whose explicit (resp. printed) name matches.
+    #[test]
+    fn name_resolution_matches_a_first_match_scan() {
+        let anonymous = Hierarchy::balanced("Time", &["Week", "Month"], &[4, 3]);
+        // Duplicate explicit names and a duplicate level name.
+        let dup = crate::HierarchyBuilder::new("D")
+            .level_named("L", &["a", "b", "a"])
+            .level("L", 3)
+            .parents(2, &[0, 1, 2])
+            .build();
+        for h in [location(), anonymous, dup] {
+            let ids = || (0..h.num_nodes()).map(NodeId);
+            for id in ids() {
+                let printed = h.node_name(id);
+                let by_scan = ids().find(|&i| h.node(i).name.as_deref() == Some(printed.as_str()));
+                assert_eq!(h.node_by_name(&printed), by_scan, "{printed}");
+                let printed_scan = ids().find(|&i| h.node_name(i) == printed);
+                assert_eq!(h.resolve_name(&printed), by_scan.or(printed_scan), "{printed}");
+            }
+            for bad in ["", "Week[0..4", "Week[00..4]", "Week[+0..4]", "Week[0..5]", "Nope[0..4]"] {
+                assert_eq!(h.resolve_name(bad), None, "{bad:?}");
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! 3. **An event-driven core** — one reactor thread owns every socket
 //!    behind an epoll/poll readiness loop (vendored syscall shim, no
 //!    external crate), so concurrent keep-alive connections are bounded
-//!    by `max_connections`, not by the worker count; workers pull
-//!    *ready, fully-parsed requests*. Saturation sheds with `503` per
+//!    by `max_connections`, not by the worker count. The reactor answers
+//!    what is bounded and non-blocking itself (a cache hit, a cheap
+//!    rejection — [`Handler::begin`]); workers pull the rest as *ready,
+//!    fully-parsed requests*. Saturation sheds with `503` per
 //!    [`ShedPolicy`], sockets carry read/write/idle timeouts, handler
 //!    panics cost one `500`, and shutdown drains gracefully.
 //!
@@ -55,10 +57,10 @@ mod sys;
 pub mod wire;
 
 pub use cache::{CacheKey, CachedResult, ShardedCache};
-pub use engine::{EngineHandle, Handler, Response};
+pub use engine::{EngineHandle, Handler, Response, Step};
 pub use server::{
-    http_roundtrip, read_response, ServeConfig, ServeConfigBuilder, ServeError, Server,
-    ServerBuilder, ServerHandle, ShedPolicy,
+    http_roundtrip, read_response, read_response_from, ServeConfig, ServeConfigBuilder, ServeError,
+    Server, ServerBuilder, ServerHandle, ShedPolicy,
 };
 pub use snapshot::EdbSnapshot;
 pub use sys::raise_nofile_limit;

@@ -1,30 +1,55 @@
 //! The readiness loop at the heart of iolap-serve: one thread owning
-//! every socket, with workers pulling *ready, fully-parsed requests*
-//! instead of owning connections.
+//! every socket. It parses each request and runs the handler's *begin*
+//! stage itself; workers pull only what `begin` handed back — the
+//! remaining work of a *ready, fully-parsed request* — instead of owning
+//! connections.
 //!
 //! Per-connection state machine:
 //!
 //! ```text
-//!            readable bytes          full request parsed
-//!   accept ──► Reading ────────────────► Dispatched ──┐
-//!                ▲                        (worker      │ worker wrote
-//!                │ response fully         computes +   │ response
-//!                │ written, keep-alive    writes)      ▼
-//!                └──────── Writing ◄─────────── (residual bytes only)
-//!                              │
-//!                              └──► Closing (close/EOF/timeout/shed)
+//!                  ┌── begin → Respond (written whole,
+//!                  │            keep-alive: stay Reading)
+//!                  ▼     │
+//!            readable    │     begin → Work
+//!   accept ──► Reading ──┴───────────────► Dispatched ──┐
+//!                ▲  │                       (worker      │ worker wrote
+//!                │  │ response fully        computes +   │ response
+//!                │  │ written, keep-alive   writes)      ▼
+//!                └──│────── Writing ◄─────────── (residual bytes only)
+//!                   │          ▲   │
+//!                   └──────────┘   └──► Closing (close/EOF/timeout/shed)
+//!            inline response the
+//!            socket would not take
 //! ```
 //!
+//! Staged requests: the moment a complete request parses, the reactor
+//! calls [`Handler::begin`](crate::engine::Handler::begin) under
+//! `catch_unwind`. `Step::Respond` — a cache hit, a cheap rejection — is
+//! framed and written to the nonblocking socket right there, and the
+//! connection never leaves `Reading`: no queue, no `epoll_ctl`, no
+//! thread hop. What may run in `begin` is the handler trait's rule:
+//! bounded by the request, never blocking, nothing proportional to the
+//! data. `Step::Work` carries everything else to the worker pool.
+//!
 //! Readiness protocol: a `Reading` connection is registered for
-//! readability; the moment a complete request parses, the connection's
-//! interest set is *zeroed* (the registration stays, so errors are still
-//! observed) and the request goes to the worker queue — buffered
-//! pipelined bytes therefore cannot busy-wake the loop while the worker
-//! computes. The worker writes the response straight to the nonblocking
-//! socket; only bytes the socket wouldn't take come back to the reactor
-//! as a residual `Writing` state with write interest. On completion the
-//! connection re-enters `Reading` and any buffered pipelined request is
-//! parsed immediately, without waiting for another readable event.
+//! readability; when `begin` returns `Work`, the connection's interest
+//! set is *zeroed* (the registration stays, so errors are still
+//! observed) and the work goes to the worker queue — buffered pipelined
+//! bytes therefore cannot busy-wake the loop while the worker computes,
+//! and because `begin` is only reached in `Reading`, an inline answer
+//! can never overtake a worker's answer on the same connection. The
+//! worker writes the response straight to the nonblocking socket; only
+//! bytes the socket wouldn't take come back to the reactor as a residual
+//! `Writing` state with write interest. On completion the connection
+//! re-enters `Reading` and any buffered pipelined request is parsed
+//! immediately, without waiting for another readable event.
+//!
+//! Bounded turns: one wake answers at most [`INLINE_BUDGET`] requests of
+//! one connection inline. A connection with more still buffered goes on
+//! the *resume list*, which the loop drains after a zero-timeout `wait`,
+//! so a pipelining client takes turns with accepts, completions and
+//! every other socket — and `advance` is a loop, so a deep pipeline
+//! costs no stack.
 //!
 //! Why workers pull requests, not connections: a pulled *connection*
 //! pins a worker for the socket's whole keep-alive lifetime, so idle
@@ -33,8 +58,8 @@
 //! connection count is bounded by memory and `max_connections`, not by
 //! the worker count.
 
-use crate::engine::{count_status, EngineShared};
-use crate::http::{response_bytes, try_parse, ParseStatus, ReadError, Request};
+use crate::engine::{count_status, finish_request, observe_latency, EngineShared, Response, Step};
+use crate::http::{response_bytes, try_parse, ParseStatus, ReadError};
 use crate::server::{ServeConfig, ShedPolicy};
 use crate::sys::{Event, Interest, Poller, Waker};
 use crate::wire::ServeError;
@@ -42,6 +67,7 @@ use std::collections::HashMap;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -60,7 +86,11 @@ const TICK: Duration = Duration::from_millis(250);
 /// polling re-reports the fd if more is buffered).
 const READ_BUDGET: usize = 64 * 1024;
 
-/// A fully-parsed request handed to the worker pool.
+/// Requests one connection may have answered inline per wake before it
+/// yields the loop (and goes on the resume list if more are buffered).
+const INLINE_BUDGET: usize = 32;
+
+/// The worker-side remainder of a parsed request.
 pub(crate) struct ReadyRequest {
     /// Reactor token of the owning connection (echoed in [`Completion`]).
     pub conn_id: u64,
@@ -68,8 +98,12 @@ pub(crate) struct ReadyRequest {
     /// response bytes directly; the reactor does not touch a dispatched
     /// connection's stream until the completion arrives.
     pub stream: Arc<TcpStream>,
-    /// The parsed request.
-    pub req: Request,
+    /// The request's `Connection` disposition.
+    pub keep_alive: bool,
+    /// When the request finished parsing (the latency clock's zero).
+    pub started: Instant,
+    /// What `begin` left to do.
+    pub work: Box<dyn FnOnce() -> Response + Send>,
 }
 
 /// What happened when a worker wrote its response.
@@ -119,7 +153,8 @@ pub(crate) fn write_nonblocking(
 }
 
 enum ConnState {
-    /// Waiting for (more) request bytes; read interest.
+    /// Waiting for (more) request bytes; read interest. The only state
+    /// in which requests are parsed and `begin` runs.
     Reading,
     /// A request is with a worker; interest zeroed.
     Dispatched,
@@ -139,6 +174,12 @@ struct Conn {
     /// An error event arrived while dispatched; close on completion
     /// instead of yanking the stream out from under the worker.
     errored: bool,
+    /// What the poller currently reports for this socket (spares an
+    /// `epoll_ctl` when a state change leaves it as it is).
+    interest: Interest,
+    /// On the resume list: buffered requests wait for the next turn, and
+    /// nothing more is read off the socket until they are answered.
+    resume_queued: bool,
 }
 
 pub(crate) struct Reactor {
@@ -152,6 +193,9 @@ pub(crate) struct Reactor {
     shared: Arc<EngineShared>,
     cfg: ServeConfig,
     draining: bool,
+    /// Connections that spent their inline budget with bytes still
+    /// buffered. Ids are never reused, so a stale entry is harmless.
+    resume: Vec<u64>,
 }
 
 impl Reactor {
@@ -178,6 +222,7 @@ impl Reactor {
             shared,
             cfg,
             draining: false,
+            resume: Vec::new(),
         })
     }
 
@@ -191,7 +236,10 @@ impl Reactor {
             if self.draining && self.conns.is_empty() {
                 break;
             }
-            if self.poller.wait(&mut events, Some(TICK)).is_err() {
+            // With connections waiting to resume, only look at what is
+            // ready now; they take their turn after it.
+            let timeout = if self.resume.is_empty() { TICK } else { Duration::ZERO };
+            if self.poller.wait(&mut events, Some(timeout)).is_err() {
                 // A failing poller is unrecoverable; drain and exit so
                 // shutdown still joins.
                 self.begin_drain();
@@ -217,6 +265,12 @@ impl Reactor {
                 }
             }
             events = batch;
+            for id in std::mem::take(&mut self.resume) {
+                if let Some(conn) = self.conns.get_mut(&id) {
+                    conn.resume_queued = false;
+                    self.advance(id);
+                }
+            }
             let now = Instant::now();
             if now.duration_since(last_sweep) >= TICK {
                 self.sweep_timeouts(now);
@@ -277,6 +331,8 @@ impl Reactor {
                     since: Instant::now(),
                     peer_closed: false,
                     errored: false,
+                    interest: Interest::READ,
+                    resume_queued: false,
                 },
             );
         }
@@ -339,6 +395,9 @@ impl Reactor {
 
     fn on_readable(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else { return };
+        if conn.resume_queued {
+            return; // its buffered requests come first; the fd re-reports
+        }
         let mut chunk = [0u8; 16 * 1024];
         let mut pulled = 0usize;
         loop {
@@ -351,8 +410,12 @@ impl Reactor {
                     conn.buf.extend_from_slice(&chunk[..n]);
                     conn.since = Instant::now();
                     pulled += n;
-                    if pulled >= READ_BUDGET {
-                        break; // level-triggered: the fd re-reports
+                    // A short read drained the socket: asking again would
+                    // only fetch `EAGAIN`. Level-triggered polling
+                    // re-reports later bytes, the FIN, and whatever a
+                    // spent budget left behind.
+                    if n < chunk.len() || pulled >= READ_BUDGET {
+                        break;
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -366,63 +429,97 @@ impl Reactor {
         self.advance(id);
     }
 
-    /// Try to turn buffered bytes into the connection's next dispatched
-    /// request. Called after reads, and again after each completed
-    /// response so pipelined successors don't wait for new readiness.
+    /// Turn buffered bytes into requests and run each one's `begin`
+    /// stage, until the buffer runs dry, a request goes to a worker, a
+    /// response blocks, or the turn's budget is spent. Called after
+    /// reads, after each completed response (so pipelined successors
+    /// don't wait for new readiness), and from the resume list.
     fn advance(&mut self, id: u64) {
-        let Some(conn) = self.conns.get_mut(&id) else { return };
-        debug_assert!(matches!(conn.state, ConnState::Reading));
-        match try_parse(&conn.buf, self.cfg.max_body_bytes) {
-            Ok(ParseStatus::Complete(req, consumed)) => {
-                conn.buf.drain(..consumed);
-                self.dispatch(id, req);
-            }
-            Ok(ParseStatus::Partial { in_body, .. }) => {
-                if conn.peer_closed {
-                    if conn.buf.is_empty() || in_body {
-                        // Clean close between requests, or EOF mid-body
-                        // (nobody is left to read an error).
-                        self.close(id);
-                    } else {
-                        // EOF inside headers: the peer may have only
-                        // half-closed; answer 400 like the blocking
-                        // reader did, then close.
-                        let err = ServeError::BadRequest("eof inside headers".into());
-                        self.respond_inline(id, err, false);
-                    }
+        for _ in 0..INLINE_BUDGET {
+            let Some(conn) = self.conns.get_mut(&id) else { return };
+            debug_assert!(matches!(conn.state, ConnState::Reading));
+            let req = match try_parse(&conn.buf, self.cfg.max_body_bytes) {
+                Ok(ParseStatus::Complete(req, consumed)) => {
+                    conn.buf.drain(..consumed);
+                    req
                 }
-                // else: stay Reading, wait for more bytes.
+                Ok(ParseStatus::Partial { in_body, .. }) => {
+                    if conn.peer_closed {
+                        if conn.buf.is_empty() || in_body {
+                            // Clean close between requests, or EOF mid-body
+                            // (nobody is left to read an error).
+                            self.close(id);
+                        } else {
+                            // EOF inside headers: the peer may have only
+                            // half-closed; answer 400 like the blocking
+                            // reader did, then close.
+                            let err = ServeError::BadRequest("eof inside headers".into());
+                            self.respond_error(id, err);
+                        }
+                    }
+                    return; // else: stay Reading, wait for more bytes.
+                }
+                Err(ReadError::Bad(status, msg)) => {
+                    self.respond_error(id, ServeError::from_status(status, msg));
+                    return;
+                }
+                Err(ReadError::Io(_)) => {
+                    self.close(id); // unreachable: try_parse does no I/O
+                    return;
+                }
+            };
+            let started = Instant::now();
+            let keep_alive = req.keep_alive;
+            let handler = &self.shared.handler;
+            let out = match catch_unwind(AssertUnwindSafe(|| handler.begin(req))) {
+                Ok(Step::Work(work)) => {
+                    let stream = conn.stream.clone();
+                    self.dispatch(ReadyRequest { conn_id: id, stream, keep_alive, started, work });
+                    return;
+                }
+                Ok(Step::Respond(resp)) => Ok(resp),
+                Err(panic) => Err(panic),
+            };
+            self.shared.metrics.inline.inc();
+            let (bytes, keep_alive) = finish_request(&self.shared, out, keep_alive);
+            let written = self.write_out(id, bytes, 0, keep_alive);
+            observe_latency(&self.shared, started);
+            if !(written && self.rearm(id, keep_alive)) {
+                return;
             }
-            Err(ReadError::Bad(status, msg)) => {
-                let err = ServeError::from_status(status, msg);
-                self.respond_inline(id, err, false);
-            }
-            Err(ReadError::Io(_)) => self.close(id), // unreachable: try_parse does no I/O
+        }
+        // Budget spent. Whatever is still buffered takes another turn
+        // after the other sockets had theirs.
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        if !conn.buf.is_empty() || conn.peer_closed {
+            conn.resume_queued = true;
+            self.resume.push(id);
         }
     }
 
-    /// Hand a parsed request to the worker pool, or shed if the ready
-    /// queue is full (the workers are the bottleneck, not the sockets).
-    fn dispatch(&mut self, id: u64, req: Request) {
-        let Some(conn) = self.conns.get_mut(&id) else { return };
+    /// Hand a request's remaining work to the worker pool, or shed if
+    /// the ready queue is full (the workers are the bottleneck, not the
+    /// sockets).
+    fn dispatch(&mut self, job: ReadyRequest) {
+        let id = job.conn_id;
         let Some(ready_tx) = self.ready_tx.as_ref() else {
             self.close(id);
             return;
         };
-        let job = ReadyRequest { conn_id: id, stream: conn.stream.clone(), req };
         match ready_tx.try_send(job) {
             Ok(()) => {
+                self.shared.metrics.queue_depth.add(1);
+                let Some(conn) = self.conns.get_mut(&id) else { return };
                 conn.state = ConnState::Dispatched;
                 conn.since = Instant::now();
-                self.shared.metrics.queue_depth.add(1);
-                let _ = self.poller.modify(conn.stream.as_raw_fd(), id, Interest::NONE);
+                Self::set_interest(&self.poller, conn, id, Interest::NONE);
             }
             Err(TrySendError::Full(_)) => {
                 self.shared.metrics.shed.inc();
                 match self.cfg.shed {
                     ShedPolicy::Respond503 => {
                         let err = ServeError::Unavailable("server saturated, retry later".into());
-                        self.respond_inline(id, err, false);
+                        self.respond_error(id, err);
                     }
                     ShedPolicy::DropConnection => self.close(id),
                 }
@@ -431,27 +528,48 @@ impl Reactor {
         }
     }
 
-    /// Write a reactor-generated error response (parse failure or shed)
-    /// on the reactor thread, spilling to `Writing` state if the socket
-    /// blocks.
-    fn respond_inline(&mut self, id: u64, err: ServeError, keep_alive: bool) {
-        let (status, body) = err.to_response();
-        count_status(&self.shared, status);
-        let bytes = response_bytes(status, "application/json", body.as_bytes(), keep_alive);
-        self.start_write(id, bytes, 0, keep_alive);
+    /// Point the poller at what the connection's new state waits for.
+    fn set_interest(poller: &Poller, conn: &mut Conn, id: u64, want: Interest) {
+        if conn.interest != want {
+            conn.interest = want;
+            let _ = poller.modify(conn.stream.as_raw_fd(), id, want);
+        }
     }
 
-    /// Begin (or continue) draining `bytes[off..]` to the socket.
-    fn start_write(&mut self, id: u64, bytes: Vec<u8>, off: usize, keep_alive: bool) {
-        let Some(conn) = self.conns.get_mut(&id) else { return };
+    /// Write a reactor-generated error response (parse failure or shed)
+    /// and close, spilling to `Writing` state if the socket blocks. These
+    /// never reached a handler, so they count a status but no request.
+    fn respond_error(&mut self, id: u64, err: ServeError) {
+        let (status, body) = err.to_response();
+        count_status(&self.shared, status);
+        let bytes = response_bytes(status, "application/json", body.as_bytes(), false);
+        self.start_write(id, bytes, 0, false);
+    }
+
+    /// Write `bytes[off..]` to the socket. `true`: all of it went out.
+    /// `false`: the connection is now `Writing` the tail, or closed.
+    fn write_out(&mut self, id: u64, bytes: Vec<u8>, off: usize, keep_alive: bool) -> bool {
+        let Some(conn) = self.conns.get_mut(&id) else { return false };
         match write_nonblocking(&conn.stream, &bytes, off) {
-            Ok(done) if done == bytes.len() => self.finish_response(id, keep_alive),
+            Ok(done) if done == bytes.len() => true,
             Ok(off) => {
                 conn.state = ConnState::Writing { bytes, off, keep_alive };
                 conn.since = Instant::now();
-                let _ = self.poller.modify(conn.stream.as_raw_fd(), id, Interest::WRITE);
+                Self::set_interest(&self.poller, conn, id, Interest::WRITE);
+                false
             }
-            Err(_) => self.close(id),
+            Err(_) => {
+                self.close(id);
+                false
+            }
+        }
+    }
+
+    /// Begin (or continue) draining `bytes[off..]` of a response that is
+    /// not part of an `advance` turn, then carry on with the connection.
+    fn start_write(&mut self, id: u64, bytes: Vec<u8>, off: usize, keep_alive: bool) {
+        if self.write_out(id, bytes, off, keep_alive) {
+            self.finish_response(id, keep_alive);
         }
     }
 
@@ -468,40 +586,40 @@ impl Reactor {
         self.start_write(id, bytes, off, keep_alive);
     }
 
-    /// A response has been fully written: close, or rearm for the next
-    /// request (parsing any pipelined bytes already buffered).
-    fn finish_response(&mut self, id: u64, keep_alive: bool) {
-        if !keep_alive || self.draining {
+    /// A response has been fully written: close (`false`), or put the
+    /// connection back in `Reading` for its next request (`true`).
+    fn rearm(&mut self, id: u64, keep_alive: bool) -> bool {
+        let Some(conn) = self.conns.get_mut(&id) else { return false };
+        if !keep_alive || self.draining || conn.errored {
             self.close(id);
-            return;
-        }
-        let Some(conn) = self.conns.get_mut(&id) else { return };
-        if conn.errored {
-            self.close(id);
-            return;
+            return false;
         }
         conn.state = ConnState::Reading;
         conn.since = Instant::now();
-        let _ = self.poller.modify(conn.stream.as_raw_fd(), id, Interest::READ);
-        self.advance(id);
+        Self::set_interest(&self.poller, conn, id, Interest::READ);
+        true
+    }
+
+    /// A worker's (or a drained `Writing`) response is out: rearm and
+    /// parse any pipelined bytes already buffered.
+    fn finish_response(&mut self, id: u64, keep_alive: bool) {
+        if self.rearm(id, keep_alive) {
+            self.advance(id);
+        }
     }
 
     fn on_completion(&mut self, c: Completion) {
-        let Some(conn) = self.conns.get_mut(&c.conn_id) else { return };
+        let Some(conn) = self.conns.get(&c.conn_id) else { return };
         debug_assert!(matches!(conn.state, ConnState::Dispatched));
         match c.outcome {
             WriteOutcome::Failed => self.close(c.conn_id),
-            WriteOutcome::Done { keep_alive } => {
-                // finish_response handles the errored flag and pipelined
-                // successors; put the conn back in Reading first.
-                conn.state = ConnState::Reading;
-                self.finish_response(c.conn_id, keep_alive);
-            }
+            // `finish_response` handles the errored flag and pipelined
+            // successors.
+            WriteOutcome::Done { keep_alive } => self.finish_response(c.conn_id, keep_alive),
             WriteOutcome::Blocked { bytes, off, keep_alive } => {
                 if conn.errored {
                     self.close(c.conn_id);
                 } else {
-                    conn.state = ConnState::Reading; // placeholder; start_write sets Writing
                     self.start_write(c.conn_id, bytes, off, keep_alive);
                 }
             }

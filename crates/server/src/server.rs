@@ -5,16 +5,19 @@
 //! * **reactor** (1) — owns the listener and every connection socket
 //!   behind an epoll/poll readiness loop (the private `reactor` module;
 //!   DESIGN.md §2.17 documents the state machine). Accepts,
-//!   reads, and incrementally parses on nonblocking sockets; pushes
-//!   *ready, fully-parsed requests* into a bounded queue. A full queue
-//!   (or a connection count at `max_connections`) is saturation: the
-//!   client gets an inline `503` per [`ShedPolicy`] (*load shedding* —
-//!   fail fast instead of queueing unboundedly).
-//! * **workers** (N) — pull ready requests off the shared queue and run
-//!   the handler. Each request is wrapped in `catch_unwind`, so a
-//!   handler panic costs one `500`, not a worker. The worker writes the
-//!   response bytes straight to the nonblocking socket and notifies the
-//!   reactor, which finishes any tail the socket wouldn't take.
+//!   reads, and incrementally parses on nonblocking sockets, then runs
+//!   each request's *begin* stage: a cached `/query` hit and the cheap
+//!   rejections (malformed JSON, unknown node, 404/405) are answered
+//!   right there; everything else goes as *ready work* into a bounded
+//!   queue. A full queue (or a connection count at `max_connections`)
+//!   is saturation: the client gets an inline `503` per [`ShedPolicy`]
+//!   (*load shedding* — fail fast instead of queueing unboundedly).
+//! * **workers** (N) — pull ready work off the shared queue and run it:
+//!   scans, rollups, updates, `/healthz`, `/metrics`. Each job is
+//!   wrapped in `catch_unwind`, so a handler panic costs one `500`, not
+//!   a worker. The worker writes the response bytes straight to the
+//!   nonblocking socket and notifies the reactor, which finishes any
+//!   tail the socket wouldn't take.
 //! * **coordinator** (1) — owns the mutable [`MaintainableEdb`]. Builds
 //!   the initial allocation, then serially applies `/update` batches,
 //!   invalidates the cache, and publishes fresh [`EdbSnapshot`]s.
@@ -26,7 +29,7 @@
 //! sender stops the coordinator.
 
 use crate::cache::{CacheKey, CachedResult, ShardedCache};
-use crate::engine::{self, EngineHandle, Handler, Response};
+use crate::engine::{self, EngineHandle, Handler, Response, Step};
 use crate::http::Request;
 use crate::snapshot::{resolve_level, resolve_region, EdbSnapshot};
 use crate::wire;
@@ -35,9 +38,9 @@ use iolap_core::maintain::EdbMutation;
 use iolap_core::{
     allocate, Algorithm, AllocConfig, CompactionResult, MaintainableEdb, MutationWal, PolicySpec,
 };
-use iolap_model::{Fact, FactId, FactTable, RegionBox, MAX_DIMS};
+use iolap_model::{Fact, FactId, FactTable, RegionBox, Schema, MAX_DIMS};
 use iolap_obs::{Counter, Gauge, Histogram, Obs};
-use iolap_query::{aggregate_classical, Query};
+use iolap_query::{aggregate_classical, AggFn, Classical, Query};
 use std::collections::{HashSet, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -381,6 +384,10 @@ fn compression_milli(segments: &[iolap_core::SegmentView]) -> i64 {
 /// State shared by the request handlers and the coordinator.
 pub(crate) struct Shared {
     snapshot: Mutex<Arc<EdbSnapshot>>,
+    /// The dataset schema, the same at every epoch. The reactor resolves
+    /// a query's region against this copy, so a cache hit never holds
+    /// (and so can never be the last to drop) a whole snapshot.
+    schema: Arc<Schema>,
     cache: ShardedCache,
     cache_enabled: bool,
     obs: Obs,
@@ -494,6 +501,7 @@ impl ServerBuilder {
         metrics.edb_segments.set(first.segments.len() as i64);
         metrics.compression_ratio.set(compression_milli(&first.segments));
         let shared = Arc::new(Shared {
+            schema: first.schema.clone(),
             snapshot: Mutex::new(first),
             cache: ShardedCache::new(cfg.cache_capacity.max(1), cfg.cache_shards),
             cache_enabled: cfg.cache_capacity > 0,
@@ -519,9 +527,57 @@ struct ServerApp {
     shared: Arc<Shared>,
 }
 
+impl ServerApp {
+    /// The worker-side stage of an endpoint that has no reactor-side one.
+    fn work(&self, f: impl FnOnce(&Shared) -> Response + Send + 'static) -> Step {
+        let shared = self.shared.clone();
+        Step::Work(Box::new(move || f(&shared)))
+    }
+}
+
 impl Handler for ServerApp {
-    fn handle(&self, req: &Request) -> Response {
-        handle_request(req, &self.shared)
+    /// Routing, the per-endpoint counters, the cheap rejections and the
+    /// cached `/query` hit happen here, on the reactor; anything that
+    /// scans, waits on the coordinator, or renders the metrics registry
+    /// is `Work`. `/healthz` is `Work` on purpose: a probe that bypassed
+    /// the ready queue could not report saturation.
+    fn begin(&self, req: Request) -> Step {
+        let m = &self.shared.metrics;
+        match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/healthz") => {
+                m.req_healthz.inc();
+                self.work(handle_healthz)
+            }
+            ("GET", "/metrics") => {
+                m.req_metrics.inc();
+                self.work(|shared| {
+                    let text = shared.obs.metrics().map(|m| m.to_prometheus()).unwrap_or_default();
+                    (200, "text/plain; version=0.0.4", text)
+                })
+            }
+            ("POST", "/query") => {
+                m.req_query.inc();
+                begin_query(&req.body, &self.shared)
+            }
+            ("POST", "/rollup") => {
+                m.req_rollup.inc();
+                self.work(move |shared| handle_rollup(&req.body, shared))
+            }
+            ("POST", "/update") => {
+                m.req_update.inc();
+                self.work(move |shared| handle_update(&req.body, shared))
+            }
+            ("POST", "/epoch") => {
+                m.req_epoch.inc();
+                self.work(move |shared| handle_commit(&req.body, shared))
+            }
+            (_, "/healthz" | "/metrics" | "/query" | "/rollup" | "/update" | "/epoch") => {
+                Step::Respond(err_response(ServeError::MethodNotAllowed(
+                    "method not allowed".into(),
+                )))
+            }
+            _ => Step::Respond(err_response(ServeError::NotFound("no such endpoint".into()))),
+        }
     }
 }
 
@@ -587,42 +643,12 @@ fn err_response(err: ServeError) -> Response {
     (status, "application/json", body)
 }
 
-pub(crate) fn handle_request(req: &Request, shared: &Shared) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => {
-            shared.metrics.req_healthz.inc();
-            let ok = !shared.poisoned.load(Ordering::Acquire);
-            let status = if ok { 200 } else { 503 };
-            let backlog = shared.wal_backlog.load(Ordering::Relaxed);
-            let body = wire::health_response(shared.snapshot().epoch, ok, &shared.role, backlog);
-            (status, "application/json", body)
-        }
-        ("GET", "/metrics") => {
-            shared.metrics.req_metrics.inc();
-            let text = shared.obs.metrics().map(|m| m.to_prometheus()).unwrap_or_default();
-            (200, "text/plain; version=0.0.4", text)
-        }
-        ("POST", "/query") => {
-            shared.metrics.req_query.inc();
-            handle_query(&req.body, shared)
-        }
-        ("POST", "/rollup") => {
-            shared.metrics.req_rollup.inc();
-            handle_rollup(&req.body, shared)
-        }
-        ("POST", "/update") => {
-            shared.metrics.req_update.inc();
-            handle_update(&req.body, shared)
-        }
-        ("POST", "/epoch") => {
-            shared.metrics.req_epoch.inc();
-            handle_commit(&req.body, shared)
-        }
-        (_, "/healthz" | "/metrics" | "/query" | "/rollup" | "/update" | "/epoch") => {
-            err_response(ServeError::MethodNotAllowed("method not allowed".into()))
-        }
-        _ => err_response(ServeError::NotFound("no such endpoint".into())),
-    }
+fn handle_healthz(shared: &Shared) -> Response {
+    let ok = !shared.poisoned.load(Ordering::Acquire);
+    let status = if ok { 200 } else { 503 };
+    let backlog = shared.wal_backlog.load(Ordering::Relaxed);
+    let body = wire::health_response(shared.snapshot().epoch, ok, &shared.role, backlog);
+    (status, "application/json", body)
 }
 
 fn bad_request(msg: &str) -> Response {
@@ -662,57 +688,80 @@ fn request_region(
     }
 }
 
-fn handle_query(body: &[u8], shared: &Shared) -> Response {
+/// The reactor-side stage of `/query`: parse, resolve the region, probe
+/// the cache. A hit — and every malformed request — is answered here; a
+/// miss hands its region, cache key and snapshot to a worker, which
+/// scans without parsing, resolving or probing again.
+fn begin_query(body: &[u8], shared: &Arc<Shared>) -> Step {
+    let reject = |msg: &str| Step::Respond(bad_request(msg));
     let body = match utf8_body(body) {
         Ok(b) => b,
-        Err(r) => return r,
+        Err(r) => return Step::Respond(r),
     };
     let q = match wire::parse_query(body) {
         Ok(q) => q,
-        Err(msg) => return bad_request(&msg),
+        Err(msg) => return reject(&msg),
     };
-    let snap = shared.snapshot();
-    let region = match request_region(&snap.schema, &q.at, &q.raw_box) {
+    let region = match request_region(&shared.schema, &q.at, &q.raw_box) {
         Ok(r) => r,
-        Err(msg) => return bad_request(&msg),
+        Err(msg) => return reject(&msg),
     };
+    let (agg, classical) = (q.agg, q.classical);
 
     if q.parts {
-        // Scatter-gather leg: return the canonical (view, slab) chunks
-        // instead of the folded total, so the router can merge shards
-        // bit-identically. Not cached (the router caches at its level).
-        if q.classical.is_some() {
-            return bad_request("\"parts\" and \"classical\" are mutually exclusive");
+        if classical.is_some() {
+            return reject("\"parts\" and \"classical\" are mutually exclusive");
         }
-        let (parts, stats) = match snap.aggregate_parts(&region) {
-            Ok(ps) => ps,
-            Err(e) => return err_response(ServeError::Internal(format!("scan failed: {e}"))),
-        };
-        shared.metrics.pages_read.add(stats.pages_read);
-        shared.metrics.pages_pruned.add(stats.pages_pruned);
-        shared.metrics.bytes_read.add(stats.bytes_read);
-        return (200, "application/json", wire::parts_response(&parts, q.agg, snap.epoch));
+        let (snap, shared) = (shared.snapshot(), shared.clone());
+        return Step::Work(Box::new(move || query_parts(&region, agg, &snap, &shared)));
     }
 
-    let key = CacheKey::new(&region, q.agg, q.classical);
+    let key = CacheKey::new(&region, agg, classical);
     if shared.cache_enabled {
         if let Some(hit) = shared.cache.get(&key) {
             shared.metrics.cache_hit.inc();
-            let body = wire::query_response(&hit.result, q.agg, true, hit.epoch);
-            return (200, "application/json", body);
+            let body = wire::query_response(&hit.result, agg, true, hit.epoch);
+            return Step::Respond((200, "application/json", body));
         }
         shared.metrics.cache_miss.inc();
     }
+    let (snap, shared) = (shared.snapshot(), shared.clone());
+    Step::Work(Box::new(move || scan_query(region, key, agg, classical, &snap, &shared)))
+}
 
-    let result = match q.classical {
+/// Scatter-gather leg: return the canonical (view, slab) chunks instead
+/// of the folded total, so the router can merge shards bit-identically.
+/// Not cached (the router caches at its level).
+fn query_parts(region: &RegionBox, agg: AggFn, snap: &EdbSnapshot, shared: &Shared) -> Response {
+    let (parts, stats) = match snap.aggregate_parts(region) {
+        Ok(ps) => ps,
+        Err(e) => return err_response(ServeError::Internal(format!("scan failed: {e}"))),
+    };
+    shared.metrics.pages_read.add(stats.pages_read);
+    shared.metrics.pages_pruned.add(stats.pages_pruned);
+    shared.metrics.bytes_read.add(stats.bytes_read);
+    (200, "application/json", wire::parts_response(&parts, agg, snap.epoch))
+}
+
+/// The worker-side stage of a `/query` the cache missed: scan, insert,
+/// serialize.
+fn scan_query(
+    region: RegionBox,
+    key: CacheKey,
+    agg: AggFn,
+    classical: Option<Classical>,
+    snap: &EdbSnapshot,
+    shared: &Shared,
+) -> Response {
+    let result = match classical {
         Some(sem) => {
-            let query = Query { region, agg: q.agg };
+            let query = Query { region, agg };
             aggregate_classical(&snap.table, &query, sem)
         }
         None => {
             // A corrupt compressed page surfaces from the cursor as the
             // storage error it is — a 500, never a silent short answer.
-            let (result, stats) = match snap.aggregate_with_stats(&region, q.agg) {
+            let (result, stats) = match snap.aggregate_with_stats(&region, agg) {
                 Ok(rs) => rs,
                 Err(e) => {
                     return err_response(ServeError::Internal(format!("scan failed: {e}")));
@@ -731,7 +780,7 @@ fn handle_query(body: &[u8], shared: &Shared) -> Response {
         }
         shared.metrics.cache_evicted.add(out.evicted);
     }
-    (200, "application/json", wire::query_response(&result, q.agg, false, snap.epoch))
+    (200, "application/json", wire::query_response(&result, agg, false, snap.epoch))
 }
 
 fn handle_rollup(body: &[u8], shared: &Shared) -> Response {
@@ -814,7 +863,7 @@ fn handle_update(body: &[u8], shared: &Shared) -> Response {
                 let mut fact_dims = [0u32; MAX_DIMS];
                 for (d, name) in dims.iter().enumerate() {
                     let h = snap.schema.dim(d);
-                    let Some(node) = h.node_by_name(name) else {
+                    let Some(node) = h.resolve_name(name) else {
                         return bad_request(&format!(
                             "mutation {i}: unknown node {name:?} in dimension {:?}",
                             h.name()
@@ -1575,8 +1624,13 @@ pub fn http_roundtrip(
 
 /// Read one HTTP response off a stream (Content-Length framing only).
 pub fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String)> {
-    use std::io::{BufRead, Read};
-    let mut reader = BufReader::new(stream);
+    read_response_from(&mut BufReader::new(stream))
+}
+
+/// [`read_response`] over a reader the caller keeps, so the responses to
+/// pipelined requests can be read one after another without losing what
+/// the buffer read ahead.
+pub fn read_response_from<R: std::io::BufRead>(reader: &mut R) -> std::io::Result<(u16, String)> {
     let mut status_line = String::new();
     reader.read_line(&mut status_line)?;
     let status: u16 =

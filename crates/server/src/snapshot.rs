@@ -142,16 +142,8 @@ pub fn resolve_region(schema: &Schema, at: &[(String, String)]) -> Result<Region
             .find(|&d| schema.dim(d).name() == dim_name)
             .ok_or_else(|| format!("unknown dimension {dim_name:?}"))?;
         let h = schema.dim(d);
-        // Accept explicit node names first, then the `Level[lo..hi]`
-        // display form `Hierarchy::node_name` synthesizes for anonymous
-        // nodes — so any name the system prints resolves back.
         let node = h
-            .node_by_name(node_name)
-            .or_else(|| {
-                (0..h.num_nodes())
-                    .map(iolap_hierarchy::NodeId)
-                    .find(|&id| h.node_name(id) == *node_name)
-            })
+            .resolve_name(node_name)
             .ok_or_else(|| format!("unknown node {node_name:?} in dimension {dim_name:?}"))?;
         let r = h.leaf_range(node);
         lo[d] = r.start;

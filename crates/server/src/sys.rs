@@ -50,7 +50,7 @@ pub(crate) struct Event {
 /// the registration but report nothing" — the reactor parks dispatched
 /// connections this way so buffered pipelined bytes don't busy-wake the
 /// loop.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Interest {
     /// Report readability.
     pub readable: bool,

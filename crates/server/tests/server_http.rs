@@ -436,26 +436,7 @@ fn pipelined_requests_are_answered_in_order() {
 
 /// Parse one Content-Length-framed HTTP response from a shared reader.
 fn read_one<R: std::io::BufRead>(reader: &mut R) -> (u16, String) {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line.split_ascii_whitespace().nth(1).unwrap().parse().unwrap();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    (status, String::from_utf8_lossy(&body).into_owned())
+    iolap_serve::read_response_from(reader).unwrap()
 }
 
 /// An idle keep-alive connection is closed once `idle_timeout` elapses.
@@ -515,6 +496,266 @@ fn shutdown_drains_and_joins() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The staged request pipeline: cache hits and cheap rejections are
+// answered on the reactor thread, everything else by a worker.
+// ---------------------------------------------------------------------------
+
+fn counter(h: &ServerHandle, name: &str) -> u64 {
+    h.obs().counter(name).unwrap().get()
+}
+
+fn post(path: &str, body: &str) -> String {
+    format!("POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len())
+}
+
+/// With the only worker stuck in a long `/update`, a cached `/query` on
+/// another connection is still answered at once — by the reactor.
+#[test]
+fn cached_queries_are_answered_while_the_only_worker_is_busy() {
+    let h = start(ServeConfig::builder().workers(1).build());
+    let query = iolap_serve::wire::query_body(&[("Location", "NY")], AggFn::Sum, None);
+    let mut c = connect(&h);
+    let (_, cold) = http_roundtrip(&mut c, "POST", "/query", &query).unwrap();
+    assert!(cold.contains("\"cached\":false"), "{cold}");
+    assert_eq!(counter(&h, "serve.inline"), 0, "a miss is a worker's");
+
+    // A slow batch: the cached answer stays servable until it publishes.
+    let muts: Vec<iolap_serve::wire::MutationReq> = (0..500)
+        .map(|i| iolap_serve::wire::MutationReq::Insert {
+            id: 50_000 + i,
+            dims: vec!["MA".into(), "Civic".into()],
+            measure: 1.0,
+        })
+        .collect();
+    let update = post("/update", &iolap_serve::wire::update_body(&muts));
+    let mut writer = connect(&h);
+    writer.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    writer.write_all(update.as_bytes()).unwrap();
+    // The worker has the update once the per-endpoint counter (bumped by
+    // the reactor as it hands the work over) says so.
+    while counter(&h, "serve.requests.update") == 0 {
+        std::thread::yield_now();
+    }
+
+    // Before the update's 200 is counted, `responses.ok` is the cold read
+    // plus the cached reads so far: a read that still finds it so ran
+    // while the update held the worker.
+    let (mut reads, mut during) = (0u64, 0u64);
+    loop {
+        let t0 = Instant::now();
+        let (status, warm) = http_roundtrip(&mut c, "POST", "/query", &query).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(status, 200, "{warm}");
+        reads += 1;
+        if counter(&h, "serve.responses.ok") != 1 + reads {
+            break;
+        }
+        assert_eq!(normalize_cached(&warm), cold);
+        assert!(warm.contains("\"cached\":true"), "{warm}");
+        assert!(took < Duration::from_millis(100), "cached read took {took:?}");
+        during += 1;
+    }
+    assert!(during > 0, "no cached read overlapped the update");
+    assert!(counter(&h, "serve.inline") >= during);
+    let (status, body) = read_response(&mut writer).unwrap();
+    assert_eq!(status, 200, "{body}");
+    h.shutdown();
+}
+
+/// 2000 cached queries written in one `write_all` come back as 2000
+/// ordered 200s (`advance` loops, it does not recurse; the per-wake
+/// budget and the resume list carry the pipeline), and a `/healthz` on a
+/// second connection is answered while the pipeline is still unread.
+#[test]
+fn a_deep_pipeline_of_cached_queries_is_answered_in_order() {
+    const N: usize = 2000;
+    let h = start(ServeConfig::default());
+    // Two distinguishable hot answers, alternating.
+    let bodies = [
+        iolap_serve::wire::query_body(&[], AggFn::Count, None),
+        iolap_serve::wire::query_body(&[("Location", "MA")], AggFn::Count, None),
+    ];
+    let mut c = connect(&h);
+    let warm: Vec<String> = bodies
+        .iter()
+        .map(|b| {
+            http_roundtrip(&mut c, "POST", "/query", b).unwrap();
+            http_roundtrip(&mut c, "POST", "/query", b).unwrap().1
+        })
+        .collect();
+    assert_ne!(warm[0], warm[1]);
+    let inline_before = counter(&h, "serve.inline");
+
+    let wire: String = (0..N).map(|i| post("/query", &bodies[i % 2])).collect();
+    let mut tx = c.try_clone().unwrap();
+    // The writer runs beside the reader: nobody reads while `write_all`
+    // blocks otherwise, and both directions' socket buffers could fill.
+    let writer = std::thread::spawn(move || tx.write_all(wire.as_bytes()).unwrap());
+
+    let mut probe = connect(&h);
+    let (status, body) = http_roundtrip(&mut probe, "GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    let mut reader = std::io::BufReader::new(&mut c);
+    for i in 0..N {
+        let (status, body) = read_one(&mut reader);
+        assert_eq!(status, 200, "response {i}: {body}");
+        assert_eq!(body, warm[i % 2], "response {i} out of order");
+    }
+    writer.join().unwrap();
+    assert_eq!(counter(&h, "serve.inline") - inline_before, N as u64);
+    h.shutdown();
+}
+
+/// A miss (worker) followed by a hit (reactor) on one connection: the
+/// hit is not even begun until the miss has been answered.
+#[test]
+fn a_pipelined_miss_then_hit_answers_in_request_order() {
+    let h = start(ServeConfig::default());
+    let mut c = connect(&h);
+    let hot = iolap_serve::wire::query_body(&[], AggFn::Sum, None);
+    let cold = iolap_serve::wire::query_body(&[("Location", "TX")], AggFn::Sum, None);
+    let (_, first) = http_roundtrip(&mut c, "POST", "/query", &hot).unwrap();
+
+    c.write_all(format!("{}{}", post("/query", &cold), post("/query", &hot)).as_bytes()).unwrap();
+    let mut reader = std::io::BufReader::new(&mut c);
+    let miss = read_one(&mut reader);
+    let hit = read_one(&mut reader);
+    assert!(miss.1.contains("\"cached\":false"), "first answer is the miss: {}", miss.1);
+    assert_ne!(normalize_cached(&miss.1), first, "the miss is TX, not ALL");
+    assert!(hit.1.contains("\"cached\":true"), "second answer is the hit: {}", hit.1);
+    assert_eq!(normalize_cached(&hit.1), first);
+    h.shutdown();
+}
+
+/// A cached query that dribbles in one byte per packet is parsed
+/// incrementally and answered exactly once.
+#[test]
+fn byte_at_a_time_delivery_of_a_cached_query_answers_once() {
+    let h = start(ServeConfig::default());
+    let mut c = connect(&h);
+    c.set_nodelay(true).unwrap();
+    let body = iolap_serve::wire::query_body(&[("Automobile", "Sedan")], AggFn::Avg, None);
+    let (_, cold) = http_roundtrip(&mut c, "POST", "/query", &body).unwrap();
+
+    for b in post("/query", &body).bytes() {
+        c.write_all(&[b]).unwrap();
+    }
+    let (status, warm) = read_response(&mut c).unwrap();
+    assert_eq!(status, 200, "{warm}");
+    assert!(warm.contains("\"cached\":true"), "{warm}");
+    assert_eq!(normalize_cached(&warm), cold);
+    assert_eq!(counter(&h, "serve.requests.query"), 2);
+    assert_eq!(counter(&h, "serve.inline"), 1);
+    // Nothing else arrives: the one request got one answer.
+    c.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+    let mut buf = [0u8; 16];
+    let more = c.read(&mut buf);
+    assert!(more.is_err(), "expected a read timeout, got {more:?}");
+    h.shutdown();
+}
+
+/// Every `/query` is counted once as a request and once as a hit or a
+/// miss, whichever thread answered it, and `serve.inline` is on
+/// `/metrics`.
+#[test]
+fn query_accounting_balances_across_reactor_and_workers() {
+    let h = start(ServeConfig::builder().cache_capacity(4).cache_shards(1).build());
+    let mut c = connect(&h);
+    let states = ["MA", "NY", "TX", "CA", "East", "West"];
+    let mut sent = 0u64;
+    for round in 0..5 {
+        for (i, st) in states.iter().enumerate() {
+            // MA recurs and hits; the others cycle through a 4-entry cache.
+            let st = if (round + i) % 3 == 0 { "MA" } else { st };
+            let body = iolap_serve::wire::query_body(&[("Location", st)], AggFn::Sum, None);
+            let (status, _) = http_roundtrip(&mut c, "POST", "/query", &body).unwrap();
+            assert_eq!(status, 200);
+            sent += 1;
+        }
+    }
+    // Rejections are requests too, but neither hits nor misses.
+    for bad in ["not json", "{\"region\":{\"Location\":\"Atlantis\"}}"] {
+        assert_eq!(http_roundtrip(&mut c, "POST", "/query", bad).unwrap().0, 400);
+    }
+    assert_eq!(http_roundtrip(&mut c, "GET", "/nope", "").unwrap().0, 404);
+
+    let (hit, miss) = (counter(&h, "serve.cache.hit"), counter(&h, "serve.cache.miss"));
+    assert!(hit > 0 && miss > 0, "hit {hit} miss {miss}");
+    assert_eq!(hit + miss, sent);
+    assert_eq!(counter(&h, "serve.requests.query"), sent + 2);
+    assert_eq!(counter(&h, "serve.requests"), sent + 3);
+    // Hits and the three rejections finished on the reactor, misses on a
+    // worker.
+    assert_eq!(counter(&h, "serve.inline"), hit + 3);
+    assert_eq!(counter(&h, "serve.responses.ok"), sent);
+    assert_eq!(counter(&h, "serve.responses.client_error"), 3);
+    // The latency histogram saw them all. A request's clock stops after
+    // its bytes are handed to the socket, so the last observation may
+    // trail the answer we already hold.
+    let latency = h.obs().histogram("serve.latency_us").unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while latency.count() < sent + 3 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    assert_eq!(latency.count(), sent + 3);
+
+    let (_, metrics) = http_roundtrip(&mut c, "GET", "/metrics", "").unwrap();
+    let line = metrics.lines().find(|l| l.starts_with("iolap_serve_inline"));
+    assert_eq!(line, Some(format!("iolap_serve_inline {}", hit + 3).as_str()), "{metrics}");
+    h.shutdown();
+}
+
+/// A generated dataset's nodes are anonymous — printed as `Level[lo..hi]`
+/// — and an insert naming them resolves without a CSV round trip.
+#[test]
+fn generated_datasets_accept_inserts_by_printed_node_name() {
+    let table = iolap_datagen::scaled(iolap_datagen::DatasetKind::Automotive, 2_000, 7);
+    let schema = table.schema().clone();
+    let h = Server::builder(table, PolicySpec::em_count(0.01))
+        .alloc(AllocConfig::builder().in_memory(256).build())
+        .bind("127.0.0.1:0")
+        .expect("server starts");
+    let mut c = connect(&h);
+
+    // One precise fact: a leaf per dimension, named as the system prints it.
+    let dims: Vec<String> = (0..schema.k())
+        .map(|d| {
+            let dim = schema.dim(d);
+            let name = dim.node_name(dim.leaf_node(dim.num_leaves() / 2));
+            assert!(dim.node_by_name(&name).is_none(), "{name} should be anonymous");
+            name
+        })
+        .collect();
+    let at: Vec<(&str, &str)> =
+        (0..schema.k()).map(|d| (schema.dim(d).name(), dims[d].as_str())).collect();
+    let query = iolap_serve::wire::query_body(&at, AggFn::Count, None);
+    let count = |body: &str| {
+        iolap_obs::json::parse(body).unwrap().get("count").and_then(|c| c.as_f64()).unwrap()
+    };
+    let (status, before) = http_roundtrip(&mut c, "POST", "/query", &query).unwrap();
+    assert_eq!(status, 200, "{before}");
+
+    let insert = |id, dims| {
+        let m = iolap_serve::wire::MutationReq::Insert { id, dims, measure: 3.5 };
+        iolap_serve::wire::update_body(&[m])
+    };
+    let body = insert(9_000_000, dims.clone());
+    let (status, resp) = http_roundtrip(&mut c, "POST", "/update", &body).unwrap();
+    assert_eq!(status, 200, "{resp}");
+    let (_, after) = http_roundtrip(&mut c, "POST", "/query", &query).unwrap();
+    assert_eq!(count(&after), count(&before) + 1.0, "{before} → {after}");
+
+    // A name the system never printed is still a 400.
+    let mut wrong = dims;
+    wrong[0] = "Nope[0..1]".into();
+    let bad = insert(9_000_001, wrong);
+    let (status, resp) = http_roundtrip(&mut c, "POST", "/update", &bad).unwrap();
+    assert_eq!(status, 400, "{resp}");
+    h.shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -221,3 +221,38 @@ fn runs_are_deterministic() {
         assert_eq!(ea, &wb[id], "fact {id}");
     }
 }
+
+/// `Hierarchy::node_by_name` is a map built once and `resolve_name`
+/// parses the printed `Level[lo..hi]` form; both must answer what the
+/// linear scans they replaced answered — the first node, in arena order,
+/// that carries (resp. prints as) the name — for every node of the paper
+/// example and of both generated kinds, before and after the CSV round
+/// trip that turns printed names into explicit ones.
+#[test]
+fn name_lookups_match_a_first_match_scan_on_every_dataset() {
+    use iolap::hierarchy::NodeId;
+    use iolap::model::csv::{read_dataset, write_dataset};
+
+    let mut schemas = vec![paper_example::schema()];
+    for kind in [DatasetKind::Automotive, DatasetKind::Synthetic] {
+        let table = scaled(kind, 200, 11);
+        let dir = iolap::storage::TempDir::new("names-roundtrip").unwrap();
+        write_dataset(&table, dir.path()).unwrap();
+        schemas.push(table.schema().clone());
+        schemas.push(read_dataset(dir.path()).unwrap().0);
+    }
+    for schema in schemas {
+        for d in 0..schema.k() {
+            let h = schema.dim(d);
+            let ids = || (0..h.num_nodes()).map(NodeId);
+            let names: Vec<String> = ids().map(|i| h.node_name(i)).collect();
+            for name in &names {
+                let explicit = ids().find(|&i| h.node(i).name.as_ref() == Some(name));
+                let printed = names.iter().position(|n| n == name).map(|i| NodeId(i as u32));
+                assert_eq!(h.node_by_name(name), explicit, "{}: {name}", h.name());
+                assert_eq!(h.resolve_name(name), explicit.or(printed), "{}: {name}", h.name());
+                assert!(h.resolve_name(name).is_some());
+            }
+        }
+    }
+}
