@@ -67,9 +67,6 @@ impl Args {
                 "--threads" => out.threads = take(&mut i).parse().expect("--threads N"),
                 "--json" => out.json = Some(take(&mut i)),
                 "--trace-out" => out.trace_out = Some(take(&mut i)),
-                // Sugar for the serve_load sweep: `--connections 256,1000`
-                // is the same as the `connections=256,1000` extra.
-                "--connections" => out.extra.push(("connections".into(), take(&mut i))),
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --facts N --seed S --dataset automotive|synthetic --paper-scale --on-disk --threads N --json PATH --trace-out PATH [key=value ...]"

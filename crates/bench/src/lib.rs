@@ -19,10 +19,9 @@
 //! Results print as aligned text tables; EXPERIMENTS.md records a full
 //! set of measured outputs next to the paper's numbers.
 //!
-//! Criterion micro-benchmarks (`benches/`) additionally cover the
-//! building blocks (external sort, box queries, one EM iteration per
-//! algorithm, component identification, R-tree ops) plus the two ablation
-//! studies Section 11.1 motivates.
+//! These binaries report the paper's accounted page I/O; wall-clock
+//! claims about the serving stack are made only through the `e2e/`
+//! ledger (`BENCHMARK.json`).
 
 #![warn(missing_docs)]
 

@@ -32,7 +32,7 @@
 //! `iolap_core::cuboid`), the two modes produce f64-bit-identical results
 //! in every lifecycle state — cold, after update batches (dirty-cell
 //! recompute) and after compaction (cuboid rebuild). The proptest suite
-//! and the `rollup_lattice` bench both assert this per query.
+//! (`tests/lattice.rs`) asserts this per query.
 
 use crate::agg::{AggFn, AggResult};
 use crate::builder::Query;

@@ -105,7 +105,7 @@ impl Aabb {
     }
 
     /// Volume increase if `self` were grown to cover `other` (Guttman's
-    /// enlargement criterion).
+    /// enlargement rule).
     pub fn enlargement(&self, other: &Aabb) -> f64 {
         self.union(other).volume() - self.volume()
     }

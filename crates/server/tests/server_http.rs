@@ -7,10 +7,16 @@
 
 use iolap_core::{AllocConfig, PolicySpec};
 use iolap_model::paper_example;
+use iolap_obs::Obs;
 use iolap_query::AggFn;
-use iolap_serve::{http_roundtrip, read_response, ServeConfig, Server, ServerHandle};
+use iolap_serve::http::Request;
+use iolap_serve::{
+    http_roundtrip, read_response, Handler, ServeConfig, Server, ServerHandle, Step,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn start(cfg: ServeConfig) -> ServerHandle {
@@ -307,72 +313,81 @@ fn connection_cap_sheds_with_503() {
     h.shutdown();
 }
 
-/// With one worker and a ready-queue of one, a stream of slow `/update`
-/// batches keeps both busy; probes on fresh connections must then see
-/// the queue-full 503 shed rather than queueing unboundedly.
+/// Stand-in application for the saturation test: every request is worker
+/// work, and `/hold` parks its worker until the test lets it go. Each
+/// stage reports in, so the test knows where every request is without
+/// waiting on a clock.
+struct Holding {
+    events: Sender<&'static str>,
+    release: Arc<Mutex<Receiver<()>>>,
+}
+
+impl Handler for Holding {
+    fn begin(&self, req: Request) -> Step {
+        let events = self.events.clone();
+        events.send("begun").unwrap();
+        let release = self.release.clone();
+        Step::Work(Box::new(move || {
+            if req.path == "/hold" {
+                events.send("held").unwrap();
+                release.lock().unwrap().recv().unwrap();
+            }
+            (200, "text/plain", "done".into())
+        }))
+    }
+}
+
+/// With one worker and a ready queue of one, a request that arrives
+/// while a first holds the worker and a second holds the queue slot is
+/// answered 503 `saturated` at once rather than queued without bound —
+/// and the two it could not displace still finish.
 #[test]
 fn saturated_server_sheds_with_503() {
-    let h = start(ServeConfig::builder().workers(1).queue_depth(1).cache_capacity(0).build());
-    let addr = h.addr();
+    let (events_tx, events) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let app = Arc::new(Holding { events: events_tx, release: Arc::new(Mutex::new(release_rx)) });
+    let obs = Obs::metrics_only();
+    let cfg = ServeConfig::builder().workers(1).queue_depth(1).build();
+    let engine = iolap_serve::engine::start("127.0.0.1:0", &cfg, "held", "serve", &obs, app)
+        .expect("engine starts");
+    // Declared after the engine so that it drops first: if an assertion
+    // below fails, the held worker sees the hang-up and the engine's
+    // drop can join it — a failure, not a hang.
+    let release = release_tx;
+    let connect = || {
+        let s = TcpStream::connect(engine.addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s
+    };
+    let send = |s: &mut TcpStream, path: &str| {
+        s.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes()).unwrap();
+    };
 
-    // Three serialized update batches occupy the single worker (each
-    // blocks on the coordinator) while their successors hold the queue.
-    let writers: Vec<_> = (0..3)
-        .map(|w| {
-            std::thread::spawn(move || {
-                let muts: Vec<iolap_serve::wire::MutationReq> = (0..400)
-                    .map(|i| iolap_serve::wire::MutationReq::Insert {
-                        id: 10_000 + w * 1000 + i,
-                        dims: vec!["MA".into(), "Civic".into()],
-                        measure: 1.0,
-                    })
-                    .collect();
-                let body = iolap_serve::wire::update_body(&muts);
-                // The update itself may be shed while its siblings hold
-                // the worker and the queue — that IS the behavior under
-                // test — so retry on 503 until it lands.
-                loop {
-                    let mut c = TcpStream::connect(addr).unwrap();
-                    c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-                    let (status, resp) = http_roundtrip(&mut c, "POST", "/update", &body).unwrap();
-                    if status == 200 {
-                        break;
-                    }
-                    assert_eq!(status, 503, "{resp}");
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-            })
-        })
-        .collect();
+    // The first request is inside the only worker …
+    let mut first = connect();
+    send(&mut first, "/hold");
+    assert_eq!(events.recv().unwrap(), "begun");
+    assert_eq!(events.recv().unwrap(), "held");
+    // … and the second has been begun, so the reactor — one thread — puts
+    // it in the free queue slot before it reads anything sent after this.
+    let mut second = connect();
+    send(&mut second, "/hold");
+    assert_eq!(events.recv().unwrap(), "begun");
 
-    // Probe until the shed fires (bounded by the updates' total runtime).
-    let mut saw_503 = false;
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while Instant::now() < deadline {
-        let mut c = connect(&h);
-        let Ok((status, body)) = http_roundtrip(&mut c, "GET", "/healthz", "") else {
-            continue; // shed-by-close or racing teardown; try again
-        };
-        if status == 503 && body.contains("saturated") {
-            saw_503 = true;
-            break;
-        }
-        if h.obs().counter("serve.shed").unwrap().get() >= 1 && status == 503 {
-            saw_503 = true;
-            break;
-        }
-    }
-    for w in writers {
-        w.join().unwrap();
-    }
-    assert!(saw_503, "queue-full saturation must answer 503");
-    assert!(h.obs().counter("serve.shed").unwrap().get() >= 1);
+    let mut third = connect();
+    let (status, body) = http_roundtrip(&mut third, "GET", "/healthz", "").unwrap();
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("saturated"), "{body}");
+    assert_eq!(obs.counter("serve.shed").unwrap().get(), 1);
+    assert_eq!(obs.gauge("serve.queue.depth").unwrap().get(), 1, "the second is still queued");
 
-    // After the storm, the server still answers normally.
-    let mut c = connect(&h);
-    let (status, _) = http_roundtrip(&mut c, "GET", "/healthz", "").unwrap();
+    // Let both go: neither was lost, and the server answers normally.
+    release.send(()).unwrap();
+    release.send(()).unwrap();
+    assert_eq!(read_response(&mut first).unwrap(), (200, "done".into()));
+    assert_eq!(read_response(&mut second).unwrap(), (200, "done".into()));
+    let (status, _) = http_roundtrip(&mut connect(), "GET", "/healthz", "").unwrap();
     assert_eq!(status, 200);
-    h.shutdown();
 }
 
 /// The regression the reactor exists for: idle keep-alive sockets must

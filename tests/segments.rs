@@ -16,6 +16,7 @@ use iolap::core::{
     accumulate_region, allocate, Algorithm, AllocConfig, CoreError, PolicySpec, SegmentCursor,
     SegmentLayout, SegmentView,
 };
+use iolap::datagen::{scaled, DatasetKind};
 use iolap::hierarchy::{Hierarchy, HierarchyBuilder};
 use iolap::model::{paper_example, Fact, FactId, FactTable, RegionBox, Schema, MAX_DIMS};
 use proptest::prelude::*;
@@ -296,6 +297,81 @@ fn every_layout_is_bit_identical_to_its_own_naive_scan() {
     for m in &multisets[1..] {
         assert_eq!(m, &multisets[0], "layouts must hold the same live multiset");
     }
+}
+
+/// Pages a fence-pruned scan reads, per layout, over one fixed set of
+/// boxes that restrict only *trailing* dimensions — the dice shape where
+/// canonical fences (tight on the leading dimension only) prune little
+/// and Morton fences prune in every dimension. The counts are exact:
+/// same dataset, same allocation, same boxes, same fences. Re-record only
+/// with a change that is meant to move a layout's page count, and say so
+/// — they are the page-count half of the next layout decision (ROADMAP
+/// item 2); the wall-time half is `e2e`'s `dice_cold`.
+#[test]
+fn pages_read_per_layout_are_pinned_on_trailing_dimension_boxes() {
+    use iolap::core::{CellOrder, PageFormat};
+    /// (layout, pages in the segment, pages read over all boxes).
+    const PINNED: [(SegmentLayout, u64, u64); 4] = [
+        (SegmentLayout { order: CellOrder::Canonical, format: PageFormat::Rows }, 36, 546),
+        (SegmentLayout { order: CellOrder::Canonical, format: PageFormat::ColumnarV2 }, 14, 222),
+        (SegmentLayout { order: CellOrder::Morton, format: PageFormat::Rows }, 36, 370),
+        (SegmentLayout { order: CellOrder::Morton, format: PageFormat::ColumnarV2 }, 13, 154),
+    ];
+    let table = scaled(DatasetKind::Automotive, 5_000, 42);
+    let schema = table.schema().clone();
+    let k = schema.k();
+    let run = allocate(
+        &table,
+        &PolicySpec::em_count(0.01),
+        Algorithm::Transitive,
+        &AllocConfig::builder().in_memory(2048).build(),
+    )
+    .unwrap();
+    let mut edb = run.edb;
+
+    // Per trailing dimension d ≥ 1: four boxes a twentieth of d wide, ALL
+    // elsewhere; then four dices restricting the last two dimensions to a
+    // tenth each (≤ 1 % of the cells). Starts come from a fixed xorshift.
+    let mut s = 0x5e97_13a7_u64;
+    let mut slice = |bx: &mut RegionBox, d: usize, frac: u32| {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        let leaves = schema.dim(d).num_leaves();
+        let width = (leaves / frac).max(1);
+        bx.lo[d] = (s >> 16) as u32 % (leaves - width + 1);
+        bx.hi[d] = bx.lo[d] + width;
+    };
+    let mut boxes = Vec::new();
+    for d in 1..k {
+        for _ in 0..4 {
+            let mut bx = SegmentCursor::all_region(k);
+            slice(&mut bx, d, 20);
+            boxes.push(bx);
+        }
+    }
+    for _ in 0..4 {
+        let mut bx = SegmentCursor::all_region(k);
+        slice(&mut bx, k - 2, 10);
+        slice(&mut bx, k - 1, 10);
+        boxes.push(bx);
+    }
+
+    let mut got = Vec::new();
+    for (layout, ..) in PINNED {
+        edb.set_segment_layout(layout);
+        let views = edb.segments().unwrap();
+        let total: u64 = views.iter().map(|v| v.segment.num_pages()).sum();
+        let mut read = 0;
+        for bx in &boxes {
+            read += accumulate_region(&views, bx).unwrap().2.pages_read;
+        }
+        got.push((layout, total, read));
+    }
+    assert_eq!(got, PINNED, "a layout's page count moved");
+    // The gate the retired segment bench enforced, now a relation between
+    // constants: v2 + Morton reads at most half of what v1 canonical does.
+    assert!(2 * PINNED[3].2 <= PINNED[0].2);
 }
 
 /// A bit-flipped compressed page must surface from the scan as the
