@@ -24,21 +24,28 @@
 //! (`aggregate_edb`, `rollup`, `pivot`) and the server's snapshot answer
 //! path: it walks the views in order, skips pages whose fence box is
 //! disjoint from the query box, and visits the surviving live entries in
-//! segment order, decoding compressed pages through one reusable per-scan
-//! buffer. Because pruning only ever skips pages that contain **no** cell
+//! segment order. A compressed page goes through the fused scan kernel
+//! (`iolap_model::segment_page::PageScratch`): its checksum is verified on
+//! the first decode after the segment was built or loaded and not again
+//! (pages are immutable in memory), its columns are decoded into one
+//! reusable per-scan scratch with the query box folded into a keep-mask on
+//! the way, and records are built only for the rows that survive — the
+//! exclusion set is probed for those alone. Because pruning only ever skips
+//! pages that contain **no** cell
 //! of the query box, the visited entry sequence — and therefore every f64
 //! accumulation over it — is bit-identical to an unpruned scan of the same
 //! views. A corrupt or truncated compressed page surfaces as a storage
 //! error from the cursor; it never panics and never yields a short read.
 
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use iolap_model::{
-    decode_page, EdbCodec, EdbRecord, FactId, PageBuilder, PageFence, PageFormat, RegionBox,
-    SegmentFooter, SegmentLayout, SegmentStats, MAX_DIMS, MAX_V2_PAGE_BYTES,
+    EdbCodec, EdbRecord, FactId, PageBuilder, PageFence, PageFormat, PageScratch, PageSelect,
+    RegionBox, SegmentFooter, SegmentLayout, SegmentStats, MAX_DIMS, MAX_V2_PAGE_BYTES,
 };
 use iolap_storage::{StorageError, PAGE_SIZE};
 use std::collections::HashSet;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 pub use iolap_model::CellOrder;
@@ -48,7 +55,27 @@ pub use iolap_model::CellOrder;
 /// cursor as an error, not at load).
 enum SegStore {
     Rows(Vec<EdbRecord>),
-    Pages(Vec<Box<[u8]>>),
+    Pages {
+        pages: Vec<Box<[u8]>>,
+        /// Per page: set once the page has decoded cleanly with its
+        /// checksum verified. The payloads are immutable behind the
+        /// segment's `Arc`, so later decodes skip the checksum pass (and
+        /// nothing else); a page that fails is never marked.
+        verified: Vec<AtomicBool>,
+    },
+}
+
+impl SegStore {
+    fn unverified(pages: Vec<Box<[u8]>>) -> Self {
+        let verified = pages.iter().map(|_| AtomicBool::new(false)).collect();
+        SegStore::Pages { pages, verified }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Checksum passes this thread has asked the page kernel for.
+    static CHECKSUM_PASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// One immutable, sorted, page-aligned run of EDB entries with its fence
@@ -145,7 +172,7 @@ impl EdbSegment {
     pub fn page_io_bytes(&self, p: u64) -> u64 {
         match &self.store {
             SegStore::Rows(_) => PAGE_SIZE as u64,
-            SegStore::Pages(_) => u64::from(self.footer.page_bytes[p as usize]),
+            SegStore::Pages { .. } => u64::from(self.footer.page_bytes[p as usize]),
         }
     }
 
@@ -154,7 +181,7 @@ impl EdbSegment {
     pub fn encoded_bytes(&self) -> u64 {
         match &self.store {
             SegStore::Rows(entries) => (entries.len() * (4 * self.k + 24)) as u64,
-            SegStore::Pages(_) => self.footer.page_bytes.iter().map(|&b| u64::from(b)).sum(),
+            SegStore::Pages { .. } => self.footer.page_bytes.iter().map(|&b| u64::from(b)).sum(),
         }
     }
 
@@ -175,41 +202,94 @@ impl EdbSegment {
 
     /// The entries of logical page `p`, decoding through `buf` when the
     /// page is compressed (row pages borrow straight from the segment and
-    /// leave `buf` untouched). A corrupt page yields a storage error.
+    /// leave `buf` untouched). A corrupt page yields a storage error, a
+    /// `p` past the last page a bad-input error. Random access pays for a
+    /// kernel scratch per call; scans go through [`SegmentCursor`] or
+    /// [`EdbSegment::for_each_entry`], which reuse one.
     pub fn page_decoded<'s>(
         &'s self,
         p: u64,
         buf: &'s mut Vec<EdbRecord>,
     ) -> Result<&'s [EdbRecord]> {
-        match &self.store {
-            SegStore::Rows(entries) => {
-                let rpp = self.footer.recs_per_page as usize;
-                let start = p as usize * rpp;
-                let end = (start + rpp).min(entries.len());
-                Ok(&entries[start..end])
-            }
-            SegStore::Pages(pages) => {
-                let bytes = &pages[p as usize];
-                decode_page(self.k, bytes, buf)
-                    .map_err(|e| StorageError::Corrupt(format!("segment page {p}: {e}")))?;
-                let want = self.footer.page_rows[p as usize] as usize;
-                if buf.len() != want {
-                    return Err(StorageError::Corrupt(format!(
-                        "segment page {p} decoded to {} rows, footer says {want}",
-                        buf.len()
-                    ))
-                    .into());
-                }
-                Ok(&buf[..])
-            }
+        if p >= self.num_pages() {
+            return Err(CoreError::BadInput(format!(
+                "segment page {p} out of range: the segment has {} pages",
+                self.num_pages()
+            )));
         }
+        self.page_into(p, &mut PageScratch::default(), buf)
+    }
+
+    /// [`EdbSegment::page_decoded`] for an in-range `p`, through a
+    /// caller-owned kernel scratch.
+    fn page_into<'s>(
+        &'s self,
+        p: u64,
+        scratch: &mut PageScratch,
+        buf: &'s mut Vec<EdbRecord>,
+    ) -> Result<&'s [EdbRecord]> {
+        if let SegStore::Rows(entries) = &self.store {
+            return Ok(self.row_page(entries, p));
+        }
+        self.decode_columnar(p, &PageSelect::all(), scratch)?;
+        buf.clear();
+        buf.extend(scratch.rows());
+        Ok(&buf[..])
+    }
+
+    /// Row-format page `p` of `entries`, this segment's store.
+    fn row_page<'e>(&self, entries: &'e [EdbRecord], p: u64) -> &'e [EdbRecord] {
+        let rpp = self.footer.recs_per_page as usize;
+        let start = p as usize * rpp;
+        &entries[start..(start + rpp).min(entries.len())]
+    }
+
+    /// Decode columnar page `p` into `scratch`, keeping the rows `select`
+    /// keeps. The one gate every read of a compressed page goes through:
+    /// it verifies the checksum unless an earlier decode of this page
+    /// already did, always runs the kernel's structural checks and the
+    /// footer row-count check, and marks the page verified only after all
+    /// of them passed.
+    fn decode_columnar(
+        &self,
+        p: u64,
+        select: &PageSelect,
+        scratch: &mut PageScratch,
+    ) -> Result<()> {
+        let SegStore::Pages { pages, verified } = &self.store else {
+            unreachable!("row-format pages are not decoded");
+        };
+        let p = p as usize;
+        // Acquire pairs with the Release store below. The flag publishes
+        // nothing but "these immutable bytes passed": two threads racing on
+        // an unverified page both verify it, and both store `true`.
+        let seen = verified[p].load(Ordering::Acquire);
+        #[cfg(test)]
+        if !seen {
+            CHECKSUM_PASSES.with(|c| c.set(c.get() + 1));
+        }
+        let rows = scratch
+            .decode(self.k, &pages[p], !seen, select)
+            .map_err(|e| StorageError::Corrupt(format!("segment page {p}: {e}")))?;
+        let want = self.footer.page_rows[p] as usize;
+        if rows != want {
+            return Err(StorageError::Corrupt(format!(
+                "segment page {p} decoded to {rows} rows, footer says {want}"
+            ))
+            .into());
+        }
+        if !seen {
+            verified[p].store(true, Ordering::Release);
+        }
+        Ok(())
     }
 
     /// Visit every entry in segment order, decoding pages as needed.
     pub fn for_each_entry(&self, mut f: impl FnMut(&EdbRecord) -> Result<()>) -> Result<()> {
+        let mut scratch = PageScratch::default();
         let mut buf = Vec::new();
         for p in 0..self.num_pages() {
-            for e in self.page_decoded(p, &mut buf)? {
+            for e in self.page_into(p, &mut scratch, &mut buf)? {
                 f(e)?;
             }
         }
@@ -244,7 +324,7 @@ impl EdbSegment {
                     &self.footer.encode(),
                 )?;
             }
-            SegStore::Pages(pages) => {
+            SegStore::Pages { pages, .. } => {
                 iolap_storage::segfile::write_segment_v2(path, pages, &self.footer.encode())?;
             }
         }
@@ -253,9 +333,10 @@ impl EdbSegment {
 
     /// Load a segment written by [`EdbSegment::save`], re-validating the
     /// footer against the file. Compressed page payloads are *not* decoded
-    /// here — decoding (and checksum verification) happens lazily at scan
-    /// time, so a bit-flipped page surfaces from the cursor as a storage
-    /// error rather than slowing every load.
+    /// here — decoding happens lazily at scan time, and a page's checksum
+    /// is verified by the first decode that touches it, so a bit-flipped
+    /// page surfaces from the cursor as a storage error rather than slowing
+    /// every load.
     pub fn load(path: &Path, k: usize) -> Result<Self> {
         match iolap_storage::segfile::probe_segment_version(path)? {
             iolap_storage::segfile::SEGFILE_VERSION => {
@@ -313,7 +394,7 @@ impl EdbSegment {
                     }
                 }
                 let layout = SegmentLayout { order: footer.order, format: PageFormat::ColumnarV2 };
-                Ok(EdbSegment { k, layout, store: SegStore::Pages(pages), footer })
+                Ok(EdbSegment { k, layout, store: SegStore::unverified(pages), footer })
             }
         }
     }
@@ -374,7 +455,7 @@ fn encode_columnar(
         page_rows,
         page_bytes,
     };
-    (SegStore::Pages(pages), footer)
+    (SegStore::unverified(pages), footer)
 }
 
 /// A published view of one segment: the immutable entries plus the set of
@@ -440,7 +521,7 @@ pub struct SegmentCursor<'a> {
     region: RegionBox,
     prune: bool,
     stats: SegScanStats,
-    buf: Vec<EdbRecord>,
+    scratch: PageScratch,
 }
 
 impl<'a> SegmentCursor<'a> {
@@ -451,7 +532,7 @@ impl<'a> SegmentCursor<'a> {
             region,
             prune: true,
             stats: SegScanStats::default(),
-            buf: Vec::new(),
+            scratch: PageScratch::default(),
         }
     }
 
@@ -464,7 +545,7 @@ impl<'a> SegmentCursor<'a> {
             region,
             prune: false,
             stats: SegScanStats::default(),
-            buf: Vec::new(),
+            scratch: PageScratch::default(),
         }
     }
 
@@ -476,39 +557,47 @@ impl<'a> SegmentCursor<'a> {
 
     /// Visit every live entry inside the region, in segment order then the
     /// segment's cell order within each segment. Compressed pages decode
-    /// through one buffer reused across the whole scan; a corrupt page
-    /// aborts the scan with a storage error.
+    /// through one column scratch reused across the whole scan, which
+    /// builds records for the in-region rows only; a corrupt page aborts
+    /// the scan with a storage error.
     pub fn for_each(&mut self, mut f: impl FnMut(&EdbRecord)) -> Result<()> {
-        let views = self.views;
-        let mut buf = std::mem::take(&mut self.buf);
-        for view in views {
+        for view in self.views {
             let seg = &*view.segment;
             let excl = &*view.exclude;
+            let mut live = |e: &EdbRecord| {
+                if excl.is_empty() || !excl.contains(&e.fact_id) {
+                    f(e);
+                }
+            };
             for p in 0..seg.num_pages() {
-                if self.prune && seg.footer().fences[p as usize].disjoint(&self.region) {
+                let fence = &seg.footer().fences[p as usize];
+                if self.prune && fence.disjoint(&self.region) {
                     self.stats.pages_pruned += 1;
                     continue;
                 }
                 self.stats.pages_read += 1;
                 self.stats.bytes_read += seg.page_io_bytes(p);
-                let page = match seg.page_decoded(p, &mut buf) {
-                    Ok(page) => page,
-                    Err(e) => {
-                        self.buf = buf;
-                        return Err(e);
+                if let SegStore::Rows(entries) = &seg.store {
+                    for e in seg.row_page(entries, p) {
+                        if self.region.contains_cell(&e.cell) {
+                            live(e);
+                        }
                     }
+                    continue;
+                }
+                // The unpruned baseline trusts no fence: it compares every
+                // dimension of every row.
+                let select = if self.prune {
+                    PageSelect::within(&self.region, fence)
+                } else {
+                    PageSelect::region(&self.region)
                 };
-                for e in page {
-                    if !excl.is_empty() && excl.contains(&e.fact_id) {
-                        continue;
-                    }
-                    if self.region.contains_cell(&e.cell) {
-                        f(e);
-                    }
+                seg.decode_columnar(p, &select, &mut self.scratch)?;
+                for e in self.scratch.kept() {
+                    live(&e);
                 }
             }
         }
-        self.buf = buf;
         Ok(())
     }
 
@@ -853,6 +942,129 @@ mod tests {
             assert_eq!(back.layout(), layout);
             assert!(EdbSegment::load(&path, 3).is_err(), "wrong k must be rejected");
         }
+    }
+
+    #[test]
+    fn out_of_range_page_is_an_error_in_both_stores() {
+        for layout in [SegmentLayout::v1_canonical(), SegmentLayout::v2_canonical()] {
+            let seg = wide_segment(2, 1_000, layout);
+            let mut buf = Vec::new();
+            let last = seg.num_pages() - 1;
+            assert!(!seg.page_decoded(last, &mut buf).unwrap().is_empty());
+            for p in [seg.num_pages(), seg.num_pages() + 7, u64::MAX] {
+                let err = seg.page_decoded(p, &mut buf).unwrap_err();
+                assert!(
+                    matches!(&err, CoreError::BadInput(m) if m.contains(&p.to_string())
+                        && m.contains(&format!("{} pages", seg.num_pages()))),
+                    "{layout:?} page {p}: {err:?}"
+                );
+            }
+        }
+    }
+
+    /// A saved v2 segment, one payload bit of data page 3 flipped on disk.
+    fn segment_file_with_page_3_flipped(dir: &iolap_storage::TempDir) -> std::path::PathBuf {
+        let path = dir.path().join("seg");
+        wide_segment(2, 5_000, SegmentLayout::v2_canonical()).save(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[3 * PAGE_SIZE + PAGE_SIZE / 2] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        path
+    }
+
+    fn checksum_passes() -> u64 {
+        CHECKSUM_PASSES.with(|c| c.get())
+    }
+
+    #[test]
+    fn a_corrupt_page_fails_through_every_entry_point_every_time() {
+        let dir = iolap_storage::TempDir::new("segment-verify-once").unwrap();
+        let path = segment_file_with_page_3_flipped(&dir);
+        type Touch = fn(&Arc<EdbSegment>) -> Result<()>;
+        let entry_points: [(&str, Touch); 5] = [
+            ("cursor", |seg| {
+                let views = [SegmentView::new(seg.clone())];
+                accumulate_region(&views, &SegmentCursor::all_region(2)).map(|_| ())
+            }),
+            ("page_decoded", |seg| seg.page_decoded(2, &mut Vec::new()).map(|_| ())),
+            ("for_each_entry", |seg| seg.for_each_entry(|_| Ok(()))),
+            ("records", |seg| seg.records().map(|_| ())),
+            ("live_entries", |seg| {
+                let mut view = SegmentView::new(seg.clone());
+                view.exclude = Arc::new([1u64].into_iter().collect());
+                view.live_entries().map(|_| ())
+            }),
+        ];
+        for (first, touch) in entry_points {
+            // Data page 3 of the file is segment page 2 (page 0 is the header).
+            let seg = Arc::new(EdbSegment::load(&path, 2).unwrap());
+            let before = checksum_passes();
+            for attempt in ["first", "second"] {
+                let err = touch(&seg).unwrap_err();
+                assert!(
+                    matches!(&err, CoreError::Storage(StorageError::Corrupt(m)) if m.contains("page 2")),
+                    "{attempt} touch through {first}: {err:?}"
+                );
+            }
+            // A failed page is never marked: it was checksummed both times,
+            // and it fails through every other entry point too.
+            assert!(checksum_passes() - before >= 2, "{first}");
+            for (other, touch) in entry_points {
+                assert!(touch(&seg).is_err(), "{other} after {first}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_clean_segment_is_checksummed_once() {
+        let dir = iolap_storage::TempDir::new("segment-verify-clean").unwrap();
+        let path = dir.path().join("seg");
+        wide_segment(2, 5_000, SegmentLayout::v2_canonical()).save(&path).unwrap();
+        let seg = Arc::new(EdbSegment::load(&path, 2).unwrap());
+        let views = [SegmentView::new(seg.clone())];
+        let region = bx(&[3, 0], &[40, 30]);
+        let before = checksum_passes();
+        let (s1, c1, st1) = accumulate_region(&views, &region).unwrap();
+        assert_eq!(checksum_passes() - before, st1.pages_read, "one pass per page first read");
+        let (s2, c2, st2) = accumulate_region(&views, &region).unwrap();
+        assert_eq!((s1.to_bits(), c1.to_bits(), st1), (s2.to_bits(), c2.to_bits(), st2));
+        assert_eq!(checksum_passes() - before, st1.pages_read, "the second scan computes none");
+        // The other entry points share the flags: the rest of the pages
+        // are verified by the first full read, and nothing after that.
+        let recs = seg.records().unwrap();
+        assert_eq!(checksum_passes() - before, seg.num_pages());
+        assert_eq!(seg.records().unwrap(), recs);
+        seg.page_decoded(0, &mut Vec::new()).unwrap();
+        accumulate_region(&views, &SegmentCursor::all_region(2)).unwrap();
+        assert_eq!(checksum_passes() - before, seg.num_pages());
+    }
+
+    #[test]
+    fn concurrent_first_scans_of_one_segment_agree() {
+        let seg = Arc::new(wide_segment(2, 10_000, SegmentLayout::v2_canonical()));
+        let views = [SegmentView::new(seg.clone())];
+        let region = SegmentCursor::all_region(2);
+        let start = std::sync::Barrier::new(2);
+        let scan = || {
+            start.wait();
+            let before = checksum_passes();
+            let (sum, count, stats) = accumulate_region(&views, &region).unwrap();
+            (sum.to_bits(), count.to_bits(), stats, checksum_passes() - before)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(scan);
+            let b = s.spawn(scan);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a.0, b.0);
+        assert_eq!(a.1, b.1);
+        assert_eq!(a.2, b.2);
+        // Between them the two scans verified every page at least once.
+        assert!(a.3 + b.3 >= seg.num_pages(), "{} + {}", a.3, b.3);
+        // And agree with a scan of an untouched copy.
+        let fresh = [SegmentView::new(Arc::new(wide_segment(2, 10_000, seg.layout())))];
+        let (sum, count, _) = accumulate_region(&fresh, &region).unwrap();
+        assert_eq!((sum.to_bits(), count.to_bits()), (a.0, a.1));
     }
 
     #[test]
