@@ -85,7 +85,4 @@ pub use report::{ComponentStats, RunReport};
 pub use runner::{
     allocate, allocate_in_env, Algorithm, AllocConfig, AllocConfigBuilder, AllocationRun,
 };
-pub use segment::{
-    accumulate_region, accumulate_region_parts, fold_parts, sort_parts, ChunkPart, EdbSegment,
-    SegScanStats, SegmentCursor, SegmentView,
-};
+pub use segment::{accumulate_region, EdbSegment, SegScanStats, SegmentCursor, SegmentView};

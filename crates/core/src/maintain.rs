@@ -171,10 +171,10 @@ pub struct CompactionResult {
 }
 
 impl CompactionPlan {
-    /// Run the merge: the same accounted temp-file + external-sort path as
-    /// inline compaction (its I/O charges the environment's exact page
-    /// counters), safe to call from any thread — the inputs are immutable
-    /// `Arc` snapshots and the buffer pool is shared and thread-safe.
+    /// Run the merge through an accounted temp file and external sort (its
+    /// I/O charges the environment's exact page counters), safe to call
+    /// from any thread — the inputs are immutable `Arc` snapshots and the
+    /// buffer pool is shared and thread-safe.
     pub fn run(self) -> Result<CompactionResult> {
         let k = self.k;
         let mut tmp = self.env.create_file("seg-compact", EdbCodec { k })?;
@@ -589,6 +589,13 @@ impl MaintainableEdb {
     /// when the tier count is within threshold.
     pub fn prepare_compaction(&mut self) -> Result<Option<CompactionPlan>> {
         self.refresh_segments()?;
+        self.compaction_plan()
+    }
+
+    /// The size-tiering rule: past the threshold, merge every delta tier,
+    /// folding the base tier in too once the deltas have grown to its
+    /// size. `None` when the tier count is within threshold.
+    fn compaction_plan(&self) -> Result<Option<CompactionPlan>> {
         if self.segs.len() <= self.compaction_threshold {
             return Ok(None);
         }
@@ -600,8 +607,6 @@ impl MaintainableEdb {
         for i in 1..self.segs.len() {
             delta_live += live(i)?;
         }
-        // Same size-tiering rule as the inline path: fold the base tier in
-        // once the deltas have grown to its size.
         let start = if delta_live >= live(0)? { 0 } else { 1 };
         let inputs = self.segs[start..]
             .iter()
@@ -769,8 +774,11 @@ impl MaintainableEdb {
             Arc::make_mut(&mut self.seg_excl[owner]).insert(id);
             self.seg_deleted.insert(id);
         }
-        if self.inline_compaction && self.segs.len() > self.compaction_threshold {
-            self.compact()?;
+        if self.inline_compaction {
+            // The background compactor's plan, run and install, back to back.
+            if let Some(plan) = self.compaction_plan()? {
+                self.install_compaction(plan.run()?)?;
+            }
         }
         if let Some(g) = self.prep.env.obs().gauge("edb.segments") {
             g.set(self.segs.len() as i64);
@@ -782,64 +790,6 @@ impl MaintainableEdb {
                 // Milli-ratio: 1000 = uncompressed, 1700 = 1.7× smaller.
                 g.set((raw as f64 / encoded as f64 * 1000.0) as i64);
             }
-        }
-        Ok(())
-    }
-
-    /// Merge the delta tier into one segment — folding the base in too once
-    /// the deltas have grown to its size — through the accounted temp-file
-    /// and external-sort path, so compaction I/O shows up in the
-    /// environment's exact page counters like every other pass.
-    fn compact(&mut self) -> Result<()> {
-        let k = self.prep.schema.k();
-        let live = |i: usize| -> Result<u64> {
-            SegmentView { segment: self.segs[i].clone(), exclude: self.seg_excl[i].clone() }
-                .live_entries()
-        };
-        let mut delta_live = 0u64;
-        for i in 1..self.segs.len() {
-            delta_live += live(i)?;
-        }
-        let include_base = delta_live >= live(0)?;
-        let start = if include_base { 0 } else { 1 };
-        // Push every surviving entry through an accounted scratch file…
-        let mut tmp = self.prep.env.create_file("seg-compact", EdbCodec { k })?;
-        for (seg, excl) in self.segs[start..].iter().zip(&self.seg_excl[start..]) {
-            seg.for_each_entry(|e| {
-                if !excl.contains(&e.fact_id) {
-                    tmp.push(e)?;
-                }
-                Ok(())
-            })?;
-        }
-        // …stable-sort it back into the target layout's cell order…
-        let order = self.seg_layout.order;
-        let mut sorted = external_sort(&self.prep.env, tmp, SortBudget::pages(16), |e| {
-            order.sort_key(&e.cell, k)
-        })?;
-        // …and read the merged run back.
-        let mut entries = Vec::with_capacity(sorted.len() as usize);
-        let mut cursor = sorted.scan();
-        while let Some(e) = cursor.next()? {
-            entries.push(e);
-        }
-        drop(cursor);
-        let merged_idx = start;
-        self.segs.truncate(start);
-        self.seg_excl.truncate(start);
-        self.segs.push(Arc::new(EdbSegment::from_sorted_with(k, entries, self.seg_layout)));
-        self.seg_excl.push(Arc::new(HashSet::new()));
-        // Every fact whose run lived in a compacted tier now lives in the
-        // merged segment (deleted facts' entries are gone for good, which
-        // is why the merged tier starts with an empty exclusion set).
-        for owner in self.seg_owner.values_mut() {
-            if *owner >= start {
-                *owner = merged_idx;
-            }
-        }
-        self.compactions += 1;
-        if let Some(c) = self.prep.env.obs().counter("edb.compactions") {
-            c.add(1);
         }
         Ok(())
     }
@@ -877,8 +827,8 @@ impl MaintainableEdb {
         // Structural changes may have retired some dirty ids. Re-solve in
         // sorted order: HashSet iteration order varies per process, and
         // the re-emission order it would induce must not — replaying the
-        // same batches (WAL recovery, cluster replicas) has to append
-        // runs in the same file order to stay bit-identical.
+        // same batches (WAL recovery, a test's library-side mirror) has to
+        // append runs in the same file order to stay bit-identical.
         let mut live: Vec<u32> =
             dirty.into_iter().filter(|cc| self.comps.contains_key(cc)).collect();
         live.sort_unstable();

@@ -625,86 +625,6 @@ pub fn accumulate_region(
     Ok((sum, count, cursor.stats()))
 }
 
-/// One `(view, dim0-slab)` chunk of the chunked canonical accumulation:
-/// the weighted `(sum, count)` pair of every live in-region entry of view
-/// `view` whose leaf coordinate along dimension 0 is `slab`, accumulated
-/// in segment order.
-///
-/// Chunks are the unit the cluster's scatter-gather merge exchanges. A
-/// dimension-0 leaf belongs to exactly one shard's interval, and clipping
-/// a query box to a shard's interval never drops or reorders a slab's
-/// entries, so a chunk's f64 bits are *partition-invariant*: any division
-/// of the dimension-0 axis across shards produces the same chunk values,
-/// and folding the chunks in `(view, slab)` order reproduces one
-/// deterministic total regardless of which shard computed which chunk.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChunkPart {
-    /// Index of the segment view within the scanned snapshot.
-    pub view: u32,
-    /// The entries' leaf coordinate along dimension 0.
-    pub slab: u32,
-    /// Weighted measure mass of the chunk (`Σ weight·measure`).
-    pub sum: f64,
-    /// Weighted fact count of the chunk (`Σ weight`).
-    pub count: f64,
-}
-
-/// The chunked form of [`accumulate_region`]: the same fence-pruned scan,
-/// but accumulated per `(view, dim0-slab)` chunk instead of into one flat
-/// pair. Chunks come back sorted by `(view, slab)`; empty chunks are
-/// omitted, an empty region yields no chunks. [`fold_parts`] of the result
-/// is the serve plane's canonical `(sum, count)` answer.
-pub fn accumulate_region_parts(
-    views: &[SegmentView],
-    region: &RegionBox,
-) -> Result<(Vec<ChunkPart>, SegScanStats)> {
-    let mut parts = Vec::new();
-    let mut stats = SegScanStats::default();
-    for (vi, view) in views.iter().enumerate() {
-        // Per-view map keyed by slab: entries of one slab accumulate in
-        // segment order even under non-monotone cell orders (Morton).
-        let mut slabs: std::collections::BTreeMap<u32, (f64, f64)> =
-            std::collections::BTreeMap::new();
-        let mut cursor = SegmentCursor::new(std::slice::from_ref(view), *region);
-        cursor.for_each(|e| {
-            let acc = slabs.entry(e.cell[0]).or_insert((0.0, 0.0));
-            acc.0 += e.weight * e.measure;
-            acc.1 += e.weight;
-        })?;
-        stats.absorb(cursor.stats());
-        parts.extend(slabs.into_iter().map(|(slab, (sum, count))| ChunkPart {
-            view: vi as u32,
-            slab,
-            sum,
-            count,
-        }));
-    }
-    Ok((parts, stats))
-}
-
-/// Sort chunks into the canonical fold order `(view, slab)`. The keys are
-/// unique within one scatter (a slab lives on exactly one shard), so the
-/// order — and therefore the fold — is total and deterministic.
-pub fn sort_parts(parts: &mut [ChunkPart]) {
-    parts.sort_unstable_by_key(|p| (p.view, p.slab));
-}
-
-/// Left-fold chunks (already in `(view, slab)` order — see [`sort_parts`])
-/// into the flat `(sum, count)` pair, starting from `(0.0, 0.0)`. This is
-/// the single definition of the chunked total: the server folds its own
-/// chunks through it and the cluster router folds the concatenation of
-/// every shard's chunks through it, so both produce identical f64 bits.
-pub fn fold_parts(parts: &[ChunkPart]) -> (f64, f64) {
-    debug_assert!(parts.windows(2).all(|w| (w[0].view, w[0].slab) < (w[1].view, w[1].slab)));
-    let mut sum = 0.0;
-    let mut count = 0.0;
-    for p in parts {
-        sum += p.sum;
-        count += p.count;
-    }
-    (sum, count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -878,55 +798,6 @@ mod tests {
         assert_eq!(sum, 20.0);
         assert_eq!(count, 1.0);
         assert_eq!(seg.len(), 2, "segment itself is untouched");
-    }
-
-    #[test]
-    fn chunk_parts_fold_is_deterministic_and_partition_invariant() {
-        for layout in all_layouts() {
-            let seg = Arc::new(wide_segment(2, 10_000, layout));
-            // A second (delta-like) view so chunks span multiple views.
-            let delta = Arc::new(EdbSegment::build_with(
-                2,
-                (0..500u32).map(|i| rec(20_000 + i as u64, &[i % 97, i / 7], 0.5, 2.0)).collect(),
-                layout,
-            ));
-            let views = vec![SegmentView::new(seg), SegmentView::new(delta)];
-            for region in [
-                bx(&[0, 0], &[97, 104]),
-                bx(&[5, 3], &[61, 88]),
-                bx(&[40, 40], &[40, 60]), // empty box
-            ] {
-                let (parts, _) = accumulate_region_parts(&views, &region).unwrap();
-                // Already in canonical (view, slab) order, keys unique.
-                let mut sorted = parts.clone();
-                sort_parts(&mut sorted);
-                assert_eq!(parts, sorted);
-                // Split the dim-0 axis at every boundary into two "shards"
-                // (clipped sub-boxes of the same views): the concatenated,
-                // re-sorted chunks must be bit-identical to the unsplit
-                // scan, chunk by chunk — the cluster merge invariant.
-                for cut in [0u32, 1, 30, 49, 97] {
-                    let mut left = region;
-                    left.hi[0] = left.hi[0].min(cut);
-                    let mut right = region;
-                    right.lo[0] = right.lo[0].max(cut);
-                    let (lp, _) = accumulate_region_parts(&views, &left).unwrap();
-                    let (rp, _) = accumulate_region_parts(&views, &right).unwrap();
-                    let mut merged: Vec<ChunkPart> = lp.into_iter().chain(rp).collect();
-                    sort_parts(&mut merged);
-                    assert_eq!(merged.len(), parts.len(), "{layout:?} cut {cut}");
-                    for (a, b) in merged.iter().zip(&parts) {
-                        assert_eq!((a.view, a.slab), (b.view, b.slab), "{layout:?}");
-                        assert_eq!(a.sum.to_bits(), b.sum.to_bits(), "{layout:?}");
-                        assert_eq!(a.count.to_bits(), b.count.to_bits(), "{layout:?}");
-                    }
-                    let (s1, c1) = fold_parts(&merged);
-                    let (s2, c2) = fold_parts(&parts);
-                    assert_eq!(s1.to_bits(), s2.to_bits());
-                    assert_eq!(c1.to_bits(), c2.to_bits());
-                }
-            }
-        }
     }
 
     #[test]

@@ -25,7 +25,6 @@
 
 pub mod csv;
 pub mod fact;
-pub mod manifest;
 pub mod paper_example;
 pub mod records;
 pub mod region;
@@ -35,7 +34,6 @@ pub mod segment_page;
 pub mod table;
 
 pub use fact::{Fact, FactId, LevelVec};
-pub use manifest::{ClusterManifest, ShardManifest};
 pub use records::{
     CellCodec, CellRecord, EdbCodec, EdbRecord, FactCodec, WorkFactCodec, WorkFactRecord,
 };

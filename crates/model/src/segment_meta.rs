@@ -291,9 +291,15 @@ impl SegmentFooter {
             }
         }
         let per_page = 8 * k + if format == PageFormat::ColumnarV2 { 8 } else { 0 };
-        let need = 8 * k + 16 + num_pages as usize * per_page;
-        if buf.remaining() != need {
-            return Err(format!("footer body {} bytes, want {need}", buf.remaining()));
+        let need = usize::try_from(num_pages)
+            .ok()
+            .and_then(|n| n.checked_mul(per_page))
+            .and_then(|b| b.checked_add(8 * k + 16));
+        if need != Some(buf.remaining()) {
+            return Err(format!(
+                "footer body {} bytes does not hold {num_pages} pages",
+                buf.remaining()
+            ));
         }
         let mut lo = [0u32; MAX_DIMS];
         let mut hi = [0u32; MAX_DIMS];
@@ -438,6 +444,21 @@ mod tests {
         let mut bad = good.clone();
         bad.push(0); // trailing garbage
         assert!(SegmentFooter::decode(&bad).is_err());
+    }
+
+    #[test]
+    fn a_maxed_page_count_is_rejected_not_panicked() {
+        // Rows: the page count must match the entries, so both are maxed
+        // (one record per page). Columnar: only the count (bytes 22..30).
+        let mut rows = SegmentFooter::build(2, 1, std::iter::empty()).encode();
+        rows[12..28].fill(0xff);
+        assert!(SegmentFooter::decode(&rows).is_err());
+        let mut f = SegmentFooter::build(2, 4, std::iter::empty());
+        f.format = PageFormat::ColumnarV2;
+        f.recs_per_page = 0;
+        let mut columnar = f.encode();
+        columnar[22..30].fill(0xff);
+        assert!(SegmentFooter::decode(&columnar).is_err());
     }
 
     #[test]

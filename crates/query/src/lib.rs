@@ -38,7 +38,4 @@ pub use planner::{
     plan_aggregate, plan_aggregate_views, plan_pivot_views, plan_rollup, plan_rollup_views,
     PlanMode, PlanStats,
 };
-pub use rollup::{
-    drilldown, finish_rollup_parts, render_rollup, rollup, rollup_views_parts, RollupParts,
-    RollupRow,
-};
+pub use rollup::{drilldown, render_rollup, rollup, RollupRow};

@@ -69,20 +69,7 @@ pub fn pivot(
     let stats = cursor.stats();
     edb.note_segment_scan(stats);
 
-    let finish = |sum: f64, count: f64| {
-        let value = match agg {
-            AggFn::Sum => sum,
-            AggFn::Count => count,
-            AggFn::Avg => {
-                if count > 0.0 {
-                    sum / count
-                } else {
-                    0.0
-                }
-            }
-        };
-        AggResult { value, sum, count }
-    };
+    let finish = |sum: f64, count: f64| AggResult::from_parts(agg, sum, count);
 
     let cells: Vec<Vec<AggResult>> =
         (0..nr).map(|r| (0..nc).map(|c| finish(sums[r][c], counts[r][c])).collect()).collect();

@@ -84,106 +84,12 @@ fn rollup_impl(
     Ok(nodes
         .iter()
         .enumerate()
-        .map(|(i, &node)| {
-            let (sum, count) = (sums[i], counts[i]);
-            let value = match agg {
-                AggFn::Sum => sum,
-                AggFn::Count => count,
-                AggFn::Avg => {
-                    if count > 0.0 {
-                        sum / count
-                    } else {
-                        0.0
-                    }
-                }
-            };
-            RollupRow { node, name: h.node_name(node), result: AggResult { value, sum, count } }
+        .map(|(i, &node)| RollupRow {
+            node,
+            name: h.node_name(node),
+            result: AggResult::from_parts(agg, sums[i], counts[i]),
         })
         .collect())
-}
-
-/// One rollup row in chunked form: the node plus its `(view, dim0-slab)`
-/// chunk list (see [`iolap_core::ChunkPart`]). Folding `parts` with
-/// [`iolap_core::fold_parts`] yields the row's flat `(sum, count)` pair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RollupParts {
-    /// The hierarchy node this row aggregates.
-    pub node: NodeId,
-    /// Its display name.
-    pub name: String,
-    /// The row's chunks, sorted by `(view, slab)`; empty chunks omitted.
-    pub parts: Vec<iolap_core::ChunkPart>,
-}
-
-/// The chunked, scan-mode rollup over published segment views: one row per
-/// node of `dim` at `level` (dense over `nodes_at_level`, exactly like
-/// [`rollup`]), each row carrying per-`(view, dim0-slab)` chunks instead of
-/// a folded total. Like [`iolap_core::accumulate_region_parts`], a row's
-/// chunk values are partition-invariant under any division of the
-/// dimension-0 axis, so a cluster router can concatenate shards' row
-/// chunks, re-sort, and fold to bits identical to a single node running
-/// this same function.
-pub fn rollup_views_parts(
-    views: &[iolap_core::SegmentView],
-    schema: &Schema,
-    dim: usize,
-    level: LevelNo,
-    region: Option<&iolap_model::RegionBox>,
-) -> iolap_core::Result<(Vec<RollupParts>, iolap_core::SegScanStats)> {
-    let h = schema.dim(dim);
-    let nodes = h.nodes_at_level(level);
-    let mut pos_of = std::collections::HashMap::with_capacity(nodes.len());
-    for (i, &n) in nodes.iter().enumerate() {
-        pos_of.insert(n, i);
-    }
-    let region =
-        region.copied().unwrap_or_else(|| iolap_core::SegmentCursor::all_region(schema.k()));
-    let mut row_parts: Vec<Vec<iolap_core::ChunkPart>> = vec![Vec::new(); nodes.len()];
-    let mut stats = iolap_core::SegScanStats::default();
-    for (vi, view) in views.iter().enumerate() {
-        // Per-view, per-row slab maps: one slab's entries accumulate in
-        // segment order even under non-monotone cell orders (Morton).
-        let mut slabs: Vec<std::collections::BTreeMap<u32, (f64, f64)>> =
-            vec![std::collections::BTreeMap::new(); nodes.len()];
-        let mut cursor = iolap_core::SegmentCursor::new(std::slice::from_ref(view), region);
-        cursor.for_each(|e| {
-            let i = pos_of[&h.ancestor_at(e.cell[dim], level)];
-            let acc = slabs[i].entry(e.cell[0]).or_insert((0.0, 0.0));
-            acc.0 += e.weight * e.measure;
-            acc.1 += e.weight;
-        })?;
-        stats.absorb(cursor.stats());
-        for (i, m) in slabs.into_iter().enumerate() {
-            row_parts[i].extend(m.into_iter().map(|(slab, (sum, count))| iolap_core::ChunkPart {
-                view: vi as u32,
-                slab,
-                sum,
-                count,
-            }));
-        }
-    }
-    let rows = nodes
-        .iter()
-        .zip(row_parts)
-        .map(|(&node, parts)| RollupParts { node, name: h.node_name(node), parts })
-        .collect();
-    Ok((rows, stats))
-}
-
-/// Fold chunked rollup rows into finished [`RollupRow`]s under `agg` —
-/// the single finisher the server's scan-mode `/rollup` and the cluster
-/// router share, so both round identically.
-pub fn finish_rollup_parts(rows: &[RollupParts], agg: AggFn) -> Vec<RollupRow> {
-    rows.iter()
-        .map(|r| {
-            let (sum, count) = iolap_core::fold_parts(&r.parts);
-            RollupRow {
-                node: r.node,
-                name: r.name.clone(),
-                result: AggResult::from_parts(agg, sum, count),
-            }
-        })
-        .collect()
 }
 
 /// Drill down one step: aggregate each *child* of `parent` (a node at
@@ -302,47 +208,6 @@ mod tests {
                 region.name,
                 region.result.sum
             );
-        }
-    }
-
-    #[test]
-    fn chunked_rollup_folds_close_to_flat_and_is_partition_invariant() {
-        let edb = edb();
-        let schema = paper_example::schema();
-        let views = edb.segments().unwrap();
-        for (dim, level) in [(0usize, 1u8), (0, 2), (1, 2), (1, 3)] {
-            let (parts, _) = rollup_views_parts(&views, &schema, dim, level, None).unwrap();
-            let folded = finish_rollup_parts(&parts, AggFn::Sum);
-            let flat = rollup(&edb, &schema, dim, level, None, AggFn::Sum).unwrap();
-            assert_eq!(folded.len(), flat.len());
-            for (a, b) in folded.iter().zip(&flat) {
-                assert_eq!(a.node, b.node);
-                assert!((a.result.sum - b.result.sum).abs() < 1e-9);
-                assert!((a.result.count - b.result.count).abs() < 1e-9);
-            }
-            // Splitting the dim-0 axis and re-merging chunks reproduces
-            // every row's chunks bit-for-bit (the cluster invariant).
-            let all = iolap_core::SegmentCursor::all_region(schema.k());
-            for cut in 0..=4u32 {
-                let mut left = all;
-                left.hi[0] = cut;
-                let mut right = all;
-                right.lo[0] = cut;
-                let (lp, _) = rollup_views_parts(&views, &schema, dim, level, Some(&left)).unwrap();
-                let (rp, _) =
-                    rollup_views_parts(&views, &schema, dim, level, Some(&right)).unwrap();
-                for ((whole, l), r) in parts.iter().zip(&lp).zip(&rp) {
-                    let mut merged: Vec<iolap_core::ChunkPart> =
-                        l.parts.iter().chain(&r.parts).copied().collect();
-                    iolap_core::sort_parts(&mut merged);
-                    assert_eq!(merged.len(), whole.parts.len(), "dim {dim} cut {cut}");
-                    for (a, b) in merged.iter().zip(&whole.parts) {
-                        assert_eq!((a.view, a.slab), (b.view, b.slab));
-                        assert_eq!(a.sum.to_bits(), b.sum.to_bits());
-                        assert_eq!(a.count.to_bits(), b.count.to_bits());
-                    }
-                }
-            }
         }
     }
 

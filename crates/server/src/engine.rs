@@ -1,19 +1,15 @@
-//! The generic HTTP engine: one reactor thread plus a worker pool,
-//! parameterized over a [`Handler`] so the same event-driven core serves
-//! both the single-node query server and the cluster router.
+//! The HTTP engine: one reactor thread plus a worker pool, parameterized
+//! over a [`Handler`] so the transport can be driven (and tested) apart
+//! from the query server's application logic.
 //!
 //! The engine owns everything transport-shaped — accepting, parsing,
 //! shedding, timeouts, panic isolation, graceful drain — and knows
-//! nothing about snapshots, caches, or shards. Every fully-parsed
+//! nothing about snapshots or caches. Every fully-parsed
 //! [`Request`] goes through the handler's [`begin`](Handler::begin)
 //! stage on the reactor thread, which either finishes the
 //! `(status, content-type, body)` there or returns the remaining work
 //! for the worker pool; whichever thread finishes it, the engine counts
-//! it, times it, and writes it.
-//!
-//! Engine metrics are registered under a caller-chosen prefix
-//! (`serve.*` for the single-node server, `cluster.*` for the router),
-//! so the two planes stay distinguishable in one Prometheus scrape.
+//! it, times it, and writes it. Its metrics register under `serve.*`.
 
 use crate::http::{response_bytes, Request};
 use crate::reactor::{write_nonblocking, Completion, Reactor, ReadyRequest, WriteOutcome};
@@ -62,8 +58,8 @@ pub trait Handler: Send + Sync + 'static {
     fn begin(&self, req: Request) -> Step;
 }
 
-/// Transport-level metric handles, resolved once at startup under a
-/// name prefix (hot paths never re-hash names).
+/// Transport-level metric handles, resolved once at startup (hot paths
+/// never re-hash names).
 pub(crate) struct EngineMetrics {
     pub(crate) requests: Counter,
     pub(crate) resp_ok: Counter,
@@ -82,19 +78,19 @@ pub(crate) struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    fn new(obs: &Obs, prefix: &str) -> Self {
-        let c = |n: String| obs.counter(&n).expect("engine obs is always enabled");
+    fn new(obs: &Obs) -> Self {
+        let c = |n: &str| obs.counter(n).expect("engine obs is always enabled");
         EngineMetrics {
-            requests: c(format!("{prefix}.requests")),
-            resp_ok: c(format!("{prefix}.responses.ok")),
-            resp_client_error: c(format!("{prefix}.responses.client_error")),
-            resp_server_error: c(format!("{prefix}.responses.server_error")),
-            shed: c(format!("{prefix}.shed")),
-            panics: c(format!("{prefix}.panics")),
-            inline: c(format!("{prefix}.inline")),
-            queue_depth: obs.gauge(&format!("{prefix}.queue.depth")).expect("enabled"),
-            connections: obs.gauge(&format!("{prefix}.connections")).expect("enabled"),
-            latency_us: obs.histogram(&format!("{prefix}.latency_us")).expect("enabled"),
+            requests: c("serve.requests"),
+            resp_ok: c("serve.responses.ok"),
+            resp_client_error: c("serve.responses.client_error"),
+            resp_server_error: c("serve.responses.server_error"),
+            shed: c("serve.shed"),
+            panics: c("serve.panics"),
+            inline: c("serve.inline"),
+            queue_depth: obs.gauge("serve.queue.depth").expect("enabled"),
+            connections: obs.gauge("serve.connections").expect("enabled"),
+            latency_us: obs.histogram("serve.latency_us").expect("enabled"),
         }
     }
 }
@@ -173,17 +169,14 @@ impl Drop for EngineHandle {
 }
 
 /// Bind `addr` and start the reactor plus `cfg.workers` worker threads
-/// running `handler`. Transport metrics register under `prefix`. Thread
-/// names start with `name` (`iolap-<name>-reactor`, …).
+/// running `handler` (`iolap-serve-reactor`, `iolap-serve-worker-N`).
 pub fn start(
     addr: &str,
     cfg: &ServeConfig,
-    name: &str,
-    prefix: &str,
     obs: &Obs,
     handler: Arc<dyn Handler>,
 ) -> Result<EngineHandle, ServeError> {
-    let metrics = EngineMetrics::new(obs, prefix);
+    let metrics = EngineMetrics::new(obs);
     let shared = Arc::new(EngineShared { metrics, shutdown: AtomicBool::new(false), handler });
 
     let listener = TcpListener::bind(addr)?;
@@ -202,7 +195,7 @@ pub fn start(
         let wk = waker.clone();
         threads.push(
             std::thread::Builder::new()
-                .name(format!("iolap-{name}-worker-{i}"))
+                .name(format!("iolap-serve-worker-{i}"))
                 .spawn(move || worker_main(rx, sh, done, wk))
                 .map_err(ServeError::Io)?,
         );
@@ -213,7 +206,7 @@ pub fn start(
         Reactor::new(listener, waker.clone(), work_tx, done_rx, shared.clone(), cfg.clone())?;
     threads.push(
         std::thread::Builder::new()
-            .name(format!("iolap-{name}-reactor"))
+            .name("iolap-serve-reactor".into())
             .spawn(move || reactor.run())
             .map_err(ServeError::Io)?,
     );
@@ -339,7 +332,7 @@ mod tests {
         });
         let obs = Obs::metrics_only();
         let cfg = ServeConfig::builder().workers(workers).build();
-        let engine = start("127.0.0.1:0", &cfg, "toy", "toy", &obs, toy.clone()).unwrap();
+        let engine = start("127.0.0.1:0", &cfg, &obs, toy.clone()).unwrap();
         Rig { engine, obs, toy, entered, release }
     }
 
@@ -371,17 +364,17 @@ mod tests {
         let (status, body) = http_roundtrip(&mut c, "GET", "/hit", "").unwrap();
         assert!(t0.elapsed() < Duration::from_millis(100), "{:?}", t0.elapsed());
         assert_eq!((status, body.as_str()), (200, "0"));
-        assert_eq!(r.counter("toy.inline"), 1);
-        assert_eq!(r.counter("toy.requests"), 1, "the held request has not finished");
+        assert_eq!(r.counter("serve.inline"), 1);
+        assert_eq!(r.counter("serve.requests"), 1, "the held request has not finished");
 
         r.release.send(()).unwrap();
         assert_eq!(read_response(&mut held).unwrap(), (200, "released".into()));
-        assert_eq!(r.counter("toy.inline"), 1, "worker answers are not inline");
-        assert_eq!(r.counter("toy.requests"), 2);
-        assert_eq!(r.counter("toy.responses.ok"), 2);
+        assert_eq!(r.counter("serve.inline"), 1, "worker answers are not inline");
+        assert_eq!(r.counter("serve.requests"), 2);
+        assert_eq!(r.counter("serve.responses.ok"), 2);
         // The clock stops after the bytes are handed to the socket, so
         // the worker's observation may trail the answer we already hold.
-        let latency = r.obs.histogram("toy.latency_us").unwrap();
+        let latency = r.obs.histogram("serve.latency_us").unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while latency.count() < 2 && Instant::now() < deadline {
             std::thread::yield_now();
@@ -395,15 +388,15 @@ mod tests {
         let mut c = r.connect();
         let (status, body) = http_roundtrip(&mut c, "GET", "/boom", "").unwrap();
         assert_eq!(status, 500, "{body}");
-        assert_eq!(r.counter("toy.panics"), 1);
-        assert_eq!(r.counter("toy.responses.server_error"), 1);
+        assert_eq!(r.counter("serve.panics"), 1);
+        assert_eq!(r.counter("serve.responses.server_error"), 1);
         // The same connection and a fresh one both still answer, inline
         // and through a worker.
         assert_eq!(http_roundtrip(&mut c, "GET", "/hit", "").unwrap().0, 200);
         let mut fresh = r.connect();
         assert_eq!(http_roundtrip(&mut fresh, "GET", "/hit", "").unwrap().0, 200);
         assert_eq!(http_roundtrip(&mut fresh, "GET", "/work", "").unwrap().0, 200);
-        assert_eq!(r.counter("toy.requests"), 4);
+        assert_eq!(r.counter("serve.requests"), 4);
     }
 
     /// A deep pipeline of inline answers takes turns: with the reactor
@@ -432,7 +425,7 @@ mod tests {
         }
         let seen = r.toy.hits_at_work.load(Ordering::SeqCst);
         assert!(seen < PIPELINED, "/work began after {seen} pipelined answers");
-        assert_eq!(r.counter("toy.inline"), PIPELINED as u64 + 1);
+        assert_eq!(r.counter("serve.inline"), PIPELINED as u64 + 1);
     }
 
     #[test]

@@ -91,9 +91,6 @@ pub struct ServeConfig {
     /// Observability handle. A disabled handle is silently upgraded to
     /// [`Obs::metrics_only`] so `/metrics` always has something to say.
     pub obs: Obs,
-    /// The role this process reports in `/healthz` (`"single"` for a
-    /// standalone server, `"shard"` when serving one cluster shard).
-    pub role: String,
     /// Write-ahead log path. `Some` makes every `/update` durable before
     /// it is acknowledged and replays un-applied batches on startup;
     /// `None` keeps the purely in-memory write path.
@@ -123,7 +120,6 @@ impl Default for ServeConfig {
             max_body_bytes: 1 << 20,
             shed: ShedPolicy::Respond503,
             obs: Obs::disabled(),
-            role: "single".into(),
             wal_path: None,
             group_window: Duration::ZERO,
             group_frames: 256,
@@ -225,12 +221,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Role reported in `/healthz` (`"single"` or `"shard"`).
-    pub fn role(mut self, role: impl Into<String>) -> Self {
-        self.cfg.role = role.into();
-        self
-    }
-
     /// Write-ahead log path (durable acks + startup replay).
     pub fn wal_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.cfg.wal_path = Some(path.into());
@@ -264,8 +254,8 @@ struct UpdateOutcome {
 
 /// What the coordinator sends back for one `/update` batch.
 enum UpdateReply {
-    /// Folded into the EDB and (unless prepared) published: the full
-    /// apply outcome for the classic response body.
+    /// Folded into the EDB and published: the full apply outcome for the
+    /// classic response body.
     Applied(UpdateOutcome),
     /// Acknowledged at WAL-durable; the fold rides a later group-commit
     /// trigger. `epoch` is the epoch the batch will fold *after*.
@@ -274,15 +264,8 @@ enum UpdateReply {
 
 /// One request to the update coordinator.
 enum CoordJob {
-    /// Apply a mutation batch. With `prepare`, the resulting snapshot is
-    /// *staged* (readers keep the old epoch) until a matching `Commit`.
-    Update {
-        muts: Vec<EdbMutation>,
-        prepare: bool,
-        reply: Sender<Result<UpdateReply, (u16, String)>>,
-    },
-    /// Publish the staged snapshot whose epoch matches.
-    Commit { epoch: u64, reply: Sender<Result<(u64, u64), (u16, String)>> },
+    /// Apply a mutation batch.
+    Update { muts: Vec<EdbMutation>, reply: Sender<Result<UpdateReply, (u16, String)>> },
     /// A background segment merge finished (or failed); install it.
     CompactionDone(Box<Result<CompactionResult, String>>),
 }
@@ -294,7 +277,6 @@ pub(crate) struct ServeMetrics {
     req_query: Counter,
     req_rollup: Counter,
     req_update: Counter,
-    req_epoch: Counter,
     req_metrics: Counter,
     req_healthz: Counter,
     cache_hit: Counter,
@@ -340,7 +322,6 @@ impl ServeMetrics {
             req_query: c("serve.requests.query"),
             req_rollup: c("serve.requests.rollup"),
             req_update: c("serve.requests.update"),
-            req_epoch: c("serve.requests.epoch"),
             req_metrics: c("serve.requests.metrics"),
             req_healthz: c("serve.requests.healthz"),
             cache_hit: c("serve.cache.hit"),
@@ -393,7 +374,6 @@ pub(crate) struct Shared {
     obs: Obs,
     pub(crate) metrics: ServeMetrics,
     update_tx: Mutex<Option<Sender<CoordJob>>>,
-    role: String,
     /// Set when a maintenance batch failed partway: the EDB may be
     /// inconsistent with the published snapshot, so further `/update`s
     /// are refused (503) and `/healthz` reports degraded. Reads keep
@@ -508,7 +488,6 @@ impl ServerBuilder {
             obs: obs.clone(),
             metrics,
             update_tx: Mutex::new(Some(update_tx)),
-            role: cfg.role.clone(),
             poisoned: AtomicBool::new(false),
             wal_backlog: AtomicU64::new(0),
         });
@@ -517,7 +496,7 @@ impl ServerBuilder {
         let _ = shared_tx.send(shared.clone());
 
         let app = Arc::new(ServerApp { shared: shared.clone() });
-        let engine = engine::start(addr, &cfg, "serve", "serve", &obs, app)?;
+        let engine = engine::start(addr, &cfg, &obs, app)?;
         Ok(ServerHandle { shared, engine, coordinator: Some(coordinator) })
     }
 }
@@ -567,15 +546,9 @@ impl Handler for ServerApp {
                 m.req_update.inc();
                 self.work(move |shared| handle_update(&req.body, shared))
             }
-            ("POST", "/epoch") => {
-                m.req_epoch.inc();
-                self.work(move |shared| handle_commit(&req.body, shared))
-            }
-            (_, "/healthz" | "/metrics" | "/query" | "/rollup" | "/update" | "/epoch") => {
-                Step::Respond(err_response(ServeError::MethodNotAllowed(
-                    "method not allowed".into(),
-                )))
-            }
+            (_, "/healthz" | "/metrics" | "/query" | "/rollup" | "/update") => Step::Respond(
+                err_response(ServeError::MethodNotAllowed("method not allowed".into())),
+            ),
             _ => Step::Respond(err_response(ServeError::NotFound("no such endpoint".into()))),
         }
     }
@@ -647,7 +620,7 @@ fn handle_healthz(shared: &Shared) -> Response {
     let ok = !shared.poisoned.load(Ordering::Acquire);
     let status = if ok { 200 } else { 503 };
     let backlog = shared.wal_backlog.load(Ordering::Relaxed);
-    let body = wire::health_response(shared.snapshot().epoch, ok, &shared.role, backlog);
+    let body = wire::health_response(shared.snapshot().epoch, ok, backlog);
     (status, "application/json", body)
 }
 
@@ -657,35 +630,6 @@ fn bad_request(msg: &str) -> Response {
 
 fn utf8_body(body: &[u8]) -> Result<&str, Response> {
     std::str::from_utf8(body).map_err(|_| bad_request("request body must be UTF-8"))
-}
-
-/// Resolve the request's region: an explicit `"box"` wins over the
-/// name-based `"region"` (the router sends clipped boxes; humans send
-/// names). The box must name exactly the schema's dimensions.
-fn request_region(
-    schema: &iolap_model::Schema,
-    at: &[(String, String)],
-    raw: &Option<Vec<(u32, u32)>>,
-) -> Result<RegionBox, String> {
-    match raw {
-        None => resolve_region(schema, at),
-        Some(b) => {
-            if b.len() != schema.k() {
-                return Err(format!(
-                    "\"box\" has {} intervals, schema has {}",
-                    b.len(),
-                    schema.k()
-                ));
-            }
-            let mut lo = [0u32; MAX_DIMS];
-            let mut hi = [0u32; MAX_DIMS];
-            for (d, (l, h)) in b.iter().enumerate() {
-                lo[d] = *l;
-                hi[d] = *h;
-            }
-            Ok(RegionBox { lo, hi, k: schema.k() as u8 })
-        }
-    }
 }
 
 /// The reactor-side stage of `/query`: parse, resolve the region, probe
@@ -702,20 +646,11 @@ fn begin_query(body: &[u8], shared: &Arc<Shared>) -> Step {
         Ok(q) => q,
         Err(msg) => return reject(&msg),
     };
-    let region = match request_region(&shared.schema, &q.at, &q.raw_box) {
+    let region = match resolve_region(&shared.schema, &q.at) {
         Ok(r) => r,
         Err(msg) => return reject(&msg),
     };
     let (agg, classical) = (q.agg, q.classical);
-
-    if q.parts {
-        if classical.is_some() {
-            return reject("\"parts\" and \"classical\" are mutually exclusive");
-        }
-        let (snap, shared) = (shared.snapshot(), shared.clone());
-        return Step::Work(Box::new(move || query_parts(&region, agg, &snap, &shared)));
-    }
-
     let key = CacheKey::new(&region, agg, classical);
     if shared.cache_enabled {
         if let Some(hit) = shared.cache.get(&key) {
@@ -727,20 +662,6 @@ fn begin_query(body: &[u8], shared: &Arc<Shared>) -> Step {
     }
     let (snap, shared) = (shared.snapshot(), shared.clone());
     Step::Work(Box::new(move || scan_query(region, key, agg, classical, &snap, &shared)))
-}
-
-/// Scatter-gather leg: return the canonical (view, slab) chunks instead
-/// of the folded total, so the router can merge shards bit-identically.
-/// Not cached (the router caches at its level).
-fn query_parts(region: &RegionBox, agg: AggFn, snap: &EdbSnapshot, shared: &Shared) -> Response {
-    let (parts, stats) = match snap.aggregate_parts(region) {
-        Ok(ps) => ps,
-        Err(e) => return err_response(ServeError::Internal(format!("scan failed: {e}"))),
-    };
-    shared.metrics.pages_read.add(stats.pages_read);
-    shared.metrics.pages_pruned.add(stats.pages_pruned);
-    shared.metrics.bytes_read.add(stats.bytes_read);
-    (200, "application/json", wire::parts_response(&parts, agg, snap.epoch))
 }
 
 /// The worker-side stage of a `/query` the cache missed: scan, insert,
@@ -797,30 +718,10 @@ fn handle_rollup(body: &[u8], shared: &Shared) -> Response {
         Ok(dl) => dl,
         Err(msg) => return bad_request(&msg),
     };
-    let region = match request_region(&snap.schema, &r.at, &r.raw_box) {
+    let region = match resolve_region(&snap.schema, &r.at) {
         Ok(rg) => rg,
         Err(msg) => return bad_request(&msg),
     };
-    if r.parts || r.plan == wire::RollupPlan::Scan {
-        // The chunked scan plan: per-row (view, slab) chunks folded in
-        // canonical order. This is the cluster-mergeable contract — a
-        // router merge over shard parts is bit-identical to this plan on
-        // a single node (the lattice plan groups additions differently).
-        let (rows, stats) = match snap.rollup_scan_parts(dim, level, Some(&region)) {
-            Ok(rs) => rs,
-            Err(e) => return err_response(ServeError::Internal(format!("scan failed: {e}"))),
-        };
-        shared.metrics.pages_read.add(stats.pages_read);
-        shared.metrics.pages_pruned.add(stats.pages_pruned);
-        shared.metrics.bytes_read.add(stats.bytes_read);
-        let body = if r.parts {
-            wire::rollup_parts_response(&rows, r.agg, snap.epoch)
-        } else {
-            let rows = iolap_query::finish_rollup_parts(&rows, r.agg);
-            wire::rollup_response(&rows, r.agg, snap.epoch)
-        };
-        return (200, "application/json", body);
-    }
     let (rows, stats) = match snap.rollup(dim, level, Some(&region), r.agg) {
         Ok(rs) => rs,
         Err(e) => {
@@ -887,7 +788,7 @@ fn handle_update(body: &[u8], shared: &Shared) -> Response {
         return err_response(ServeError::Unavailable("server is shutting down".into()));
     };
     let (reply_tx, reply_rx) = mpsc::channel();
-    if tx.send(CoordJob::Update { muts, prepare: upd.prepare, reply: reply_tx }).is_err() {
+    if tx.send(CoordJob::Update { muts, reply: reply_tx }).is_err() {
         return err_response(ServeError::Unavailable("server is shutting down".into()));
     }
     match reply_rx.recv() {
@@ -906,40 +807,6 @@ fn handle_update(body: &[u8], shared: &Shared) -> Response {
         }
         Ok(Ok(UpdateReply::Durable { wal_batch, staged, epoch })) => {
             (200, "application/json", wire::staged_response(wal_batch, staged, epoch))
-        }
-        Ok(Err((status, msg))) => err_response(ServeError::from_status(status, msg)),
-        Err(_) => err_response(ServeError::Internal("update coordinator died".into())),
-    }
-}
-
-/// `POST /epoch` — publish the staged snapshot prepared by a
-/// `{"prepare": true}` update (phase two of the cluster's cross-shard
-/// epoch flip).
-fn handle_commit(body: &[u8], shared: &Shared) -> Response {
-    let body = match utf8_body(body) {
-        Ok(b) => b,
-        Err(r) => return r,
-    };
-    let epoch = match wire::parse_commit(body) {
-        Ok(e) => e,
-        Err(msg) => return bad_request(&msg),
-    };
-    if shared.poisoned.load(Ordering::Acquire) {
-        return err_response(ServeError::Unavailable(
-            "maintenance failed earlier; updates disabled (reads still serve the last consistent snapshot)".into(),
-        ));
-    }
-    let tx = shared.update_tx.lock().unwrap_or_else(|p| p.into_inner()).clone();
-    let Some(tx) = tx else {
-        return err_response(ServeError::Unavailable("server is shutting down".into()));
-    };
-    let (reply_tx, reply_rx) = mpsc::channel();
-    if tx.send(CoordJob::Commit { epoch, reply: reply_tx }).is_err() {
-        return err_response(ServeError::Unavailable("server is shutting down".into()));
-    }
-    match reply_rx.recv() {
-        Ok(Ok((epoch, invalidated))) => {
-            (200, "application/json", wire::commit_response(epoch, invalidated))
         }
         Ok(Err((status, msg))) => err_response(ServeError::from_status(status, msg)),
         Err(_) => err_response(ServeError::Internal("update coordinator died".into())),
@@ -966,7 +833,7 @@ struct PendingBatch {
 const POISONED_MSG: &str =
     "maintenance failed earlier; updates disabled (reads still serve the last consistent snapshot)";
 
-type UpdateJob = (Vec<EdbMutation>, bool, Sender<Result<UpdateReply, (u16, String)>>);
+type UpdateJob = (Vec<EdbMutation>, Sender<Result<UpdateReply, (u16, String)>>);
 
 fn coordinator_main(
     table: FactTable,
@@ -1066,7 +933,6 @@ fn coordinator_main(
         shared,
         ingest,
         compactions_seen,
-        staged: None,
         pending: VecDeque::new(),
         pending_frames: 0,
         oldest_pending: None,
@@ -1088,7 +954,6 @@ struct Coord {
     shared: Arc<Shared>,
     ingest: IngestCfg,
     compactions_seen: u64,
-    staged: Option<Staged>,
     pending: VecDeque<PendingBatch>,
     pending_frames: u64,
     oldest_pending: Option<Instant>,
@@ -1124,36 +989,26 @@ impl Coord {
                 }
             };
             match job {
-                CoordJob::Update { muts, prepare, reply } => {
+                CoordJob::Update { muts, reply } => {
                     // Group-commit drain: updates already queued behind
                     // this one ride the same fsync. Stop at the first
                     // non-update job so FIFO order is preserved.
-                    let mut group: Vec<UpdateJob> = vec![(muts, prepare, reply)];
+                    let mut group: Vec<UpdateJob> = vec![(muts, reply)];
                     let mut tail = None;
                     while let Ok(next) = update_rx.try_recv() {
                         match next {
-                            CoordJob::Update { muts, prepare, reply } => {
-                                group.push((muts, prepare, reply));
-                            }
-                            other => {
-                                tail = Some(other);
+                            CoordJob::Update { muts, reply } => group.push((muts, reply)),
+                            CoordJob::CompactionDone(result) => {
+                                tail = Some(result);
                                 break;
                             }
                         }
                     }
                     self.handle_group(group);
-                    match tail {
-                        Some(CoordJob::Update { muts, prepare, reply }) => {
-                            self.handle_group(vec![(muts, prepare, reply)]);
-                        }
-                        Some(CoordJob::Commit { epoch, reply }) => self.handle_commit(epoch, reply),
-                        Some(CoordJob::CompactionDone(result)) => {
-                            self.handle_compaction_done(*result);
-                        }
-                        None => {}
+                    if let Some(result) = tail {
+                        self.handle_compaction_done(*result);
                     }
                 }
-                CoordJob::Commit { epoch, reply } => self.handle_commit(epoch, reply),
                 CoordJob::CompactionDone(result) => self.handle_compaction_done(*result),
             }
         }
@@ -1172,16 +1027,10 @@ impl Coord {
         let t0 = Instant::now();
         // Phase 1: validate in arrival order against the acknowledged id
         // set and append accepted batches to the WAL (not yet synced).
-        let mut accepted: Vec<(Vec<EdbMutation>, bool, _, Option<u64>)> = Vec::new();
-        for (muts, prepare, reply) in group {
+        let mut accepted: Vec<(Vec<EdbMutation>, _, Option<u64>)> = Vec::new();
+        for (muts, reply) in group {
             if self.shared.poisoned.load(Ordering::Acquire) {
                 let _ = reply.send(Err((503, POISONED_MSG.into())));
-                continue;
-            }
-            if self.staged.is_some() {
-                // apply_batch has no rollback, so a second batch on top
-                // of an uncommitted one could never be abandoned; refuse.
-                let _ = reply.send(Err((409, "a prepared batch is pending commit".into())));
                 continue;
             }
             if let Err((status, msg)) = validate_batch(&mut self.acked_ids, &muts) {
@@ -1202,7 +1051,7 @@ impl Coord {
                     }
                 },
             };
-            accepted.push((muts, prepare, reply, wal_batch));
+            accepted.push((muts, reply, wal_batch));
         }
         if accepted.is_empty() {
             return;
@@ -1212,7 +1061,7 @@ impl Coord {
         if let Some(w) = &mut self.wal {
             if let Err(e) = w.sync() {
                 self.shared.poisoned.store(true, Ordering::Release);
-                for (_, _, reply, _) in accepted {
+                for (_, reply, _) in accepted {
                     let reply: Sender<Result<UpdateReply, (u16, String)>> = reply;
                     let _ = reply.send(Err((500, format!("WAL fsync failed: {e}"))));
                 }
@@ -1222,23 +1071,18 @@ impl Coord {
             self.shared.metrics.ingest_group_commit_us.observe(micros);
             self.sync_wal_metrics();
         }
-        // Phase 3: answer. Synchronous mode (and every prepare) folds
-        // now; deferred mode acks at durable and stages the fold.
+        // Phase 3: answer. Synchronous mode folds now; deferred mode acks
+        // at durable and stages the fold.
         let defer = self.ingest.group_window > Duration::ZERO && self.wal.is_some();
-        for (muts, prepare, reply, wal_batch) in accepted {
+        for (muts, reply, wal_batch) in accepted {
             if self.shared.poisoned.load(Ordering::Acquire) {
                 // A batch earlier in this group poisoned the EDB. This
                 // one is WAL-durable and will replay on restart.
                 let _ = reply.send(Err((503, POISONED_MSG.into())));
                 continue;
             }
-            if prepare || !defer {
-                if prepare {
-                    // The staged epoch must sit on top of the whole
-                    // acknowledged history, not jump the backlog queue.
-                    self.fold_pending();
-                }
-                let result = match self.fold_publish(&muts, prepare) {
+            if !defer {
+                let result = match self.fold_publish(&muts) {
                     Ok(out) => Ok(UpdateReply::Applied(out)),
                     Err(msg) => {
                         // apply_batch / snapshot_segments failed partway:
@@ -1288,7 +1132,7 @@ impl Coord {
         }
         let folds = self.pending.len() as u64;
         while let Some(batch) = self.pending.pop_front() {
-            match self.fold_publish(&batch.muts, false) {
+            match self.fold_publish(&batch.muts) {
                 Ok(_) => self.pending_frames -= batch.muts.len() as u64,
                 Err(_) => {
                     self.shared.poisoned.store(true, Ordering::Release);
@@ -1305,14 +1149,10 @@ impl Coord {
         self.sync_compaction_metric();
     }
 
-    /// Apply one batch, snapshot, bump the epoch, and publish (or stage
-    /// when `prepare`). Then consider kicking off a background merge.
-    /// An `Err` always means *poison* — the caller must set the flag.
-    fn fold_publish(
-        &mut self,
-        muts: &[EdbMutation],
-        prepare: bool,
-    ) -> Result<UpdateOutcome, String> {
+    /// Apply one batch, snapshot, bump the epoch, and publish. Then
+    /// consider kicking off a background merge. An `Err` always means
+    /// *poison* — the caller must set the flag.
+    fn fold_publish(&mut self, muts: &[EdbMutation]) -> Result<UpdateOutcome, String> {
         let report = self.medb.apply_batch(muts).map_err(|e| format!("maintenance failed: {e}"))?;
         apply_mirror(&mut self.mirror, muts);
 
@@ -1334,34 +1174,9 @@ impl Coord {
             segments,
             lattice,
         });
-        let outcome = if prepare {
-            // Phase one of the cluster's two-phase publish: the EDB has
-            // the batch, readers keep the previous epoch until
-            // `POST /epoch` commits. Nothing is invalidated yet.
-            self.staged = Some(Staged { epoch: self.epoch, snap, touched: report.touched.clone() });
-            UpdateOutcome { epoch: self.epoch, invalidated: 0, report }
-        } else {
-            let invalidated = publish(&self.shared, self.epoch, &snap, &report.touched);
-            UpdateOutcome { epoch: self.epoch, invalidated, report }
-        };
+        let invalidated = publish(&self.shared, self.epoch, &snap, &report.touched);
         self.maybe_start_compaction();
-        Ok(outcome)
-    }
-
-    fn handle_commit(&mut self, want: u64, reply: Sender<Result<(u64, u64), (u16, String)>>) {
-        let result = match self.staged.take() {
-            None => Err((409, "no prepared batch to commit".into())),
-            Some(s) if s.epoch != want => {
-                let msg = format!("prepared epoch {} does not match commit {want}", s.epoch);
-                self.staged = Some(s);
-                Err((409, msg))
-            }
-            Some(s) => {
-                let invalidated = publish(&self.shared, s.epoch, &s.snap, &s.touched);
-                Ok((s.epoch, invalidated))
-            }
-        };
-        let _ = reply.send(result);
+        Ok(UpdateOutcome { epoch: self.epoch, invalidated, report })
     }
 
     /// Install a finished background merge and republish the segment set
@@ -1379,12 +1194,7 @@ impl Coord {
                 Ok(installed) => {
                     if installed {
                         self.sync_compaction_metric();
-                        // Skipped while a prepared batch is staged: its
-                        // delta is in the EDB but must stay unpublished
-                        // until the commit.
-                        if self.staged.is_none() {
-                            self.republish_segments();
-                        }
+                        self.republish_segments();
                     }
                 }
                 Err(_) => {
@@ -1477,14 +1287,6 @@ impl Coord {
         self.shared.metrics.edb_compactions.add(now - self.compactions_seen);
         self.compactions_seen = now;
     }
-}
-
-/// A prepared-but-unpublished epoch: the EDB has already applied the
-/// batch, readers still see the previous snapshot.
-struct Staged {
-    epoch: u64,
-    snap: Arc<EdbSnapshot>,
-    touched: Vec<iolap_rtree::Aabb>,
 }
 
 /// Publish a snapshot: open the cache epoch, purge overlapping entries,

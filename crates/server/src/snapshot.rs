@@ -9,23 +9,18 @@
 //! never block on writers, writers never wait for readers, and publishing
 //! costs O(segments) rather than O(entries).
 //!
-//! The aggregation here **is** the query crate's: both call
-//! [`iolap_core::accumulate_region`] / [`iolap_core::SegmentCursor`] over
-//! segment views, so a server answer is bit-identical to querying the
-//! materialized EDB directly when the views hold the same entries
-//! (`tests/serve_consistency.rs` asserts the f64 bits). Fence pruning
-//! skips only pages provably disjoint from the query box, so it never
-//! perturbs those bits.
+//! The aggregation here **is** the library's: `/query` runs the same
+//! [`iolap_core::accumulate_region`] + [`AggResult::from_parts`] loop as
+//! `iolap_query::aggregate_edb`, so a server answer is bit-identical to
+//! querying the materialized EDB directly when the views hold the same
+//! entries (`tests/serve_consistency.rs` asserts the f64 bits). Fence
+//! pruning skips only pages provably disjoint from the query box, so it
+//! never perturbs those bits.
 
-use iolap_core::{
-    accumulate_region_parts, fold_parts, ChunkPart, CuboidLattice, SegScanStats, SegmentView,
-};
+use iolap_core::{accumulate_region, CuboidLattice, SegScanStats, SegmentView};
 use iolap_hierarchy::LevelNo;
 use iolap_model::{FactTable, RegionBox, Schema, MAX_DIMS};
-use iolap_query::{
-    plan_rollup_views, rollup_views_parts, AggFn, AggResult, PlanMode, PlanStats, RollupParts,
-    RollupRow,
-};
+use iolap_query::{plan_rollup_views, AggFn, AggResult, PlanMode, PlanStats, RollupRow};
 use std::sync::Arc;
 
 /// One immutable published view of the maintained EDB.
@@ -61,36 +56,8 @@ impl EdbSnapshot {
         region: &RegionBox,
         agg: AggFn,
     ) -> iolap_core::Result<(AggResult, SegScanStats)> {
-        let (parts, stats) = self.aggregate_parts(region)?;
-        let (sum, count) = fold_parts(&parts);
-        Ok((finish(agg, sum, count), stats))
-    }
-
-    /// The partial-aggregation form of [`EdbSnapshot::aggregate`]: the
-    /// region's (sum, count) as canonical chunk parts — per-view,
-    /// per-dim0-slab partials in (view, slab) order. Folding them with
-    /// [`iolap_core::fold_parts`] gives bits identical to `aggregate`,
-    /// and because chunks never straddle a dim0 cut, concatenating the
-    /// parts from a disjoint dim0 partition of the region (as the cluster
-    /// router does across shards) and folding gives those same bits.
-    pub fn aggregate_parts(
-        &self,
-        region: &RegionBox,
-    ) -> iolap_core::Result<(Vec<ChunkPart>, SegScanStats)> {
-        accumulate_region_parts(&self.segments, region)
-    }
-
-    /// Scan-planned rollup as per-row chunk parts, the cluster merge form
-    /// of [`EdbSnapshot::rollup`]: every row of `dim` at `level` carries
-    /// its canonical parts, ready for cross-shard concatenation. Answers
-    /// match the single-node `"plan":"scan"` rollup bit-for-bit.
-    pub fn rollup_scan_parts(
-        &self,
-        dim: usize,
-        level: LevelNo,
-        region: Option<&RegionBox>,
-    ) -> iolap_core::Result<(Vec<RollupParts>, SegScanStats)> {
-        rollup_views_parts(&self.segments, &self.schema, dim, level, region)
+        let (sum, count, stats) = accumulate_region(&self.segments, region)?;
+        Ok((AggResult::from_parts(agg, sum, count), stats))
     }
 
     /// Roll up along `dim` at `level` within an optional dice region,
@@ -117,11 +84,6 @@ impl EdbSnapshot {
             PlanMode::Lattice,
         )
     }
-}
-
-/// Identical to the query crate's aggregate finisher.
-pub(crate) fn finish(agg: AggFn, sum: f64, count: f64) -> AggResult {
-    AggResult::from_parts(agg, sum, count)
 }
 
 /// Resolve `(dimension name, node name)` pairs into a query region;

@@ -11,9 +11,8 @@
 //! uses) is **bit-identical** to the one the server computed — the
 //! property `tests/serve_consistency.rs` leans on.
 
-use iolap_core::ChunkPart;
 use iolap_obs::json::{self, Json};
-use iolap_query::{AggFn, AggResult, Classical, RollupParts, RollupRow};
+use iolap_query::{AggFn, AggResult, Classical, RollupRow};
 
 // ---------------------------------------------------------------------------
 // Emission helpers
@@ -95,77 +94,36 @@ pub struct QueryRequest {
     /// `(dimension name, node name)` constraints; unlisted dimensions are
     /// `ALL`.
     pub at: Vec<(String, String)>,
-    /// An explicit leaf-interval box (`[[lo, hi], …]`, one half-open pair
-    /// per dimension); when present it overrides `at`. This is the form
-    /// the cluster router sends after clipping a query to a shard.
-    pub raw_box: Option<Vec<(u32, u32)>>,
     /// The aggregate (default SUM).
     pub agg: AggFn,
     /// When set, evaluate under a classical baseline semantics on the raw
     /// fact table instead of the allocation-weighted EDB.
     pub classical: Option<Classical>,
-    /// Return the canonical `(view, slab)` chunk list instead of a folded
-    /// total (the scatter-gather leg of a cluster query).
-    pub parts: bool,
 }
 
-/// Parse a `/query` body: `{"region": {"Dim": "Node", ...}, "box":
-/// [[lo, hi], ...], "agg": "sum"|"count"|"average", "classical":
-/// "none"|"contains"|"overlaps", "parts": bool}`. Every field is
-/// optional; the default is SUM over `ALL × … × ALL`.
+/// Parse a `/query` body: `{"region": {"Dim": "Node", ...}, "agg":
+/// "sum"|"count"|"average", "classical": "none"|"contains"|"overlaps"}`.
+/// Every field is optional; the default is SUM over `ALL × … × ALL`.
 pub fn parse_query(body: &str) -> Result<QueryRequest, String> {
     let v = json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
     if v.as_object().is_none() {
         return Err("request body must be a JSON object".into());
     }
     let at = parse_region(&v)?;
-    let raw_box = parse_box(&v)?;
-    let agg = match v.get("agg") {
-        None | Some(Json::Null) => AggFn::Sum,
-        Some(a) => parse_agg(a.as_str().ok_or("\"agg\" must be a string")?)?,
-    };
+    let agg = parse_agg_field(&v)?;
     let classical = match v.get("classical") {
         None | Some(Json::Null) => None,
         Some(c) => Some(parse_classical(c.as_str().ok_or("\"classical\" must be a string")?)?),
     };
-    Ok(QueryRequest { at, raw_box, agg, classical, parts: parse_parts_flag(&v)? })
+    Ok(QueryRequest { at, agg, classical })
 }
 
-/// Parse the optional `"box": [[lo, hi], ...]` field.
-fn parse_box(v: &Json) -> Result<Option<Vec<(u32, u32)>>, String> {
-    match v.get("box") {
-        None | Some(Json::Null) => Ok(None),
-        Some(b) => {
-            let arr = b.as_array().ok_or("\"box\" must be an array of [lo, hi] pairs")?;
-            let mut out = Vec::with_capacity(arr.len());
-            for (d, pair) in arr.iter().enumerate() {
-                let p = pair
-                    .as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| format!("box[{d}] must be a [lo, hi] pair"))?;
-                let coord = |x: &Json, side: &str| {
-                    x.as_u64()
-                        .and_then(|n| u32::try_from(n).ok())
-                        .ok_or_else(|| format!("box[{d}] {side} must be a u32"))
-                };
-                out.push((coord(&p[0], "lo")?, coord(&p[1], "hi")?));
-            }
-            Ok(Some(out))
-        }
+/// Parse the optional `"agg"` field (default SUM).
+fn parse_agg_field(v: &Json) -> Result<AggFn, String> {
+    match v.get("agg") {
+        None | Some(Json::Null) => Ok(AggFn::Sum),
+        Some(a) => parse_agg(a.as_str().ok_or("\"agg\" must be a string")?),
     }
-}
-
-fn parse_parts_flag(v: &Json) -> Result<bool, String> {
-    match v.get("parts") {
-        None | Some(Json::Null) => Ok(false),
-        Some(p) => p.as_bool().ok_or_else(|| "\"parts\" must be a boolean".into()),
-    }
-}
-
-/// Serialize a box as `[[lo, hi], ...]`.
-pub fn box_json(b: &[(u32, u32)]) -> String {
-    let pairs: Vec<String> = b.iter().map(|(l, h)| format!("[{l},{h}]")).collect();
-    format!("[{}]", pairs.join(","))
 }
 
 fn parse_region(v: &Json) -> Result<Vec<(String, String)>, String> {
@@ -216,75 +174,9 @@ pub fn query_response(r: &AggResult, agg: AggFn, cached: bool, epoch: u64) -> St
     )
 }
 
-/// Build the scatter-gather `/query` body the router sends to one shard:
-/// an explicit clipped box, `"parts": true`.
-pub fn query_parts_body(b: &[(u32, u32)], agg: AggFn) -> String {
-    format!("{{\"box\":{},\"agg\":\"{}\",\"parts\":true}}", box_json(b), agg_name(agg))
-}
-
-fn parts_json(parts: &[ChunkPart]) -> String {
-    let items: Vec<String> = parts
-        .iter()
-        .map(|p| format!("[{},{},{},{}]", p.view, p.slab, fmt_f64(p.sum), fmt_f64(p.count)))
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
-fn parts_from_json(v: &Json) -> Result<Vec<ChunkPart>, String> {
-    let arr = v.as_array().ok_or("\"parts\" must be an array")?;
-    let mut out = Vec::with_capacity(arr.len());
-    for (i, item) in arr.iter().enumerate() {
-        let p = item
-            .as_array()
-            .filter(|p| p.len() == 4)
-            .ok_or_else(|| format!("parts[{i}] must be [view, slab, sum, count]"))?;
-        let idx = |x: &Json, f: &str| {
-            x.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| format!("parts[{i}] {f} must be a u32"))
-        };
-        let num = |x: &Json, f: &str| {
-            x.as_f64().ok_or_else(|| format!("parts[{i}] {f} must be a number"))
-        };
-        out.push(ChunkPart {
-            view: idx(&p[0], "view")?,
-            slab: idx(&p[1], "slab")?,
-            sum: num(&p[2], "sum")?,
-            count: num(&p[3], "count")?,
-        });
-    }
-    Ok(out)
-}
-
-/// Serialize a `/query` response with `"parts": true`: the chunk list,
-/// each chunk as `[view, slab, sum, count]` with shortest-round-trip
-/// floats so the router's re-parse is bit-identical.
-pub fn parts_response(parts: &[ChunkPart], agg: AggFn, epoch: u64) -> String {
-    format!("{{\"parts\":{},\"agg\":\"{}\",\"epoch\":{}}}", parts_json(parts), agg_name(agg), epoch)
-}
-
-/// Parse a [`parts_response`] body back into `(chunks, epoch)`.
-pub fn parse_parts_response(body: &str) -> Result<(Vec<ChunkPart>, u64), String> {
-    let v = json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
-    let parts = parts_from_json(v.get("parts").ok_or("missing \"parts\"")?)?;
-    let epoch = v.get("epoch").and_then(Json::as_u64).ok_or("missing \"epoch\"")?;
-    Ok((parts, epoch))
-}
-
 // ---------------------------------------------------------------------------
 // POST /rollup
 // ---------------------------------------------------------------------------
-
-/// Which execution plan a `/rollup` request asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RollupPlan {
-    /// The default: answer grain-aligned cores from materialized cuboids.
-    Lattice,
-    /// The chunked leaf scan — the cluster-mergeable canonical plan (a
-    /// router merge over shard parts is bit-identical to this plan on a
-    /// single node).
-    Scan,
-}
 
 /// A parsed `/rollup` body.
 #[derive(Debug, Clone)]
@@ -295,19 +187,12 @@ pub struct RollupRequest {
     pub level: String,
     /// Optional dice region, same form as `/query`.
     pub at: Vec<(String, String)>,
-    /// Explicit leaf-interval box, overriding `at` (router-clipped form).
-    pub raw_box: Option<Vec<(u32, u32)>>,
     /// The aggregate (default SUM).
     pub agg: AggFn,
-    /// The execution plan (default [`RollupPlan::Lattice`]).
-    pub plan: RollupPlan,
-    /// Return per-row chunk lists instead of folded totals.
-    pub parts: bool,
 }
 
 /// Parse a `/rollup` body: `{"dim": "Location", "level": "Region",
-/// "region": {...}, "box": [[lo, hi], ...], "agg": "sum", "plan":
-/// "lattice"|"scan", "parts": bool}`.
+/// "region": {...}, "agg": "sum"}`.
 pub fn parse_rollup(body: &str) -> Result<RollupRequest, String> {
     let v = json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
     if v.as_object().is_none() {
@@ -324,20 +209,7 @@ pub fn parse_rollup(body: &str) -> Result<RollupRequest, String> {
         .ok_or("\"level\" (level name) is required")?
         .to_string();
     let at = parse_region(&v)?;
-    let raw_box = parse_box(&v)?;
-    let agg = match v.get("agg") {
-        None | Some(Json::Null) => AggFn::Sum,
-        Some(a) => parse_agg(a.as_str().ok_or("\"agg\" must be a string")?)?,
-    };
-    let plan = match v.get("plan") {
-        None | Some(Json::Null) => RollupPlan::Lattice,
-        Some(p) => match p.as_str().ok_or("\"plan\" must be a string")? {
-            "lattice" => RollupPlan::Lattice,
-            "scan" => RollupPlan::Scan,
-            other => return Err(format!("unknown plan {other:?} (want lattice|scan)")),
-        },
-    };
-    Ok(RollupRequest { dim, level, at, raw_box, agg, plan, parts: parse_parts_flag(&v)? })
+    Ok(RollupRequest { dim, level, at, agg: parse_agg_field(&v)? })
 }
 
 /// Build a `/rollup` body (client side).
@@ -371,61 +243,6 @@ pub fn rollup_response(rows: &[RollupRow], agg: AggFn, epoch: u64) -> String {
     }
     s.push_str(&format!("],\"agg\":\"{}\",\"epoch\":{}}}", agg_name(agg), epoch));
     s
-}
-
-/// Build the scatter-gather `/rollup` body the router sends to one shard:
-/// clipped box, scan plan, per-row chunk lists.
-pub fn rollup_parts_body(dim: &str, level: &str, b: &[(u32, u32)], agg: AggFn) -> String {
-    format!(
-        "{{\"dim\":\"{}\",\"level\":\"{}\",\"box\":{},\"agg\":\"{}\",\"plan\":\"scan\",\"parts\":true}}",
-        escape(dim),
-        escape(level),
-        box_json(b),
-        agg_name(agg)
-    )
-}
-
-/// Serialize a `/rollup` response with `"parts": true`: one row per node
-/// at the level, each with its canonical chunk list.
-pub fn rollup_parts_response(rows: &[RollupParts], agg: AggFn, epoch: u64) -> String {
-    let mut s = String::from("{\"rows\":[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"node\":{},\"name\":\"{}\",\"parts\":{}}}",
-            row.node.0,
-            escape(&row.name),
-            parts_json(&row.parts)
-        ));
-    }
-    s.push_str(&format!("],\"agg\":\"{}\",\"epoch\":{}}}", agg_name(agg), epoch));
-    s
-}
-
-/// Parse a [`rollup_parts_response`] body back into `(rows, epoch)`.
-pub fn parse_rollup_parts_response(body: &str) -> Result<(Vec<RollupParts>, u64), String> {
-    let v = json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
-    let arr = v.get("rows").and_then(Json::as_array).ok_or("missing \"rows\"")?;
-    let mut rows = Vec::with_capacity(arr.len());
-    for (i, row) in arr.iter().enumerate() {
-        let node = row
-            .get("node")
-            .and_then(Json::as_u64)
-            .and_then(|n| u32::try_from(n).ok())
-            .ok_or_else(|| format!("rows[{i}] missing node"))?;
-        let name = row
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("rows[{i}] missing name"))?
-            .to_string();
-        let parts =
-            parts_from_json(row.get("parts").ok_or_else(|| format!("rows[{i}] missing parts"))?)?;
-        rows.push(RollupParts { node: iolap_hierarchy::NodeId(node), name, parts });
-    }
-    let epoch = v.get("epoch").and_then(Json::as_u64).ok_or("missing \"epoch\"")?;
-    Ok((rows, epoch))
 }
 
 // ---------------------------------------------------------------------------
@@ -464,18 +281,11 @@ pub enum MutationReq {
 pub struct UpdateRequest {
     /// The mutation batch.
     pub muts: Vec<MutationReq>,
-    /// Apply but do not publish: stage the new epoch until `POST /epoch`
-    /// commits it (phase one of the cluster's two-phase publish).
-    pub prepare: bool,
 }
 
-/// Parse a `/update` body: `{"mutations": [ ... ], "prepare": bool}`.
+/// Parse a `/update` body: `{"mutations": [ ... ]}`.
 pub fn parse_update(body: &str) -> Result<UpdateRequest, String> {
     let v = json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
-    let prepare = match v.get("prepare") {
-        None | Some(Json::Null) => false,
-        Some(p) => p.as_bool().ok_or("\"prepare\" must be a boolean")?,
-    };
     let muts =
         v.get("mutations").and_then(|m| m.as_array()).ok_or("\"mutations\" must be an array")?;
     if muts.is_empty() {
@@ -522,21 +332,12 @@ pub fn parse_update(body: &str) -> Result<UpdateRequest, String> {
             }
         });
     }
-    Ok(UpdateRequest { muts: out, prepare })
+    Ok(UpdateRequest { muts: out })
 }
 
 /// Build a `/update` body (client side).
 pub fn update_body(muts: &[MutationReq]) -> String {
-    update_body_opts(muts, false)
-}
-
-/// [`update_body`] with an explicit `"prepare"` flag (router phase one).
-pub fn update_body_opts(muts: &[MutationReq], prepare: bool) -> String {
-    let mut s = if prepare {
-        String::from("{\"prepare\":true,\"mutations\":[")
-    } else {
-        String::from("{\"mutations\":[")
-    };
+    let mut s = String::from("{\"mutations\":[");
     for (i, m) in muts.iter().enumerate() {
         if i > 0 {
             s.push(',');
@@ -586,41 +387,17 @@ pub fn update_response(
 }
 
 // ---------------------------------------------------------------------------
-// POST /epoch
-// ---------------------------------------------------------------------------
-
-/// Build a `POST /epoch` body committing a prepared epoch.
-pub fn commit_body(epoch: u64) -> String {
-    format!("{{\"commit\":{epoch}}}")
-}
-
-/// Parse a `POST /epoch` body: `{"commit": N}`.
-pub fn parse_commit(body: &str) -> Result<u64, String> {
-    let v = json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
-    v.get("commit").and_then(Json::as_u64).ok_or_else(|| "\"commit\" must be an epoch".into())
-}
-
-/// Serialize a `POST /epoch` response.
-pub fn commit_response(epoch: u64, invalidated: u64) -> String {
-    format!("{{\"epoch\":{epoch},\"invalidated\":{invalidated}}}")
-}
-
-// ---------------------------------------------------------------------------
 // Misc bodies
 // ---------------------------------------------------------------------------
 
 /// `GET /healthz` response. `ok = false` means the update coordinator
-/// is poisoned: reads still serve, writes are refused. `role` names the
-/// process's place in the topology: `"single"`, `"shard"`, or
-/// `"router"`. `wal_backlog` is the number of WAL frames acknowledged
-/// durable but not yet folded into a delta segment (always 0 without a
-/// WAL or in synchronous group-commit mode).
-pub fn health_response(epoch: u64, ok: bool, role: &str, wal_backlog: u64) -> String {
+/// is poisoned: reads still serve, writes are refused. `wal_backlog` is
+/// the number of WAL frames acknowledged durable but not yet folded into
+/// a delta segment (always 0 without a WAL or in synchronous group-commit
+/// mode).
+pub fn health_response(epoch: u64, ok: bool, wal_backlog: u64) -> String {
     let status = if ok { "ok" } else { "degraded" };
-    format!(
-        "{{\"status\":\"{status}\",\"epoch\":{epoch},\"role\":\"{}\",\"wal_backlog\":{wal_backlog}}}",
-        escape(role)
-    )
+    format!("{{\"status\":\"{status}\",\"epoch\":{epoch},\"wal_backlog\":{wal_backlog}}}")
 }
 
 /// Serialize a `/update` response acknowledged at WAL-durable: the batch
@@ -665,19 +442,10 @@ pub enum ServeError {
     PayloadTooLarge(String),
     /// 431 — header line or header count over the parser limits.
     HeadersTooLarge(String),
-    /// 409 — a prepared epoch is pending (or missing) on this node, so
-    /// the requested update/commit cannot proceed.
-    Conflict(String),
     /// 500 — handler panicked or an internal invariant failed.
     Internal(String),
     /// 503 — load shed, shutdown in progress, or coordinator poisoned.
     Unavailable(String),
-    /// 503 — (router) every replica of a shard the request needs is
-    /// drained or unreachable.
-    ShardUnavailable(String),
-    /// 503 — (router) a scatter leg failed after retries; no partial
-    /// merge is ever returned.
-    ScatterFailed(String),
     /// Lifecycle: socket-level failure during startup (bind/listen).
     Io(std::io::Error),
     /// Lifecycle: the initial allocation or EDB build failed.
@@ -694,11 +462,8 @@ impl ServeError {
             ServeError::MethodNotAllowed(_) => 405,
             ServeError::PayloadTooLarge(_) => 413,
             ServeError::HeadersTooLarge(_) => 431,
-            ServeError::Conflict(_) => 409,
             ServeError::Internal(_) | ServeError::Io(_) | ServeError::Init(_) => 500,
-            ServeError::Unavailable(_)
-            | ServeError::ShardUnavailable(_)
-            | ServeError::ScatterFailed(_) => 503,
+            ServeError::Unavailable(_) => 503,
         }
     }
 
@@ -710,11 +475,8 @@ impl ServeError {
             ServeError::MethodNotAllowed(_) => "method-not-allowed",
             ServeError::PayloadTooLarge(_) => "payload-too-large",
             ServeError::HeadersTooLarge(_) => "headers-too-large",
-            ServeError::Conflict(_) => "conflict",
             ServeError::Internal(_) => "internal",
             ServeError::Unavailable(_) => "unavailable",
-            ServeError::ShardUnavailable(_) => "shard_unavailable",
-            ServeError::ScatterFailed(_) => "scatter_failed",
             ServeError::Io(_) => "io",
             ServeError::Init(_) => "init",
         }
@@ -728,11 +490,8 @@ impl ServeError {
             | ServeError::MethodNotAllowed(m)
             | ServeError::PayloadTooLarge(m)
             | ServeError::HeadersTooLarge(m)
-            | ServeError::Conflict(m)
             | ServeError::Internal(m)
             | ServeError::Unavailable(m)
-            | ServeError::ShardUnavailable(m)
-            | ServeError::ScatterFailed(m)
             | ServeError::Init(m) => m.clone(),
             ServeError::Io(e) => e.to_string(),
         }
@@ -748,7 +507,6 @@ impl ServeError {
             400 => ServeError::BadRequest(msg),
             404 => ServeError::NotFound(msg),
             405 => ServeError::MethodNotAllowed(msg),
-            409 => ServeError::Conflict(msg),
             413 => ServeError::PayloadTooLarge(msg),
             431 => ServeError::HeadersTooLarge(msg),
             503 => ServeError::Unavailable(msg),
@@ -857,11 +615,7 @@ mod tests {
             MutationReq::Insert { id: 50, dims: vec!["MA".into(), "Civic".into()], measure: 70.0 },
             MutationReq::Delete { fact_id: 11 },
         ];
-        let parsed = parse_update(&update_body(&muts)).unwrap();
-        assert!(!parsed.prepare);
-        let prepared = parse_update(&update_body_opts(&muts, true)).unwrap();
-        assert!(prepared.prepare);
-        let parsed = parsed.muts;
+        let parsed = parse_update(&update_body(&muts)).unwrap().muts;
         assert_eq!(parsed.len(), 3);
         match &parsed[0] {
             MutationReq::Update { fact_id, measure } => {
@@ -935,13 +689,10 @@ mod tests {
             (ServeError::BadRequest("bad \"body\"".into()), 400, "bad-request"),
             (ServeError::NotFound("no route".into()), 404, "not-found"),
             (ServeError::MethodNotAllowed("POST only".into()), 405, "method-not-allowed"),
-            (ServeError::Conflict("staged".into()), 409, "conflict"),
             (ServeError::PayloadTooLarge("big".into()), 413, "payload-too-large"),
             (ServeError::HeadersTooLarge("wide".into()), 431, "headers-too-large"),
             (ServeError::Internal("boom".into()), 500, "internal"),
             (ServeError::Unavailable("shed".into()), 503, "unavailable"),
-            (ServeError::ShardUnavailable("all replicas down".into()), 503, "shard_unavailable"),
-            (ServeError::ScatterFailed("leg failed".into()), 503, "scatter_failed"),
         ];
         for (err, want_status, want_code) in cases {
             let (status, body) = err.to_response();
@@ -959,7 +710,7 @@ mod tests {
 
     #[test]
     fn from_status_round_trips_the_parser_codes() {
-        for status in [400u16, 404, 405, 409, 413, 431, 503] {
+        for status in [400u16, 404, 405, 413, 431, 503] {
             let e = ServeError::from_status(status, "x");
             assert_eq!(e.status(), status);
         }
@@ -968,62 +719,8 @@ mod tests {
     }
 
     #[test]
-    fn parts_round_trip_is_bit_exact() {
-        let parts = vec![
-            ChunkPart { view: 0, slab: 3, sum: 1.0 / 3.0, count: 2.5 },
-            ChunkPart { view: 2, slab: 7, sum: -605.125, count: 0.1 + 0.2 },
-        ];
-        let (back, epoch) = parse_parts_response(&parts_response(&parts, AggFn::Sum, 9)).unwrap();
-        assert_eq!(epoch, 9);
-        assert_eq!(back.len(), parts.len());
-        for (a, b) in back.iter().zip(&parts) {
-            assert_eq!((a.view, a.slab), (b.view, b.slab));
-            assert_eq!(a.sum.to_bits(), b.sum.to_bits());
-            assert_eq!(a.count.to_bits(), b.count.to_bits());
-        }
-        // Rollup rows carry the same chunk encoding.
-        let rows = vec![RollupParts {
-            node: iolap_hierarchy::NodeId(4),
-            name: "East".into(),
-            parts: parts.clone(),
-        }];
-        let (back, epoch) =
-            parse_rollup_parts_response(&rollup_parts_response(&rows, AggFn::Avg, 2)).unwrap();
-        assert_eq!(epoch, 2);
-        assert_eq!(back[0].node.0, 4);
-        assert_eq!(back[0].name, "East");
-        assert_eq!(back[0].parts[1].sum.to_bits(), parts[1].sum.to_bits());
-    }
-
-    #[test]
-    fn box_and_plan_and_flags_parse() {
-        let q = parse_query(&query_parts_body(&[(0, 4), (2, 7)], AggFn::Count)).unwrap();
-        assert_eq!(q.raw_box.as_deref(), Some(&[(0, 4), (2, 7)][..]));
-        assert!(q.parts);
-        assert_eq!(q.agg, AggFn::Count);
-        let r =
-            parse_rollup(&rollup_parts_body("Location", "State", &[(0, 4)], AggFn::Sum)).unwrap();
-        assert_eq!(r.plan, RollupPlan::Scan);
-        assert!(r.parts);
-        assert_eq!(r.raw_box.as_deref(), Some(&[(0, 4)][..]));
-        // Defaults and rejects.
-        let r = parse_rollup("{\"dim\":\"d\",\"level\":\"l\"}").unwrap();
-        assert_eq!(r.plan, RollupPlan::Lattice);
-        assert!(!r.parts);
-        assert!(parse_rollup("{\"dim\":\"d\",\"level\":\"l\",\"plan\":\"magic\"}").is_err());
-        assert!(parse_query("{\"box\":[[1]]}").is_err());
-        assert!(parse_query("{\"parts\":\"yes\"}").is_err());
-        // Commit bodies round-trip.
-        assert_eq!(parse_commit(&commit_body(7)).unwrap(), 7);
-        assert!(parse_commit("{}").is_err());
-        let v = iolap_obs::json::parse(&commit_response(7, 3)).unwrap();
-        assert_eq!(v.get("epoch").and_then(|x| x.as_u64()), Some(7));
-    }
-
-    #[test]
-    fn health_response_reports_role() {
-        let v = iolap_obs::json::parse(&health_response(5, true, "router", 12)).unwrap();
-        assert_eq!(v.get("role").and_then(|x| x.as_str()), Some("router"));
+    fn health_response_reports_epoch_and_backlog() {
+        let v = iolap_obs::json::parse(&health_response(5, true, 12)).unwrap();
         assert_eq!(v.get("epoch").and_then(|x| x.as_u64()), Some(5));
         assert_eq!(v.get("status").and_then(|x| x.as_str()), Some("ok"));
         assert_eq!(v.get("wal_backlog").and_then(|x| x.as_u64()), Some(12));

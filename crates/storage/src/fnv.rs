@@ -1,18 +1,17 @@
-//! FNV-1a 64: the one checksum loop behind segment pages, WAL frames and
-//! the cluster's dataset fingerprint. Fast, table-free corruption
-//! detection — not a cryptographic MAC.
+//! FNV-1a 64: the one checksum loop behind segment pages and WAL frames.
+//! Fast, table-free corruption detection — not a cryptographic MAC.
 //!
 //! Two multipliers are in use, and both are format constants: segment
-//! pages use the FNV prime; WAL frames and dataset fingerprints were first
-//! written with that prime two hex digits short, and those values sit in
-//! logs and shard manifests on disk, so [`Fnv1a64Legacy`] keeps them.
+//! pages use the FNV prime; WAL frames were first written with that prime
+//! two hex digits short, and those values sit in logs on disk, so
+//! [`Fnv1a64Legacy`] keeps them.
 
 /// Streaming FNV-1a 64 state over the multiplier `PRIME`.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a<const PRIME: u64>(u64);
 
-/// The hash of WAL frames and dataset fingerprints: FNV-1a 64 with the
-/// multiplier `0x1_0000_01b3`. New formats use [`fnv1a64`].
+/// The hash of WAL frames: FNV-1a 64 with the multiplier `0x1_0000_01b3`.
+/// New formats use [`fnv1a64`].
 pub type Fnv1a64Legacy = Fnv1a<0x1_0000_01b3>;
 
 impl<const PRIME: u64> Fnv1a<PRIME> {

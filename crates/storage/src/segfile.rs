@@ -47,6 +47,27 @@ fn header(version: u16, width: usize, count: u64, footer_len: u64) -> [u8; PAGE_
     page
 }
 
+/// Check a header's counts against the file length: `data_pages` data
+/// pages plus a `footer_len`-byte footer (each padded to a page) must fit
+/// after the header page. A flipped bit in a count then surfaces as
+/// [`StorageError::Corrupt`] instead of an absurd allocation.
+fn check_counts(path: &Path, file_len: u64, data_pages: u64, footer_len: u64) -> Result<()> {
+    let page = PAGE_SIZE as u64;
+    let need = footer_len
+        .div_ceil(page)
+        .checked_add(data_pages)
+        .and_then(|p| p.checked_add(1))
+        .and_then(|p| p.checked_mul(page));
+    match need {
+        Some(n) if n <= file_len => Ok(()),
+        _ => Err(StorageError::Corrupt(format!(
+            "{}: header claims {data_pages} data pages and a {footer_len}-byte footer, \
+             file is {file_len} bytes",
+            path.display()
+        ))),
+    }
+}
+
 /// Read just the format version of a segment file (validating the magic),
 /// so callers can dispatch between the row and encoded-page readers.
 pub fn probe_segment_version(path: &Path) -> Result<u16> {
@@ -95,13 +116,15 @@ pub fn write_segment<T, C: Codec<T>>(
 }
 
 /// Read a segment file back: `(records, footer bytes)`. Validates the
-/// magic, version, record width and length; never panics on a malformed
-/// file.
+/// magic, version, record width, and the header's counts against the file
+/// length; never panics on a malformed file.
 pub fn read_segment<T, C: Codec<T>>(path: &Path, codec: &C) -> Result<(Vec<T>, Vec<u8>)> {
     let ctx = || format!("reading segment file {}", path.display());
     let width = codec.size();
     let recs_per_page = PAGE_SIZE / width;
-    let mut inp = BufReader::new(File::open(path).map_err(|e| StorageError::io(ctx(), e))?);
+    let file = File::open(path).map_err(|e| StorageError::io(ctx(), e))?;
+    let file_len = file.metadata().map_err(|e| StorageError::io(ctx(), e))?.len();
+    let mut inp = BufReader::new(file);
     let mut page = vec![0u8; PAGE_SIZE];
     inp.read_exact(&mut page).map_err(|e| StorageError::io(ctx(), e))?;
     if page[..4] != SEGFILE_MAGIC {
@@ -123,7 +146,9 @@ pub fn read_segment<T, C: Codec<T>>(path: &Path, codec: &C) -> Result<(Vec<T>, V
         return Err(StorageError::CodecSize { expected: width, got: file_width });
     }
     let count = u64::from_le_bytes(page[10..18].try_into().unwrap());
-    let footer_len = u64::from_le_bytes(page[18..26].try_into().unwrap()) as usize;
+    let footer_len = u64::from_le_bytes(page[18..26].try_into().unwrap());
+    check_counts(path, file_len, count.div_ceil(recs_per_page as u64), footer_len)?;
+    let footer_len = footer_len as usize;
     let mut records = Vec::with_capacity(count as usize);
     let mut remaining = count as usize;
     while remaining > 0 {
@@ -183,10 +208,12 @@ pub type EncodedSegmentFile = (Vec<Box<[u8]>>, Vec<u8>);
 /// payloads are returned still encoded — decoding (and checksum
 /// verification) is the caller's job, so corruption inside a payload
 /// surfaces lazily at scan time while structural damage (bad magic,
-/// impossible length prefix, truncation) is caught here.
+/// impossible length prefix or header count, truncation) is caught here.
 pub fn read_segment_v2(path: &Path) -> Result<EncodedSegmentFile> {
     let ctx = || format!("reading segment file {}", path.display());
-    let mut inp = BufReader::new(File::open(path).map_err(|e| StorageError::io(ctx(), e))?);
+    let file = File::open(path).map_err(|e| StorageError::io(ctx(), e))?;
+    let file_len = file.metadata().map_err(|e| StorageError::io(ctx(), e))?.len();
+    let mut inp = BufReader::new(file);
     let mut page = vec![0u8; PAGE_SIZE];
     inp.read_exact(&mut page).map_err(|e| StorageError::io(ctx(), e))?;
     if page[..4] != SEGFILE_MAGIC {
@@ -204,7 +231,9 @@ pub fn read_segment_v2(path: &Path) -> Result<EncodedSegmentFile> {
         )));
     }
     let num_pages = u64::from_le_bytes(page[10..18].try_into().unwrap());
-    let footer_len = u64::from_le_bytes(page[18..26].try_into().unwrap()) as usize;
+    let footer_len = u64::from_le_bytes(page[18..26].try_into().unwrap());
+    check_counts(path, file_len, num_pages, footer_len)?;
+    let footer_len = footer_len as usize;
     let mut pages = Vec::with_capacity(num_pages as usize);
     for idx in 0..num_pages {
         inp.read_exact(&mut page).map_err(|e| StorageError::io(ctx(), e))?;
@@ -301,7 +330,7 @@ mod tests {
             Err(StorageError::Corrupt(_)) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        // Truncated data region → I/O error.
+        // Truncated data region → an error.
         std::fs::write(&path, &bytes[..PAGE_SIZE]).unwrap();
         assert!(read_segment_v2(&path).is_err());
         // The version probe still works on the truncated file.
@@ -328,5 +357,55 @@ mod tests {
         let good = std::fs::read(&path).unwrap();
         std::fs::write(&path, &good[..PAGE_SIZE]).unwrap();
         assert!(read_segment::<u64, _>(&path, &U64Codec).is_err());
+    }
+
+    /// A segment file at `path` whose header count (bytes 10..18) or
+    /// footer length (bytes 18..26) reads `u64::MAX`.
+    fn with_header_field_maxed(path: &Path, v2: bool, field: std::ops::Range<usize>) {
+        if v2 {
+            write_segment_v2(path, &[vec![1u8, 2, 3].into_boxed_slice()], &[9]).unwrap();
+        } else {
+            write_segment::<u64, _>(path, &U64Codec, &[1, 2, 3], &[9]).unwrap();
+        }
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[field].fill(0xff);
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    fn assert_corrupt<T: std::fmt::Debug>(r: Result<T>, what: &str) {
+        match r {
+            Err(StorageError::Corrupt(_)) => {}
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_maxed_record_count_is_corrupt_not_a_panic() {
+        let dir = TempDir::new("segfile-max-count").unwrap();
+        let path = dir.path().join("seg");
+        with_header_field_maxed(&path, false, 10..18);
+        assert_corrupt(read_segment::<u64, _>(&path, &U64Codec), "record count");
+    }
+
+    #[test]
+    fn a_maxed_page_count_is_corrupt_not_a_panic() {
+        let dir = TempDir::new("segfile-max-pages").unwrap();
+        let path = dir.path().join("seg");
+        with_header_field_maxed(&path, true, 10..18);
+        assert_corrupt(read_segment_v2(&path), "page count");
+    }
+
+    #[test]
+    fn a_maxed_footer_length_is_corrupt_not_a_panic() {
+        let dir = TempDir::new("segfile-max-footer").unwrap();
+        for v2 in [false, true] {
+            let path = dir.path().join(format!("seg-{v2}"));
+            with_header_field_maxed(&path, v2, 18..26);
+            if v2 {
+                assert_corrupt(read_segment_v2(&path), "v2 footer length");
+            } else {
+                assert_corrupt(read_segment::<u64, _>(&path, &U64Codec), "v1 footer length");
+            }
+        }
     }
 }

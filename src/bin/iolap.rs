@@ -18,25 +18,13 @@
 //!
 //! iolap serve --data DIR [--addr HOST:PORT] [--policy P] [--epsilon E]
 //!             [--buffer-kb KB] [--workers N] [--queue N] [--cache N]
-//!             [--max-conns N] [--timeout-ms MS] [--idle-ms MS] [--role R]
+//!             [--max-conns N] [--timeout-ms MS] [--idle-ms MS] [--no-wal]
+//!             [--group-ms MS] [--group-frames N]
 //!     Allocate DIR with the Transitive algorithm and serve the EDB over
 //!     HTTP (POST /query, /rollup, /update; GET /healthz, /metrics).
 //!     The first stdout line is the actually-bound address (use
 //!     `--addr HOST:0` for an OS-assigned port); progress chatter goes
 //!     to stderr. Runs until stdin reaches EOF, then drains and exits.
-//!
-//! iolap shard --data DIR --out DIR --shards N [--policy P] [--epsilon E]
-//!             [--buffer-kb KB]
-//!     Partition the dataset into N shard directories (each a complete
-//!     single-node data dir plus shard.json) and write cluster.json.
-//!
-//! iolap router --cluster DIR --shard ADDR[,ADDR...] [--shard ...]
-//!              [--addr HOST:PORT] [--workers N] [--queue N]
-//!              [--max-conns N] [--timeout-ms MS] [--idle-ms MS]
-//!     Scatter-gather router over a partitioned cluster: one --shard
-//!     flag per shard index, each listing that shard's replica
-//!     addresses. The first stdout line is the actually-bound address;
-//!     runs until stdin reaches EOF.
 //!
 //! iolap query --data DIR [--region Dim=Node,...] [--rollup DIM@LEVEL]
 //!             [--agg sum|count|avg] [--policy P] [--epsilon E]
@@ -58,8 +46,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-const USAGE: &str = "usage: iolap demo | gen | allocate | serve | query | shard | router   \
-     (see --help per command)";
+const USAGE: &str = "usage: iolap demo | gen | allocate | serve | query   (see --help per command)";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -69,8 +56,6 @@ fn main() {
         Some("allocate") => cmd_allocate(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
-        Some("shard") => cmd_shard(&args[1..]),
-        Some("router") => cmd_router(&args[1..]),
         // Asking for help is a successful run: usage on stdout, exit 0.
         Some("help" | "--help" | "-h") => {
             println!("{USAGE}");
@@ -97,15 +82,6 @@ fn main() {
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Every value of a flag that may repeat (`--shard a --shard b` → [a, b]).
-fn flags_all(args: &[String], name: &str) -> Vec<String> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == name)
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect()
 }
 
 fn has_flag(args: &[String], name: &str) -> bool {
@@ -444,8 +420,8 @@ fn cmd_query(args: &[String]) -> i32 {
 
 const SERVE_USAGE: &str = "iolap serve --data DIR [--addr HOST:PORT] [--policy P] \
      [--epsilon E] [--buffer-kb KB] [--workers N] [--queue N] [--cache N] \
-     [--max-conns N] [--timeout-ms MS] [--idle-ms MS] [--role single|shard] \
-     [--no-wal] [--group-ms MS] [--group-frames N]   (--dir is an alias for --data)";
+     [--max-conns N] [--timeout-ms MS] [--idle-ms MS] [--no-wal] \
+     [--group-ms MS] [--group-frames N]   (--dir is an alias for --data)";
 
 fn cmd_serve(args: &[String]) -> i32 {
     if let Some(code) = preflight(SERVE_USAGE, args) {
@@ -489,7 +465,6 @@ fn cmd_serve(args: &[String]) -> i32 {
     let idle_ms: u64 =
         flag(args, "--idle-ms").unwrap_or_else(|| "60000".into()).parse().expect("--idle-ms MS");
 
-    let role = flag(args, "--role").unwrap_or_else(|| "single".into());
     // Streaming ingest: updates are WAL-durable by default (the log
     // lives next to the data); --group-ms > 0 acks at durable and folds
     // on the group-commit cadence instead of per request.
@@ -521,7 +496,6 @@ fn cmd_serve(args: &[String]) -> i32 {
         .read_timeout(std::time::Duration::from_millis(timeout_ms))
         .write_timeout(std::time::Duration::from_millis(timeout_ms))
         .idle_timeout(std::time::Duration::from_millis(idle_ms))
-        .role(&role)
         .group_window(std::time::Duration::from_millis(group_ms))
         .group_frames(group_frames);
     if !no_wal {
@@ -565,146 +539,4 @@ fn wait_for_stdin_eof() {
             Ok(_) => {}
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-
-const SHARD_USAGE: &str = "iolap shard --data DIR --out DIR --shards N \
-     [--policy P] [--epsilon E] [--buffer-kb KB]   (--dir is an alias for --data)";
-
-fn cmd_shard(args: &[String]) -> i32 {
-    if let Some(code) = preflight(SHARD_USAGE, args) {
-        return code;
-    }
-    let Some(data) = flag(args, "--data").or_else(|| flag(args, "--dir")) else {
-        eprintln!("iolap shard: --data DIR is required");
-        eprintln!("{SHARD_USAGE}");
-        return 2;
-    };
-    let Some(out) = flag(args, "--out") else {
-        eprintln!("iolap shard: --out DIR is required");
-        eprintln!("{SHARD_USAGE}");
-        return 2;
-    };
-    let shards: usize =
-        flag(args, "--shards").unwrap_or_else(|| "2".into()).parse().expect("--shards N");
-    let epsilon: f64 =
-        flag(args, "--epsilon").unwrap_or_else(|| "0.01".into()).parse().expect("--epsilon E");
-    let policy = match flag(args, "--policy").unwrap_or_else(|| "em-count".into()).as_str() {
-        "em-count" => PolicySpec::em_count(epsilon),
-        "em-measure" => PolicySpec::em_measure(epsilon),
-        "count" => PolicySpec::count(),
-        "measure" => PolicySpec::measure(),
-        "uniform" => PolicySpec::uniform(),
-        other => {
-            eprintln!("iolap shard: unknown policy {other:?}");
-            eprintln!("{SHARD_USAGE}");
-            return 2;
-        }
-    };
-    let buffer_kb: u64 =
-        flag(args, "--buffer-kb").unwrap_or_else(|| "4096".into()).parse().expect("--buffer-kb KB");
-    let buffer_pages = ((buffer_kb * 1024) as usize).div_ceil(4096).max(8);
-    let alloc = AllocConfig::builder().buffer_pages(buffer_pages).build();
-
-    let manifest = match iolap::cluster::partition_dataset(
-        std::path::Path::new(&data),
-        std::path::Path::new(&out),
-        shards,
-        &policy,
-        &alloc,
-    ) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("iolap shard: {e}");
-            return 1;
-        }
-    };
-    for m in &manifest.shards {
-        println!(
-            "{}: dim0 leaves [{}, {}) — {} entries",
-            iolap::cluster::shard_dir_name(m.index),
-            m.lo,
-            m.hi,
-            m.entries
-        );
-    }
-    println!("wrote {} shard dirs + cluster.json under {out}", manifest.shards.len());
-    0
-}
-
-// ---------------------------------------------------------------------------
-
-const ROUTER_USAGE: &str = "iolap router --cluster DIR --shard ADDR[,ADDR...] \
-     [--shard ...] [--addr HOST:PORT] [--workers N] [--queue N] \
-     [--max-conns N] [--timeout-ms MS] [--idle-ms MS]";
-
-fn cmd_router(args: &[String]) -> i32 {
-    if let Some(code) = preflight(ROUTER_USAGE, args) {
-        return code;
-    }
-    let Some(cluster_dir) = flag(args, "--cluster") else {
-        eprintln!("iolap router: --cluster DIR is required");
-        eprintln!("{ROUTER_USAGE}");
-        return 2;
-    };
-    // One --shard flag per shard index, in shard order; each value is a
-    // comma-separated replica address list for that shard.
-    let shard_specs = flags_all(args, "--shard");
-    if shard_specs.is_empty() {
-        eprintln!("iolap router: at least one --shard ADDR[,ADDR...] is required");
-        eprintln!("{ROUTER_USAGE}");
-        return 2;
-    }
-    let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8640".into());
-    let workers: usize =
-        flag(args, "--workers").unwrap_or_else(|| "4".into()).parse().expect("--workers N");
-    let queue: usize =
-        flag(args, "--queue").unwrap_or_else(|| "128".into()).parse().expect("--queue N");
-    let max_conns: usize =
-        flag(args, "--max-conns").unwrap_or_else(|| "8192".into()).parse().expect("--max-conns N");
-    let timeout_ms: u64 = flag(args, "--timeout-ms")
-        .unwrap_or_else(|| "5000".into())
-        .parse()
-        .expect("--timeout-ms MS");
-    let idle_ms: u64 =
-        flag(args, "--idle-ms").unwrap_or_else(|| "60000".into()).parse().expect("--idle-ms MS");
-
-    let cfg = ServeConfig::builder()
-        .workers(workers)
-        .queue_depth(queue)
-        .max_connections(max_conns)
-        .read_timeout(std::time::Duration::from_millis(timeout_ms))
-        .write_timeout(std::time::Duration::from_millis(timeout_ms))
-        .idle_timeout(std::time::Duration::from_millis(idle_ms))
-        .build();
-    let mut builder = iolap::cluster::Router::builder(&cluster_dir).config(cfg);
-    for (i, spec) in shard_specs.iter().enumerate() {
-        let replicas: Vec<&str> =
-            spec.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
-        builder = builder.shard_replicas(i, &replicas);
-    }
-    let handle = match builder.bind(&addr) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("iolap router: {e}");
-            return 1;
-        }
-    };
-    // Same contract as `iolap serve`: bound address is the first (and
-    // only) startup line on stdout.
-    println!("{}", handle.addr());
-    let _ = std::io::stdout().flush();
-    eprintln!(
-        "iolap router: routing {} shard groups on http://{}",
-        shard_specs.len(),
-        handle.addr()
-    );
-    eprintln!("endpoints: POST /query /rollup /update; GET /healthz /metrics");
-    eprintln!("(reading stdin; EOF shuts the router down)");
-
-    wait_for_stdin_eof();
-    eprintln!("iolap router: shutting down");
-    handle.shutdown();
-    0
 }

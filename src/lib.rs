@@ -60,7 +60,6 @@ mod facade;
 pub use error::{Error, ErrorKind, Result, ResultExt};
 pub use facade::Iolap;
 
-pub use iolap_cluster as cluster;
 pub use iolap_core as core;
 pub use iolap_datagen as datagen;
 pub use iolap_graph as graph;

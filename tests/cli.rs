@@ -63,12 +63,15 @@ fn gen_then_allocate_roundtrip() {
 
 #[test]
 fn unknown_subcommand_fails_with_usage() {
-    let out = iolap().arg("frobnicate").output().expect("spawn");
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown command \"frobnicate\""), "{err}");
-    assert!(err.contains("usage"), "{err}");
-    assert!(out.stdout.is_empty(), "errors go to stderr, not stdout");
+    // `shard` and `router` were the retired cluster plane's commands.
+    for cmd in ["frobnicate", "shard", "router"] {
+        let out = iolap().arg(cmd).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown command \"{cmd}\"")), "{err}");
+        assert!(err.contains("usage"), "{err}");
+        assert!(out.stdout.is_empty(), "errors go to stderr, not stdout");
+    }
 }
 
 #[test]
@@ -110,8 +113,6 @@ fn every_subcommand_rejects_an_unknown_flag() {
         ("allocate", "--bufer-kb"),
         ("query", "--aggregate"),
         ("serve", "--worker"),
-        ("shard", "--shard"),
-        ("router", "--shards"),
     ] {
         let out = iolap().args([cmd, flag, "64"]).output().expect("spawn");
         assert_eq!(out.status.code(), Some(2), "{cmd} {flag}: usage errors exit 2");

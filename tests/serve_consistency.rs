@@ -8,17 +8,18 @@
 //! run with the same table/policy/config reproduces the server's EDB
 //! exactly; Rust's shortest-round-trip f64 formatting then makes the
 //! JSON wire lossless, and `to_bits` equality is a fair comparison. The
-//! reference is [`EdbSnapshot::aggregate`], the canonical chunked fold
-//! (per-view, per-dim0-slab partials folded in (view, slab) order) —
-//! the same order every server reproduces regardless of how its
-//! segments, update history, or the cluster's shard cuts partition the
-//! entries.
+//! server and the library share one answer definition — the flat
+//! `accumulate_region` + `AggResult::from_parts` loop of
+//! [`aggregate_edb`] — so the reference is either that function or
+//! [`EdbSnapshot::aggregate`] over the same segments.
 
 use iolap::core::maintain::EdbMutation;
 use iolap::core::{allocate, Algorithm, AllocConfig, MaintainableEdb, PolicySpec};
-use iolap::model::paper_example;
+use iolap::datagen::{scaled, DatasetKind};
+use iolap::model::{paper_example, FactTable};
 use iolap::obs::json;
-use iolap::query::{AggFn, QueryBuilder};
+use iolap::query::{aggregate_edb, AggFn, Query, QueryBuilder};
+use iolap::serve::snapshot::resolve_region;
 use iolap::serve::wire;
 use iolap::serve::{http_roundtrip, EdbSnapshot, ServeConfig, Server, ServerHandle};
 use std::net::TcpStream;
@@ -33,7 +34,11 @@ fn alloc_cfg() -> AllocConfig {
 }
 
 fn start_server() -> ServerHandle {
-    Server::builder(paper_example::table1(), policy())
+    start_server_on(paper_example::table1())
+}
+
+fn start_server_on(table: FactTable) -> ServerHandle {
+    Server::builder(table, policy())
         .alloc(alloc_cfg())
         .config(ServeConfig::default())
         .bind("127.0.0.1:0")
@@ -70,12 +75,11 @@ fn server_answers_match_aggregate_edb_bit_for_bit() {
     let h = start_server();
     let mut conn = TcpStream::connect(h.addr()).expect("connect");
 
-    // `/healthz` must expose the serving role and the current epoch.
+    // `/healthz` must expose the current epoch.
     let (status, body) = http_roundtrip(&mut conn, "GET", "/healthz", "").expect("healthz");
     assert_eq!(status, 200, "{body}");
     let hv = json::parse(&body).unwrap();
     assert_eq!(hv.get("epoch").and_then(|e| e.as_u64()), Some(0), "{body}");
-    assert_eq!(hv.get("role").and_then(|r| r.as_str()), Some("single"), "{body}");
 
     // The same allocation, through the library's snapshot machinery.
     let run = allocate(&paper_example::table1(), &policy(), Algorithm::Transitive, &alloc_cfg())
@@ -112,6 +116,62 @@ fn server_answers_match_aggregate_edb_bit_for_bit() {
     h.shutdown();
 }
 
+/// About a dozen regions over the generated Automotive schema, each
+/// spanning many dimension-0 leaves: the full space under every
+/// aggregate, whole SR_AREA areas, areas crossed with a node of each other
+/// dimension, and nodes of the other dimensions alone.
+fn multi_slab_queries(table: &FactTable) -> Vec<(Vec<(String, String)>, AggFn)> {
+    let s = table.schema();
+    // The `i`-th node one level below ALL in dimension `d`, by name.
+    let at = |d: usize, i: usize| {
+        let h = s.dim(d);
+        let nodes = h.nodes_at_level(h.levels() - 1);
+        (h.name().to_string(), h.node_name(nodes[i % nodes.len()]))
+    };
+    let mut qs = vec![(vec![], AggFn::Sum), (vec![], AggFn::Count), (vec![], AggFn::Avg)];
+    for i in 0..3 {
+        qs.push((vec![at(0, i)], AggFn::Sum));
+    }
+    qs.push((vec![at(0, 0), at(3, 0)], AggFn::Avg));
+    qs.push((vec![at(0, 1), at(2, 0)], AggFn::Count));
+    qs.push((vec![at(0, 2), at(1, 0)], AggFn::Sum));
+    qs.push((vec![at(3, 1)], AggFn::Sum));
+    qs.push((vec![at(2, 1)], AggFn::Avg));
+    qs.push((vec![at(1, 1)], AggFn::Count));
+    qs
+}
+
+/// One answer definition: at epoch 0 the server's `/query` bits equal
+/// [`aggregate_edb`] over the same allocation, on the paper example and on
+/// multi-slab regions of a generated dataset — the regions where any
+/// other summation order (say, per dimension-0 slab) shows in the last
+/// bits.
+#[test]
+fn server_query_is_aggregate_edb_bit_for_bit() {
+    let paper: Vec<(Vec<(String, String)>, AggFn)> = QUERIES
+        .iter()
+        .map(|&(at, agg)| (at.iter().map(|&(d, n)| (d.to_string(), n.to_string())).collect(), agg))
+        .collect();
+    let automotive = scaled(DatasetKind::Automotive, 2_000, 7);
+    let autos = multi_slab_queries(&automotive);
+    for (table, queries) in [(paper_example::table1(), paper), (automotive, autos)] {
+        let edb = allocate(&table, &policy(), Algorithm::Transitive, &alloc_cfg())
+            .expect("local allocation")
+            .edb;
+        let h = start_server_on(table.clone());
+        let mut conn = TcpStream::connect(h.addr()).expect("connect");
+        for (at, agg) in &queries {
+            let region = resolve_region(table.schema(), at).expect("region");
+            let lib = aggregate_edb(&edb, &Query { region, agg: *agg }).expect("aggregate_edb");
+            let refs: Vec<(&str, &str)> = at.iter().map(|(d, n)| (&d[..], &n[..])).collect();
+            let (v, s, c, _) = server_query(&mut conn, &refs, *agg);
+            let want = (lib.value.to_bits(), lib.sum.to_bits(), lib.count.to_bits());
+            assert_eq!((v, s, c), want, "{at:?} {agg:?}: server {v:x}/{s:x}/{c:x}");
+        }
+        h.shutdown();
+    }
+}
+
 #[test]
 fn update_round_trip_stays_bit_identical_to_the_library() {
     let h = start_server();
@@ -132,12 +192,11 @@ fn update_round_trip_stays_bit_identical_to_the_library() {
     let v = json::parse(&resp).unwrap();
     assert_eq!(v.get("epoch").and_then(|e| e.as_u64()), Some(1));
 
-    // The epoch flip is visible through `/healthz` alongside the role.
+    // The epoch flip is visible through `/healthz`.
     let (status, body) = http_roundtrip(&mut conn, "GET", "/healthz", "").expect("healthz");
     assert_eq!(status, 200, "{body}");
     let hv = json::parse(&body).unwrap();
     assert_eq!(hv.get("epoch").and_then(|e| e.as_u64()), Some(1), "{body}");
-    assert_eq!(hv.get("role").and_then(|r| r.as_str()), Some("single"), "{body}");
 
     let ny_f150 = {
         let s = paper_example::schema();
