@@ -43,7 +43,7 @@ fn main() {
         let mut rows = Vec::new();
         for &kb in &buffers_kb {
             for alg in algorithms {
-                let cfg = bench_config(kb_to_pages(kb), args.on_disk, args.threads, obs.clone());
+                let cfg = bench_config(kb_to_pages(kb), args.on_disk, obs.clone());
                 let p = run_once(&table, alg, eps, 60, &cfg);
                 points.push(p.json_fields());
                 rows.push(vec![

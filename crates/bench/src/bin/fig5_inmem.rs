@@ -28,7 +28,7 @@ fn main() {
     let epsilons = [0.1f64, 0.05, 0.01, 0.005];
 
     let obs = args.obs();
-    let cfg = bench_config(buffer_pages, args.on_disk, args.threads, obs.clone());
+    let cfg = bench_config(buffer_pages, args.on_disk, obs.clone());
     let algorithms = [Algorithm::Independent, Algorithm::Block, Algorithm::Transitive];
     let mut rows = Vec::new();
     let mut points = Vec::new();

@@ -38,7 +38,7 @@ fn main() {
         let mut rows = Vec::new();
         for &kb in buffers {
             for alg in [Algorithm::Block, Algorithm::Transitive] {
-                let cfg = bench_config(kb_to_pages(kb), args.on_disk, args.threads, obs.clone());
+                let cfg = bench_config(kb_to_pages(kb), args.on_disk, obs.clone());
                 let p = run_once(&table, alg, 0.005, 60, &cfg);
                 let mut fields = p.json_fields();
                 fields.push(("figure", Json::S(fig.to_string())));

@@ -19,9 +19,6 @@ pub struct Args {
     pub paper_scale: bool,
     /// Use real temp files instead of in-memory pagers.
     pub on_disk: bool,
-    /// Worker threads for Transitive step 3 (`1` = sequential, `0` = one
-    /// per core).
-    pub threads: usize,
     /// Write machine-readable results to this path as JSON.
     pub json: Option<String>,
     /// Write a JSONL span/metric trace of every run to this path.
@@ -40,7 +37,6 @@ impl Args {
             seed: 42,
             paper_scale: false,
             on_disk: false,
-            threads: 1,
             json: None,
             trace_out: None,
             extra: Vec::new(),
@@ -57,19 +53,16 @@ impl Args {
                 })
             };
             match a {
-                "--facts" => out.facts = take(&mut i).parse().expect("--facts N"),
-                "--seed" => out.seed = take(&mut i).parse().expect("--seed S"),
-                "--dataset" => {
-                    out.dataset = take(&mut i).parse().expect("--dataset automotive|synthetic")
-                }
+                "--facts" => out.facts = value(a, &take(&mut i)),
+                "--seed" => out.seed = value(a, &take(&mut i)),
+                "--dataset" => out.dataset = value(a, &take(&mut i)),
                 "--paper-scale" => out.paper_scale = true,
                 "--on-disk" => out.on_disk = true,
-                "--threads" => out.threads = take(&mut i).parse().expect("--threads N"),
                 "--json" => out.json = Some(take(&mut i)),
                 "--trace-out" => out.trace_out = Some(take(&mut i)),
                 "--help" | "-h" => {
                     eprintln!(
-                        "flags: --facts N --seed S --dataset automotive|synthetic --paper-scale --on-disk --threads N --json PATH --trace-out PATH [key=value ...]"
+                        "flags: --facts N --seed S --dataset automotive|synthetic --paper-scale --on-disk --json PATH --trace-out PATH [key=value ...]"
                     );
                     std::process::exit(0);
                 }
@@ -119,6 +112,15 @@ impl Args {
     }
 }
 
+/// Parse `raw` as the value of `flag`. A malformed value is a usage
+/// error: the flag and the value go to stderr and the process exits 2.
+fn value<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("invalid value {raw:?} for {flag}; try --help");
+        std::process::exit(2);
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,7 +133,6 @@ mod tests {
             seed: 1,
             paper_scale: false,
             on_disk: false,
-            threads: 1,
             json: None,
             trace_out: None,
             extra: vec![("eps".into(), "0.05".into())],

@@ -15,8 +15,6 @@ pub struct OnePoint {
     pub buffer_pages: usize,
     /// Convergence threshold used.
     pub epsilon: f64,
-    /// Step-3 worker threads (Transitive; `1` elsewhere).
-    pub threads: usize,
     /// Full run report.
     pub report: RunReport,
 }
@@ -39,7 +37,6 @@ impl OnePoint {
             ("algorithm", Json::S(self.algorithm.to_string())),
             ("buffer_pages", Json::U(self.buffer_pages as u64)),
             ("epsilon", Json::F(self.epsilon)),
-            ("threads", Json::U(self.threads as u64)),
             ("iterations", Json::U(u64::from(self.report.iterations))),
             ("converged", Json::B(self.report.converged)),
             ("alloc_secs", Json::F(self.alloc_secs())),
@@ -53,7 +50,7 @@ impl OnePoint {
 
 /// Run one (algorithm, config, ε) cell of an experiment grid in a fresh
 /// environment, returning the measured point. The config carries the
-/// buffer size, thread count, backing and observability handle — build it
+/// buffer size, backing and observability handle — build it
 /// with [`AllocConfig::builder`], e.g. via [`bench_config`].
 pub fn run_once(
     table: &FactTable,
@@ -65,25 +62,14 @@ pub fn run_once(
     let policy = PolicySpec::em_count(epsilon).with_max_iters(max_iters);
     let env: Env = cfg.build_env(&format!("bench-{algorithm}")).expect("env");
     let run = allocate_in_env(table, &policy, algorithm, cfg, &env).expect("allocation");
-    OnePoint {
-        algorithm,
-        buffer_pages: cfg.buffer_pages,
-        epsilon,
-        threads: cfg.threads,
-        report: run.report,
-    }
+    OnePoint { algorithm, buffer_pages: cfg.buffer_pages, epsilon, report: run.report }
 }
 
 /// The harness binaries' standard config: `buffer_pages` of in-memory
-/// (or real-file, with `--on-disk`) backing, step-3 worker `threads`, and
-/// the invocation's observability handle.
-pub fn bench_config(buffer_pages: usize, on_disk: bool, threads: usize, obs: Obs) -> AllocConfig {
-    AllocConfig::builder()
-        .buffer_pages(buffer_pages)
-        .in_memory_backing(!on_disk)
-        .threads(threads)
-        .obs(obs)
-        .build()
+/// (or real-file, with `--on-disk`) backing and the invocation's
+/// observability handle.
+pub fn bench_config(buffer_pages: usize, on_disk: bool, obs: Obs) -> AllocConfig {
+    AllocConfig::builder().buffer_pages(buffer_pages).in_memory_backing(!on_disk).obs(obs).build()
 }
 
 /// Pages for a buffer given in KB (the paper quotes buffer sizes in
@@ -196,7 +182,7 @@ mod tests {
     #[test]
     fn run_once_smoke() {
         let table = iolap_model::paper_example::table1();
-        let cfg = bench_config(64, false, 1, Obs::disabled());
+        let cfg = bench_config(64, false, Obs::disabled());
         let p = run_once(&table, Algorithm::Block, 0.05, 50, &cfg);
         assert!(p.report.converged);
         assert_eq!(p.buffer_pages, 64);

@@ -72,14 +72,6 @@ pub struct AllocConfig {
     /// Transitive optimization: iterate each component only until *its*
     /// cells converge (`false` = ablation: global iteration count).
     pub per_component_convergence: bool,
-    /// Worker threads for Transitive's component-processing step:
-    /// `1` = sequential, `n > 1` = a pool of `n` workers, `0` = one per
-    /// available core. Results are identical for every value (Theorem 2).
-    pub threads: usize,
-    /// Default allocation policy, used by callers (the `iolap` facade)
-    /// that run from a config alone. [`allocate`] takes an explicit
-    /// policy and ignores this field.
-    pub policy: Option<PolicySpec>,
     /// Observability handle threaded into the storage environment and
     /// the allocation passes. Disabled (free) by default.
     pub obs: Obs,
@@ -94,8 +86,6 @@ impl Default for AllocConfig {
             dir: None,
             resort_facts: true,
             per_component_convergence: true,
-            threads: 1,
-            policy: None,
             obs: Obs::disabled(),
         }
     }
@@ -129,18 +119,14 @@ impl AllocConfig {
 }
 
 /// Builder for [`AllocConfig`] — the knobs of the paper's Section 11
-/// experiments plus engine extensions (threads, observability).
+/// experiments plus the observability handle.
 ///
 /// ```
 /// use iolap_core::AllocConfig;
 ///
-/// let cfg = AllocConfig::builder()
-///     .buffer_pages(256)
-///     .in_memory_backing(true)
-///     .threads(2)
-///     .build();
+/// let cfg = AllocConfig::builder().buffer_pages(256).in_memory_backing(true).build();
 /// assert_eq!(cfg.buffer_pages, 256);
-/// assert_eq!(cfg.threads, 2);
+/// assert!(cfg.in_memory_backing);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AllocConfigBuilder {
@@ -189,19 +175,6 @@ impl AllocConfigBuilder {
     /// cells converge (`false` = ablation).
     pub fn per_component_convergence(mut self, yes: bool) -> Self {
         self.cfg.per_component_convergence = yes;
-        self
-    }
-
-    /// Worker threads for Transitive's component step (`0` = one per
-    /// available core).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
-        self
-    }
-
-    /// Default allocation policy for facade callers.
-    pub fn policy(mut self, policy: PolicySpec) -> Self {
-        self.cfg.policy = Some(policy);
         self
     }
 
@@ -308,7 +281,6 @@ pub fn allocate_in_env(
                 sort_pages,
                 &mut edb,
                 cfg.per_component_convergence,
-                cfg.threads,
             )?;
             report.iterations = out.iterations_max;
             report.converged = out.converged;
@@ -464,8 +436,6 @@ mod tests {
             .in_memory_backing(true)
             .resort_facts(false)
             .per_component_convergence(false)
-            .threads(4)
-            .policy(PolicySpec::uniform())
             .obs(obs)
             .build();
         assert_eq!(cfg.buffer_pages, 512);
@@ -473,8 +443,6 @@ mod tests {
         assert!(cfg.in_memory_backing);
         assert!(!cfg.resort_facts);
         assert!(!cfg.per_component_convergence);
-        assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.policy, Some(PolicySpec::uniform()));
         assert!(cfg.obs.is_enabled());
     }
 

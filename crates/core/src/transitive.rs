@@ -18,21 +18,6 @@
 //!    Block algorithm on the component's own files.
 //!
 //! EDB entries are written out per component as it completes.
-//!
-//! # Parallel step 3
-//!
-//! Components are independent sub-problems (Theorem 9), and within one
-//! component the EM fixpoint does not depend on evaluation order (Theorem
-//! 2) — so buffer-resident components can be solved by a pool of worker
-//! threads with no effect on the result. The coordinating thread keeps all
-//! storage I/O to itself: it reads each component off the sorted files,
-//! ships the records through a channel, and writes results to the EDB in
-//! component order, so page-I/O counts and EDB contents are bit-identical
-//! to a single-threaded run for any thread count. A page-budget counter
-//! bounds the sum of in-flight component footprints to the window budget,
-//! preserving the paper's memory model; oversized components still run the
-//! external Block path inline on the coordinator (after a barrier that
-//! drains the pool, keeping emission ordered).
 
 use crate::block::{plan_sets, run_block_with_sets};
 use crate::edb::{materialize, ExtendedDatabase};
@@ -42,7 +27,6 @@ use crate::passes::{AncCache, GroupWindow, OnLoad};
 use crate::policy::PolicySpec;
 use crate::prep::{layout_facts, LayoutResult, PreparedData};
 use crate::report::ComponentStats;
-use crossbeam::channel;
 use iolap_graph::{CcidMap, CellSetIndex};
 use iolap_model::records::NO_CCID;
 use iolap_model::{
@@ -76,10 +60,6 @@ pub struct TransitiveOutcome {
 /// iterations varies from component to component"); disabling it forces
 /// every in-memory component to run the global maximum iteration count
 /// (the ablation benchmark).
-///
-/// `threads` sizes the step-3 worker pool: `0` = one worker per available
-/// core, `1` = fully sequential (no pool), `n > 1` = `n` workers. The EDB
-/// and the I/O counts are identical for every value (see the module docs).
 pub fn run_transitive(
     prep: &mut PreparedData,
     policy: &PolicySpec,
@@ -87,7 +67,6 @@ pub fn run_transitive(
     sort_pages: usize,
     edb: &mut ExtendedDatabase,
     per_component_convergence: bool,
-    threads: usize,
 ) -> Result<TransitiveOutcome> {
     let schema = prep.schema.clone();
     let k = schema.k();
@@ -203,8 +182,7 @@ pub fn run_transitive(
 
     // ---- Step 3: process components (lines 26–34) ------------------------
     let mut step_span = obs.span("transitive.process_components");
-    // Per-component telemetry, all observed on the coordinator thread:
-    // size/iteration histograms plus a queue-depth gauge for the pool.
+    // Per-component telemetry: size and iteration histograms.
     let h_tuples = obs.histogram("transitive.component_tuples");
     let h_iters = obs.histogram("transitive.component_iters");
     let external_ctr = obs.counter("transitive.external_components");
@@ -258,224 +236,70 @@ pub fn run_transitive(
         fact_bytes,
         page,
     };
-    let workers = effective_threads(threads);
-
-    if workers <= 1 {
-        // ---- Sequential step 3 ------------------------------------------
-        let mut comp_cells: Vec<CellRecord> = Vec::new();
-        let mut comp_facts: Vec<WorkFactRecord> = Vec::new();
-        while let Some(head) = walk.next_component()? {
-            if head.pages < window_pages.max(2) {
-                // In-memory component: gather, solve to local convergence,
-                // emit, advance.
-                walk.gather(&head, &mut comp_cells, &mut comp_facts)?;
-                if head.nf == 0 {
-                    continue; // isolated cells: Δ = δ forever, nothing to emit
-                }
-                let mut on_iter = |t: u32, max_rel: f64, remaining: u64| {
-                    obs.point(
-                        "fixpoint.iteration",
-                        vec![
-                            ("algorithm".to_string(), "transitive".into()),
-                            ("component_tuples".to_string(), (head.nc + head.nf).into()),
-                            ("iter".to_string(), t.into()),
-                            ("max_rel_delta".to_string(), max_rel.into()),
-                            ("remaining".to_string(), remaining.into()),
-                        ],
-                    );
-                };
-                let done = solve_component(
-                    std::mem::take(&mut comp_cells),
-                    std::mem::take(&mut comp_facts),
-                    &schema,
-                    &conv,
-                    if obs.is_tracing() { Some(&mut on_iter) } else { None },
+    let mut comp_cells: Vec<CellRecord> = Vec::new();
+    let mut comp_facts: Vec<WorkFactRecord> = Vec::new();
+    while let Some(head) = walk.next_component()? {
+        if head.pages < window_pages.max(2) {
+            // In-memory component: gather, solve to local convergence,
+            // emit, advance.
+            walk.gather(&head, &mut comp_cells, &mut comp_facts)?;
+            if head.nf == 0 {
+                continue; // isolated cells: Δ = δ forever, nothing to emit
+            }
+            let mut on_iter = |t: u32, max_rel: f64, remaining: u64| {
+                obs.point(
+                    "fixpoint.iteration",
+                    vec![
+                        ("algorithm".to_string(), "transitive".into()),
+                        ("component_tuples".to_string(), (head.nc + head.nf).into()),
+                        ("iter".to_string(), t.into()),
+                        ("max_rel_delta".to_string(), max_rel.into()),
+                        ("remaining".to_string(), remaining.into()),
+                    ],
                 );
-                if let Some(h) = &h_tuples {
-                    h.observe(head.nc + head.nf);
-                }
-                if let Some(h) = &h_iters {
-                    h.observe(done.iters as u64);
-                }
-                iterations_max = iterations_max.max(done.iters);
-                converged &= done.converged;
-                for (e, first) in &done.entries {
-                    edb.push(e, false, *first)?;
-                }
-            } else {
-                let (iters, ok) = run_external_component(
-                    &mut walk,
-                    &head,
-                    policy,
-                    &level_vecs,
-                    window_pages,
-                    sort_pages,
-                    edb,
-                )?;
-                if let Some(h) = &h_tuples {
-                    h.observe(head.nc + head.nf);
-                }
-                if let Some(h) = &h_iters {
-                    h.observe(iters as u64);
-                }
-                if let Some(c) = &external_ctr {
-                    c.inc();
-                }
-                stats.large_external += 1;
-                stats.external_tuples += head.nc + head.nf;
-                iterations_max = iterations_max.max(iters);
-                converged &= ok;
-            }
-        }
-    } else {
-        // ---- Parallel step 3: coordinator + worker pool -----------------
-        // Workers are pure CPU (build/solve/emit in memory); the
-        // coordinator keeps all storage I/O and pushes results to the EDB
-        // in component order, so output and I/O counts are identical to
-        // the sequential path.
-        let (job_tx, job_rx) = channel::unbounded::<CompJob>();
-        let (done_tx, done_rx) = channel::unbounded::<CompDone>();
-        let scope_result: Result<()> = std::thread::scope(|s| {
-            for _ in 0..workers {
-                let job_rx = job_rx.clone();
-                let done_tx = done_tx.clone();
-                let schema = schema.clone();
-                s.spawn(move || {
-                    while let Ok(job) = job_rx.recv() {
-                        let mut done = solve_component(job.cells, job.facts, &schema, &conv, None);
-                        done.seq = job.seq;
-                        done.pages = job.pages;
-                        if done_tx.send(done).is_err() {
-                            break; // coordinator bailed out
-                        }
-                    }
-                });
-            }
-            // Only the workers' clones must keep the channels alive.
-            drop(job_rx);
-            drop(done_tx);
-
-            // In-flight accounting: `seq` numbers dispatched jobs,
-            // `next_emit` is the next component the EDB expects, and
-            // `in_flight_pages` bounds the footprint of components that
-            // are dispatched but not yet emitted (a page-budget semaphore
-            // in counter form — the coordinator is its only waiter).
-            let mut seq = 0u64;
-            let mut next_emit = 0u64;
-            let mut in_flight_pages = 0u64;
-            let mut parked: HashMap<u64, CompDone> = HashMap::new();
-            let queue_depth = obs.gauge("transitive.queue_depth");
-
-            let drain_one = |next_emit: &mut u64,
-                             in_flight_pages: &mut u64,
-                             parked: &mut HashMap<u64, CompDone>,
-                             edb: &mut ExtendedDatabase,
-                             iterations_max: &mut u32,
-                             converged: &mut bool|
-             -> Result<()> {
-                let done = done_rx.recv().expect("a worker died with jobs in flight");
-                parked.insert(done.seq, done);
-                while let Some(d) = parked.remove(next_emit) {
-                    if let Some(h) = &h_iters {
-                        h.observe(d.iters as u64);
-                    }
-                    *iterations_max = (*iterations_max).max(d.iters);
-                    *converged &= d.converged;
-                    for (e, first) in &d.entries {
-                        edb.push(e, false, *first)?;
-                    }
-                    *in_flight_pages -= d.pages;
-                    *next_emit += 1;
-                }
-                Ok(())
             };
-
-            while let Some(head) = walk.next_component()? {
-                if head.pages < window_pages.max(2) {
-                    let mut cells = Vec::new();
-                    let mut facts = Vec::new();
-                    walk.gather(&head, &mut cells, &mut facts)?;
-                    if head.nf == 0 {
-                        continue;
-                    }
-                    // Page budget: never let dispatched-but-unemitted
-                    // components exceed the window. Each job fits the
-                    // window on its own, so this always unblocks.
-                    while in_flight_pages + head.pages > window_pages && in_flight_pages > 0 {
-                        drain_one(
-                            &mut next_emit,
-                            &mut in_flight_pages,
-                            &mut parked,
-                            edb,
-                            &mut iterations_max,
-                            &mut converged,
-                        )?;
-                    }
-                    in_flight_pages += head.pages;
-                    if let Some(h) = &h_tuples {
-                        h.observe(head.nc + head.nf);
-                    }
-                    job_tx
-                        .send(CompJob { seq, pages: head.pages, cells, facts })
-                        .expect("worker pool hung up early");
-                    seq += 1;
-                    if let Some(g) = &queue_depth {
-                        g.set((seq - next_emit) as i64);
-                    }
-                } else {
-                    // Barrier: the external path writes to the EDB itself,
-                    // so everything dispatched before it must land first.
-                    while next_emit < seq {
-                        drain_one(
-                            &mut next_emit,
-                            &mut in_flight_pages,
-                            &mut parked,
-                            edb,
-                            &mut iterations_max,
-                            &mut converged,
-                        )?;
-                    }
-                    let (iters, ok) = run_external_component(
-                        &mut walk,
-                        &head,
-                        policy,
-                        &level_vecs,
-                        window_pages,
-                        sort_pages,
-                        edb,
-                    )?;
-                    if let Some(h) = &h_tuples {
-                        h.observe(head.nc + head.nf);
-                    }
-                    if let Some(h) = &h_iters {
-                        h.observe(iters as u64);
-                    }
-                    if let Some(c) = &external_ctr {
-                        c.inc();
-                    }
-                    stats.large_external += 1;
-                    stats.external_tuples += head.nc + head.nf;
-                    iterations_max = iterations_max.max(iters);
-                    converged &= ok;
-                }
+            let done = solve_component(
+                std::mem::take(&mut comp_cells),
+                std::mem::take(&mut comp_facts),
+                &schema,
+                &conv,
+                if obs.is_tracing() { Some(&mut on_iter) } else { None },
+            );
+            if let Some(h) = &h_tuples {
+                h.observe(head.nc + head.nf);
             }
-            while next_emit < seq {
-                drain_one(
-                    &mut next_emit,
-                    &mut in_flight_pages,
-                    &mut parked,
-                    edb,
-                    &mut iterations_max,
-                    &mut converged,
-                )?;
+            if let Some(h) = &h_iters {
+                h.observe(done.iters as u64);
             }
-            if let Some(g) = &queue_depth {
-                g.set(0);
+            iterations_max = iterations_max.max(done.iters);
+            converged &= done.converged;
+            for (e, first) in &done.entries {
+                edb.push(e, false, *first)?;
             }
-            drop(job_tx); // workers drain the (empty) queue and exit
-            Ok(())
-        });
-        scope_result?;
+        } else {
+            let (iters, ok) = run_external_component(
+                &mut walk,
+                &head,
+                policy,
+                &level_vecs,
+                window_pages,
+                sort_pages,
+                edb,
+            )?;
+            if let Some(h) = &h_tuples {
+                h.observe(head.nc + head.nf);
+            }
+            if let Some(h) = &h_iters {
+                h.observe(iters as u64);
+            }
+            if let Some(c) = &external_ctr {
+                c.inc();
+            }
+            stats.large_external += 1;
+            stats.external_tuples += head.nc + head.nf;
+            iterations_max = iterations_max.max(iters);
+            converged &= ok;
+        }
     }
 
     step_span.record("components", stats.total);
@@ -491,27 +315,8 @@ pub fn run_transitive(
     })
 }
 
-/// Resolve the `threads` knob: `0` = one worker per available core.
-fn effective_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
-/// A buffer-resident component on its way to a worker.
-struct CompJob {
-    seq: u64,
-    pages: u64,
-    cells: Vec<CellRecord>,
-    facts: Vec<WorkFactRecord>,
-}
-
-/// A solved component on its way back to the coordinator.
+/// A solved component on its way to the EDB.
 struct CompDone {
-    seq: u64,
-    pages: u64,
     iters: u32,
     converged: bool,
     /// EDB entries with their "first entry for this fact" flags. Each
@@ -522,7 +327,7 @@ struct CompDone {
 
 /// Solve one buffer-resident component: pure CPU, no storage access.
 /// `on_iter` (iteration, max relative delta, unconverged cells) feeds the
-/// fixpoint telemetry; workers pass `None` — only the coordinator traces.
+/// fixpoint telemetry when a trace sink is attached.
 fn solve_component(
     cells: Vec<CellRecord>,
     facts: Vec<WorkFactRecord>,
@@ -538,7 +343,7 @@ fn solve_component(
         let first = first_seen.insert(e.fact_id, ()).is_none();
         entries.push((e, first));
     });
-    CompDone { seq: 0, pages: 0, iters, converged, entries }
+    CompDone { iters, converged, entries }
 }
 
 /// The head of the next component in the ccid-sorted files.
@@ -549,7 +354,7 @@ struct CompHead {
 }
 
 /// Sequential reader over the ccid-sorted cell and fact files. All storage
-/// reads of step 3 go through this, on the coordinating thread only.
+/// reads of step 3 go through this.
 struct ComponentWalk<'a> {
     prep: &'a mut PreparedData,
     resolved: &'a [u32],
@@ -736,7 +541,7 @@ mod tests {
         let t = paper_example::table1();
         let mut p = prepare(&t, &policy, &env, 8).unwrap();
         let mut edb = ExtendedDatabase::create(&env, 2).unwrap();
-        let out = run_transitive(&mut p, &policy, 64, 8, &mut edb, true, 1).unwrap();
+        let out = run_transitive(&mut p, &policy, 64, 8, &mut edb, true).unwrap();
         assert!(out.converged);
         // Figure 2 has exactly two components, no isolated cells.
         assert_eq!(out.stats.total, 2);
@@ -765,7 +570,7 @@ mod tests {
         let env2 = env();
         let mut p2 = prepare(&t, &policy, &env2, 8).unwrap();
         let mut edb = ExtendedDatabase::create(&env2, 2).unwrap();
-        let out = run_transitive(&mut p2, &policy, 64, 8, &mut edb, true, 4).unwrap();
+        let out = run_transitive(&mut p2, &policy, 64, 8, &mut edb, true).unwrap();
         assert!(out.converged);
 
         let m = edb.weight_map().unwrap();
@@ -791,12 +596,12 @@ mod tests {
         let env1 = env();
         let mut p1 = prepare(&t, &policy, &env1, 8).unwrap();
         let mut edb1 = ExtendedDatabase::create(&env1, 2).unwrap();
-        run_transitive(&mut p1, &policy, 256, 8, &mut edb1, true, 1).unwrap();
+        run_transitive(&mut p1, &policy, 256, 8, &mut edb1, true).unwrap();
 
         let env2 = env();
         let mut p2 = prepare(&t, &policy, &env2, 8).unwrap();
         let mut edb2 = ExtendedDatabase::create(&env2, 2).unwrap();
-        let out = run_transitive(&mut p2, &policy, 5, 8, &mut edb2, true, 4).unwrap();
+        let out = run_transitive(&mut p2, &policy, 5, 8, &mut edb2, true).unwrap();
         assert!(out.stats.large_external >= 1, "5-page budget must spill");
 
         let m1 = edb1.weight_map().unwrap();
@@ -831,7 +636,7 @@ mod tests {
         let env = env();
         let mut p = prepare(&t, &policy, &env, 8).unwrap();
         let mut edb = ExtendedDatabase::create(&env, 2).unwrap();
-        let out = run_transitive(&mut p, &policy, 64, 8, &mut edb, true, 1).unwrap();
+        let out = run_transitive(&mut p, &policy, 64, 8, &mut edb, true).unwrap();
         assert_eq!(out.stats.total, 2);
         assert_eq!(out.stats.singleton_cells, 1, "(TX, Sierra) is isolated");
     }

@@ -107,6 +107,40 @@ fn preflight(usage: &str, args: &[String]) -> Option<i32> {
     Some(2)
 }
 
+/// `name`'s value parsed as `T`, or `default` when the flag is absent.
+fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    match flag(args, name) {
+        Some(raw) => raw.parse().unwrap_or_else(|_| bad_value(name, &raw)),
+        None => default,
+    }
+}
+
+/// A malformed flag value is a usage error: name the flag and the value
+/// on stderr, print nothing on stdout, exit 2.
+fn bad_value(name: &str, raw: &str) -> ! {
+    eprintln!("iolap: invalid value {raw:?} for {name}");
+    std::process::exit(2)
+}
+
+/// `--policy P` with its `--epsilon E` (default: EM-Count, ε = 0.01).
+fn policy_flag(args: &[String]) -> PolicySpec {
+    let epsilon: f64 = parse_flag(args, "--epsilon", 0.01);
+    match flag(args, "--policy").as_deref().unwrap_or("em-count") {
+        "em-count" => PolicySpec::em_count(epsilon),
+        "em-measure" => PolicySpec::em_measure(epsilon),
+        "count" => PolicySpec::count(),
+        "measure" => PolicySpec::measure(),
+        "uniform" => PolicySpec::uniform(),
+        other => bad_value("--policy", other),
+    }
+}
+
+/// `--buffer-kb KB` in 4 KiB pages (default 4 MiB, at least 8 pages).
+fn buffer_pages_flag(args: &[String]) -> usize {
+    let kb: u64 = parse_flag(args, "--buffer-kb", 4096);
+    (kb.saturating_mul(1024) as usize).div_ceil(4096).max(8)
+}
+
 // ---------------------------------------------------------------------------
 
 fn cmd_demo(args: &[String]) -> i32 {
@@ -135,13 +169,9 @@ fn cmd_gen(args: &[String]) -> i32 {
     if let Some(code) = preflight(GEN_USAGE, args) {
         return code;
     }
-    let kind: DatasetKind = flag(args, "--kind")
-        .unwrap_or_else(|| "automotive".into())
-        .parse()
-        .expect("--kind automotive|synthetic");
-    let n: u64 =
-        flag(args, "--facts").unwrap_or_else(|| "10000".into()).parse().expect("--facts N");
-    let seed: u64 = flag(args, "--seed").unwrap_or_else(|| "42".into()).parse().expect("--seed S");
+    let kind = parse_flag(args, "--kind", DatasetKind::Automotive);
+    let n: u64 = parse_flag(args, "--facts", 10_000);
+    let seed: u64 = parse_flag(args, "--seed", 42);
     let out = PathBuf::from(flag(args, "--out").unwrap_or_else(|| "iolap-data".into()));
     std::fs::create_dir_all(&out).expect("creating output dir");
 
@@ -163,36 +193,21 @@ fn quote(s: &str) -> String {
 // ---------------------------------------------------------------------------
 
 const ALLOCATE_USAGE: &str = "iolap allocate --data DIR [--algorithm A] [--policy P] \
-     [--epsilon E] [--buffer-kb KB] [--threads N] [--rollup DIM:LEVEL] \
+     [--epsilon E] [--buffer-kb KB] [--rollup DIM:LEVEL] \
      [--edb-out FILE] [--trace-out FILE]";
 
 fn cmd_allocate(args: &[String]) -> i32 {
     if let Some(code) = preflight(ALLOCATE_USAGE, args) {
         return code;
     }
-    let dir = PathBuf::from(flag(args, "--data").expect("--data DIR required"));
-    let algorithm: Algorithm = flag(args, "--algorithm")
-        .unwrap_or_else(|| "transitive".into())
-        .parse()
-        .expect("--algorithm basic|independent|block|transitive");
-    let epsilon: f64 =
-        flag(args, "--epsilon").unwrap_or_else(|| "0.01".into()).parse().expect("--epsilon E");
-    let policy = match flag(args, "--policy").unwrap_or_else(|| "em-count".into()).as_str() {
-        "em-count" => PolicySpec::em_count(epsilon),
-        "em-measure" => PolicySpec::em_measure(epsilon),
-        "count" => PolicySpec::count(),
-        "measure" => PolicySpec::measure(),
-        "uniform" => PolicySpec::uniform(),
-        other => {
-            eprintln!("unknown policy {other:?}");
-            return 2;
-        }
+    let Some(dir) = flag(args, "--data") else {
+        eprintln!("iolap allocate: --data DIR is required");
+        eprintln!("{ALLOCATE_USAGE}");
+        return 2;
     };
-    let buffer_kb: u64 =
-        flag(args, "--buffer-kb").unwrap_or_else(|| "4096".into()).parse().expect("--buffer-kb KB");
-    let buffer_pages = ((buffer_kb * 1024) as usize).div_ceil(4096).max(8);
-    let threads: usize =
-        flag(args, "--threads").unwrap_or_else(|| "1".into()).parse().expect("--threads N");
+    let algorithm = parse_flag(args, "--algorithm", Algorithm::Transitive);
+    let policy = policy_flag(args);
+    let buffer_pages = buffer_pages_flag(args);
 
     // Ingest.
     let db = match Iolap::open(&dir) {
@@ -203,6 +218,16 @@ fn cmd_allocate(args: &[String]) -> i32 {
         }
     };
     let (schema, table) = (db.schema().clone(), db.table());
+    // `--rollup DIM:LEVEL` names a dimension and one of its levels;
+    // resolved before paying for allocation.
+    let rollup_at = flag(args, "--rollup").map(|spec| {
+        let resolved = spec.split_once(':').and_then(|(dim, level)| {
+            let d = (0..schema.k()).find(|&d| schema.dim(d).name() == dim)?;
+            let h = schema.dim(d);
+            Some((d, (1..=h.levels()).find(|&l| h.level_name(l) == level)?))
+        });
+        resolved.unwrap_or_else(|| bad_value("--rollup", &spec))
+    });
     println!(
         "loaded {} facts ({} imprecise) over {} dimensions",
         table.len(),
@@ -215,19 +240,14 @@ fn cmd_allocate(args: &[String]) -> i32 {
         let sink = JsonlSink::create(&path).expect("--trace-out file");
         obs = Obs::with_sink(Arc::new(sink));
     }
-    let cfg =
-        AllocConfig::builder().buffer_pages(buffer_pages).threads(threads).obs(obs.clone()).build();
+    let cfg = AllocConfig::builder().buffer_pages(buffer_pages).obs(obs.clone()).build();
     let mut run = db.config(cfg).policy(policy).allocate(algorithm).expect("allocation");
     obs.flush();
     println!("{}", run.report);
     println!("EDB: {} entries for {} facts", run.edb.num_entries(), run.edb.num_facts_allocated());
 
-    if let Some(spec) = flag(args, "--rollup") {
-        let (dim_name, level_name) = spec.split_once(':').expect("--rollup DIM:LEVEL");
-        let d =
-            (0..schema.k()).find(|&d| schema.dim(d).name() == dim_name).expect("known dimension");
-        let h = schema.dim(d);
-        let level = (1..=h.levels()).find(|&l| h.level_name(l) == level_name).expect("known level");
+    if let Some((d, level)) = rollup_at {
+        let level_name = schema.dim(d).level_name(level);
         let rows = rollup(&run.edb, &schema, d, level, None, AggFn::Sum).expect("rollup");
         // Print the top 20 by value.
         let mut rows = rows;
@@ -296,23 +316,8 @@ fn cmd_query(args: &[String]) -> i32 {
                 return 2;
             }
         };
-    let epsilon: f64 =
-        flag(args, "--epsilon").unwrap_or_else(|| "0.01".into()).parse().expect("--epsilon E");
-    let policy = match flag(args, "--policy").unwrap_or_else(|| "em-count".into()).as_str() {
-        "em-count" => PolicySpec::em_count(epsilon),
-        "em-measure" => PolicySpec::em_measure(epsilon),
-        "count" => PolicySpec::count(),
-        "measure" => PolicySpec::measure(),
-        "uniform" => PolicySpec::uniform(),
-        other => {
-            eprintln!("iolap query: unknown policy {other:?}");
-            eprintln!("{QUERY_USAGE}");
-            return 2;
-        }
-    };
-    let buffer_kb: u64 =
-        flag(args, "--buffer-kb").unwrap_or_else(|| "4096".into()).parse().expect("--buffer-kb KB");
-    let buffer_pages = ((buffer_kb * 1024) as usize).div_ceil(4096).max(8);
+    let policy = policy_flag(args);
+    let buffer_pages = buffer_pages_flag(args);
 
     let db = match Iolap::open(&dir) {
         Ok(x) => x,
@@ -432,49 +437,23 @@ fn cmd_serve(args: &[String]) -> i32 {
         return 2;
     };
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8642".into());
-    let epsilon: f64 =
-        flag(args, "--epsilon").unwrap_or_else(|| "0.01".into()).parse().expect("--epsilon E");
-    let policy = match flag(args, "--policy").unwrap_or_else(|| "em-count".into()).as_str() {
-        "em-count" => PolicySpec::em_count(epsilon),
-        "em-measure" => PolicySpec::em_measure(epsilon),
-        "count" => PolicySpec::count(),
-        "measure" => PolicySpec::measure(),
-        "uniform" => PolicySpec::uniform(),
-        other => {
-            eprintln!("unknown policy {other:?}");
-            return 2;
-        }
-    };
-    let buffer_kb: u64 =
-        flag(args, "--buffer-kb").unwrap_or_else(|| "4096".into()).parse().expect("--buffer-kb KB");
-    let buffer_pages = ((buffer_kb * 1024) as usize).div_ceil(4096).max(8);
-    let workers: usize =
-        flag(args, "--workers").unwrap_or_else(|| "4".into()).parse().expect("--workers N");
-    let queue: usize =
-        flag(args, "--queue").unwrap_or_else(|| "128".into()).parse().expect("--queue N");
-    let cache: usize =
-        flag(args, "--cache").unwrap_or_else(|| "4096".into()).parse().expect("--cache N");
-    let max_conns: usize =
-        flag(args, "--max-conns").unwrap_or_else(|| "8192".into()).parse().expect("--max-conns N");
+    let policy = policy_flag(args);
+    let buffer_pages = buffer_pages_flag(args);
+    let workers: usize = parse_flag(args, "--workers", 4);
+    let queue: usize = parse_flag(args, "--queue", 128);
+    let cache: usize = parse_flag(args, "--cache", 4096);
+    let max_conns: usize = parse_flag(args, "--max-conns", 8192);
     // --timeout-ms sets the read AND write socket timeouts; --idle-ms
     // bounds how long a parked keep-alive connection is kept.
-    let timeout_ms: u64 = flag(args, "--timeout-ms")
-        .unwrap_or_else(|| "5000".into())
-        .parse()
-        .expect("--timeout-ms MS");
-    let idle_ms: u64 =
-        flag(args, "--idle-ms").unwrap_or_else(|| "60000".into()).parse().expect("--idle-ms MS");
+    let timeout_ms: u64 = parse_flag(args, "--timeout-ms", 5000);
+    let idle_ms: u64 = parse_flag(args, "--idle-ms", 60_000);
 
     // Streaming ingest: updates are WAL-durable by default (the log
     // lives next to the data); --group-ms > 0 acks at durable and folds
     // on the group-commit cadence instead of per request.
     let no_wal = has_flag(args, "--no-wal");
-    let group_ms: u64 =
-        flag(args, "--group-ms").unwrap_or_else(|| "0".into()).parse().expect("--group-ms MS");
-    let group_frames: u64 = flag(args, "--group-frames")
-        .unwrap_or_else(|| "256".into())
-        .parse()
-        .expect("--group-frames N");
+    let group_ms: u64 = parse_flag(args, "--group-ms", 0);
+    let group_frames: u64 = parse_flag(args, "--group-frames", 256);
 
     let db = match Iolap::open(&dir) {
         Ok(x) => x,

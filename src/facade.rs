@@ -28,6 +28,7 @@ pub struct Iolap {
     schema: Arc<Schema>,
     table: FactTable,
     cfg: AllocConfig,
+    policy: PolicySpec,
 }
 
 impl Iolap {
@@ -37,13 +38,18 @@ impl Iolap {
         let dir = dir.as_ref();
         let (schema, table) =
             load_dataset(dir).context(format!("loading dataset from {}", dir.display()))?;
-        Ok(Iolap { schema, table, cfg: AllocConfig::default() })
+        Ok(Self::new(schema, table))
     }
 
     /// Wrap an in-memory fact table (tests, examples, generated data).
     pub fn from_table(table: FactTable) -> Self {
-        let schema = table.schema().clone();
-        Iolap { schema, table, cfg: AllocConfig::default() }
+        Self::new(table.schema().clone(), table)
+    }
+
+    /// Default configuration and the paper's baseline policy, EM-Count
+    /// with ε = 0.01.
+    fn new(schema: Arc<Schema>, table: FactTable) -> Self {
+        Iolap { schema, table, cfg: AllocConfig::default(), policy: PolicySpec::em_count(0.01) }
     }
 
     /// Replace the run configuration (see [`AllocConfig::builder`]).
@@ -52,9 +58,9 @@ impl Iolap {
         self
     }
 
-    /// Set the allocation policy (shorthand for rebuilding the config).
+    /// Set the allocation policy (default: EM-Count with ε = 0.01).
     pub fn policy(mut self, policy: PolicySpec) -> Self {
-        self.cfg.policy = Some(policy);
+        self.policy = policy;
         self
     }
 
@@ -79,11 +85,9 @@ impl Iolap {
         &self.cfg
     }
 
-    /// Run `algorithm` with the configured policy (default: EM-Count with
-    /// ε = 0.01, the paper's baseline) and materialize the EDB.
+    /// Run `algorithm` with the configured policy and materialize the EDB.
     pub fn allocate(&self, algorithm: Algorithm) -> Result<AllocationRun> {
-        let policy = self.cfg.policy.clone().unwrap_or_else(|| PolicySpec::em_count(0.01));
-        allocate(&self.table, &policy, algorithm, &self.cfg)
+        allocate(&self.table, &self.policy, algorithm, &self.cfg)
             .context(format!("running {algorithm} allocation"))
     }
 
@@ -93,8 +97,7 @@ impl Iolap {
     /// returned handle owns the server threads and shuts the server down
     /// when dropped. See `iolap_serve` for the endpoint surface.
     pub fn serve(&self, addr: &str, cfg: iolap_serve::ServeConfig) -> Result<ServerHandle> {
-        let policy = self.cfg.policy.clone().unwrap_or_else(|| PolicySpec::em_count(0.01));
-        Server::builder(self.table.clone(), policy)
+        Server::builder(self.table.clone(), self.policy.clone())
             .alloc(self.cfg.clone())
             .config(cfg)
             .bind(addr)
@@ -130,7 +133,6 @@ mod tests {
             .config(AllocConfig::builder().in_memory(256).build())
             .policy(PolicySpec::uniform())
             .observe(obs.clone());
-        assert_eq!(db.alloc_config().policy, Some(PolicySpec::uniform()));
         let run = db.allocate(Algorithm::Transitive).unwrap();
         assert!(run.report.converged);
         assert!(obs.metrics().unwrap().counter("report.iterations").get() <= 1);

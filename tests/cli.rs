@@ -111,6 +111,7 @@ fn every_subcommand_rejects_an_unknown_flag() {
         ("demo", "--verbose"),
         ("gen", "--fact"),
         ("allocate", "--bufer-kb"),
+        ("allocate", "--threads"),
         ("query", "--aggregate"),
         ("serve", "--worker"),
     ] {
@@ -121,6 +122,38 @@ fn every_subcommand_rejects_an_unknown_flag() {
         assert!(err.contains(&format!("iolap {cmd}")), "{cmd}: prints its usage line: {err}");
         assert!(out.stdout.is_empty(), "{cmd}: errors go to stderr, not stdout");
     }
+}
+
+/// A value that does not parse is a usage error naming the flag, never a
+/// panic: one malformed value per subcommand that takes values, plus a
+/// `--rollup` naming a dimension the dataset does not have.
+#[test]
+fn malformed_flag_values_are_usage_errors_not_panics() {
+    let dir = std::env::temp_dir().join(format!("iolap-cli-bad-values-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = iolap()
+        .args(["gen", "--kind", "automotive", "--facts", "300", "--seed", "5", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("spawn gen");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let data = dir.to_str().expect("utf-8 temp dir");
+
+    for (args, flag) in [
+        (vec!["gen", "--facts", "-3", "--out", data], "--facts"),
+        (vec!["allocate", "--data", data, "--epsilon", "abc"], "--epsilon"),
+        (vec!["allocate", "--data", data, "--rollup", "Nope:Region"], "--rollup"),
+        (vec!["query", "--data", data, "--buffer-kb", "x"], "--buffer-kb"),
+        (vec!["serve", "--data", data, "--workers", "x"], "--workers"),
+    ] {
+        let out = iolap().args(&args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: usage errors exit 2");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{args:?}: stderr names {flag}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: errors go to stderr, not stdout");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

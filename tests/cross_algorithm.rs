@@ -117,44 +117,6 @@ fn transitive_components_match_bfs_reference() {
 }
 
 #[test]
-fn thread_count_does_not_change_the_edb() {
-    // Theorem 2: the EM fixpoint is independent of evaluation order and
-    // schedule, which is what makes the step-3 worker pool sound. Stronger
-    // than weight equality up to ε: the coordinator re-sequences worker
-    // results by component order, so the EDB must be *bit-identical* for
-    // every thread count.
-    let table = generate(&GeneratorConfig::synthetic(3_000, 11));
-    let policy = PolicySpec::em_count(0.01);
-    let edb_with = |threads: usize, pages: usize| {
-        let cfg = AllocConfig::builder().in_memory(pages).threads(threads).build();
-        let mut run = allocate(&table, &policy, Algorithm::Transitive, &cfg).unwrap();
-        assert!(run.report.converged, "{threads} threads did not converge");
-        run.edb.weight_map().unwrap()
-    };
-    for pages in [4096, 48] {
-        // 48 pages also mixes in external (Block-fallback) components,
-        // exercising the drain barrier.
-        let reference = edb_with(1, pages);
-        for threads in [2, 4, 8] {
-            let got = edb_with(threads, pages);
-            assert_eq!(reference.len(), got.len(), "{threads} threads @ {pages}p");
-            for (id, ea) in &reference {
-                let eb = &got[id];
-                assert_eq!(ea.len(), eb.len(), "{threads} threads @ {pages}p: fact {id}");
-                for ((ca, wa), (cb, wb)) in ea.iter().zip(eb.iter()) {
-                    assert_eq!(ca, cb, "{threads} threads @ {pages}p: fact {id} cells");
-                    assert_eq!(
-                        wa.to_bits(),
-                        wb.to_bits(),
-                        "{threads} threads @ {pages}p: fact {id} weights {wa} vs {wb}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn measure_policy_agrees_across_algorithms() {
     let table = generate(&GeneratorConfig::automotive(2_000, 9));
     let policy = PolicySpec::em_measure(0.02);

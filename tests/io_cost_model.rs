@@ -85,16 +85,26 @@ fn block_io_tracks_theorem7_magnitude() {
 }
 
 /// One run on the small fixed dataset every pinned constant below is
-/// recorded on: ε = 0.01 under a 96-page buffer. `cfg` carries the knob
-/// under test, if any.
-fn pinned_run(alg: Algorithm, cfg: AllocConfigBuilder) -> AllocationRun {
+/// recorded on: ε = 0.01 under a `pages`-page buffer. `cfg` carries the
+/// knob under test, if any.
+fn pinned_run(alg: Algorithm, pages: usize, cfg: AllocConfigBuilder) -> AllocationRun {
     let t = scaled(DatasetKind::Automotive, 5_000, 42);
-    allocate(&t, &PolicySpec::em_count(0.01), alg, &cfg.in_memory(96).build()).unwrap()
+    allocate(&t, &PolicySpec::em_count(0.01), alg, &cfg.in_memory(pages).build()).unwrap()
 }
 
 /// Accounted page traffic of one run: (reads, writes) of the prep, alloc and
 /// EDB phases, pool hits and misses, EDB entries.
 type Pinned = ([(u64, u64); 3], (u64, u64), u64);
+
+/// The [`Pinned`] traffic of `run`.
+fn pinned(run: &AllocationRun) -> Pinned {
+    let r = &run.report;
+    (
+        [r.io_prep, r.io_alloc, r.io_edb].map(|io| (io.reads, io.writes)),
+        (r.pool_hits, r.pool_misses),
+        run.edb.num_entries(),
+    )
+}
 
 #[test]
 fn accounted_io_is_pinned_per_algorithm() {
@@ -110,15 +120,21 @@ fn accounted_io_is_pinned_per_algorithm() {
         (Algorithm::Transitive, ([(0, 66), (23, 73), (28, 42)], (10769, 51), 3600)),
     ];
     for (alg, want) in PINNED {
-        let run = pinned_run(alg, AllocConfig::builder());
-        let r = &run.report;
-        let got: Pinned = (
-            [r.io_prep, r.io_alloc, r.io_edb].map(|io| (io.reads, io.writes)),
-            (r.pool_hits, r.pool_misses),
-            run.edb.num_entries(),
-        );
-        assert_eq!(got, want, "{alg}: accounted I/O moved");
+        let run = pinned_run(alg, 96, AllocConfig::builder());
+        assert_eq!(pinned(&run), want, "{alg}: accounted I/O moved");
     }
+}
+
+/// The constants above run under a single CLOCK: 96 pages is below
+/// `SHARDING_THRESHOLD`. At 128 pages, the first striped size, each shard
+/// runs its own CLOCK over its share, and that eviction order is what the
+/// `e2e` ledger's `alloc_io_pages` was recorded under. One global CLOCK
+/// at the same size charges the EDB phase 1 write instead of 6.
+#[test]
+fn transitive_io_is_pinned_under_a_striped_pool() {
+    const PINNED: Pinned = ([(0, 46), (0, 93), (28, 6)], (10792, 28), 3600);
+    let run = pinned_run(Algorithm::Transitive, 128, AllocConfig::builder());
+    assert_eq!(pinned(&run), PINNED, "accounted I/O moved under the striped pool");
 }
 
 /// One fact's EDB entries as (cell, weight), in cell order.
@@ -147,7 +163,7 @@ fn per_component_convergence_saves_iterations_not_io() {
     let mut runs = [(true, ON), (false, OFF)].map(|(on, want)| {
         let obs = Obs::metrics_only();
         let cfg = AllocConfig::builder().per_component_convergence(on).obs(obs.clone());
-        let run = pinned_run(Algorithm::Transitive, cfg);
+        let run = pinned_run(Algorithm::Transitive, 96, cfg);
         let iters = obs.histogram("transitive.component_iters").expect("metrics on");
         assert_eq!(iters.count(), 58, "components solved in memory");
         let io = run.report.io_alloc;
@@ -177,7 +193,7 @@ fn per_component_convergence_saves_iterations_not_io() {
 fn cached_chains_save_independent_sort_pages_at_the_same_edb() {
     let mut runs = [(true, (93, 1439)), (false, (42, 1415))].map(|(resort, want)| {
         let cfg = AllocConfig::builder().resort_facts(resort);
-        let run = pinned_run(Algorithm::Independent, cfg);
+        let run = pinned_run(Algorithm::Independent, 96, cfg);
         let io = run.report.io_alloc;
         assert_eq!((io.reads, io.writes), want, "resort_facts({resort})");
         assert_eq!(run.report.iterations, 4);
