@@ -17,7 +17,7 @@
 //! ```
 
 use iolap_bench::runs::print_table;
-use iolap_bench::Args;
+use iolap_bench::{Args, Json};
 use iolap_core::maintain::{FactUpdate, MaintainableEdb};
 use iolap_core::{allocate, Algorithm, AllocConfig, PolicySpec};
 use iolap_datagen::scaled;
@@ -88,6 +88,7 @@ fn main() {
     let percents = [0.1f64, 1.0, 2.5, 5.0, 10.0];
 
     let mut rows = Vec::new();
+    let mut points = Vec::new();
     for (name, pool) in &workloads {
         for &pct in &percents {
             let n = ((args.facts as f64) * pct / 100.0).max(1.0) as usize;
@@ -101,6 +102,15 @@ fn main() {
                 .collect();
             let rep = maintained.apply_updates(&updates).expect("updates");
             let ratio = rep.wall.as_secs_f64() / rebuild.as_secs_f64();
+            points.push(vec![
+                ("workload", Json::S(name.to_string())),
+                ("percent", Json::F(pct)),
+                ("updates", Json::U(n as u64)),
+                ("components", Json::U(rep.affected_components)),
+                ("tuples", Json::U(rep.affected_tuples)),
+                ("update_secs", Json::F(rep.wall.as_secs_f64())),
+                ("ratio", Json::F(ratio)),
+            ]);
             rows.push(vec![
                 name.to_string(),
                 format!("{pct}%"),
@@ -119,5 +129,16 @@ fn main() {
     );
     println!("\nPaper shape: Non-Overlap Precise flat and ≪ 1; the random workloads");
     println!("degrade past a few percent and cross 1 near 5–10 %.");
+    if let Some(path) = &args.json {
+        let meta = [
+            ("figure", Json::S("6".into())),
+            ("dataset", Json::S(format!("{:?}", args.dataset))),
+            ("facts", Json::U(args.facts)),
+            ("seed", Json::U(args.seed)),
+            ("rebuild_secs", Json::F(rebuild.as_secs_f64())),
+            ("components", Json::U(stats.total)),
+        ];
+        iolap_bench::runs::write_json(path, &meta, &points).expect("write --json output");
+    }
     obs.flush();
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use iolap_bench::runs::print_table;
-use iolap_bench::Args;
+use iolap_bench::{Args, Json};
 use iolap_datagen::census::dimension_shape;
 use iolap_datagen::{census, scaled};
 
@@ -20,6 +20,7 @@ fn main() {
     // percentage of facts taking a value from that level.
     let shape = dimension_shape(&table);
     let mut rows = Vec::new();
+    let mut points = Vec::new();
     let max_levels = shape.iter().map(Vec::len).max().unwrap_or(0);
     for t in 0..max_levels {
         // Row t from the top: ALL first, leaves last (as in the paper).
@@ -31,6 +32,12 @@ fn main() {
                 let pct =
                     100.0 * c.per_dim_level_counts[d][level_idx] as f64 / c.n_facts.max(1) as f64;
                 row.push(format!("{name}({nodes})({pct:.0}%)"));
+                points.push(vec![
+                    ("dimension", Json::U(d as u64)),
+                    ("level", Json::S(name.to_string())),
+                    ("nodes", Json::U(*nodes as u64)),
+                    ("percent_facts", Json::F(pct)),
+                ]);
             } else {
                 row.push(String::new());
             }
@@ -48,4 +55,13 @@ fn main() {
     println!("Paper's real data for reference: 797,570 facts; 557,255 precise;");
     println!("240,315 imprecise (30%); 67% / 33% / 0.01% imprecise in 1 / 2 / 3 dims;");
     println!("35 imprecise summary tables; no ALL values.");
+    if let Some(path) = &args.json {
+        let meta = [
+            ("table", Json::S("2".into())),
+            ("dataset", Json::S(format!("{:?}", args.dataset))),
+            ("facts", Json::U(args.facts)),
+            ("seed", Json::U(args.seed)),
+        ];
+        iolap_bench::runs::write_json(path, &meta, &points).expect("write --json output");
+    }
 }

@@ -90,6 +90,11 @@ struct CompMeta {
 }
 
 impl CompMeta {
+    /// Cell records listed for this component, dead ones included.
+    fn cell_slots(&self) -> u64 {
+        self.cell_ranges.iter().map(|&(s, e)| e - s).sum::<u64>() + self.extra_cells.len() as u64
+    }
+
     fn cell_indexes(&self, dead: &HashSet<u64>) -> Vec<u64> {
         let mut out = Vec::new();
         for &(s, e) in &self.cell_ranges {
@@ -195,6 +200,7 @@ impl CompactionPlan {
             entries.push(e);
         }
         drop(cursor);
+        sorted.delete()?;
         Ok(CompactionResult {
             start: self.start,
             input_segs: self.inputs.iter().map(|v| v.segment.clone()).collect(),
@@ -385,8 +391,12 @@ impl MaintainableEdb {
             }
         }
 
-        let items: Vec<(Aabb, u32)> =
+        let mut items: Vec<(Aabb, u32)> =
             comps.iter().filter_map(|(cc, m)| m.bbox.map(|b| (b, *cc))).collect();
+        // In ccid order, not HashMap order: the tree's shape fixes the
+        // order later searches visit components in, and with it the order
+        // their pages are pinned, so that a replay charges the same I/O.
+        items.sort_unstable_by_key(|&(_, cc)| cc);
         let rtree = RTree::bulk_load(k, items);
         let base_len = run.edb.num_entries();
 
@@ -1125,6 +1135,10 @@ impl MaintainableEdb {
         let point = RegionBox::point(cell, self.prep.schema.k());
         let mut cands: Vec<u32> = Vec::new();
         self.rtree.search(&region_to_aabb(&point), |_, &cc| cands.push(cc));
+        // Smallest component first: a large component's box covers most
+        // points, while the cell's owner is usually small, so this finds
+        // the owner after the fewest page reads.
+        cands.sort_unstable_by_key(|cc| (self.comps.get(cc).map_or(0, CompMeta::cell_slots), *cc));
         for cc in cands {
             if let Some(meta) = self.comps.get(&cc) {
                 for ci in meta.cell_indexes(&self.dead_cells) {

@@ -6,13 +6,18 @@
 //! pages, evicting unpinned frames with the CLOCK (second-chance) policy and
 //! writing dirty frames back through the owning [`Pager`].
 //!
-//! Two properties matter for reproducing the paper's I/O behaviour:
+//! Three properties matter for reproducing the paper's I/O behaviour:
 //!
 //! * When a table fits in the pool, repeated scans cost no I/O after the
 //!   first (the "in-memory" experiment of Section 11.1).
 //! * When a table is larger than the pool, a sequential scan floods the
 //!   pool and every subsequent scan re-reads every page — exactly the
 //!   "every pass reads the relation" assumption of the I/O analysis.
+//! * A page discarded with its file (a consumed sort input, a merged run,
+//!   a spill) is never written back, so it is never charged; the frames it
+//!   held go on their shard's free list and are handed out before the
+//!   CLOCK evicts any live page. The cost model charges a pass over the
+//!   *live* relation only, as Theorems 6, 7 and 10 do.
 //!
 //! Algorithms that hold working sets outside the pool (e.g. the Block
 //! algorithm's summary-table partitions, Section 6) account for that memory
@@ -90,6 +95,9 @@ impl Frame {
 struct Shard {
     frames: Vec<Frame>,
     map: HashMap<(FileId, PageId), usize>,
+    /// Indices of the frames that hold no page (`key == None`), emptied by
+    /// a dropped, truncated or purged file. Reused before anything else.
+    free: Vec<usize>,
     /// This shard's share of the pool's effective capacity.
     capacity: usize,
     clock: usize,
@@ -103,15 +111,20 @@ impl Shard {
         Shard {
             frames: Vec::new(),
             map: HashMap::new(),
+            free: Vec::new(),
             capacity: 1,
             clock: 0,
             stats: ShardStats::default(),
         }
     }
 
-    /// Find a frame to (re)use, evicting an unpinned one if the shard is at
-    /// capacity. Returns the frame index with `key == None`.
+    /// Find a frame to (re)use: a free one first, then a new one while the
+    /// shard is under capacity, and only then an unpinned live frame
+    /// evicted by CLOCK. Returns the frame index with `key == None`.
     fn grab_frame(&mut self) -> Result<usize> {
+        if let Some(i) = self.free.pop() {
+            return Ok(i);
+        }
         if self.frames.len() < self.capacity {
             self.frames.push(Frame::empty());
             return Ok(self.frames.len() - 1);
@@ -151,24 +164,58 @@ impl Shard {
         Ok(())
     }
 
-    /// Shrink to the shard capacity by evicting unpinned frames.
-    /// Best-effort: pinned frames are skipped.
+    /// Shrink to the shard capacity, dropping free frames first and then
+    /// evicting unpinned ones. Best-effort: pinned frames are skipped.
     fn shrink(&mut self) -> Result<()> {
         while self.frames.len() > self.capacity {
-            let Some(i) = self.frames.iter().rposition(|f| f.pin == 0) else {
-                return Ok(());
+            let i = match self.free.pop() {
+                Some(i) => i,
+                None => {
+                    let Some(i) = self.frames.iter().rposition(|f| f.pin == 0) else {
+                        return Ok(());
+                    };
+                    self.evict(i)?;
+                    i
+                }
             };
-            self.evict(i)?;
+            let last = self.frames.len() - 1;
             self.frames.swap_remove(i);
-            // Fix the map entry of the frame that moved into slot `i`.
-            if i < self.frames.len() {
-                if let Some(key) = self.frames[i].key {
-                    self.map.insert(key, i);
+            // Re-point whatever referred to the frame that moved from the
+            // last slot into slot `i`.
+            if i < last {
+                match self.frames[i].key {
+                    Some(key) => {
+                        self.map.insert(key, i);
+                    }
+                    None => {
+                        if let Some(j) = self.free.iter_mut().find(|j| **j == last) {
+                            *j = i;
+                        }
+                    }
                 }
             }
             self.clock = 0;
         }
         Ok(())
+    }
+
+    /// Empty every frame of `file` whose page satisfies `drop_page`,
+    /// without write-back, and put it on the free list.
+    fn discard(&mut self, file: FileId, mut drop_page: impl FnMut(PageId) -> bool) {
+        for i in 0..self.frames.len() {
+            let f = &mut self.frames[i];
+            match f.key {
+                Some((fid, page)) if fid == file && drop_page(page) => {
+                    assert_eq!(f.pin, 0, "discarding a pinned page");
+                    f.key = None;
+                    f.pager = None;
+                    f.dirty = false;
+                    self.map.remove(&(fid, page));
+                    self.free.push(i);
+                }
+                _ => {}
+            }
+        }
     }
 
     /// Write back every dirty frame accepted by `select`, coalescing
@@ -313,24 +360,18 @@ impl BufferPool {
         id
     }
 
-    /// Drop a file: purge its frames (without write-back) and release the
-    /// pager. Any page guard for this file must have been dropped.
-    pub fn forget_file(&self, file: FileId) {
+    /// Drop a file: free its frames without write-back (dirty pages are
+    /// discarded, never charged), delete its backing storage and release
+    /// the pager. Any page guard for this file must have been dropped.
+    pub fn forget_file(&self, file: FileId) -> Result<()> {
         for shard in &self.shared.shards {
-            let mut shard = shard.lock();
-            for i in 0..shard.frames.len() {
-                if let Some((f, p)) = shard.frames[i].key {
-                    if f == file {
-                        assert_eq!(shard.frames[i].pin, 0, "forgetting a file with pinned pages");
-                        shard.frames[i].key = None;
-                        shard.frames[i].pager = None;
-                        shard.frames[i].dirty = false;
-                        shard.map.remove(&(f, p));
-                    }
-                }
-            }
+            shard.lock().discard(file, |_| true);
         }
-        self.shared.files.lock()[file.0 as usize] = None;
+        let pager = self.shared.files.lock()[file.0 as usize]
+            .take()
+            .expect("file used after being dropped from the pool");
+        pager.lock().delete()?;
+        Ok(())
     }
 
     /// Number of pages in `file` (cached metadata from the pager).
@@ -357,7 +398,10 @@ impl BufferPool {
         {
             let buf = Arc::clone(&shard.frames[i].buf);
             let mut guard = buf.write();
-            pager.lock().read_page(page, &mut guard[..])?;
+            if let Err(e) = pager.lock().read_page(page, &mut guard[..]) {
+                shard.free.push(i);
+                return Err(e);
+            }
         }
         let f = &mut shard.frames[i];
         f.key = Some((file, page));
@@ -423,31 +467,23 @@ impl BufferPool {
     /// have been dropped.
     pub fn truncate_file(&self, file: FileId, pages: u64) -> Result<()> {
         for shard in &self.shared.shards {
-            let mut shard = shard.lock();
-            for i in 0..shard.frames.len() {
-                if let Some((f, p)) = shard.frames[i].key {
-                    if f == file && p >= pages {
-                        assert_eq!(shard.frames[i].pin, 0, "truncating a file with pinned pages");
-                        shard.frames[i].key = None;
-                        shard.frames[i].pager = None;
-                        shard.frames[i].dirty = false;
-                        shard.map.remove(&(f, p));
-                    }
-                }
-            }
+            shard.lock().discard(file, |p| p >= pages);
         }
         self.shared.pager(file).lock().truncate(pages)
     }
 
     /// Drop every unpinned frame of `file` (writing dirty ones back), so the
-    /// next scan re-reads from disk. Used by benchmarks to reproduce "cold"
+    /// next scan re-reads from disk. Used by tests to reproduce "cold"
     /// passes deterministically.
     pub fn purge_file(&self, file: FileId) -> Result<()> {
         for shard in &self.shared.shards {
             let mut shard = shard.lock();
             for i in 0..shard.frames.len() {
                 match shard.frames[i].key {
-                    Some((f, _)) if f == file && shard.frames[i].pin == 0 => shard.evict(i)?,
+                    Some((f, _)) if f == file && shard.frames[i].pin == 0 => {
+                        shard.evict(i)?;
+                        shard.free.push(i);
+                    }
                     _ => {}
                 }
             }
@@ -687,8 +723,104 @@ mod tests {
         let (pool, file, _) = pool_with_file(2);
         let (_, g) = pool.pin_new(file).unwrap();
         drop(g);
-        pool.forget_file(file);
+        pool.forget_file(file).unwrap();
         assert_eq!(pool.resident(), 0);
+    }
+
+    /// Every shard's map, frames and free list agree: each mapped key sits
+    /// in its frame, and the free list holds exactly the empty frames.
+    fn assert_consistent(pool: &BufferPool) {
+        for shard in &pool.shared.shards {
+            let s = shard.lock();
+            for (key, &i) in &s.map {
+                assert_eq!(s.frames[i].key, Some(*key), "map points at the wrong frame");
+            }
+            let mut free = s.free.clone();
+            free.sort_unstable();
+            let empty: Vec<usize> =
+                (0..s.frames.len()).filter(|&i| s.frames[i].key.is_none()).collect();
+            assert_eq!(free, empty, "free list must hold exactly the empty frames");
+            assert_eq!(s.map.len() + empty.len(), s.frames.len());
+        }
+    }
+
+    /// Append one dirty page per entry of `order` to that entry's file; page
+    /// `v` of the sequence holds byte `v`. Nothing is flushed.
+    fn fill(pool: &BufferPool, order: &[FileId]) {
+        for (v, &file) in order.iter().enumerate() {
+            let (_, mut g) = pool.pin_new(file).unwrap();
+            g.write(|b| b[0] = v as u8);
+        }
+    }
+
+    #[test]
+    fn frames_of_a_forgotten_file_are_reused_before_live_pages_are_evicted() {
+        let (pool, b, stats) = pool_with_file(8);
+        let a = pool.register(Box::new(MemPager::new(stats.clone())));
+        // B's five frames come first, so a CLOCK sweep from slot 0 would
+        // pick one of them.
+        fill(&pool, &[b, b, b, b, b, a, a, a]);
+        pool.forget_file(a).unwrap();
+        assert_consistent(&pool);
+        for _ in 0..3 {
+            let (_, g) = pool.pin_new(b).unwrap();
+            drop(g);
+        }
+        assert_consistent(&pool);
+        assert_eq!(stats.writes(), 0, "A's dirty pages were discarded, B's stayed resident");
+        assert_eq!(pool.shard_stats()[0].evictions, 0);
+        for p in 0..8 {
+            let _ = pool.pin(b, p).unwrap();
+        }
+        assert_eq!(stats.reads(), 0, "every page of B is still resident");
+    }
+
+    #[test]
+    fn frames_freed_by_truncation_are_reused_before_live_pages_are_evicted() {
+        let (pool, b, stats) = pool_with_file(8);
+        let a = pool.register(Box::new(MemPager::new(stats.clone())));
+        fill(&pool, &[b, b, b, b, a, a, a, a]);
+        pool.truncate_file(a, 1).unwrap();
+        assert_consistent(&pool);
+        for _ in 0..3 {
+            let (_, g) = pool.pin_new(b).unwrap();
+            drop(g);
+        }
+        assert_consistent(&pool);
+        assert_eq!(stats.writes(), 0);
+        assert_eq!(pool.shard_stats()[0].evictions, 0);
+        for p in 0..7 {
+            let _ = pool.pin(b, p).unwrap();
+        }
+        let _ = pool.pin(a, 0).unwrap();
+        assert_eq!(stats.reads(), 0, "B's pages and A's kept page are still resident");
+    }
+
+    #[test]
+    fn a_reservation_after_frees_drops_free_frames_and_keeps_the_map_consistent() {
+        let (pool, b, stats) = pool_with_file(8);
+        let a = pool.register(Box::new(MemPager::new(stats.clone())));
+        let c = pool.register(Box::new(MemPager::new(stats.clone())));
+        // Interleaved, so shrinking moves both free and live frames.
+        fill(&pool, &[a, b, c, b, a, b, c, a]);
+        pool.forget_file(a).unwrap();
+        pool.forget_file(c).unwrap();
+        assert_consistent(&pool);
+        let r = pool.reserve(3).unwrap();
+        assert_consistent(&pool);
+        assert_eq!(pool.resident(), 3, "only free frames were dropped");
+        assert_eq!(stats.writes(), 0);
+        for (p, v) in [1u8, 3, 5].into_iter().enumerate() {
+            let g = pool.pin(b, p as PageId).unwrap();
+            assert_eq!(g.read(|bytes| bytes[0]), v);
+        }
+        drop(r);
+        for _ in 0..5 {
+            let (_, g) = pool.pin_new(b).unwrap();
+            drop(g);
+        }
+        assert_consistent(&pool);
+        assert_eq!((stats.reads(), stats.writes()), (0, 0));
     }
 
     #[test]

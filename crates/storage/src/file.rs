@@ -229,12 +229,11 @@ impl<T, C: Codec<T>> RecordFile<T, C> {
         self.append_guard = None;
     }
 
-    /// Remove this file from the pool entirely, discarding its pages.
+    /// Remove this file from the pool and delete its backing storage. Its
+    /// pages are discarded, not written back, so deleting costs no I/O.
     pub fn delete(mut self) -> Result<()> {
         self.append_guard = None;
-        self.pool.purge_file(self.file)?;
-        self.pool.forget_file(self.file);
-        Ok(())
+        self.pool.forget_file(self.file)
     }
 
     /// Flush this file's dirty pages (flushes the whole pool; cheap when
@@ -453,6 +452,35 @@ mod tests {
         f.push(&7).unwrap();
         assert_eq!(f.get(0).unwrap(), 7);
         assert_eq!(f.len(), 1);
+    }
+
+    #[test]
+    fn delete_discards_dirty_pages_without_charging_writes() {
+        let env = env();
+        let mut f = env.create_file("a", U64Codec).unwrap();
+        for i in 0..512 * 3u64 {
+            f.push(&i).unwrap(); // three dirty pages, all resident
+        }
+        f.delete().unwrap();
+        assert_eq!(env.stats().snapshot().total(), 0);
+        assert_eq!(env.pool().resident(), 0);
+    }
+
+    #[test]
+    fn delete_removes_the_backing_file() {
+        let dir = crate::TempDir::new("recfile-delete").unwrap();
+        let env = Env::builder("recfile-delete").pool_pages(8).dir(dir.path()).build().unwrap();
+        let files = || std::fs::read_dir(dir.path()).unwrap().count();
+        let mut keep = env.create_file("keep", U64Codec).unwrap();
+        let mut gone = env.create_file("gone", U64Codec).unwrap();
+        for i in 0..2048u64 {
+            keep.push(&i).unwrap();
+            gone.push(&i).unwrap();
+        }
+        assert_eq!(files(), 2);
+        gone.delete().unwrap();
+        assert_eq!(files(), 1);
+        assert_eq!(keep.get(2047).unwrap(), 2047);
     }
 
     #[test]

@@ -72,6 +72,13 @@ pub trait Pager: Send {
         Ok(())
     }
 
+    /// Delete the backing storage; the pager is not used afterwards.
+    /// Nothing is written or charged. In-memory devices free their pages
+    /// when dropped, so the default is a no-op.
+    fn delete(&mut self) -> Result<()> {
+        Ok(())
+    }
+
     /// The stats handle this pager reports into.
     fn stats(&self) -> &IoStats;
 }
@@ -198,6 +205,12 @@ impl Pager for FilePager {
         self.file
             .sync_all()
             .map_err(|e| StorageError::io(format!("syncing pager file {}", self.path.display()), e))
+    }
+
+    fn delete(&mut self) -> Result<()> {
+        std::fs::remove_file(&self.path).map_err(|e| {
+            StorageError::io(format!("removing pager file {}", self.path.display()), e)
+        })
     }
 
     fn stats(&self) -> &IoStats {
@@ -327,6 +340,10 @@ impl Pager for ObservedPager {
 
     fn sync(&mut self) -> Result<()> {
         self.inner.sync()
+    }
+
+    fn delete(&mut self) -> Result<()> {
+        self.inner.delete()
     }
 
     fn stats(&self) -> &IoStats {

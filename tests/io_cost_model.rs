@@ -114,10 +114,10 @@ fn accounted_io_is_pinned_per_algorithm() {
     // tolerance. Re-record only with a change that is meant to move
     // accounted I/O, and say so (DESIGN.md §2.13).
     const PINNED: [(Algorithm, Pinned); 4] = [
-        (Algorithm::Basic, ([(0, 66), (0, 0), (28, 41)], (222, 28), 3600)),
-        (Algorithm::Independent, ([(0, 66), (93, 1439), (51, 75)], (12308, 144), 3600)),
-        (Algorithm::Block, ([(0, 66), (0, 0), (28, 41)], (22038, 28), 3600)),
-        (Algorithm::Transitive, ([(0, 66), (23, 73), (28, 42)], (10769, 51), 3600)),
+        (Algorithm::Basic, ([(0, 0), (0, 0), (0, 33)], (250, 0), 3600)),
+        (Algorithm::Independent, ([(0, 0), (88, 53), (40, 31)], (12324, 128), 3600)),
+        (Algorithm::Block, ([(0, 0), (0, 0), (0, 33)], (22066, 0), 3600)),
+        (Algorithm::Transitive, ([(0, 0), (23, 43), (20, 29)], (10777, 43), 3600)),
     ];
     for (alg, want) in PINNED {
         let run = pinned_run(alg, 96, AllocConfig::builder());
@@ -125,14 +125,30 @@ fn accounted_io_is_pinned_per_algorithm() {
     }
 }
 
+/// Section 11.1's in-memory experiment assumes no I/O once the data fits:
+/// with a pool larger than every file, no algorithm charges a page in any
+/// phase. Temp files (sort inputs and runs, Independent's chains) are
+/// discarded with their files, never written back.
+#[test]
+fn the_in_memory_experiment_charges_no_io() {
+    for alg in [Algorithm::Basic, Algorithm::Independent, Algorithm::Block, Algorithm::Transitive] {
+        let run = pinned_run(alg, 4096, AllocConfig::builder());
+        let r = &run.report;
+        let phases = [r.io_prep, r.io_alloc, r.io_edb].map(|io| (io.reads, io.writes));
+        assert_eq!(phases, [(0, 0); 3], "{alg}: the in-memory run charged I/O");
+        assert_eq!(r.pool_misses, 0, "{alg}");
+    }
+}
+
 /// The constants above run under a single CLOCK: 96 pages is below
 /// `SHARDING_THRESHOLD`. At 128 pages, the first striped size, each shard
 /// runs its own CLOCK over its share, and that eviction order is what the
 /// `e2e` ledger's `alloc_io_pages` was recorded under. One global CLOCK
-/// at the same size charges the EDB phase 1 write instead of 6.
+/// at the same size charges the alloc phase (7, 7) and the EDB phase
+/// (0, 1) instead of (5, 7) and (0, 6).
 #[test]
 fn transitive_io_is_pinned_under_a_striped_pool() {
-    const PINNED: Pinned = ([(0, 46), (0, 93), (28, 6)], (10792, 28), 3600);
+    const PINNED: Pinned = ([(0, 0), (5, 7), (0, 6)], (10815, 5), 3600);
     let run = pinned_run(Algorithm::Transitive, 128, AllocConfig::builder());
     assert_eq!(pinned(&run), PINNED, "accounted I/O moved under the striped pool");
 }
@@ -158,8 +174,8 @@ fn weights(run: &mut AllocationRun) -> Vec<FactWeights> {
 #[test]
 fn per_component_convergence_saves_iterations_not_io() {
     /// (Σ iterations over 58 components, `report.iterations`, alloc I/O).
-    const ON: (u64, u32, (u64, u64)) = (124, 4, (23, 73));
-    const OFF: (u64, u32, (u64, u64)) = (5800, 100, (23, 73));
+    const ON: (u64, u32, (u64, u64)) = (124, 4, (23, 43));
+    const OFF: (u64, u32, (u64, u64)) = (5800, 100, (23, 43));
     let mut runs = [(true, ON), (false, OFF)].map(|(on, want)| {
         let obs = Obs::metrics_only();
         let cfg = AllocConfig::builder().per_component_convergence(on).obs(obs.clone());
@@ -188,10 +204,14 @@ fn per_component_convergence_saves_iterations_not_io() {
 /// Section 11.1's second ablation: Algorithm 3 re-sorts the facts into
 /// every summary table's order each iteration. Keeping the sorted chain
 /// files instead (not in the paper) charges strictly fewer sort pages and
-/// writes the same EDB.
+/// writes the same EDB. The cached chains write a few more pages (their
+/// files stay live), so the relation holds on the total.
 #[test]
 fn cached_chains_save_independent_sort_pages_at_the_same_edb() {
-    let mut runs = [(true, (93, 1439)), (false, (42, 1415))].map(|(resort, want)| {
+    const PAPER: (u64, u64) = (88, 53);
+    const CACHED: (u64, u64) = (27, 60);
+    assert!(CACHED.0 + CACHED.1 < PAPER.0 + PAPER.1);
+    let mut runs = [(true, PAPER), (false, CACHED)].map(|(resort, want)| {
         let cfg = AllocConfig::builder().resort_facts(resort);
         let run = pinned_run(Algorithm::Independent, 96, cfg);
         let io = run.report.io_alloc;

@@ -166,36 +166,42 @@ fn live_multiset(views: &[SegmentView]) -> Vec<(FactId, [u32; MAX_DIMS], u64, u6
     out
 }
 
-fn build_medb() -> MaintainableEdb {
-    let run = allocate(
-        &paper_example::table1(),
-        &PolicySpec::em_count(0.01),
-        Algorithm::Transitive,
-        &AllocConfig::builder().in_memory(256).build(),
-    )
-    .unwrap();
+/// A Transitive allocation of `table` under `cfg`, made maintainable.
+fn build_medb(table: &FactTable, cfg: AllocConfig) -> MaintainableEdb {
+    let run = allocate(table, &PolicySpec::em_count(0.01), Algorithm::Transitive, &cfg).unwrap();
     MaintainableEdb::build(run, PolicySpec::em_count(0.01)).unwrap()
 }
 
-/// The mutation batches the compaction tests replay: enough rounds to
-/// drive several delta segments through a threshold-1 compaction.
-fn compaction_batches() -> Vec<Vec<EdbMutation>> {
-    let mut f60 = Fact::new(60, &[0, 0], 30.0);
-    f60.dims[0] = paper_example::schema().dim(0).all().0;
+/// The mutation batches the compaction tests replay on `table`: enough
+/// rounds to drive several delta segments through a threshold-1
+/// compaction — two measure updates, an insert that is imprecise in
+/// dimension 0, a delete, an update of the inserted fact, and last an
+/// update of every original live fact, which outgrows the base tier so its
+/// compaction folds the base in.
+fn compaction_batches(table: &FactTable) -> Vec<Vec<EdbMutation>> {
+    let new_id = table.facts().iter().map(|f| f.id).max().unwrap() + 1;
+    let (last, facts) = table.facts().split_last().unwrap();
+    let mut inserted = facts[0].clone();
+    inserted.id = new_id;
+    inserted.dims[0] = table.schema().dim(0).all().0;
+    let update =
+        |f: &Fact| EdbMutation::UpdateMeasure { fact_id: f.id, new_measure: f.measure + 1.0 };
     vec![
-        vec![EdbMutation::UpdateMeasure { fact_id: 1, new_measure: 111.0 }],
-        vec![EdbMutation::Insert(f60)],
-        vec![EdbMutation::UpdateMeasure { fact_id: 2, new_measure: 222.0 }],
-        vec![EdbMutation::Delete(11)],
-        vec![EdbMutation::UpdateMeasure { fact_id: 60, new_measure: 333.0 }],
+        vec![EdbMutation::UpdateMeasure { fact_id: facts[0].id, new_measure: 111.0 }],
+        vec![EdbMutation::Insert(inserted)],
+        vec![EdbMutation::UpdateMeasure { fact_id: facts[1].id, new_measure: 222.0 }],
+        vec![EdbMutation::Delete(last.id)],
+        vec![EdbMutation::UpdateMeasure { fact_id: new_id, new_measure: 333.0 }],
+        facts.iter().map(update).collect(),
     ]
 }
 
 #[test]
 fn compaction_round_trip_preserves_the_sorted_live_multiset() {
-    let mut medb = build_medb();
+    let table = paper_example::table1();
+    let mut medb = build_medb(&table, AllocConfig::builder().in_memory(256).build());
     medb.set_compaction_threshold(1); // compact on every refresh
-    for batch in compaction_batches() {
+    for batch in compaction_batches(&table) {
         medb.apply_batch(&batch).unwrap();
         let views = medb.snapshot_segments().unwrap();
         // threshold 1 keeps the tier count at base + at most one delta.
@@ -223,13 +229,17 @@ fn compaction_io_is_exactly_accounted_and_reproducible() {
     // for write — including every compaction's temp file and external
     // sort. Any hidden (unaccounted) I/O path would have to desynchronize
     // eventually; equality run-to-run plus a nonzero compaction delta is
-    // the strongest pin that doesn't hardcode a page count.
+    // the strongest pin that doesn't hardcode a page count. The last
+    // compaction folds the base tier in: its spill (≈ 1 440 entries, 15
+    // pages) outgrows the 8-page pool, so it pays real eviction and
+    // re-read I/O. Deleting the temp files charges none.
+    let table = scaled(DatasetKind::Automotive, 2_000, 7);
     let run_all = || {
-        let mut medb = build_medb();
+        let mut medb = build_medb(&table, AllocConfig::builder().in_memory(8).build());
         medb.set_compaction_threshold(1);
         let before = medb.accounted_io();
         let mut deltas = Vec::new();
-        for batch in compaction_batches() {
+        for batch in compaction_batches(&table) {
             medb.apply_batch(&batch).unwrap();
             let pre = medb.accounted_io();
             let _ = medb.snapshot_segments().unwrap();
@@ -247,6 +257,29 @@ fn compaction_io_is_exactly_accounted_and_reproducible() {
         deltas_a.iter().any(|d| d.total() > 0),
         "compaction must charge the meter (temp file + external sort)"
     );
+}
+
+/// A compaction's spill and sorted output are deleted with their pagers,
+/// so a disk-backed environment's directory holds the same files after
+/// twenty compactions as before them.
+#[test]
+fn compaction_leaves_no_temp_files_behind() {
+    let dir = std::env::temp_dir().join(format!("iolap-seg-files-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let files = || std::fs::read_dir(&dir).unwrap().count();
+    let table = paper_example::table1();
+    let mut medb = build_medb(&table, AllocConfig::builder().buffer_pages(256).dir(&dir).build());
+    medb.set_compaction_threshold(1);
+    let before = files();
+    for i in 0..20 {
+        let update = EdbMutation::UpdateMeasure { fact_id: 1, new_measure: 100.0 + i as f64 };
+        medb.apply_batch(&[update]).unwrap();
+        let _ = medb.snapshot_segments().unwrap();
+    }
+    assert_eq!(medb.num_compactions(), 20);
+    assert_eq!(files(), before, "every compaction must delete its temp files");
+    drop(medb);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Every layout (row/columnar × canonical/Morton) answers bit-identically
