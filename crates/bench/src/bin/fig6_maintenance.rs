@@ -8,8 +8,11 @@
 //!
 //! For each workload size (0.1 % … 10 % of the facts), the plotted value
 //! is the ratio *update time / full rebuild time*; > 1 means rebuilding
-//! would have been cheaper. Pass `census=1` to also print the
-//! connected-component distribution Section 11.2 reports.
+//! would have been cheaper. Beside it, the `pins` column counts the
+//! buffer-pool page pins (hits + misses) the batch took: a deterministic
+//! measure of its work that does not move with the host. Pass `census=1`
+//! to also print the connected-component distribution Section 11.2
+//! reports.
 //!
 //! ```bash
 //! cargo run --release -p iolap-bench --bin fig6_maintenance
@@ -78,6 +81,13 @@ fn main() {
     }
     let all_facts: Vec<u64> = table.facts().iter().map(|f| f.id).collect();
 
+    // The maintained EDB keeps the run's environment, and with it the
+    // buffer pool whose pins the work column counts.
+    let env = run.prep.env.clone();
+    let pins = || {
+        let (hits, misses) = env.pool().hit_stats();
+        hits + misses
+    };
     let mut maintained = MaintainableEdb::build(run, policy.clone()).expect("maintainable");
 
     let workloads: Vec<(&str, &[u64])> = vec![
@@ -100,7 +110,9 @@ fn main() {
                     FactUpdate { fact_id: pool[idx as usize], new_measure: 500.0 + i as f64 }
                 })
                 .collect();
+            let pins_before = pins();
             let rep = maintained.apply_updates(&updates).expect("updates");
+            let batch_pins = pins() - pins_before;
             let ratio = rep.wall.as_secs_f64() / rebuild.as_secs_f64();
             points.push(vec![
                 ("workload", Json::S(name.to_string())),
@@ -108,6 +120,7 @@ fn main() {
                 ("updates", Json::U(n as u64)),
                 ("components", Json::U(rep.affected_components)),
                 ("tuples", Json::U(rep.affected_tuples)),
+                ("pins", Json::U(batch_pins)),
                 ("update_secs", Json::F(rep.wall.as_secs_f64())),
                 ("ratio", Json::F(ratio)),
             ]);
@@ -117,6 +130,7 @@ fn main() {
                 format!("{n}"),
                 format!("{}", rep.affected_components),
                 format!("{}", rep.affected_tuples),
+                format!("{batch_pins}"),
                 format!("{:?}", rep.wall),
                 format!("{ratio:.3}"),
             ]);
@@ -124,7 +138,7 @@ fn main() {
     }
     print_table(
         "update time / rebuild time",
-        &["workload", "size", "updates", "components", "tuples", "update time", "ratio"],
+        &["workload", "size", "updates", "components", "tuples", "pins", "update time", "ratio"],
         &rows,
     );
     println!("\nPaper shape: Non-Overlap Precise flat and ≪ 1; the random workloads");

@@ -35,8 +35,10 @@
 //!   in-memory `ccidMap`, sort by component, then allocate each component
 //!   independently across **all** iterations — in memory if it fits, via
 //!   Block if not (Theorem 10).
-//! * [`maintain`] — Section 9: incremental EDB maintenance driven by an
-//!   R-tree over component bounding boxes.
+//! * [`maintain`] — Section 9: incremental EDB maintenance; the components
+//!   an update overlaps are found by exact in-memory lookups (the cell
+//!   index, a position → cell-file table, a dims → facts map), not the
+//!   paper's R-tree over their bounding boxes.
 //!
 //! ```no_run
 //! use iolap_core::{allocate, Algorithm, AllocConfig, PolicySpec};

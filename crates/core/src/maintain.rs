@@ -6,37 +6,43 @@
 //!
 //! * the component-sorted cell and fact files from a Transitive run ("D
 //!   has been sorted into connected component order");
-//! * an R-tree over the components' bounding boxes ("for each connected
-//!   component … compute the bounding box for all its tuples" and
-//!   bulk-load the tree — "this process only needs to be performed once");
 //! * the component membership, so an overlapped component's tuples are a
-//!   few sequential reads.
+//!   few sequential reads;
+//! * each cell's and each covered fact's component, in memory.
 //!
-//! [`MaintainableEdb::apply_batch`] follows the paper's four steps: query
-//! the R-tree, fetch the overlapped components, re-run allocation over
-//! those facts, and replace their EDB entries. Beyond the measure updates
-//! the paper evaluates (Figure 6), this implementation also supports the
+//! The paper finds the overlapped components through a disk R-tree over
+//! their bounding boxes. Here the three questions it answers have exact
+//! in-memory answers that read no page (DESIGN §2.23):
+//! * a base cell's slot in the ccid-sorted cell file: its canonical
+//!   position in `prep.index`, then a position → file-index table;
+//! * the live cells inside a region: a box walk of `prep.index`, plus the
+//!   cells maintenance appended;
+//! * the imprecise facts covering a new cell: DESIGN §2.7's window match,
+//!   one probe of a dims → facts map per level vector in use.
+//!
+//! [`MaintainableEdb::apply_batch`] follows the paper's four steps: find
+//! the overlapped components, fetch them, re-run allocation over those
+//! facts, and replace their EDB entries. Beyond the measure updates the
+//! paper evaluates (Figure 6), this implementation also supports the
 //! **insertions and deletions** Section 9 sketches: inserting a fact can
 //! *merge* connected components (handled through the same smallest-id
 //! convention as the Transitive algorithm) and deleting one can *split*
-//! them (re-identified with a local BFS); the R-tree is updated
-//! accordingly — "this operation is equivalent to several updates to the
-//! R-tree".
+//! them (re-identified with a local BFS).
 
 use crate::cuboid::{CuboidLattice, LatticeConfig};
 use crate::edb::ExtendedDatabase;
 use crate::error::{CoreError, Result};
 use crate::inmem::InMemProblem;
+use crate::passes::AncCache;
 use crate::policy::{PolicySpec, Quantity};
 use crate::prep::{region_of, PreparedData};
 use crate::runner::AllocationRun;
 use crate::segment::{EdbSegment, SegmentView};
 use iolap_model::records::NO_CCID;
 use iolap_model::{
-    CellKey, CellRecord, EdbCodec, EdbRecord, Fact, FactId, RegionBox, SegmentLayout,
-    WorkFactRecord,
+    CellKey, CellRecord, EdbCodec, EdbRecord, Fact, FactId, LevelVec, RegionBox, SegmentLayout,
+    WorkFactRecord, MAX_DIMS,
 };
-use iolap_rtree::{Aabb, RTree};
 use iolap_storage::{external_sort, Env, SortBudget};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -86,13 +92,14 @@ struct CompMeta {
     fact_ranges: Vec<(u64, u64)>,
     extra_cells: Vec<u64>,
     extra_facts: Vec<u64>,
-    bbox: Option<Aabb>,
+    /// Bounding box of the component's tuples (feeds `report.touched`).
+    bbox: Option<RegionBox>,
 }
 
 impl CompMeta {
-    /// Cell records listed for this component, dead ones included.
-    fn cell_slots(&self) -> u64 {
-        self.cell_ranges.iter().map(|&(s, e)| e - s).sum::<u64>() + self.extra_cells.len() as u64
+    /// Grow the bounding box to cover `b`.
+    fn grow(&mut self, b: &RegionBox) {
+        self.bbox = Some(self.bbox.map_or(*b, |x| x.union(b)));
     }
 
     fn cell_indexes(&self, dead: &HashSet<u64>) -> Vec<u64> {
@@ -118,10 +125,9 @@ impl CompMeta {
         self.fact_ranges.extend(other.fact_ranges);
         self.extra_cells.extend(other.extra_cells);
         self.extra_facts.extend(other.extra_facts);
-        self.bbox = match (self.bbox, other.bbox) {
-            (Some(a), Some(b)) => Some(a.union(&b)),
-            (a, b) => a.or(b),
-        };
+        if let Some(b) = other.bbox {
+            self.grow(&b);
+        }
     }
 }
 
@@ -145,7 +151,7 @@ pub struct UpdateReport {
     /// Downstream caches can invalidate exactly the results whose query
     /// region overlaps one of these boxes (Theorem 12's contrapositive:
     /// a query region disjoint from all of them kept its answer).
-    pub touched: Vec<Aabb>,
+    pub touched: Vec<RegionBox>,
 }
 
 /// Per-fact `(cell, weight)` entries, as returned by
@@ -215,7 +221,6 @@ pub struct MaintainableEdb {
     prep: PreparedData,
     policy: PolicySpec,
     edb: ExtendedDatabase,
-    rtree: RTree<u32>,
     comps: HashMap<u32, CompMeta>,
     next_ccid: u32,
     fact_locs: HashMap<FactId, FactLoc>,
@@ -224,8 +229,17 @@ pub struct MaintainableEdb {
     cell_ccid: Vec<u32>,
     /// Component of each live covered imprecise record (facts-file index).
     fact_ccid: HashMap<u64, u32>,
+    /// Cells-file index of each base cell, by its canonical position in
+    /// `prep.index` (the cells file is ccid-sorted, the index canonical).
+    base_cell_file: Vec<u32>,
     /// Cells appended by maintenance: key → cells-file index.
     appended_cells: HashMap<CellKey, u64>,
+    /// Every imprecise fact ever held, covered or not, by its dims
+    /// vector: `(facts-file index, id)`. Deleted facts stay and are
+    /// filtered through `dead_facts` on lookup.
+    facts_by_dims: HashMap<[u32; MAX_DIMS], Vec<(u64, FactId)>>,
+    /// The distinct level vectors of `facts_by_dims`' keys, sorted.
+    level_vecs: Vec<LevelVec>,
     /// Precise facts mapped to each cell (so deletions know when a cell
     /// leaves the candidate set).
     precise_count: HashMap<u64, u32>,
@@ -296,6 +310,8 @@ impl MaintainableEdb {
         let mut fact_locs: HashMap<FactId, FactLoc> = HashMap::new();
         let mut cell_ccid: Vec<u32> = Vec::with_capacity(prep.cells.len() as usize);
         let mut fact_ccid: HashMap<u64, u32> = HashMap::new();
+        let mut base_cell_file = vec![0u32; prep.index.len() as usize];
+        let mut facts_by_dims: HashMap<[u32; MAX_DIMS], Vec<(u64, FactId)>> = HashMap::new();
         let mut next_ccid = 0u32;
 
         // Cells are ccid-sorted: one contiguous range per component.
@@ -307,7 +323,8 @@ impl MaintainableEdb {
                 let cc = resolved[c.ccid as usize];
                 next_ccid = next_ccid.max(cc + 1);
                 cell_ccid.push(cc);
-                let cell_box = point_box(&c.key, k);
+                let pos = prep.index.position(&c.key).expect("every cell is indexed");
+                base_cell_file[pos as usize] = i as u32;
                 match &mut open {
                     Some((cur, _)) if *cur == cc => {}
                     _ => {
@@ -318,8 +335,7 @@ impl MaintainableEdb {
                         comps.entry(cc).or_default();
                     }
                 }
-                let m = comps.get_mut(&cc).expect("present");
-                m.bbox = Some(m.bbox.map_or(cell_box, |b| b.union(&cell_box)));
+                comps.get_mut(&cc).expect("present").grow(&RegionBox::point(&c.key, k));
                 i += 1;
             }
             if let Some((prev, start)) = open.take() {
@@ -332,6 +348,7 @@ impl MaintainableEdb {
             let mut i = 0u64;
             let mut open: Option<(u32, u64)> = None;
             while let Some(f) = cursor.next()? {
+                facts_by_dims.entry(f.dims).or_default().push((i, f.id));
                 if f.ccid != NO_CCID {
                     let cc = resolved[f.ccid as usize];
                     fact_ccid.insert(i, cc);
@@ -348,10 +365,10 @@ impl MaintainableEdb {
                             open = Some((cc, i));
                         }
                     }
-                    let bx = region_of(&schema, &f.dims);
-                    let m = comps.get_mut(&cc).expect("fact component has cells");
-                    let fb = region_to_aabb(&bx);
-                    m.bbox = Some(m.bbox.map_or(fb, |b| b.union(&fb)));
+                    comps
+                        .get_mut(&cc)
+                        .expect("fact component has cells")
+                        .grow(&region_of(&schema, &f.dims));
                     fact_locs.insert(f.id, FactLoc::Imprecise(i, true));
                 } else {
                     if let Some((prev, start)) = open.take() {
@@ -372,45 +389,36 @@ impl MaintainableEdb {
         // Precise facts: locations + per-cell precise counts.
         let mut precise_count: HashMap<u64, u32> = HashMap::new();
         {
-            let mut canon_to_file: HashMap<CellKey, u64> = HashMap::new();
-            let mut cursor = prep.cells.scan();
-            let mut i = 0u64;
-            while let Some(c) = cursor.next()? {
-                canon_to_file.insert(c.key, i);
-                i += 1;
-            }
             let mut cursor = prep.precise.scan();
             let mut i = 0u64;
             while let Some(f) = cursor.next()? {
                 fact_locs.insert(f.id, FactLoc::Precise(i));
                 let cell = schema.cell_of(&f).expect("precise file holds precise facts");
-                if let Some(&ci) = canon_to_file.get(&cell) {
-                    *precise_count.entry(ci).or_insert(0) += 1;
+                if let Some(pos) = prep.index.position(&cell) {
+                    *precise_count.entry(base_cell_file[pos as usize] as u64).or_insert(0) += 1;
                 }
                 i += 1;
             }
         }
-
-        let mut items: Vec<(Aabb, u32)> =
-            comps.iter().filter_map(|(cc, m)| m.bbox.map(|b| (b, *cc))).collect();
-        // In ccid order, not HashMap order: the tree's shape fixes the
-        // order later searches visit components in, and with it the order
-        // their pages are pinned, so that a replay charges the same I/O.
-        items.sort_unstable_by_key(|&(_, cc)| cc);
-        let rtree = RTree::bulk_load(k, items);
+        let mut level_vecs: Vec<LevelVec> =
+            facts_by_dims.keys().map(|dims| level_vec_of(&schema, dims)).collect();
+        level_vecs.sort_unstable();
+        level_vecs.dedup();
         let base_len = run.edb.num_entries();
 
         Ok(MaintainableEdb {
             prep,
             policy,
             edb: run.edb,
-            rtree,
             comps,
             next_ccid,
             fact_locs,
             cell_ccid,
             fact_ccid,
+            base_cell_file,
             appended_cells: HashMap::new(),
+            facts_by_dims,
+            level_vecs,
             precise_count,
             dead_cells: HashSet::new(),
             dead_facts: HashSet::new(),
@@ -849,11 +857,7 @@ impl MaintainableEdb {
             }
             self.resolve_component(cc, &mut report)?;
         }
-        self.lattice_dirty.extend(report.touched.iter().map(|b| RegionBox {
-            lo: b.lo,
-            hi: b.hi,
-            k: b.k,
-        }));
+        self.lattice_dirty.extend_from_slice(&report.touched);
         report.wall = t0.elapsed();
         Ok(report)
     }
@@ -878,8 +882,8 @@ impl MaintainableEdb {
                 f.measure = new_measure;
                 self.prep.precise.set(i, &f)?;
                 let cell = schema.cell_of(&f).expect("precise");
-                report.touched.push(point_box(&cell, schema.k()));
-                if let Some(ci) = self.cell_file_index(&cell)? {
+                report.touched.push(RegionBox::point(&cell, schema.k()));
+                if let Some(ci) = self.cell_file_index(&cell) {
                     if self.policy.quantity == Quantity::Measure {
                         let mut c = self.prep.cells.get(ci)?;
                         c.delta0 += new_measure - old;
@@ -887,8 +891,8 @@ impl MaintainableEdb {
                         // Theorem 12, sharpened for existing facts: every
                         // candidate cell of reg(r) is *connected* to r, so
                         // the only component whose weights can change is
-                        // the fact's own — no R-tree over-approximation
-                        // needed (that generality is for insertions).
+                        // the fact's own (the region search is for
+                        // insertions).
                         dirty.insert(self.cell_ccid[ci as usize]);
                     }
                     // Under Count/Uniform a measure change cannot move any
@@ -911,7 +915,7 @@ impl MaintainableEdb {
                 let mut f = self.prep.facts.get(i)?;
                 f.measure = new_measure;
                 self.prep.facts.set(i, &f)?;
-                report.touched.push(region_to_aabb(&region_of(&schema, &f.dims)));
+                report.touched.push(region_of(&schema, &f.dims));
                 if covered {
                     // Own component only (Theorem 12, see above). Weights
                     // don't depend on imprecise measures, but the fact's
@@ -935,7 +939,7 @@ impl MaintainableEdb {
         }
         let schema = self.prep.schema.clone();
 
-        report.touched.push(region_to_aabb(&region_of(&schema, &fact.dims)));
+        report.touched.push(region_of(&schema, &fact.dims));
         if let Some(cell) = schema.cell_of(&fact) {
             // -- precise insertion ------------------------------------------
             self.prep.precise.push(&fact)?;
@@ -953,7 +957,7 @@ impl MaintainableEdb {
                 Quantity::Measure => fact.measure,
                 Quantity::Uniform => 0.0,
             };
-            if let Some(ci) = self.cell_file_index(&cell)? {
+            if let Some(ci) = self.cell_file_index(&cell) {
                 // Existing candidate cell: bump δ and re-solve its comp.
                 let mut c = self.prep.cells.get(ci)?;
                 c.delta0 += delta0_add;
@@ -973,44 +977,51 @@ impl MaintainableEdb {
                 self.appended_cells.insert(cell, ci);
                 self.precise_count.insert(ci, 1);
 
-                // Which components' imprecise facts cover this cell?
-                let mut owners: HashSet<u32> = HashSet::new();
-                let point = RegionBox::point(&cell, schema.k());
-                let mut cands: Vec<u32> = Vec::new();
-                self.rtree.search(&region_to_aabb(&point), |_, &cc| cands.push(cc));
-                for cc in cands {
-                    let meta = self.comps.get(&cc).expect("indexed");
-                    for fi in meta.fact_indexes(&self.dead_facts) {
-                        let fr = self.prep.facts.get(fi)?;
-                        if region_of(&schema, &fr.dims).contains_cell(&cell) {
-                            owners.insert(cc);
-                            break;
-                        }
+                // Which live imprecise facts cover this cell? Those in a
+                // component name the components it joins; the rest
+                // (stranded by a delete, or never covering a cell) join
+                // with it.
+                let mut owners: Vec<u32> = Vec::new();
+                let mut strays: Vec<(u64, FactId, [u32; MAX_DIMS])> = Vec::new();
+                for (fi, id, dims) in self.covering_facts(&cell) {
+                    match self.fact_ccid.get(&fi) {
+                        Some(&cc) => owners.push(cc),
+                        None => strays.push((fi, id, dims)),
                     }
                 }
-                let pb = point_box(&cell, schema.k());
+                let pb = RegionBox::point(&cell, schema.k());
                 let cc = if owners.is_empty() {
                     let cc = self.alloc_ccid();
                     self.comps.insert(
                         cc,
                         CompMeta { extra_cells: vec![ci], bbox: Some(pb), ..Default::default() },
                     );
-                    self.rtree.insert(pb, cc);
                     cc
                 } else {
                     // Sorted so the surviving ccid (and with it all later
                     // re-emission order) is replay-deterministic.
-                    let mut ids: Vec<u32> = owners.into_iter().collect();
-                    ids.sort_unstable();
-                    let cc = self.merge_components(&ids, report)?;
-                    self.comps.get_mut(&cc).expect("merged").extra_cells.push(ci);
-                    let nb = self.comps[&cc].bbox.map_or(pb, |b| b.union(&pb));
-                    self.update_bbox(cc, nb);
+                    owners.sort_unstable();
+                    let cc = self.merge_components(&owners, report)?;
+                    let m = self.comps.get_mut(&cc).expect("merged");
+                    m.extra_cells.push(ci);
+                    m.grow(&pb);
                     dirty.insert(cc);
                     cc
                 };
                 self.cell_ccid.push(cc);
                 debug_assert_eq!(self.cell_ccid.len() as u64, self.prep.cells.len());
+                for (fi, id, dims) in strays {
+                    // A rebuild allocates the fact to this cell: it becomes
+                    // covered, and its stale tombstone (if stranded) goes.
+                    self.fact_locs.insert(id, FactLoc::Imprecise(fi, true));
+                    self.fact_ccid.insert(fi, cc);
+                    let m = self.comps.get_mut(&cc).expect("live");
+                    m.extra_facts.push(fi);
+                    m.grow(&region_of(&schema, &dims));
+                    self.deleted_facts.remove(&id);
+                    self.superseded.insert(id);
+                    dirty.insert(cc);
+                }
             }
         } else {
             // -- imprecise insertion ----------------------------------------
@@ -1026,8 +1037,13 @@ impl MaintainableEdb {
             };
             self.prep.facts.push(&rec)?;
             let fi = self.prep.facts.len() - 1;
+            self.facts_by_dims.entry(fact.dims).or_default().push((fi, fact.id));
+            let lv = level_vec_of(&schema, &fact.dims);
+            if let Err(at) = self.level_vecs.binary_search(&lv) {
+                self.level_vecs.insert(at, lv);
+            }
             let bx = region_of(&schema, &fact.dims);
-            let covered = self.covered_cells(&bx)?;
+            let covered = self.covered_cells(&bx);
             if covered.is_empty() {
                 self.fact_locs.insert(fact.id, FactLoc::Imprecise(fi, false));
                 return Ok(());
@@ -1042,10 +1058,9 @@ impl MaintainableEdb {
                 v
             };
             let cc = self.merge_components(&owners, report)?;
-            self.comps.get_mut(&cc).expect("merged").extra_facts.push(fi);
-            let fb = region_to_aabb(&bx);
-            let nb = self.comps[&cc].bbox.map_or(fb, |b| b.union(&fb));
-            self.update_bbox(cc, nb);
+            let m = self.comps.get_mut(&cc).expect("merged");
+            m.extra_facts.push(fi);
+            m.grow(&bx);
             self.fact_ccid.insert(fi, cc);
             self.superseded.insert(fact.id);
             dirty.insert(cc);
@@ -1069,8 +1084,8 @@ impl MaintainableEdb {
                 self.deleted_facts.insert(fact_id);
                 let f = self.prep.precise.get(i)?;
                 let cell = schema.cell_of(&f).expect("precise");
-                report.touched.push(point_box(&cell, schema.k()));
-                let Some(ci) = self.cell_file_index(&cell)? else {
+                report.touched.push(RegionBox::point(&cell, schema.k()));
+                let Some(ci) = self.cell_file_index(&cell) else {
                     return Ok(());
                 };
                 let delta0_sub = match self.policy.quantity {
@@ -1103,7 +1118,7 @@ impl MaintainableEdb {
                 self.fact_locs.remove(&fact_id);
                 self.deleted_facts.insert(fact_id);
                 let f = self.prep.facts.get(i)?;
-                report.touched.push(region_to_aabb(&region_of(&schema, &f.dims)));
+                report.touched.push(region_of(&schema, &f.dims));
                 if covered {
                     let cc = *self.fact_ccid.get(&i).expect("covered fact has a component");
                     self.fact_ccid.remove(&i);
@@ -1123,51 +1138,62 @@ impl MaintainableEdb {
         id
     }
 
-    /// File index of a live candidate cell, base or appended.
-    fn cell_file_index(&mut self, cell: &CellKey) -> Result<Option<u64>> {
-        if let Some(&i) = self.appended_cells.get(cell) {
-            return Ok((!self.dead_cells.contains(&i)).then_some(i));
-        }
-        if self.prep.index.position(cell).is_none() {
-            return Ok(None);
-        }
-        // Base cells are ccid-sorted; locate via the owning component.
-        let point = RegionBox::point(cell, self.prep.schema.k());
-        let mut cands: Vec<u32> = Vec::new();
-        self.rtree.search(&region_to_aabb(&point), |_, &cc| cands.push(cc));
-        // Smallest component first: a large component's box covers most
-        // points, while the cell's owner is usually small, so this finds
-        // the owner after the fewest page reads.
-        cands.sort_unstable_by_key(|cc| (self.comps.get(cc).map_or(0, CompMeta::cell_slots), *cc));
-        for cc in cands {
-            if let Some(meta) = self.comps.get(&cc) {
-                for ci in meta.cell_indexes(&self.dead_cells) {
-                    if self.prep.cells.get(ci)?.key == *cell {
-                        return Ok(Some(ci));
-                    }
-                }
-            }
-        }
-        Ok(None)
+    /// File index of a live candidate cell, base or appended. (A cell
+    /// re-created after its base record died is appended, so the appended
+    /// map is asked first.)
+    fn cell_file_index(&self, cell: &CellKey) -> Option<u64> {
+        let ci = match self.appended_cells.get(cell) {
+            Some(&ci) => ci,
+            None => self.base_cell_file[self.prep.index.position(cell)? as usize] as u64,
+        };
+        (!self.dead_cells.contains(&ci)).then_some(ci)
     }
 
-    /// Live candidate cells (file indexes) inside a region.
-    fn covered_cells(&mut self, bx: &RegionBox) -> Result<Vec<u64>> {
+    /// Live candidate cells (file indexes) inside a region, sorted.
+    fn covered_cells(&self, bx: &RegionBox) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut cands: Vec<u32> = Vec::new();
-        self.rtree.search(&region_to_aabb(bx), |_, &cc| cands.push(cc));
-        for cc in cands {
-            if let Some(meta) = self.comps.get(&cc) {
-                for ci in meta.cell_indexes(&self.dead_cells) {
-                    if bx.contains_cell(&self.prep.cells.get(ci)?.key) {
-                        out.push(ci);
-                    }
-                }
+        self.prep.index.for_each_in_box(bx, |pos| {
+            let ci = self.base_cell_file[pos as usize] as u64;
+            if !self.dead_cells.contains(&ci) {
+                out.push(ci);
             }
-        }
+        });
+        out.extend(
+            self.appended_cells
+                .iter()
+                .filter(|(key, ci)| bx.contains_cell(key) && !self.dead_cells.contains(ci))
+                .map(|(_, &ci)| ci),
+        );
         out.sort_unstable();
         out.dedup();
-        Ok(out)
+        out
+    }
+
+    /// Live imprecise facts whose region contains `cell`, covered or not,
+    /// as `(facts-file index, id, dims)` sorted by file index. Facts of
+    /// one level vector cover disjoint regions, so per level vector only
+    /// the facts whose dims equal the cell's ancestors there can match
+    /// (DESIGN §2.7).
+    fn covering_facts(&self, cell: &CellKey) -> Vec<(u64, FactId, [u32; MAX_DIMS])> {
+        let schema = &self.prep.schema;
+        let anc = AncCache::compute(schema, cell);
+        let mut out = Vec::new();
+        for lv in &self.level_vecs {
+            let mut dims = [0u32; MAX_DIMS];
+            for (d, slot) in dims.iter_mut().enumerate().take(schema.k()) {
+                *slot = anc.get(d, lv[d]);
+            }
+            if let Some(facts) = self.facts_by_dims.get(&dims) {
+                out.extend(
+                    facts
+                        .iter()
+                        .filter(|(fi, _)| !self.dead_facts.contains(fi))
+                        .map(|&(fi, id)| (fi, id, dims)),
+                );
+            }
+        }
+        out.sort_unstable_by_key(|&(fi, ..)| fi);
+        out
     }
 
     /// Merge components into the smallest id (the Transitive convention).
@@ -1182,9 +1208,6 @@ impl MaintainableEdb {
         report.merges += ids.len() as u64 - 1;
         for &cc in &ids[1..] {
             let meta = self.comps.remove(&cc).expect("merging live component");
-            if let Some(b) = meta.bbox {
-                self.rtree.remove(&b, |&v| v == cc);
-            }
             for ci in meta.cell_indexes(&self.dead_cells) {
                 self.cell_ccid[ci as usize] = target;
             }
@@ -1193,20 +1216,7 @@ impl MaintainableEdb {
             }
             self.comps.get_mut(&target).expect("target live").absorb(meta);
         }
-        // Refresh the target's R-tree entry.
-        if let Some(b) = self.comps[&target].bbox {
-            self.update_bbox(target, b);
-        }
         Ok(target)
-    }
-
-    /// Replace `cc`'s R-tree box with `nb`.
-    fn update_bbox(&mut self, cc: u32, nb: Aabb) {
-        if let Some(old) = self.comps.get(&cc).and_then(|m| m.bbox) {
-            self.rtree.remove(&old, |&v| v == cc);
-        }
-        self.comps.get_mut(&cc).expect("live").bbox = Some(nb);
-        self.rtree.insert(nb, cc);
     }
 
     /// Re-identify connectivity inside `cc` after a deletion; every
@@ -1219,9 +1229,6 @@ impl MaintainableEdb {
     ) -> Result<()> {
         let schema = self.prep.schema.clone();
         let meta = self.comps.remove(&cc).expect("splitting live component");
-        if let Some(b) = meta.bbox {
-            self.rtree.remove(&b, |&v| v == cc);
-        }
         dirty.remove(&cc);
         let cells = meta.cell_indexes(&self.dead_cells);
         let facts = meta.fact_indexes(&self.dead_facts);
@@ -1236,9 +1243,11 @@ impl MaintainableEdb {
             cell_recs.push(self.prep.cells.get(ci)?);
         }
         let mut fact_regions = Vec::with_capacity(facts.len());
+        let mut fact_ids = Vec::with_capacity(facts.len());
         for &fi in &facts {
             let f = self.prep.facts.get(fi)?;
             fact_regions.push(region_of(&schema, &f.dims));
+            fact_ids.push(f.id);
         }
         let n_cells = cells.len();
         let mut label = vec![u32::MAX; n_cells + facts.len()];
@@ -1276,48 +1285,34 @@ impl MaintainableEdb {
             report.splits += next_label as u64 - 1;
         }
         for piece in 0..next_label {
-            let piece_cells: Vec<u64> =
-                (0..n_cells).filter(|&i| label[i] == piece).map(|i| cells[i]).collect();
-            let piece_facts: Vec<u64> = (0..facts.len())
-                .filter(|&j| label[n_cells + j] == piece)
-                .map(|j| facts[j])
-                .collect();
+            let piece_cells: Vec<usize> = (0..n_cells).filter(|&i| label[i] == piece).collect();
+            let piece_facts: Vec<usize> =
+                (0..facts.len()).filter(|&j| label[n_cells + j] == piece).collect();
             if piece_cells.is_empty() {
-                // Facts stranded without candidate cells: unallocatable.
-                for &fi in &piece_facts {
-                    self.fact_ccid.remove(&fi);
-                    let f = self.prep.facts.get(fi)?;
-                    self.fact_locs.insert(f.id, FactLoc::Imprecise(fi, false));
+                // Facts stranded without candidate cells: unallocatable
+                // until a new cell in their region takes them back in.
+                for j in piece_facts {
+                    self.fact_ccid.remove(&facts[j]);
+                    self.fact_locs.insert(fact_ids[j], FactLoc::Imprecise(facts[j], false));
                     // Their old entries are stale.
-                    self.superseded.insert(f.id);
-                    self.deleted_facts.insert(f.id);
+                    self.superseded.insert(fact_ids[j]);
+                    self.deleted_facts.insert(fact_ids[j]);
                 }
                 continue;
             }
             let ncc = self.alloc_ccid();
-            let mut bbox: Option<Aabb> = None;
-            for &ci in &piece_cells {
-                self.cell_ccid[ci as usize] = ncc;
-                let b = point_box(&self.prep.cells.get(ci)?.key, schema.k());
-                bbox = Some(bbox.map_or(b, |x| x.union(&b)));
+            let mut meta = CompMeta::default();
+            for i in piece_cells {
+                self.cell_ccid[cells[i] as usize] = ncc;
+                meta.extra_cells.push(cells[i]);
+                meta.grow(&RegionBox::point(&cell_recs[i].key, schema.k()));
             }
-            for &fi in &piece_facts {
-                self.fact_ccid.insert(fi, ncc);
-                let f = self.prep.facts.get(fi)?;
-                let b = region_to_aabb(&region_of(&schema, &f.dims));
-                bbox = Some(bbox.map_or(b, |x| x.union(&b)));
+            for j in piece_facts {
+                self.fact_ccid.insert(facts[j], ncc);
+                meta.extra_facts.push(facts[j]);
+                meta.grow(&fact_regions[j]);
             }
-            let bb = bbox.expect("non-empty piece");
-            self.comps.insert(
-                ncc,
-                CompMeta {
-                    extra_cells: piece_cells,
-                    extra_facts: piece_facts,
-                    bbox: Some(bb),
-                    ..Default::default()
-                },
-            );
-            self.rtree.insert(bb, ncc);
+            self.comps.insert(ncc, meta);
             dirty.insert(ncc);
         }
         Ok(())
@@ -1373,18 +1368,9 @@ impl MaintainableEdb {
     }
 }
 
-/// A single-cell bounding box.
-fn point_box(key: &CellKey, k: usize) -> Aabb {
-    let mut hi = [0u32; iolap_model::MAX_DIMS];
-    for (d, h) in hi.iter_mut().enumerate().take(k) {
-        *h = key[d] + 1;
-    }
-    Aabb { lo: *key, hi, k: k as u8 }
-}
-
-/// Convert a model region to an R-tree box.
-fn region_to_aabb(bx: &RegionBox) -> Aabb {
-    Aabb { lo: bx.lo, hi: bx.hi, k: bx.k }
+/// The level vector of an imprecise fact's dims.
+fn level_vec_of(schema: &iolap_model::Schema, dims: &[u32; MAX_DIMS]) -> LevelVec {
+    schema.level_vec(&Fact { id: 0, dims: *dims, measure: 0.0 })
 }
 
 #[cfg(test)]
@@ -1642,6 +1628,72 @@ mod tests {
             t0.facts().iter().filter(|f| f.id != 3).cloned().collect(),
         );
         assert_matches_rebuild(&mut m, &t, &policy);
+    }
+
+    /// Table 1 with the facts `drop` removed and `add` appended.
+    fn table1_with(drop: &[FactId], add: &[Fact]) -> iolap_model::FactTable {
+        let t0 = paper_example::table1();
+        let mut facts: Vec<Fact> =
+            t0.facts().iter().filter(|f| !drop.contains(&f.id)).cloned().collect();
+        facts.extend_from_slice(add);
+        iolap_model::FactTable::from_facts(t0.schema().clone(), facts)
+    }
+
+    /// A fact over Table 1's schema, by node names.
+    fn named_fact(id: FactId, loc: &str, auto: &str, measure: f64) -> Fact {
+        let s = paper_example::schema();
+        let l = s.dim(0).node_by_name(loc).unwrap().0;
+        let a = s.dim(1).node_by_name(auto).unwrap().0;
+        Fact::new(id, &[l, a], measure)
+    }
+
+    #[test]
+    fn stranded_fact_rejoins_when_its_cell_returns_and_matches_rebuild() {
+        // Deleting p3 = (NY, F150) strands p12 = (ALL, F150): no candidate
+        // cell left. A new sale at (NY, F150) brings the cell back, and a
+        // rebuild allocates p12 to it again.
+        let policy = PolicySpec::em_count(0.00001);
+        let mut m = build_maintainable(&policy);
+        m.apply_batch(&[EdbMutation::Delete(3)]).unwrap();
+        assert!(!m.current_weights().unwrap().contains_key(&12), "p12 is stranded");
+        let back = named_fact(60, "NY", "F150", 10.0);
+        m.apply_batch(&[EdbMutation::Insert(back.clone())]).unwrap();
+        assert_matches_rebuild(&mut m, &table1_with(&[3], &[back]), &policy);
+    }
+
+    #[test]
+    fn uncovered_fact_joins_a_new_cell_and_matches_rebuild() {
+        // (ALL, Camry) covers no candidate cell when inserted; the first
+        // Camry sale, at (TX, Camry), gives it one.
+        let policy = PolicySpec::em_count(0.00001);
+        let mut m = build_maintainable(&policy);
+        let camry = named_fact(70, "ALL", "Camry", 40.0);
+        m.apply_batch(&[EdbMutation::Insert(camry.clone())]).unwrap();
+        assert!(!m.current_weights().unwrap().contains_key(&70), "nothing to allocate to yet");
+        let sale = named_fact(71, "TX", "Camry", 5.0);
+        m.apply_batch(&[EdbMutation::Insert(sale.clone())]).unwrap();
+        assert_matches_rebuild(&mut m, &table1_with(&[], &[camry, sale]), &policy);
+    }
+
+    #[test]
+    fn insert_after_a_merge_target_is_retired_matches_rebuild() {
+        // Deleting p11 = (ALL, Civic) splits CC1 into pieces with fresh,
+        // higher ids, so CC2 is the surviving id when (MA, ALL) merges it
+        // with {c1, p6} and its bounding box grows. Deleting (MA, ALL)
+        // splits the merge again and retires CC2's id. A new cell inside
+        // CC2's old box, (TX, F150), must still find its one covering
+        // fact, p12, and nothing that names the retired id.
+        let policy = PolicySpec::em_count(0.00001);
+        let mut m = build_maintainable(&policy);
+        m.apply_batch(&[EdbMutation::Delete(11)]).unwrap();
+        let bridge = named_fact(53, "MA", "ALL", 30.0);
+        let rep = m.apply_batch(&[EdbMutation::Insert(bridge)]).unwrap();
+        assert_eq!(rep.merges, 1);
+        let rep = m.apply_batch(&[EdbMutation::Delete(53)]).unwrap();
+        assert_eq!(rep.splits, 1);
+        let sale = named_fact(54, "TX", "F150", 20.0);
+        m.apply_batch(&[EdbMutation::Insert(sale.clone())]).unwrap();
+        assert_matches_rebuild(&mut m, &table1_with(&[11], &[sale]), &policy);
     }
 
     type EntryKey = (FactId, CellKey, u64, u64);

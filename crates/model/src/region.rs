@@ -85,7 +85,7 @@ impl RegionBox {
     }
 
     /// Smallest box covering both inputs (used for connected-component
-    /// bounding boxes in the EDB maintenance index).
+    /// bounding boxes in EDB maintenance).
     pub fn union(&self, other: &RegionBox) -> RegionBox {
         debug_assert_eq!(self.k, other.k);
         let mut lo = [0u32; MAX_DIMS];

@@ -1,38 +1,8 @@
 //! # iolap-rtree
 //!
-//! A from-scratch R-tree (Guttman, SIGMOD 1984 — the paper's reference
-//! \[12\]) over k-dimensional integer boxes, with quadratic-split insertion,
-//! deletion with subtree reinsertion, overlap queries, and
-//! Sort-Tile-Recursive bulk loading.
-//!
-//! The EDB maintenance algorithm of Section 9 indexes the bounding boxes
-//! of the allocation graph's connected components in an R-tree and, for
-//! each update, queries the tree for overlapped components. The paper used
-//! a third-party disk-based implementation \[13\]; this crate provides the
-//! same interface semantics in memory (component counts are far below the
-//! fact counts — 283k boxes for the paper's automotive data — so memory
-//! residence is the realistic deployment too).
-//!
-//! ```
-//! use iolap_rtree::{Aabb, RTree};
-//!
-//! let mut t: RTree<u32> = RTree::new(2);
-//! t.insert(Aabb::new(&[0, 0], &[2, 2]), 1);
-//! t.insert(Aabb::new(&[5, 5], &[9, 9]), 2);
-//! let mut hits = Vec::new();
-//! t.search(&Aabb::new(&[1, 1], &[6, 6]), |_, &id| hits.push(id));
-//! hits.sort();
-//! assert_eq!(hits, vec![1, 2]);
-//! ```
-
-#![warn(missing_docs)]
-
-mod aabb;
-mod tree;
-
-pub use aabb::Aabb;
-pub use tree::RTree;
-
-/// Maximum dimensionality (mirrors `iolap_model::MAX_DIMS` without the
-/// dependency).
-pub const MAX_DIMS: usize = 8;
+//! Empty. This crate held the R-tree over connected-component bounding
+//! boxes that Section 9's maintenance searched; maintenance now answers
+//! those lookups exactly from in-memory maps and reads no page for them
+//! (DESIGN §2.23). The crate remains only because `iolap-core` and
+//! `iolap-serve` still name it in their manifests, which frozen lockfiles
+//! record; it goes with the next lockfile change (ROADMAP item 1(f)).

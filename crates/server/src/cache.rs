@@ -1,4 +1,4 @@
-//! The sharded query-result cache with R-tree-driven invalidation.
+//! The sharded query-result cache with targeted invalidation.
 //!
 //! Keys are `(region box, aggregate, semantics)`; values are epoch-stamped
 //! [`AggResult`]s. Shards are plain `Mutex<HashMap>`s with a per-shard LRU
@@ -24,7 +24,6 @@
 
 use iolap_model::{RegionBox, MAX_DIMS};
 use iolap_query::{AggFn, AggResult, Classical};
-use iolap_rtree::Aabb;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -58,15 +57,9 @@ impl CacheKey {
         CacheKey { lo: region.lo, hi: region.hi, k: region.k, kind: a | (c << 2) }
     }
 
-    /// Half-open overlap between the key's region and a bounding box.
-    fn overlaps(&self, b: &Aabb) -> bool {
-        let k = (self.k as usize).min(b.k as usize);
-        for d in 0..k {
-            if self.lo[d] >= b.hi[d] || b.lo[d] >= self.hi[d] {
-                return false;
-            }
-        }
-        true
+    /// Does the key's region share a cell with a touched box?
+    fn overlaps(&self, b: &RegionBox) -> bool {
+        RegionBox { lo: self.lo, hi: self.hi, k: self.k }.overlaps(b)
     }
 }
 
@@ -201,7 +194,7 @@ impl ShardedCache {
 
     /// Evict every entry whose region overlaps one of `boxes`; returns
     /// the number of entries removed.
-    pub fn invalidate_overlapping(&self, boxes: &[Aabb]) -> u64 {
+    pub fn invalidate_overlapping(&self, boxes: &[RegionBox]) -> u64 {
         if boxes.is_empty() {
             return 0;
         }
@@ -274,7 +267,7 @@ mod tests {
         c.insert(west.clone(), val(0, 1.0));
         c.insert(east.clone(), val(0, 2.0));
         // Touch a single cell in the west half: (3, 1).
-        let touched = Aabb::new(&[3, 1], &[4, 2]);
+        let touched = region([3, 1], [4, 2]);
         assert_eq!(c.invalidate_overlapping(&[touched]), 1);
         assert!(c.get(&west).is_none(), "overlapping entry must go");
         assert!(c.get(&east).is_some(), "disjoint entry must stay");
@@ -300,7 +293,7 @@ mod tests {
         c.insert(east.clone(), val(0, 2.0));
         // The publisher's sequence for an update touching the west half.
         c.begin_epoch(1);
-        c.invalidate_overlapping(&[Aabb::new(&[3, 1], &[4, 2])]);
+        c.invalidate_overlapping(&[region([3, 1], [4, 2])]);
         c.retag_epoch(1);
         assert!(c.get(&west).is_none());
         let hit = c.get(&east).expect("disjoint entry survives");

@@ -1291,12 +1291,7 @@ impl Coord {
 
 /// Publish a snapshot: open the cache epoch, purge overlapping entries,
 /// sync the gauges, then swap the snapshot readers clone.
-fn publish(
-    shared: &Shared,
-    epoch: u64,
-    snap: &Arc<EdbSnapshot>,
-    touched: &[iolap_rtree::Aabb],
-) -> u64 {
+fn publish(shared: &Shared, epoch: u64, snap: &Arc<EdbSnapshot>, touched: &[RegionBox]) -> u64 {
     // Publication order matters: open the epoch (stale inserts start
     // dropping), purge overlapping entries, then publish the snapshot.
     shared.cache.begin_epoch(epoch);

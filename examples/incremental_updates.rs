@@ -1,9 +1,9 @@
 //! Incremental EDB maintenance (Section 9 of the paper).
 //!
-//! Builds a maintainable Extended Database (Transitive run + R-tree over
-//! component bounding boxes), applies update batches of growing size, and
-//! compares the maintenance cost against rebuilding from scratch — the
-//! experiment behind the paper's Figure 6.
+//! Builds a maintainable Extended Database (a Transitive run plus each
+//! cell's and fact's connected component), applies update batches of
+//! growing size, and compares the maintenance cost against rebuilding from
+//! scratch — the experiment behind the paper's Figure 6.
 //!
 //! ```bash
 //! cargo run --release --example incremental_updates
@@ -31,7 +31,7 @@ fn main() {
     );
 
     let mut maintained = MaintainableEdb::build(run, policy.clone()).unwrap();
-    println!("R-tree indexes {} component bounding boxes\n", maintained.num_components());
+    println!("Maintaining {} connected components\n", maintained.num_components());
 
     println!(
         "{:>8} {:>12} {:>12} {:>14} {:>12}",

@@ -46,7 +46,6 @@
 //! | [`storage`] | `iolap-storage` | Pager, buffer pool, external sort |
 //! | [`obs`] | `iolap-obs` | Structured tracing + metrics |
 //! | [`graph`] | `iolap-graph` | Summary tables, chain cover, partitions, ccid map |
-//! | [`rtree`] | `iolap-rtree` | R-tree for EDB maintenance (Section 9) |
 //! | [`core`] | `iolap-core` | Policies + Basic/Independent/Block/Transitive |
 //! | [`query`] | `iolap-query` | Allocation-weighted aggregation |
 //! | [`datagen`] | `iolap-datagen` | The paper's datasets, synthesized |
@@ -67,7 +66,6 @@ pub use iolap_hierarchy as hierarchy;
 pub use iolap_model as model;
 pub use iolap_obs as obs;
 pub use iolap_query as query;
-pub use iolap_rtree as rtree;
 pub use iolap_serve as serve;
 pub use iolap_storage as storage;
 

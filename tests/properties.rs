@@ -1,10 +1,12 @@
 //! Property-based tests (proptest) over randomly generated hierarchies
 //! and fact tables — the invariants of DESIGN.md §5.
 
+use iolap::core::maintain::{EdbMutation, MaintainableEdb};
 use iolap::core::{allocate, Algorithm, AllocConfig, PolicySpec};
 use iolap::hierarchy::{Hierarchy, HierarchyBuilder};
 use iolap::model::{cmp_cells, Fact, FactTable, RegionBox, Schema};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Strategy: a random 2-or-3-level hierarchy with ≤ 12 leaves.
@@ -46,14 +48,7 @@ fn arb_table() -> impl Strategy<Value = FactTable> {
             for id in 1..=n as u64 {
                 let mut dims = [0u32; 2];
                 for (d, slot) in dims.iter_mut().enumerate() {
-                    let h = schema.dim(d);
-                    let r = next();
-                    // ~60% precise per dimension, otherwise any node.
-                    *slot = if r % 10 < 6 {
-                        h.leaf_node((r >> 8) as u32 % h.num_leaves()).0
-                    } else {
-                        (r >> 8) as u32 % h.num_nodes()
-                    };
+                    *slot = random_node(&schema, d, next());
                 }
                 let measure = 1.0 + (next() % 100) as f64;
                 facts.push(Fact::new(id, &dims, measure));
@@ -61,6 +56,108 @@ fn arb_table() -> impl Strategy<Value = FactTable> {
             FactTable::from_facts(schema, facts)
         },
     )
+}
+
+/// A node id of dimension `d` from 64 random bits: ~60 % a leaf,
+/// otherwise any node.
+fn random_node(schema: &Schema, d: usize, r: u64) -> u32 {
+    let h = schema.dim(d);
+    if r % 10 < 6 {
+        h.leaf_node((r >> 8) as u32 % h.num_leaves()).0
+    } else {
+        (r >> 8) as u32 % h.num_nodes()
+    }
+}
+
+/// A seeded script of `batches` mutation batches over `table`, with the
+/// table each batch leaves behind: measure updates, inserts at any level
+/// and deletes, only ever naming live facts.
+fn arb_script(table: &FactTable, seed: u64, batches: usize) -> Vec<(Vec<EdbMutation>, FactTable)> {
+    let schema = table.schema().clone();
+    let mut facts: Vec<Fact> = table.facts().to_vec();
+    let mut next_id = facts.iter().map(|f| f.id).max().unwrap_or(0) + 1;
+    let mut s = seed | 1;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    (0..batches)
+        .map(|_| {
+            let n = 1 + next() % 4;
+            let mut muts = Vec::new();
+            for _ in 0..n {
+                let roll = next() % 10;
+                if roll < 4 && !facts.is_empty() {
+                    let i = (next() % facts.len() as u64) as usize;
+                    let new_measure = 1.0 + (next() % 100) as f64;
+                    facts[i].measure = new_measure;
+                    muts.push(EdbMutation::UpdateMeasure { fact_id: facts[i].id, new_measure });
+                } else if roll < 8 || facts.is_empty() {
+                    let mut dims = [0u32; 2];
+                    for (d, slot) in dims.iter_mut().enumerate() {
+                        *slot = random_node(&schema, d, next());
+                    }
+                    let f = Fact::new(next_id, &dims, 1.0 + (next() % 100) as f64);
+                    next_id += 1;
+                    facts.push(f.clone());
+                    muts.push(EdbMutation::Insert(f));
+                } else {
+                    let i = (next() % facts.len() as u64) as usize;
+                    muts.push(EdbMutation::Delete(facts.swap_remove(i).id));
+                }
+            }
+            (muts, FactTable::from_facts(schema.clone(), facts.clone()))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// P5: maintenance ≡ rebuild. After every batch of a seeded script,
+    /// the maintained weights equal a from-scratch Transitive run over
+    /// the mutated table: the same fact set, and per-cell weights within
+    /// 1e-5. A table with imprecise facts but no candidate cell (which
+    /// allocation rejects) counts as an empty EDB. Iterations are pinned
+    /// with ε = 0, so a component re-solved by maintenance and the same
+    /// component in a rebuild run the same trajectory.
+    #[test]
+    fn maintenance_matches_rebuild_after_every_batch(table in arb_table(), seed in any::<u64>()) {
+        prop_assume!(table.num_precise() > 0);
+        let policy = if seed % 2 == 0 {
+            PolicySpec::em_count(0.0).with_max_iters(4)
+        } else {
+            PolicySpec::em_measure(0.0).with_max_iters(4)
+        };
+        let cfg = AllocConfig::builder().in_memory(128).build();
+        let run = allocate(&table, &policy, Algorithm::Transitive, &cfg).unwrap();
+        let mut maintained = MaintainableEdb::build(run, policy.clone()).unwrap();
+        for (b, (muts, after)) in arb_script(&table, seed, 10).into_iter().enumerate() {
+            maintained.apply_batch(&muts).unwrap();
+            let got = maintained.current_weights().unwrap();
+            let want = if after.num_precise() == 0 && after.num_imprecise() > 0 {
+                Default::default()
+            } else {
+                allocate(&after, &policy, Algorithm::Transitive, &cfg).unwrap().edb.weight_map().unwrap()
+            };
+            let mut got_ids: Vec<_> = got.keys().copied().collect();
+            let mut want_ids: Vec<_> = want.keys().copied().collect();
+            got_ids.sort_unstable();
+            want_ids.sort_unstable();
+            prop_assert_eq!(&got_ids, &want_ids, "batch {}: allocated fact sets differ", b);
+            for (id, entries) in &want {
+                let g: HashMap<_, _> = got[id].iter().cloned().collect();
+                prop_assert_eq!(g.len(), entries.len(), "batch {} fact {}", b, id);
+                for (cell, w) in entries {
+                    prop_assert!((g[cell] - w).abs() < 1e-5,
+                        "batch {} fact {} cell {:?}: rebuilt {} vs maintained {}",
+                        b, id, &cell[..2], w, g[cell]);
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -184,42 +281,6 @@ proptest! {
         let mut want: Vec<u64> = data.iter().map(|v| v.0).collect();
         want.sort_unstable();
         prop_assert_eq!(keys, want, "multiset preserved");
-    }
-
-    /// P7: R-tree query equals linear scan.
-    #[test]
-    fn rtree_matches_linear_scan(
-        boxes in proptest::collection::vec((0u32..60, 0u32..60, 1u32..10, 1u32..10), 0..200),
-        query in (0u32..60, 0u32..60, 1u32..30, 1u32..30),
-    ) {
-        use iolap::rtree::{Aabb, RTree};
-        let items: Vec<(Aabb, u32)> = boxes
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y, w, h))| (Aabb::new(&[x, y], &[x + w, y + h]), i as u32))
-            .collect();
-        let mut t = RTree::new(2);
-        for (b, v) in &items {
-            t.insert(*b, *v);
-        }
-        t.validate().unwrap();
-        let q = Aabb::new(&[query.0, query.1], &[query.0 + query.2, query.1 + query.3]);
-        let mut got = t.query(&q);
-        got.sort_unstable();
-        let mut want: Vec<u32> =
-            items.iter().filter(|(b, _)| b.overlaps(&q)).map(|(_, v)| *v).collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-
-        // Bulk load agrees too.
-        let bulk = RTree::bulk_load(2, items.clone());
-        bulk.validate().unwrap();
-        let mut got2 = bulk.query(&q);
-        got2.sort_unstable();
-        let mut want2: Vec<u32> =
-            items.iter().filter(|(b, _)| b.overlaps(&q)).map(|(_, v)| *v).collect();
-        want2.sort_unstable();
-        prop_assert_eq!(got2, want2);
     }
 
     /// Cell-index box queries equal brute force on random sparse sets.
