@@ -41,9 +41,7 @@
 use crate::error::Result;
 use crate::segment::{EdbSegment, SegScanStats, SegmentCursor, SegmentView};
 use iolap_hierarchy::LevelNo;
-use iolap_model::{
-    cmp_cells, CellKey, EdbRecord, FactId, RegionBox, Schema, SegmentLayout, MAX_DIMS,
-};
+use iolap_model::{cmp_cells, CellKey, EdbRecord, FactId, RegionBox, Schema, MAX_DIMS};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -207,8 +205,8 @@ impl Cuboid {
     }
 }
 
-/// Encode cuboid cells as a mini segment in the canonical v2 layout, so
-/// the mini cursor visits cells in lex order of their lo corners.
+/// Encode cuboid cells as a mini segment (canonical order), so the mini
+/// cursor visits cells in lex order of their lo corners.
 fn encode_mini(k: usize, cells: &[CuboidCell]) -> Arc<EdbSegment> {
     let entries: Vec<EdbRecord> = cells
         .iter()
@@ -220,7 +218,7 @@ fn encode_mini(k: usize, cells: &[CuboidCell]) -> Arc<EdbSegment> {
             measure: c.sum,
         })
         .collect();
-    Arc::new(EdbSegment::build_with(k, entries, SegmentLayout::v2_canonical()))
+    Arc::new(EdbSegment::build(k, entries))
 }
 
 /// The lattice of one segment view: the segment's identity (its `Arc` and

@@ -11,7 +11,7 @@ use crate::error::Result;
 use crate::passes::{AncCache, GroupWindow, OnLoad};
 use crate::prep::PreparedData;
 use crate::segment::{EdbSegment, SegScanStats, SegmentView};
-use iolap_model::{EdbCodec, EdbRecord, FactId, Schema, SegmentLayout, MAX_DIMS};
+use iolap_model::{EdbCodec, EdbRecord, FactId, Schema, MAX_DIMS};
 use iolap_storage::RecordFile;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -41,8 +41,6 @@ pub struct ExtendedDatabase {
     lattice: Mutex<Option<Arc<CuboidLattice>>>,
     /// Selection budget for [`ExtendedDatabase::lattice`].
     lattice_cfg: LatticeConfig,
-    /// Layout (cell order × page format) used when building segments.
-    layout: SegmentLayout,
     /// Cumulative cursor counters from segment scans over this EDB.
     segment_io: Mutex<SegScanStats>,
     /// Observability handle inherited from the env (disabled = free).
@@ -61,7 +59,6 @@ impl ExtendedDatabase {
             segments: Mutex::new(None),
             lattice: Mutex::new(None),
             lattice_cfg: LatticeConfig::default(),
-            layout: SegmentLayout::default(),
             segment_io: Mutex::new(SegScanStats::default()),
             obs: env.obs().clone(),
         })
@@ -74,15 +71,6 @@ impl ExtendedDatabase {
         *lock(&self.lattice) = None;
     }
 
-    /// Set the layout future segment builds use (compressed/row pages,
-    /// canonical/Morton order). Invalidates any cached segment view.
-    pub fn set_segment_layout(&mut self, layout: SegmentLayout) {
-        if self.layout != layout {
-            self.layout = layout;
-            self.invalidate_caches();
-        }
-    }
-
     /// Set the storage budget for the lazily built cuboid lattice.
     /// Invalidates any cached lattice.
     pub fn set_lattice_config(&mut self, cfg: LatticeConfig) {
@@ -93,11 +81,6 @@ impl ExtendedDatabase {
     /// The lattice selection budget in force.
     pub fn lattice_config(&self) -> LatticeConfig {
         self.lattice_cfg
-    }
-
-    /// The layout segment builds use.
-    pub fn segment_layout(&self) -> SegmentLayout {
-        self.layout
     }
 
     /// Append one entry. `first_for_fact` must be true exactly once per
@@ -117,12 +100,11 @@ impl ExtendedDatabase {
     }
 
     /// The immutable segment view of the current entries: one base
-    /// [`EdbSegment`] holding every entry in the configured layout's cell
-    /// order, built lazily (one accounted scan of the entry file) and
-    /// cached until the next write. All query-crate aggregation runs over
-    /// this view. Takes `&self`: scans are read-only since the segment
-    /// layer, so snapshots and concurrent readers never need an exclusive
-    /// borrow.
+    /// [`EdbSegment`] holding every entry in canonical cell order, built
+    /// lazily (one accounted scan of the entry file) and cached until the
+    /// next write. All query-crate aggregation runs over this view. Takes
+    /// `&self`: scans are read-only since the segment layer, so snapshots
+    /// and concurrent readers never need an exclusive borrow.
     pub fn segments(&self) -> Result<Vec<SegmentView>> {
         let mut guard = lock(&self.segments);
         if guard.is_none() {
@@ -132,7 +114,7 @@ impl ExtendedDatabase {
             for i in 0..n {
                 entries.push(self.file.get(i)?);
             }
-            let seg = Arc::new(EdbSegment::build_with(k, entries, self.layout));
+            let seg = Arc::new(EdbSegment::build(k, entries));
             if let Some(g) = self.obs.gauge("edb.compression_ratio") {
                 // Milli-ratio: 1000 = uncompressed, 1700 = 1.7× smaller.
                 g.set((seg.compression_ratio() * 1000.0) as i64);

@@ -79,7 +79,6 @@ pub use edb::ExtendedDatabase;
 pub use error::{CoreError, Result};
 pub use estimate::{plan, PlanEstimate};
 pub use ingest::{MutationRecovery, MutationWal};
-pub use iolap_model::{CellOrder, PageFormat, SegmentLayout};
 pub use maintain::{CompactionPlan, CompactionResult, MaintainableEdb, UpdateReport};
 pub use policy::{CandidateCells, Convergence, PolicySpec, Quantity};
 pub use prep::{prepare, PreparedData};

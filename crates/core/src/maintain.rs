@@ -40,8 +40,8 @@ use crate::runner::AllocationRun;
 use crate::segment::{EdbSegment, SegmentView};
 use iolap_model::records::NO_CCID;
 use iolap_model::{
-    CellKey, CellRecord, EdbCodec, EdbRecord, Fact, FactId, LevelVec, RegionBox, SegmentLayout,
-    WorkFactRecord, MAX_DIMS,
+    canonical_sort_key, CellKey, CellRecord, EdbCodec, EdbRecord, Fact, FactId, LevelVec,
+    RegionBox, WorkFactRecord, MAX_DIMS,
 };
 use iolap_storage::{external_sort, Env, SortBudget};
 use std::collections::{HashMap, HashSet};
@@ -165,7 +165,6 @@ pub type WeightsByFact = HashMap<FactId, Vec<([u32; iolap_model::MAX_DIMS], f64)
 pub struct CompactionPlan {
     env: Env,
     k: usize,
-    layout: SegmentLayout,
     /// First tier index being merged (0 when the base tier is included).
     start: usize,
     /// Input views frozen at prepare time.
@@ -197,9 +196,9 @@ impl CompactionPlan {
                 Ok(())
             })?;
         }
-        let order = self.layout.order;
-        let mut sorted =
-            external_sort(&self.env, tmp, SortBudget::pages(16), |e| order.sort_key(&e.cell, k))?;
+        let mut sorted = external_sort(&self.env, tmp, SortBudget::pages(16), |e| {
+            canonical_sort_key(&e.cell, k)
+        })?;
         let mut entries = Vec::with_capacity(sorted.len() as usize);
         let mut cursor = sorted.scan();
         while let Some(e) = cursor.next()? {
@@ -211,7 +210,7 @@ impl CompactionPlan {
             start: self.start,
             input_segs: self.inputs.iter().map(|v| v.segment.clone()).collect(),
             input_excl: self.inputs.iter().map(|v| v.exclude.clone()).collect(),
-            merged: Arc::new(EdbSegment::from_sorted_with(k, entries, self.layout)),
+            merged: Arc::new(EdbSegment::from_sorted(k, entries)),
         })
     }
 }
@@ -279,9 +278,6 @@ pub struct MaintainableEdb {
     /// [`MaintainableEdb::prepare_compaction`] /
     /// [`MaintainableEdb::install_compaction`].
     inline_compaction: bool,
-    /// Layout for newly built segment tiers (existing tiers keep theirs
-    /// until the next compaction re-encodes them).
-    seg_layout: SegmentLayout,
     /// Completed compactions.
     compactions: u64,
     /// The materialized cuboid lattice over the published segments,
@@ -434,7 +430,6 @@ impl MaintainableEdb {
             seg_deleted: HashSet::new(),
             compaction_threshold: 4,
             inline_compaction: true,
-            seg_layout: SegmentLayout::default(),
             compactions: 0,
             lattice: None,
             lattice_cfg: LatticeConfig::default(),
@@ -634,7 +629,6 @@ impl MaintainableEdb {
         Ok(Some(CompactionPlan {
             env: self.prep.env.clone(),
             k: self.prep.schema.k(),
-            layout: self.seg_layout,
             start,
             inputs,
         }))
@@ -685,13 +679,6 @@ impl MaintainableEdb {
         Ok(true)
     }
 
-    /// Layout for segment tiers built from here on (the base tier, future
-    /// deltas, and the next compaction's re-encode). Segments already
-    /// published keep their layout — the cursor handles mixed tiers.
-    pub fn set_segment_layout(&mut self, layout: SegmentLayout) {
-        self.seg_layout = layout;
-    }
-
     /// Selection budget for the cuboid lattice. Drops the current lattice
     /// so the next [`MaintainableEdb::snapshot_lattice`] rebuilds under
     /// the new budget.
@@ -736,7 +723,7 @@ impl MaintainableEdb {
             // The base tier: every original entry, sorted canonically.
             let mut base = Vec::with_capacity(self.base_len as usize);
             self.edb.for_each_range(0, self.base_len, |e| base.push(e.clone()))?;
-            self.segs.push(Arc::new(EdbSegment::build_with(k, base, self.seg_layout)));
+            self.segs.push(Arc::new(EdbSegment::build(k, base)));
             self.seg_excl.push(Arc::new(HashSet::new()));
             self.seg_cursor = self.base_len;
         }
@@ -767,7 +754,7 @@ impl MaintainableEdb {
             }
             if !entries.is_empty() {
                 let idx = self.segs.len();
-                self.segs.push(Arc::new(EdbSegment::build_with(k, entries, self.seg_layout)));
+                self.segs.push(Arc::new(EdbSegment::build(k, entries)));
                 self.seg_excl.push(Arc::new(HashSet::new()));
                 for id in claimed {
                     // Retire the fact's previous run: in an earlier delta

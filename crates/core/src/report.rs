@@ -64,8 +64,8 @@ pub struct RunReport {
     pub edb_pages_pruned: u64,
     /// Segment pages actually visited across query scans.
     pub edb_pages_read: u64,
-    /// Bytes charged for the pages visited (compressed payload bytes for
-    /// columnar segments, full pages for row segments).
+    /// Bytes charged for the pages visited (their compressed payload
+    /// bytes).
     pub edb_bytes_read: u64,
     /// Segment compression milli-ratio: `uncompressed / encoded × 1000`
     /// (1000 = row layout, 1700 = pages 1.7× smaller than rows).

@@ -1,20 +1,15 @@
 //! Immutable, indexed EDB segments and the shared pruning cursor.
 //!
-//! An [`EdbSegment`] holds Extended Database entries sorted by a pluggable
-//! [`CellOrder`] (canonical [`iolap_model::cmp_cells`] order, or a Morton
-//! interleave that tightens fence boxes in *every* dimension) and stored in
-//! one of two page formats behind [`SegmentLayout`]:
+//! An [`EdbSegment`] holds Extended Database entries sorted in canonical
+//! cell order ([`iolap_model::cmp_cells`]) in compressed columnar pages:
+//! each page is one blob (per-dimension delta+varint coordinate streams,
+//! change-bitmap f64 streams, checksum; see `iolap_model::segment_page`)
+//! packed to fit a single `PAGE_SIZE` disk block, so page density varies
+//! with the data.
 //!
-//! * [`PageFormat::Rows`] — fixed-width `EdbRecord`s, `PAGE_SIZE / width`
-//!   per logical page, exactly the PR 5 layout;
-//! * [`PageFormat::ColumnarV2`] — each page is one compressed blob
-//!   (per-dimension delta+varint coordinate streams, change-bitmap f64
-//!   streams, checksum; see `iolap_model::segment_page`) packed to fit a
-//!   single `PAGE_SIZE` disk block, so page density varies with the data.
-//!
-//! Either way the footer carries one fence (min/max leaf id per dimension)
-//! per page, so Theorem 12 contrapositive pruning, exclusion sets and
-//! compaction are format-agnostic. Segments are immutable: allocation
+//! The footer carries one fence (min/max leaf id per dimension) per page,
+//! so Theorem 12 contrapositive pruning, exclusion sets and compaction
+//! never look inside a page they skip. Segments are immutable: allocation
 //! produces one base segment, incremental maintenance appends delta
 //! segments and retires superseded facts through per-segment *exclusion
 //! sets* ([`SegmentView`]), and compaction rewrites tiers without touching
@@ -24,7 +19,7 @@
 //! (`aggregate_edb`, `rollup`, `pivot`) and the server's snapshot answer
 //! path: it walks the views in order, skips pages whose fence box is
 //! disjoint from the query box, and visits the surviving live entries in
-//! segment order. A compressed page goes through the fused scan kernel
+//! segment order. Every page goes through the fused scan kernel
 //! (`iolap_model::segment_page::PageScratch`): its checksum is verified on
 //! the first decode after the segment was built or loaded and not again
 //! (pages are immutable in memory), its columns are decoded into one
@@ -34,43 +29,20 @@
 //! pages that contain **no** cell
 //! of the query box, the visited entry sequence — and therefore every f64
 //! accumulation over it — is bit-identical to an unpruned scan of the same
-//! views. A corrupt or truncated compressed page surfaces as a storage
-//! error from the cursor; it never panics and never yields a short read.
+//! views. A corrupt or truncated page surfaces as a storage error from the
+//! cursor, and a corrupt footer (checksummed) as one from
+//! [`EdbSegment::load`]; neither panics or yields a short read.
 
 use crate::error::{CoreError, Result};
 use iolap_model::{
-    EdbCodec, EdbRecord, FactId, PageBuilder, PageFence, PageFormat, PageScratch, PageSelect,
-    RegionBox, SegmentFooter, SegmentLayout, SegmentStats, MAX_DIMS, MAX_V2_PAGE_BYTES,
+    canonical_sort_key, cmp_cells, EdbRecord, FactId, PageBuilder, PageScratch, PageSelect,
+    RegionBox, SegmentFooter, MAX_DIMS, MAX_V2_PAGE_BYTES,
 };
-use iolap_storage::{StorageError, PAGE_SIZE};
+use iolap_storage::StorageError;
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-pub use iolap_model::CellOrder;
-
-/// Entry storage: decoded rows, or encoded columnar page payloads that are
-/// decoded lazily at scan time (so at-rest corruption surfaces from the
-/// cursor as an error, not at load).
-enum SegStore {
-    Rows(Vec<EdbRecord>),
-    Pages {
-        pages: Vec<Box<[u8]>>,
-        /// Per page: set once the page has decoded cleanly with its
-        /// checksum verified. The payloads are immutable behind the
-        /// segment's `Arc`, so later decodes skip the checksum pass (and
-        /// nothing else); a page that fails is never marked.
-        verified: Vec<AtomicBool>,
-    },
-}
-
-impl SegStore {
-    fn unverified(pages: Vec<Box<[u8]>>) -> Self {
-        let verified = pages.iter().map(|_| AtomicBool::new(false)).collect();
-        SegStore::Pages { pages, verified }
-    }
-}
 
 #[cfg(test)]
 thread_local! {
@@ -79,70 +51,65 @@ thread_local! {
 }
 
 /// One immutable, sorted, page-aligned run of EDB entries with its fence
-/// index.
+/// index. The encoded pages are decoded lazily at scan time, so at-rest
+/// corruption inside a page surfaces from the cursor as an error, not at
+/// load.
 pub struct EdbSegment {
     k: usize,
-    layout: SegmentLayout,
-    store: SegStore,
+    pages: Vec<Box<[u8]>>,
+    /// Per page: set once the page has decoded cleanly with its checksum
+    /// verified. The payloads are immutable behind the segment's `Arc`, so
+    /// later decodes skip the checksum pass (and nothing else); a page
+    /// that fails is never marked.
+    verified: Vec<AtomicBool>,
     footer: SegmentFooter,
 }
 
 impl EdbSegment {
-    /// Build a segment from entries in any order under the default layout
-    /// (compressed pages, canonical order — same entry order as rows).
-    pub fn build(k: usize, entries: Vec<EdbRecord>) -> Self {
-        Self::build_with(k, entries, SegmentLayout::default())
-    }
-
-    /// Build a segment under an explicit layout: stable-sorts by the
-    /// layout's cell order (ties keep input order, so a deterministic
+    /// Build a segment from entries in any order: stable-sorts them into
+    /// canonical cell order (ties keep input order, so a deterministic
     /// input order yields a deterministic — and thus bit-reproducible —
     /// segment) and encodes the pages.
-    pub fn build_with(k: usize, mut entries: Vec<EdbRecord>, layout: SegmentLayout) -> Self {
-        entries.sort_by_cached_key(|e| layout.order.sort_key(&e.cell, k));
-        Self::from_sorted_with(k, entries, layout)
+    pub fn build(k: usize, mut entries: Vec<EdbRecord>) -> Self {
+        entries.sort_by_cached_key(|e| canonical_sort_key(&e.cell, k));
+        Self::from_sorted(k, entries)
     }
 
     /// Wrap entries already in canonical cell order (e.g. the output of an
-    /// external sort) without re-sorting, under the default layout.
+    /// external sort) without re-sorting.
     pub fn from_sorted(k: usize, entries: Vec<EdbRecord>) -> Self {
-        Self::from_sorted_with(k, entries, SegmentLayout::default())
+        debug_assert!(
+            entries.windows(2).all(|w| cmp_cells(&w[0].cell, &w[1].cell, k).is_le()),
+            "segment entries must be in canonical cell order"
+        );
+        let mut pages = Vec::new();
+        let mut footer = SegmentFooter::new(k);
+        let mut builder = PageBuilder::new(k);
+        let mut close = |builder: &mut PageBuilder| {
+            let (recs, bytes) = builder.finish();
+            footer.push_page(&recs, bytes.len());
+            pages.push(bytes.into_boxed_slice());
+        };
+        for e in entries {
+            if !builder.is_empty() && builder.len_with(&e) > MAX_V2_PAGE_BYTES {
+                close(&mut builder);
+            }
+            builder.push(e);
+        }
+        if !builder.is_empty() {
+            close(&mut builder);
+        }
+        Self::unverified(k, pages, footer)
     }
 
-    /// Wrap entries already sorted by `layout.order` without re-sorting.
-    pub fn from_sorted_with(k: usize, entries: Vec<EdbRecord>, layout: SegmentLayout) -> Self {
-        debug_assert!(
-            entries.windows(2).all(|w| {
-                layout.order.sort_key(&w[0].cell, k) <= layout.order.sort_key(&w[1].cell, k)
-            }),
-            "segment entries must be sorted by the layout's cell order"
-        );
-        match layout.format {
-            PageFormat::Rows => {
-                let recs_per_page = SegmentFooter::edb_recs_per_page(k);
-                let mut footer = SegmentFooter::build(
-                    k,
-                    recs_per_page,
-                    entries.iter().map(|e| (&e.cell, e.weight, e.measure)),
-                );
-                footer.order = layout.order;
-                EdbSegment { k, layout, store: SegStore::Rows(entries), footer }
-            }
-            PageFormat::ColumnarV2 => {
-                let (store, footer) = encode_columnar(k, layout.order, entries);
-                EdbSegment { k, layout, store, footer }
-            }
-        }
+    fn unverified(k: usize, pages: Vec<Box<[u8]>>, footer: SegmentFooter) -> Self {
+        let verified = pages.iter().map(|_| AtomicBool::new(false)).collect();
+        EdbSegment { k, pages, verified, footer }
     }
 
     /// Number of dimensions.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// The layout (cell order × page format) this segment was built with.
-    pub fn layout(&self) -> SegmentLayout {
-        self.layout
     }
 
     /// Number of entries.
@@ -155,34 +122,20 @@ impl EdbSegment {
         self.len() == 0
     }
 
-    /// Number of logical pages (each indexed by one fence).
+    /// Number of pages (each indexed by one fence).
     pub fn num_pages(&self) -> u64 {
         self.footer.num_pages()
     }
 
-    /// Entries per logical page for row-format segments; 0 for columnar
-    /// segments, whose density varies per page.
-    pub fn recs_per_page(&self) -> usize {
-        self.footer.recs_per_page as usize
-    }
-
-    /// Bytes the exact-I/O meter charges for reading page `p`: a full
-    /// `PAGE_SIZE` block for row pages, the *compressed* payload length
-    /// for columnar pages.
+    /// Bytes the exact-I/O meter charges for reading page `p`: its
+    /// compressed payload length.
     pub fn page_io_bytes(&self, p: u64) -> u64 {
-        match &self.store {
-            SegStore::Rows(_) => PAGE_SIZE as u64,
-            SegStore::Pages { .. } => u64::from(self.footer.page_bytes[p as usize]),
-        }
+        u64::from(self.footer.page_bytes[p as usize])
     }
 
-    /// Total at-rest payload bytes of the entry pages (compressed size for
-    /// columnar segments, full row bytes for row segments).
+    /// Total at-rest payload bytes of the entry pages.
     pub fn encoded_bytes(&self) -> u64 {
-        match &self.store {
-            SegStore::Rows(entries) => (entries.len() * (4 * self.k + 24)) as u64,
-            SegStore::Pages { .. } => self.footer.page_bytes.iter().map(|&b| u64::from(b)).sum(),
-        }
+        self.footer.page_bytes.iter().map(|&b| u64::from(b)).sum()
     }
 
     /// Uncompressed row bytes of the same entries (`entries × (4k + 24)`).
@@ -190,8 +143,8 @@ impl EdbSegment {
         self.len() * (4 * self.k + 24) as u64
     }
 
-    /// Compression ratio `uncompressed / encoded` (1.0 for row segments
-    /// and for empty segments).
+    /// Compression ratio `uncompressed / encoded` (1.0 for an empty
+    /// segment).
     pub fn compression_ratio(&self) -> f64 {
         let enc = self.encoded_bytes();
         if enc == 0 {
@@ -200,12 +153,11 @@ impl EdbSegment {
         self.uncompressed_bytes() as f64 / enc as f64
     }
 
-    /// The entries of logical page `p`, decoding through `buf` when the
-    /// page is compressed (row pages borrow straight from the segment and
-    /// leave `buf` untouched). A corrupt page yields a storage error, a
-    /// `p` past the last page a bad-input error. Random access pays for a
-    /// kernel scratch per call; scans go through [`SegmentCursor`] or
-    /// [`EdbSegment::for_each_entry`], which reuse one.
+    /// The entries of page `p`, decoded through `buf`. A corrupt page
+    /// yields a storage error, a `p` past the last page a bad-input error.
+    /// Random access pays for a kernel scratch per call; scans go through
+    /// [`SegmentCursor`] or [`EdbSegment::for_each_entry`], which reuse
+    /// one.
     pub fn page_decoded<'s>(
         &'s self,
         p: u64,
@@ -228,48 +180,29 @@ impl EdbSegment {
         scratch: &mut PageScratch,
         buf: &'s mut Vec<EdbRecord>,
     ) -> Result<&'s [EdbRecord]> {
-        if let SegStore::Rows(entries) = &self.store {
-            return Ok(self.row_page(entries, p));
-        }
-        self.decode_columnar(p, &PageSelect::all(), scratch)?;
+        self.decode(p, &PageSelect::all(), scratch)?;
         buf.clear();
         buf.extend(scratch.rows());
         Ok(&buf[..])
     }
 
-    /// Row-format page `p` of `entries`, this segment's store.
-    fn row_page<'e>(&self, entries: &'e [EdbRecord], p: u64) -> &'e [EdbRecord] {
-        let rpp = self.footer.recs_per_page as usize;
-        let start = p as usize * rpp;
-        &entries[start..(start + rpp).min(entries.len())]
-    }
-
-    /// Decode columnar page `p` into `scratch`, keeping the rows `select`
-    /// keeps. The one gate every read of a compressed page goes through:
-    /// it verifies the checksum unless an earlier decode of this page
-    /// already did, always runs the kernel's structural checks and the
-    /// footer row-count check, and marks the page verified only after all
-    /// of them passed.
-    fn decode_columnar(
-        &self,
-        p: u64,
-        select: &PageSelect,
-        scratch: &mut PageScratch,
-    ) -> Result<()> {
-        let SegStore::Pages { pages, verified } = &self.store else {
-            unreachable!("row-format pages are not decoded");
-        };
+    /// Decode page `p` into `scratch`, keeping the rows `select` keeps.
+    /// The one gate every read of a page goes through: it verifies the
+    /// checksum unless an earlier decode of this page already did, always
+    /// runs the kernel's structural checks and the footer row-count check,
+    /// and marks the page verified only after all of them passed.
+    fn decode(&self, p: u64, select: &PageSelect, scratch: &mut PageScratch) -> Result<()> {
         let p = p as usize;
         // Acquire pairs with the Release store below. The flag publishes
         // nothing but "these immutable bytes passed": two threads racing on
         // an unverified page both verify it, and both store `true`.
-        let seen = verified[p].load(Ordering::Acquire);
+        let seen = self.verified[p].load(Ordering::Acquire);
         #[cfg(test)]
         if !seen {
             CHECKSUM_PASSES.with(|c| c.set(c.get() + 1));
         }
         let rows = scratch
-            .decode(self.k, &pages[p], !seen, select)
+            .decode(self.k, &self.pages[p], !seen, select)
             .map_err(|e| StorageError::Corrupt(format!("segment page {p}: {e}")))?;
         let want = self.footer.page_rows[p] as usize;
         if rows != want {
@@ -279,7 +212,7 @@ impl EdbSegment {
             .into());
         }
         if !seen {
-            verified[p].store(true, Ordering::Release);
+            self.verified[p].store(true, Ordering::Release);
         }
         Ok(())
     }
@@ -312,150 +245,45 @@ impl EdbSegment {
     }
 
     /// Persist the segment to `path` in the page-aligned segment file
-    /// format (see [`iolap_storage::segfile`]): format v1 for row
-    /// segments, v2 (one encoded blob per page block) for columnar ones.
+    /// format (see [`iolap_storage::segfile`]): one encoded page per block,
+    /// then the checksummed footer.
     pub fn save(&self, path: &Path) -> Result<()> {
-        match &self.store {
-            SegStore::Rows(entries) => {
-                iolap_storage::segfile::write_segment(
-                    path,
-                    &EdbCodec { k: self.k },
-                    entries,
-                    &self.footer.encode(),
-                )?;
-            }
-            SegStore::Pages { pages, .. } => {
-                iolap_storage::segfile::write_segment_v2(path, pages, &self.footer.encode())?;
-            }
-        }
+        iolap_storage::segfile::write_segment(path, &self.pages, &self.footer.encode())?;
         Ok(())
     }
 
-    /// Load a segment written by [`EdbSegment::save`], re-validating the
-    /// footer against the file. Compressed page payloads are *not* decoded
-    /// here — decoding happens lazily at scan time, and a page's checksum
-    /// is verified by the first decode that touches it, so a bit-flipped
-    /// page surfaces from the cursor as a storage error rather than slowing
-    /// every load.
+    /// Load a segment written by [`EdbSegment::save`]. The footer is
+    /// verified against its checksum and the file; every failure there is
+    /// [`StorageError::Corrupt`]. Page payloads are *not* decoded here —
+    /// a page's checksum is verified by the first decode that touches it,
+    /// so a bit-flipped page surfaces from the cursor as a storage error
+    /// rather than slowing every load.
     pub fn load(path: &Path, k: usize) -> Result<Self> {
-        match iolap_storage::segfile::probe_segment_version(path)? {
-            iolap_storage::segfile::SEGFILE_VERSION => {
-                let (entries, footer_bytes) =
-                    iolap_storage::segfile::read_segment(path, &EdbCodec { k })?;
-                let footer = SegmentFooter::decode(&footer_bytes)
-                    .map_err(crate::error::CoreError::BadInput)?;
-                if footer.format != PageFormat::Rows {
-                    return Err(crate::error::CoreError::BadInput(
-                        "columnar footer in a row-format segment file".into(),
-                    ));
-                }
-                if footer.k != k || footer.stats.entries != entries.len() as u64 {
-                    return Err(crate::error::CoreError::BadInput(format!(
-                        "segment footer (k={}, {} entries) does not match file (k={k}, {} entries)",
-                        footer.k,
-                        footer.stats.entries,
-                        entries.len()
-                    )));
-                }
-                let layout = SegmentLayout { order: footer.order, format: PageFormat::Rows };
-                Ok(EdbSegment { k, layout, store: SegStore::Rows(entries), footer })
-            }
-            _ => {
-                let (pages, footer_bytes) = iolap_storage::segfile::read_segment_v2(path)?;
-                let footer = SegmentFooter::decode(&footer_bytes)
-                    .map_err(crate::error::CoreError::BadInput)?;
-                if footer.format != PageFormat::ColumnarV2 {
-                    return Err(crate::error::CoreError::BadInput(
-                        "row footer in a columnar segment file".into(),
-                    ));
-                }
-                if footer.k != k {
-                    return Err(crate::error::CoreError::BadInput(format!(
-                        "segment footer has k={}, want k={k}",
-                        footer.k
-                    )));
-                }
-                if footer.num_pages() != pages.len() as u64 {
-                    return Err(StorageError::Corrupt(format!(
-                        "segment file has {} pages, footer indexes {}",
-                        pages.len(),
-                        footer.num_pages()
-                    ))
-                    .into());
-                }
-                for (p, page) in pages.iter().enumerate() {
-                    if footer.page_bytes[p] as usize != page.len() {
-                        return Err(StorageError::Corrupt(format!(
-                            "segment page {p} is {} bytes, footer says {}",
-                            page.len(),
-                            footer.page_bytes[p]
-                        ))
-                        .into());
-                    }
-                }
-                let layout = SegmentLayout { order: footer.order, format: PageFormat::ColumnarV2 };
-                Ok(EdbSegment { k, layout, store: SegStore::unverified(pages), footer })
+        let (pages, footer_bytes) = iolap_storage::segfile::read_segment(path)?;
+        let corrupt = |m: String| CoreError::from(StorageError::Corrupt(m));
+        let footer = SegmentFooter::decode(&footer_bytes)
+            .map_err(|e| corrupt(format!("{}: {e}", path.display())))?;
+        if footer.k != k {
+            return Err(corrupt(format!("segment footer has k={}, want k={k}", footer.k)));
+        }
+        if footer.num_pages() != pages.len() as u64 {
+            return Err(corrupt(format!(
+                "segment file has {} pages, footer indexes {}",
+                pages.len(),
+                footer.num_pages()
+            )));
+        }
+        for (p, page) in pages.iter().enumerate() {
+            if footer.page_bytes[p] as usize != page.len() {
+                return Err(corrupt(format!(
+                    "segment page {p} is {} bytes, footer says {}",
+                    page.len(),
+                    footer.page_bytes[p]
+                )));
             }
         }
+        Ok(Self::unverified(k, pages, footer))
     }
-}
-
-/// Encode sorted entries into compressed columnar pages, deriving the
-/// fence index and whole-segment stats in the same single pass (the stats
-/// accumulate in entry order, exactly like the row-format footer build).
-fn encode_columnar(
-    k: usize,
-    order: CellOrder,
-    entries: Vec<EdbRecord>,
-) -> (SegStore, SegmentFooter) {
-    let n = entries.len() as u64;
-    let mut pages: Vec<Box<[u8]>> = Vec::new();
-    let mut fences: Vec<PageFence> = Vec::new();
-    let mut page_rows: Vec<u32> = Vec::new();
-    let mut page_bytes: Vec<u32> = Vec::new();
-    let mut bbox: Option<RegionBox> = None;
-    let mut sum_weight = 0.0f64;
-    let mut sum_wm = 0.0f64;
-    let mut builder = PageBuilder::new(k);
-    let mut fence: Option<PageFence> = None;
-    let mut close = |builder: &mut PageBuilder, fence: Option<PageFence>| {
-        let (recs, bytes) = builder.finish();
-        page_rows.push(recs.len() as u32);
-        page_bytes.push(bytes.len() as u32);
-        pages.push(bytes.into_boxed_slice());
-        fences.push(fence.expect("non-empty page has a fence"));
-    };
-    for e in entries {
-        if !builder.is_empty() && builder.len_with(&e) > MAX_V2_PAGE_BYTES {
-            close(&mut builder, fence.take());
-        }
-        match fence.as_mut() {
-            None => fence = Some(PageFence::point(&e.cell)),
-            Some(f) => f.grow(&e.cell, k),
-        }
-        match bbox.as_mut() {
-            None => bbox = Some(RegionBox::point(&e.cell, k)),
-            Some(b) => b.grow_to_cell(&e.cell),
-        }
-        sum_weight += e.weight;
-        sum_wm += e.weight * e.measure;
-        builder.push(e);
-    }
-    if !builder.is_empty() {
-        close(&mut builder, fence.take());
-    }
-    let bbox = bbox.unwrap_or(RegionBox { lo: [0; MAX_DIMS], hi: [0; MAX_DIMS], k: k as u8 });
-    let footer = SegmentFooter {
-        k,
-        recs_per_page: 0,
-        order,
-        format: PageFormat::ColumnarV2,
-        stats: SegmentStats { entries: n, bbox, sum_weight, sum_weighted_measure: sum_wm },
-        fences,
-        page_rows,
-        page_bytes,
-    };
-    (SegStore::unverified(pages), footer)
 }
 
 /// A published view of one segment: the immutable entries plus the set of
@@ -501,8 +329,7 @@ pub struct SegScanStats {
     pub pages_read: u64,
     /// Pages skipped because their fence box is disjoint from the query.
     pub pages_pruned: u64,
-    /// Bytes charged for the pages read: compressed payload bytes for
-    /// columnar pages, full `PAGE_SIZE` blocks for row pages.
+    /// Bytes charged for the pages read: their compressed payload bytes.
     pub bytes_read: u64,
 }
 
@@ -555,11 +382,11 @@ impl<'a> SegmentCursor<'a> {
         RegionBox { lo: [0; MAX_DIMS], hi: [u32::MAX; MAX_DIMS], k: k as u8 }
     }
 
-    /// Visit every live entry inside the region, in segment order then the
-    /// segment's cell order within each segment. Compressed pages decode
-    /// through one column scratch reused across the whole scan, which
-    /// builds records for the in-region rows only; a corrupt page aborts
-    /// the scan with a storage error.
+    /// Visit every live entry inside the region, in segment order then
+    /// canonical cell order within each segment. Pages decode through one
+    /// column scratch reused across the whole scan, which builds records
+    /// for the in-region rows only; a corrupt page aborts the scan with a
+    /// storage error.
     pub fn for_each(&mut self, mut f: impl FnMut(&EdbRecord)) -> Result<()> {
         for view in self.views {
             let seg = &*view.segment;
@@ -577,14 +404,6 @@ impl<'a> SegmentCursor<'a> {
                 }
                 self.stats.pages_read += 1;
                 self.stats.bytes_read += seg.page_io_bytes(p);
-                if let SegStore::Rows(entries) = &seg.store {
-                    for e in seg.row_page(entries, p) {
-                        if self.region.contains_cell(&e.cell) {
-                            live(e);
-                        }
-                    }
-                    continue;
-                }
                 // The unpruned baseline trusts no fence: it compares every
                 // dimension of every row.
                 let select = if self.prune {
@@ -592,7 +411,7 @@ impl<'a> SegmentCursor<'a> {
                 } else {
                     PageSelect::region(&self.region)
                 };
-                seg.decode_columnar(p, &select, &mut self.scratch)?;
+                seg.decode(p, &select, &mut self.scratch)?;
                 for e in self.scratch.kept() {
                     live(&e);
                 }
@@ -629,6 +448,7 @@ pub fn accumulate_region(
 mod tests {
     use super::*;
     use iolap_model::CellKey;
+    use iolap_storage::PAGE_SIZE;
 
     fn cell(v: &[u32]) -> CellKey {
         let mut c = [0u32; MAX_DIMS];
@@ -649,106 +469,61 @@ mod tests {
     }
 
     /// Entries spread over many cells so the segment spans several pages.
-    fn wide_segment(k: usize, n: u32, layout: SegmentLayout) -> EdbSegment {
+    fn wide_segment(k: usize, n: u32) -> EdbSegment {
         let entries: Vec<EdbRecord> =
             (0..n).map(|i| rec(i as u64, &[i % 97, i / 97], 1.0, i as f64)).collect();
-        EdbSegment::build_with(k, entries, layout)
-    }
-
-    fn all_layouts() -> [SegmentLayout; 4] {
-        [
-            SegmentLayout::v1_canonical(),
-            SegmentLayout::v2_canonical(),
-            SegmentLayout { order: CellOrder::Morton, format: PageFormat::Rows },
-            SegmentLayout::v2_morton(),
-        ]
+        EdbSegment::build(k, entries)
     }
 
     #[test]
     fn build_sorts_canonically_and_paginates() {
         let entries =
             vec![rec(1, &[3, 0], 1.0, 5.0), rec(2, &[0, 1], 0.5, 2.0), rec(3, &[0, 0], 0.5, 2.0)];
-        // Default layout compresses but keeps canonical entry order.
-        let seg = EdbSegment::build(2, entries.clone());
+        let seg = EdbSegment::build(2, entries);
         let cells: Vec<u32> = seg.records().unwrap().iter().map(|e| e.cell[0]).collect();
         assert_eq!(cells, vec![0, 0, 3]);
         assert_eq!(seg.num_pages(), 1);
-        assert_eq!(seg.recs_per_page(), 0, "columnar pages have variable density");
         assert_eq!(seg.footer().stats.entries, 3);
         assert!(seg.compression_ratio() > 1.0);
-        // The v1 layout keeps the fixed-width pagination.
-        let seg = EdbSegment::build_with(2, entries, SegmentLayout::v1_canonical());
-        assert_eq!(seg.recs_per_page(), 4096 / 32);
-        assert_eq!(seg.compression_ratio(), 1.0);
     }
 
     #[test]
     fn stable_sort_keeps_equal_cell_input_order() {
-        for layout in all_layouts() {
-            let seg = EdbSegment::build_with(
-                2,
-                vec![rec(9, &[1, 1], 0.25, 1.0), rec(7, &[1, 1], 0.75, 2.0)],
-                layout,
-            );
-            let ids: Vec<u64> = seg.records().unwrap().iter().map(|e| e.fact_id).collect();
-            assert_eq!(ids, vec![9, 7], "ties must keep input order under {layout:?}");
-        }
-    }
-
-    #[test]
-    fn morton_order_reorders_but_preserves_the_multiset() {
-        let entries: Vec<EdbRecord> =
-            (0..1000).map(|i| rec(i as u64, &[i % 31, i / 31], 0.5, i as f64)).collect();
-        let canon = EdbSegment::build_with(2, entries.clone(), SegmentLayout::v2_canonical());
-        let morton = EdbSegment::build_with(2, entries, SegmentLayout::v2_morton());
-        let mut a = canon.records().unwrap();
-        let mut b = morton.records().unwrap();
-        assert_ne!(
-            a.iter().map(|e| e.fact_id).collect::<Vec<_>>(),
-            b.iter().map(|e| e.fact_id).collect::<Vec<_>>(),
-            "morton order differs from canonical on a 2-d grid"
-        );
-        a.sort_by_key(|e| e.fact_id);
-        b.sort_by_key(|e| e.fact_id);
-        assert_eq!(a, b);
-        // Morton keys are non-decreasing over the stored order.
-        let recs = morton.records().unwrap();
-        assert!(recs.windows(2).all(|w| {
-            CellOrder::Morton.sort_key(&w[0].cell, 2) <= CellOrder::Morton.sort_key(&w[1].cell, 2)
-        }));
+        let seg =
+            EdbSegment::build(2, vec![rec(9, &[1, 1], 0.25, 1.0), rec(7, &[1, 1], 0.75, 2.0)]);
+        let ids: Vec<u64> = seg.records().unwrap().iter().map(|e| e.fact_id).collect();
+        assert_eq!(ids, vec![9, 7], "ties must keep input order");
     }
 
     #[test]
     fn pruned_scan_is_bit_identical_to_full_scan() {
-        for layout in all_layouts() {
-            let seg = Arc::new(wide_segment(2, 10_000, layout));
-            let views = vec![SegmentView::new(seg.clone())];
-            for region in [
-                bx(&[5, 0], &[6, 100]),
-                bx(&[0, 0], &[97, 104]),
-                bx(&[96, 90], &[97, 104]),
-                bx(&[40, 40], &[40, 60]), // empty box
-            ] {
-                let (sum_p, count_p, stats_p) = accumulate_region(&views, &region).unwrap();
-                let mut full = SegmentCursor::full_scan(&views, region);
-                let (mut sum_f, mut count_f) = (0.0, 0.0);
-                full.for_each(|e| {
-                    sum_f += e.weight * e.measure;
-                    count_f += e.weight;
-                })
-                .unwrap();
-                assert_eq!(sum_p.to_bits(), sum_f.to_bits(), "{layout:?}");
-                assert_eq!(count_p.to_bits(), count_f.to_bits(), "{layout:?}");
-                assert_eq!(full.stats().pages_read, seg.num_pages());
-                assert_eq!(full.stats().pages_pruned, 0);
-                assert_eq!(stats_p.pages_read + stats_p.pages_pruned, seg.num_pages());
-            }
+        let seg = Arc::new(wide_segment(2, 10_000));
+        let views = vec![SegmentView::new(seg.clone())];
+        for region in [
+            bx(&[5, 0], &[6, 100]),
+            bx(&[0, 0], &[97, 104]),
+            bx(&[96, 90], &[97, 104]),
+            bx(&[40, 40], &[40, 60]), // empty box
+        ] {
+            let (sum_p, count_p, stats_p) = accumulate_region(&views, &region).unwrap();
+            let mut full = SegmentCursor::full_scan(&views, region);
+            let (mut sum_f, mut count_f) = (0.0, 0.0);
+            full.for_each(|e| {
+                sum_f += e.weight * e.measure;
+                count_f += e.weight;
+            })
+            .unwrap();
+            assert_eq!(sum_p.to_bits(), sum_f.to_bits(), "{region:?}");
+            assert_eq!(count_p.to_bits(), count_f.to_bits(), "{region:?}");
+            assert_eq!(full.stats().pages_read, seg.num_pages());
+            assert_eq!(full.stats().pages_pruned, 0);
+            assert_eq!(stats_p.pages_read + stats_p.pages_pruned, seg.num_pages());
         }
     }
 
     #[test]
     fn selective_regions_prune_most_pages() {
-        let seg = Arc::new(wide_segment(2, 10_000, SegmentLayout::v2_canonical()));
+        let seg = Arc::new(wide_segment(2, 10_000));
         let views = vec![SegmentView::new(seg.clone())];
         let (_, count, stats) = accumulate_region(&views, &bx(&[5, 0], &[6, 104])).unwrap();
         assert!(count > 0.0);
@@ -760,28 +535,18 @@ mod tests {
             stats.pages_pruned
         );
         assert!(stats.bytes_read > 0);
-        assert!(
-            stats.bytes_read < stats.pages_read * PAGE_SIZE as u64,
-            "columnar reads are charged compressed bytes"
-        );
     }
 
     #[test]
     fn compression_shrinks_pages_and_the_meter_charges_compressed_bytes() {
-        let v1 = Arc::new(wide_segment(2, 10_000, SegmentLayout::v1_canonical()));
-        let v2 = Arc::new(wide_segment(2, 10_000, SegmentLayout::v2_canonical()));
-        assert!(v2.num_pages() < v1.num_pages(), "compressed pages hold more rows");
-        assert!(v2.compression_ratio() > 1.5, "got {}", v2.compression_ratio());
-        assert_eq!(v2.uncompressed_bytes(), v1.encoded_bytes());
+        let seg = Arc::new(wide_segment(2, 10_000));
+        assert!(seg.compression_ratio() > 1.5, "got {}", seg.compression_ratio());
+        assert_eq!(seg.uncompressed_bytes(), 10_000 * 32);
+        let rows_pages = seg.uncompressed_bytes().div_ceil(PAGE_SIZE as u64);
+        assert!(seg.num_pages() < rows_pages, "compressed pages hold more rows");
         let region = SegmentCursor::all_region(2);
-        let (s1, c1, st1) = accumulate_region(&[SegmentView::new(v1.clone())], &region).unwrap();
-        let (s2, c2, st2) = accumulate_region(&[SegmentView::new(v2.clone())], &region).unwrap();
-        // Same entry order → bit-identical aggregates, cheaper I/O.
-        assert_eq!(s1.to_bits(), s2.to_bits());
-        assert_eq!(c1.to_bits(), c2.to_bits());
-        assert!(st2.bytes_read < st1.bytes_read);
-        assert_eq!(st1.bytes_read, v1.num_pages() * PAGE_SIZE as u64);
-        assert_eq!(st2.bytes_read, v2.encoded_bytes());
+        let (_, _, stats) = accumulate_region(&[SegmentView::new(seg.clone())], &region).unwrap();
+        assert_eq!(stats.bytes_read, seg.encoded_bytes());
     }
 
     #[test]
@@ -801,42 +566,67 @@ mod tests {
     }
 
     #[test]
-    fn segment_save_load_round_trips_every_layout() {
+    fn segment_save_load_round_trips() {
         let dir = iolap_storage::TempDir::new("segment-io").unwrap();
-        for (i, layout) in all_layouts().into_iter().enumerate() {
-            let path = dir.path().join(format!("seg{i}"));
-            let seg = wide_segment(2, 5_000, layout);
-            seg.save(&path).unwrap();
-            let back = EdbSegment::load(&path, 2).unwrap();
-            assert_eq!(back.records().unwrap(), seg.records().unwrap(), "{layout:?}");
-            assert_eq!(back.footer(), seg.footer(), "{layout:?}");
-            assert_eq!(back.layout(), layout);
-            assert!(EdbSegment::load(&path, 3).is_err(), "wrong k must be rejected");
-        }
+        let path = dir.path().join("seg");
+        let seg = wide_segment(2, 5_000);
+        seg.save(&path).unwrap();
+        let back = EdbSegment::load(&path, 2).unwrap();
+        assert_eq!(back.records().unwrap(), seg.records().unwrap());
+        assert_eq!(back.footer(), seg.footer());
+        let err = EdbSegment::load(&path, 3).err().expect("wrong k must be rejected");
+        assert!(matches!(err, CoreError::Storage(StorageError::Corrupt(_))), "{err:?}");
+    }
+
+    /// One flipped fence bit used to load cleanly and then prune a page
+    /// that holds cells of the box, dropping it from every answer. The
+    /// footer checksum makes the load itself fail.
+    #[test]
+    fn a_flipped_fence_bit_fails_the_load() {
+        let dir = iolap_storage::TempDir::new("segment-fence-flip").unwrap();
+        let path = dir.path().join("seg");
+        let seg = wide_segment(2, 5_000);
+        seg.save(&path).unwrap();
+        let mut flipped = seg.footer().clone();
+        flipped.fences[0].lo[0] ^= 1 << 31;
+        let region = bx(&[0, 0], &[100, 50]);
+        assert!(!seg.footer().fences[0].disjoint(&region));
+        assert!(flipped.fences[0].disjoint(&region), "the flip would prune page 0");
+        // The first footer byte the flip changes, located in the file.
+        let (good, bad) = (seg.footer().encode(), flipped.encode());
+        let at = (0..good.len()).find(|&i| good[i] != bad[i]).unwrap();
+        let footer_start = (1 + seg.num_pages() as usize) * PAGE_SIZE;
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[footer_start + at], good[at]);
+        bytes[footer_start + at] = bad[at];
+        std::fs::write(&path, &bytes).unwrap();
+        let err = EdbSegment::load(&path, 2).err().expect("a flipped fence must not load");
+        assert!(
+            matches!(&err, CoreError::Storage(StorageError::Corrupt(m)) if m.contains("checksum")),
+            "{err:?}"
+        );
     }
 
     #[test]
-    fn out_of_range_page_is_an_error_in_both_stores() {
-        for layout in [SegmentLayout::v1_canonical(), SegmentLayout::v2_canonical()] {
-            let seg = wide_segment(2, 1_000, layout);
-            let mut buf = Vec::new();
-            let last = seg.num_pages() - 1;
-            assert!(!seg.page_decoded(last, &mut buf).unwrap().is_empty());
-            for p in [seg.num_pages(), seg.num_pages() + 7, u64::MAX] {
-                let err = seg.page_decoded(p, &mut buf).unwrap_err();
-                assert!(
-                    matches!(&err, CoreError::BadInput(m) if m.contains(&p.to_string())
-                        && m.contains(&format!("{} pages", seg.num_pages()))),
-                    "{layout:?} page {p}: {err:?}"
-                );
-            }
+    fn out_of_range_page_is_an_error() {
+        let seg = wide_segment(2, 1_000);
+        let mut buf = Vec::new();
+        let last = seg.num_pages() - 1;
+        assert!(!seg.page_decoded(last, &mut buf).unwrap().is_empty());
+        for p in [seg.num_pages(), seg.num_pages() + 7, u64::MAX] {
+            let err = seg.page_decoded(p, &mut buf).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::BadInput(m) if m.contains(&p.to_string())
+                    && m.contains(&format!("{} pages", seg.num_pages()))),
+                "page {p}: {err:?}"
+            );
         }
     }
 
-    /// A saved v2 segment, one payload bit of data page 3 flipped on disk.
+    /// A saved segment, one payload bit of data page 3 flipped on disk.
     fn segment_file_with_page_3_flipped(dir: &iolap_storage::TempDir) -> std::path::PathBuf {
         let path = dir.path().join("seg");
-        wide_segment(2, 5_000, SegmentLayout::v2_canonical()).save(&path).unwrap();
+        wide_segment(2, 5_000).save(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[3 * PAGE_SIZE + PAGE_SIZE / 2] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
@@ -890,7 +680,7 @@ mod tests {
     fn a_clean_segment_is_checksummed_once() {
         let dir = iolap_storage::TempDir::new("segment-verify-clean").unwrap();
         let path = dir.path().join("seg");
-        wide_segment(2, 5_000, SegmentLayout::v2_canonical()).save(&path).unwrap();
+        wide_segment(2, 5_000).save(&path).unwrap();
         let seg = Arc::new(EdbSegment::load(&path, 2).unwrap());
         let views = [SegmentView::new(seg.clone())];
         let region = bx(&[3, 0], &[40, 30]);
@@ -912,7 +702,7 @@ mod tests {
 
     #[test]
     fn concurrent_first_scans_of_one_segment_agree() {
-        let seg = Arc::new(wide_segment(2, 10_000, SegmentLayout::v2_canonical()));
+        let seg = Arc::new(wide_segment(2, 10_000));
         let views = [SegmentView::new(seg.clone())];
         let region = SegmentCursor::all_region(2);
         let start = std::sync::Barrier::new(2);
@@ -933,7 +723,7 @@ mod tests {
         // Between them the two scans verified every page at least once.
         assert!(a.3 + b.3 >= seg.num_pages(), "{} + {}", a.3, b.3);
         // And agree with a scan of an untouched copy.
-        let fresh = [SegmentView::new(Arc::new(wide_segment(2, 10_000, seg.layout())))];
+        let fresh = [SegmentView::new(Arc::new(wide_segment(2, 10_000)))];
         let (sum, count, _) = accumulate_region(&fresh, &region).unwrap();
         assert_eq!((sum.to_bits(), count.to_bits()), (a.0, a.1));
     }
@@ -941,21 +731,13 @@ mod tests {
     #[test]
     fn corrupt_compressed_page_errors_from_the_cursor_not_load() {
         let dir = iolap_storage::TempDir::new("segment-corrupt").unwrap();
-        let path = dir.path().join("seg");
-        let seg = wide_segment(2, 5_000, SegmentLayout::v2_canonical());
-        seg.save(&path).unwrap();
-        // Flip one payload bit in the middle of data page 3.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[3 * PAGE_SIZE + PAGE_SIZE / 2] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
+        let path = segment_file_with_page_3_flipped(&dir);
+        let seg = wide_segment(2, 5_000);
         // Load succeeds — payloads decode lazily.
         let back = Arc::new(EdbSegment::load(&path, 2).unwrap());
         let views = vec![SegmentView::new(back)];
         let err = accumulate_region(&views, &SegmentCursor::all_region(2)).unwrap_err();
-        assert!(
-            matches!(&err, crate::error::CoreError::Storage(StorageError::Corrupt(_))),
-            "got {err:?}"
-        );
+        assert!(matches!(&err, CoreError::Storage(StorageError::Corrupt(_))), "got {err:?}");
         // A region whose pages exclude the corrupt one still answers.
         let first = seg.footer().fences[0];
         let narrow = RegionBox {

@@ -41,8 +41,7 @@ pub use region::{cmp_cells, CellKey, RegionBox};
 pub use schema::Schema;
 pub use segment_meta::{canonical_sort_key, PageFence, SegmentFooter, SegmentStats};
 pub use segment_page::{
-    decode_page, encode_page, CellOrder, OrderKey, PageBuilder, PageFormat, PageScratch,
-    PageSelect, SegmentLayout, MAX_V2_PAGE_BYTES,
+    decode_page, encode_page, PageBuilder, PageScratch, PageSelect, MAX_V2_PAGE_BYTES,
 };
 pub use table::FactTable;
 

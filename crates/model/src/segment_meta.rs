@@ -1,33 +1,36 @@
-//! Segment metadata: fence pointers, stats and the versioned footer codec.
+//! Segment metadata: fence pointers, stats and the checksummed footer
+//! codec.
 //!
 //! An EDB *segment* stores entries sorted in canonical cell order
-//! ([`crate::cmp_cells`]) and page-aligned (`PAGE_SIZE / record width` per page).
-//! Its footer carries a sparse index — one [`PageFence`] per page holding
-//! the min/max leaf id per dimension over that page's entries — plus
-//! whole-segment [`SegmentStats`]. A query box that is disjoint from a
+//! ([`crate::cmp_cells`]) in compressed columnar pages
+//! ([`crate::segment_page`]), each packed to fit one `PAGE_SIZE` block, so
+//! page density varies with the data. Its footer carries a sparse index —
+//! per page its row count, its encoded byte length and a [`PageFence`]
+//! holding the min/max leaf id per dimension over that page's entries —
+//! plus whole-segment [`SegmentStats`]. A query box that is disjoint from a
 //! page's fence box cannot contain any cell on that page (the
 //! contrapositive of the paper's Theorem 12 geometry, the same interval
 //! reasoning the serve-layer cache invalidation uses), so the page can be
 //! skipped without reading it and without changing a single output bit.
 //!
-//! The byte encoding is versioned and pinned by a golden-file test
-//! (`tests/segment_footer_golden.rs`): any format drift fails CI.
+//! Because a fence decides which pages are read at all, a damaged fence
+//! would silently drop a page from every answer. The footer therefore ends
+//! in an FNV-1a 64 checksum over all its bytes, which
+//! [`SegmentFooter::decode`] verifies before it parses anything. The byte
+//! encoding is versioned and pinned by a golden-file test
+//! (`tests/segment_page_golden.rs`): any format drift fails CI.
 
+use crate::records::EdbRecord;
 use crate::region::{CellKey, RegionBox};
-use crate::segment_page::{CellOrder, PageFormat};
 use crate::MAX_DIMS;
-use bytes::{Buf, BufMut};
-use iolap_storage::PAGE_SIZE;
+use iolap_storage::fnv1a64;
 
 /// Footer magic: "iolap segment footer".
 pub const FOOTER_MAGIC: [u8; 4] = *b"IOSF";
 
-/// Version-1 footer format: canonical order, row-oriented pages.
-pub const FOOTER_VERSION: u16 = 1;
-
-/// Version-2 footer format: carries the cell order, the page format, and
-/// (for columnar pages) per-page row counts and encoded byte lengths.
-pub const FOOTER_VERSION_V2: u16 = 2;
+/// The footer format version. Versions 1 (fixed-width row pages) and 2
+/// (tagged order and page format, no checksum) are retired.
+pub const FOOTER_VERSION: u16 = 3;
 
 /// Zero-pad a cell beyond its meaningful `k` dimensions so that whole-array
 /// comparison equals [`crate::cmp_cells`] — the canonical segment sort key.
@@ -83,75 +86,58 @@ pub struct SegmentStats {
     pub sum_weighted_measure: f64,
 }
 
-/// The per-segment footer: format header, stats, and one fence per page.
+/// The per-segment footer: stats plus, per page, its row count, encoded
+/// length and fence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentFooter {
     /// Number of meaningful dimensions.
     pub k: usize,
-    /// Records per page for [`PageFormat::Rows`] segments
-    /// (`PAGE_SIZE / record width` at build time); 0 for columnar pages,
-    /// whose density varies per page (see [`SegmentFooter::page_rows`]).
-    pub recs_per_page: u32,
-    /// The order entries were sorted into at build time.
-    pub order: CellOrder,
-    /// The page encoding.
-    pub format: PageFormat,
     /// Whole-segment stats.
     pub stats: SegmentStats,
     /// One fence per page, in page order.
     pub fences: Vec<PageFence>,
-    /// Rows per page ([`PageFormat::ColumnarV2`] only; empty for rows).
+    /// Rows per page.
     pub page_rows: Vec<u32>,
-    /// Encoded payload bytes per page (`ColumnarV2` only; empty for rows).
+    /// Encoded payload bytes per page.
     pub page_bytes: Vec<u32>,
 }
 
-impl SegmentFooter {
-    /// Records per page for the EDB record width at dimensionality `k`
-    /// (width `4k + 24`; see `EdbCodec`).
-    pub fn edb_recs_per_page(k: usize) -> usize {
-        PAGE_SIZE / (4 * k + 24)
-    }
+/// Bytes ahead of the bounding box: magic, version, `k`, pad, entries,
+/// page count.
+const HEAD_BYTES: usize = 24;
 
-    /// Build a footer over sorted, page-partitioned entry cells.
-    ///
-    /// `cells` yields `(cell, weight, measure)` in segment order; pages
-    /// are formed every `recs_per_page` entries.
-    pub fn build<'a, I>(k: usize, recs_per_page: usize, cells: I) -> SegmentFooter
-    where
-        I: Iterator<Item = (&'a CellKey, f64, f64)>,
-    {
-        let mut fences: Vec<PageFence> = Vec::new();
-        let mut bbox: Option<RegionBox> = None;
-        let mut entries = 0u64;
-        let mut sum_weight = 0.0f64;
-        let mut sum_wm = 0.0f64;
-        for (cell, weight, measure) in cells {
-            let slot = (entries % recs_per_page as u64) as usize;
-            if slot == 0 {
-                fences.push(PageFence::point(cell));
-            } else {
-                fences.last_mut().expect("fence exists").grow(cell, k);
-            }
-            match bbox.as_mut() {
-                None => bbox = Some(RegionBox::point(cell, k)),
-                Some(b) => b.grow_to_cell(cell),
-            }
-            entries += 1;
-            sum_weight += weight;
-            sum_wm += weight * measure;
-        }
-        let bbox = bbox.unwrap_or(RegionBox { lo: [0; MAX_DIMS], hi: [0; MAX_DIMS], k: k as u8 });
+impl SegmentFooter {
+    /// The footer of an empty segment, ready for [`SegmentFooter::push_page`].
+    pub fn new(k: usize) -> Self {
+        let bbox = RegionBox { lo: [0; MAX_DIMS], hi: [0; MAX_DIMS], k: k as u8 };
         SegmentFooter {
             k,
-            recs_per_page: recs_per_page as u32,
-            order: CellOrder::Canonical,
-            format: PageFormat::Rows,
-            stats: SegmentStats { entries, bbox, sum_weight, sum_weighted_measure: sum_wm },
-            fences,
+            stats: SegmentStats { entries: 0, bbox, sum_weight: 0.0, sum_weighted_measure: 0.0 },
+            fences: Vec::new(),
             page_rows: Vec::new(),
             page_bytes: Vec::new(),
         }
+    }
+
+    /// Append the next page: its (non-empty) entries in segment order and
+    /// its encoded length. The stats accumulate in entry order.
+    pub fn push_page(&mut self, recs: &[EdbRecord], encoded_bytes: usize) {
+        let k = self.k;
+        let mut fence = PageFence::point(&recs[0].cell);
+        for e in recs {
+            fence.grow(&e.cell, k);
+            if self.stats.entries == 0 {
+                self.stats.bbox = RegionBox::point(&e.cell, k);
+            } else {
+                self.stats.bbox.grow_to_cell(&e.cell);
+            }
+            self.stats.entries += 1;
+            self.stats.sum_weight += e.weight;
+            self.stats.sum_weighted_measure += e.weight * e.measure;
+        }
+        self.fences.push(fence);
+        self.page_rows.push(recs.len() as u32);
+        self.page_bytes.push(encoded_bytes as u32);
     }
 
     /// Number of pages the footer indexes.
@@ -159,198 +145,128 @@ impl SegmentFooter {
         self.fences.len() as u64
     }
 
-    /// Encode the footer.
-    ///
-    /// A canonical-order rows footer uses the original version-1 layout —
-    /// files written before the columnar format stay byte-identical:
+    /// Encode the footer:
     ///
     /// ```text
-    /// magic "IOSF" | version u16 = 1 | k u8 | pad u8 | recs_per_page u32
+    /// magic "IOSF" | version u16 = 3 | k u8 | pad u8
     /// entries u64 | num_pages u64
     /// bbox lo (k × u32) | bbox hi (k × u32)
     /// sum_weight f64 | sum_weighted_measure f64
-    /// fences: num_pages × (lo k × u32, hi k × u32)
-    /// ```
-    ///
-    /// Any other layout uses the version-2 layout, which inserts the cell
-    /// order and page format after `k` and, for columnar pages, stores the
-    /// per-page row count and encoded byte length ahead of each fence:
-    ///
-    /// ```text
-    /// magic "IOSF" | version u16 = 2 | k u8 | order u8 | format u8 | pad u8
-    /// recs_per_page u32 (0 for columnar)
-    /// entries u64 | num_pages u64
-    /// bbox lo/hi | sum_weight f64 | sum_weighted_measure f64
-    /// pages: num_pages × ([rows u32 | bytes u32 — columnar only]
-    ///                     fence lo k × u32, hi k × u32)
+    /// pages: num_pages × (rows u32 | bytes u32 | fence lo k × u32 | fence hi k × u32)
+    /// checksum u64                      FNV-1a 64 over everything above
     /// ```
     /// All integers and floats little-endian.
     pub fn encode(&self) -> Vec<u8> {
         let k = self.k;
-        let v1 = self.order == CellOrder::Canonical && self.format == PageFormat::Rows;
-        let mut out = Vec::with_capacity(48 + 8 * k + self.fences.len() * (8 * k + 8));
-        let buf = &mut out;
-        buf.put_slice(&FOOTER_MAGIC);
-        if v1 {
-            buf.put_u16_le(FOOTER_VERSION);
-            buf.put_u8(k as u8);
-            buf.put_u8(0);
-        } else {
-            buf.put_u16_le(FOOTER_VERSION_V2);
-            buf.put_u8(k as u8);
-            buf.put_u8(self.order.tag());
-            buf.put_u8(self.format.tag());
-            buf.put_u8(0);
-        }
-        buf.put_u32_le(self.recs_per_page);
-        buf.put_u64_le(self.stats.entries);
-        buf.put_u64_le(self.fences.len() as u64);
-        for d in 0..k {
-            buf.put_u32_le(self.stats.bbox.lo[d]);
-        }
-        for d in 0..k {
-            buf.put_u32_le(self.stats.bbox.hi[d]);
-        }
-        buf.put_f64_le(self.stats.sum_weight);
-        buf.put_f64_le(self.stats.sum_weighted_measure);
+        let mut out = Vec::with_capacity(HEAD_BYTES + 8 * k + 24 + self.fences.len() * (8 * k + 8));
+        let cells = |out: &mut Vec<u8>, cell: &CellKey| {
+            for v in &cell[..k] {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        };
+        out.extend_from_slice(&FOOTER_MAGIC);
+        out.extend_from_slice(&FOOTER_VERSION.to_le_bytes());
+        out.extend_from_slice(&[k as u8, 0]);
+        out.extend_from_slice(&self.stats.entries.to_le_bytes());
+        out.extend_from_slice(&self.num_pages().to_le_bytes());
+        cells(&mut out, &self.stats.bbox.lo);
+        cells(&mut out, &self.stats.bbox.hi);
+        out.extend_from_slice(&self.stats.sum_weight.to_le_bytes());
+        out.extend_from_slice(&self.stats.sum_weighted_measure.to_le_bytes());
         for (p, f) in self.fences.iter().enumerate() {
-            if !v1 && self.format == PageFormat::ColumnarV2 {
-                buf.put_u32_le(self.page_rows[p]);
-                buf.put_u32_le(self.page_bytes[p]);
-            }
-            for d in 0..k {
-                buf.put_u32_le(f.lo[d]);
-            }
-            for d in 0..k {
-                buf.put_u32_le(f.hi[d]);
-            }
+            out.extend_from_slice(&self.page_rows[p].to_le_bytes());
+            out.extend_from_slice(&self.page_bytes[p].to_le_bytes());
+            cells(&mut out, &f.lo);
+            cells(&mut out, &f.hi);
         }
+        let checksum = fnv1a64(&out);
+        out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
 
-    /// Decode a footer, validating magic, version, dimensionality and
-    /// length. Never panics on malformed input.
+    /// Decode a footer: the checksum first, then magic, version,
+    /// dimensionality, length and per-page counts. Never panics on
+    /// malformed input.
     pub fn decode(bytes: &[u8]) -> Result<SegmentFooter, String> {
-        if bytes.len() < 28 {
+        let Some(split) = bytes.len().checked_sub(8).filter(|&n| n >= HEAD_BYTES) else {
             return Err(format!("footer truncated: {} bytes", bytes.len()));
+        };
+        let (body, checksum) = bytes.split_at(split);
+        let want = u64::from_le_bytes(checksum.try_into().expect("8 bytes"));
+        if fnv1a64(body) != want {
+            return Err("footer checksum mismatch".into());
         }
-        let mut buf = bytes;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
+        let mut r = Reader(body);
+        let magic: [u8; 4] = r.array()?;
         if magic != FOOTER_MAGIC {
             return Err(format!("bad footer magic {magic:?}"));
         }
-        let version = buf.get_u16_le();
-        if version != FOOTER_VERSION && version != FOOTER_VERSION_V2 {
+        let version = u16::from_le_bytes(r.array()?);
+        if version != FOOTER_VERSION {
             return Err(format!("unsupported footer version {version}"));
         }
-        let k = buf.get_u8() as usize;
+        let [k, _pad] = r.array()?;
+        let k = usize::from(k);
         if k == 0 || k > MAX_DIMS {
             return Err(format!("footer dimensionality {k} out of range"));
         }
-        let (order, format) = if version == FOOTER_VERSION {
-            let _pad = buf.get_u8();
-            (CellOrder::Canonical, PageFormat::Rows)
-        } else {
-            if buf.remaining() < 3 {
-                return Err("footer truncated before order/format tags".into());
-            }
-            let order = CellOrder::from_tag(buf.get_u8())
-                .ok_or_else(|| "unknown footer cell-order tag".to_string())?;
-            let format = PageFormat::from_tag(buf.get_u8())
-                .ok_or_else(|| "unknown footer page-format tag".to_string())?;
-            let _pad = buf.get_u8();
-            if order == CellOrder::Canonical && format == PageFormat::Rows {
-                return Err("canonical rows footers must use version 1".into());
-            }
-            (order, format)
-        };
-        if buf.remaining() < 20 {
-            return Err("footer truncated before page counts".into());
-        }
-        let recs_per_page = buf.get_u32_le();
-        let entries = buf.get_u64_le();
-        let num_pages = buf.get_u64_le();
-        match format {
-            PageFormat::Rows => {
-                if recs_per_page == 0 {
-                    return Err("footer recs_per_page is zero".into());
-                }
-                if num_pages != entries.div_ceil(recs_per_page as u64) {
-                    return Err(format!(
-                        "footer page count {num_pages} inconsistent with {entries} entries"
-                    ));
-                }
-            }
-            PageFormat::ColumnarV2 => {
-                if recs_per_page != 0 {
-                    return Err("columnar footers have variable page density; \
-                         recs_per_page must be zero"
-                        .into());
-                }
-            }
-        }
-        let per_page = 8 * k + if format == PageFormat::ColumnarV2 { 8 } else { 0 };
+        let entries = r.u64()?;
+        let num_pages = r.u64()?;
         let need = usize::try_from(num_pages)
             .ok()
-            .and_then(|n| n.checked_mul(per_page))
+            .and_then(|n| n.checked_mul(8 * k + 8))
             .and_then(|b| b.checked_add(8 * k + 16));
-        if need != Some(buf.remaining()) {
-            return Err(format!(
-                "footer body {} bytes does not hold {num_pages} pages",
-                buf.remaining()
-            ));
+        if need != Some(r.0.len()) {
+            return Err(format!("footer body {} bytes does not hold {num_pages} pages", r.0.len()));
         }
-        let mut lo = [0u32; MAX_DIMS];
-        let mut hi = [0u32; MAX_DIMS];
-        for d in lo.iter_mut().take(k) {
-            *d = buf.get_u32_le();
-        }
-        for d in hi.iter_mut().take(k) {
-            *d = buf.get_u32_le();
-        }
-        let bbox = RegionBox { lo, hi, k: k as u8 };
-        let sum_weight = buf.get_f64_le();
-        let sum_weighted_measure = buf.get_f64_le();
-        let mut fences = Vec::with_capacity(num_pages as usize);
-        let mut page_rows = Vec::new();
-        let mut page_bytes = Vec::new();
+        let bbox = RegionBox { lo: r.cell(k)?, hi: r.cell(k)?, k: k as u8 };
+        let sum_weight = f64::from_bits(r.u64()?);
+        let sum_weighted_measure = f64::from_bits(r.u64()?);
+        let mut footer = SegmentFooter::new(k);
+        footer.stats = SegmentStats { entries, bbox, sum_weight, sum_weighted_measure };
         for _ in 0..num_pages {
-            if format == PageFormat::ColumnarV2 {
-                page_rows.push(buf.get_u32_le());
-                page_bytes.push(buf.get_u32_le());
-            }
-            let mut lo = [0u32; MAX_DIMS];
-            let mut hi = [0u32; MAX_DIMS];
-            for d in lo.iter_mut().take(k) {
-                *d = buf.get_u32_le();
-            }
-            for d in hi.iter_mut().take(k) {
-                *d = buf.get_u32_le();
-            }
-            fences.push(PageFence { lo, hi });
+            footer.page_rows.push(r.u32()?);
+            footer.page_bytes.push(r.u32()?);
+            footer.fences.push(PageFence { lo: r.cell(k)?, hi: r.cell(k)? });
         }
-        if format == PageFormat::ColumnarV2 {
-            let total: u64 = page_rows.iter().map(|&r| u64::from(r)).sum();
-            if total != entries {
-                return Err(format!(
-                    "columnar footer page rows sum to {total}, want {entries} entries"
-                ));
-            }
-            if page_rows.contains(&0) || page_bytes.contains(&0) {
-                return Err("columnar footer has an empty page".into());
-            }
+        let total: u64 = footer.page_rows.iter().map(|&n| u64::from(n)).sum();
+        if total != entries {
+            return Err(format!("footer page rows sum to {total}, want {entries} entries"));
         }
-        Ok(SegmentFooter {
-            k,
-            recs_per_page,
-            order,
-            format,
-            stats: SegmentStats { entries, bbox, sum_weight, sum_weighted_measure },
-            fences,
-            page_rows,
-            page_bytes,
-        })
+        if footer.page_rows.contains(&0) || footer.page_bytes.contains(&0) {
+            return Err("footer has an empty page".into());
+        }
+        Ok(footer)
+    }
+}
+
+/// Bounds-checked little-endian reader over a footer body.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let Some(head) = self.0.get(..N) else {
+            return Err("footer truncated".into());
+        };
+        self.0 = &self.0[N..];
+        Ok(head.try_into().expect("N bytes"))
+    }
+
+    fn u32(&mut self) -> Result<u32, String> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, String> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// `k` leaf ids, zero beyond `k`.
+    fn cell(&mut self, k: usize) -> Result<CellKey, String> {
+        let mut cell = [0u32; MAX_DIMS];
+        for v in &mut cell[..k] {
+            *v = self.u32()?;
+        }
+        Ok(cell)
     }
 }
 
@@ -372,6 +288,28 @@ mod tests {
         RegionBox { lo: l, hi: h, k: lo.len() as u8 }
     }
 
+    fn rec(c: &[u32], weight: f64, measure: f64) -> EdbRecord {
+        EdbRecord { fact_id: 1, cell: cell(c), weight, measure }
+    }
+
+    /// A footer over `recs` cut into pages of `per_page` entries, with
+    /// made-up encoded lengths.
+    fn footer(k: usize, recs: &[EdbRecord], per_page: usize) -> SegmentFooter {
+        let mut f = SegmentFooter::new(k);
+        for (i, page) in recs.chunks(per_page).enumerate() {
+            f.push_page(page, 40 + i);
+        }
+        f
+    }
+
+    /// Recompute the trailing checksum after a deliberate edit, so the
+    /// structural checks behind it are reached.
+    fn reseal(bytes: &mut [u8]) {
+        let split = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..split]);
+        bytes[split..].copy_from_slice(&sum.to_le_bytes());
+    }
+
     #[test]
     fn fence_disjointness_matches_box_geometry() {
         let mut f = PageFence::point(&cell(&[2, 3]));
@@ -386,17 +324,18 @@ mod tests {
     }
 
     #[test]
-    fn build_paginates_and_accumulates() {
-        let entries: Vec<(CellKey, f64, f64)> = vec![
-            (cell(&[0, 1]), 0.5, 10.0),
-            (cell(&[0, 3]), 1.0, 2.0),
-            (cell(&[1, 0]), 0.5, 10.0),
-            (cell(&[2, 2]), 1.0, 4.0),
-            (cell(&[2, 2]), 0.25, 8.0),
+    fn pages_grow_fences_and_accumulate_stats() {
+        let recs = [
+            rec(&[0, 1], 0.5, 10.0),
+            rec(&[0, 3], 1.0, 2.0),
+            rec(&[1, 0], 0.5, 10.0),
+            rec(&[2, 2], 1.0, 4.0),
+            rec(&[2, 2], 0.25, 8.0),
         ];
-        let f = SegmentFooter::build(2, 2, entries.iter().map(|(c, w, m)| (c, *w, *m)));
+        let f = footer(2, &recs, 2);
         assert_eq!(f.num_pages(), 3);
         assert_eq!(f.stats.entries, 5);
+        assert_eq!((f.page_rows, f.page_bytes), (vec![2, 2, 1], vec![40, 41, 42]));
         assert_eq!(f.fences[0], PageFence { lo: cell(&[0, 1]), hi: cell(&[0, 3]) });
         assert_eq!(f.fences[1], PageFence { lo: cell(&[1, 0]), hi: cell(&[2, 2]) });
         assert_eq!(f.fences[2], PageFence { lo: cell(&[2, 2]), hi: cell(&[2, 2]) });
@@ -406,98 +345,65 @@ mod tests {
     }
 
     #[test]
-    fn footer_round_trips() {
-        let entries: Vec<(CellKey, f64, f64)> =
-            (0..100).map(|i| (cell(&[i / 10, i % 10, 3]), 0.125, i as f64)).collect();
-        let f = SegmentFooter::build(3, 7, entries.iter().map(|(c, w, m)| (c, *w, *m)));
-        let bytes = f.encode();
-        assert_eq!(SegmentFooter::decode(&bytes).unwrap(), f);
+    fn footers_round_trip() {
+        let recs: Vec<EdbRecord> =
+            (0..100).map(|i| rec(&[i / 10, i % 10, 3], 0.125, i as f64)).collect();
+        let f = footer(3, &recs, 7);
+        assert_eq!(SegmentFooter::decode(&f.encode()).unwrap(), f);
+        let empty = SegmentFooter::new(2);
+        assert_eq!(empty.num_pages(), 0);
+        assert_eq!(SegmentFooter::decode(&empty.encode()).unwrap(), empty);
     }
 
+    /// A footer decides which pages a scan reads, so no single flipped
+    /// bit may decode: a flipped fence bit would prune a page silently.
     #[test]
-    fn empty_footer_round_trips() {
-        let f = SegmentFooter::build(2, 4, std::iter::empty());
-        assert_eq!(f.num_pages(), 0);
-        assert_eq!(f.stats.entries, 0);
-        assert_eq!(SegmentFooter::decode(&f.encode()).unwrap(), f);
+    fn every_single_bit_flip_is_rejected() {
+        let recs: Vec<EdbRecord> = (0..9).map(|i| rec(&[i, 9 - i], 0.5, i as f64)).collect();
+        let good = footer(2, &recs, 4).encode();
+        for byte in 0..good.len() {
+            for bit in 0..8 {
+                let mut bad = good.clone();
+                bad[byte] ^= 1 << bit;
+                let err = SegmentFooter::decode(&bad).unwrap_err();
+                assert!(err.contains("checksum"), "byte {byte} bit {bit}: {err}");
+            }
+        }
     }
 
     #[test]
     fn malformed_footers_are_rejected_not_panicked() {
-        let f = SegmentFooter::build(
-            2,
-            4,
-            [(cell(&[1, 2]), 1.0, 3.0)].iter().map(|(c, w, m)| (c, *w, *m)),
-        );
-        let good = f.encode();
-        assert!(SegmentFooter::decode(&[]).is_err());
-        assert!(SegmentFooter::decode(&good[..10]).is_err());
-        let mut bad = good.clone();
-        bad[0] = b'X'; // magic
-        assert!(SegmentFooter::decode(&bad).is_err());
-        let mut bad = good.clone();
-        bad[4] = 99; // version
-        assert!(SegmentFooter::decode(&bad).is_err());
-        let mut bad = good.clone();
-        bad[6] = 0; // k
-        assert!(SegmentFooter::decode(&bad).is_err());
-        let mut bad = good.clone();
-        bad.push(0); // trailing garbage
-        assert!(SegmentFooter::decode(&bad).is_err());
+        let recs = [rec(&[1, 2], 1.0, 3.0), rec(&[1, 3], 1.0, 3.0)];
+        let good = footer(2, &recs, 1).encode();
+        let resealed = |at: usize, v: u8| {
+            let mut bad = good.clone();
+            bad[at] = v;
+            reseal(&mut bad);
+            SegmentFooter::decode(&bad).unwrap_err()
+        };
+        assert!(SegmentFooter::decode(&[]).unwrap_err().contains("truncated"));
+        assert!(SegmentFooter::decode(&good[..10]).unwrap_err().contains("truncated"));
+        assert!(resealed(0, b'X').contains("magic"));
+        assert!(resealed(4, 99).contains("version"));
+        assert!(resealed(6, 0).contains("dimensionality"));
+        // The page count, 2 → 258.
+        assert!(resealed(17, 1).contains("pages"));
+        // Page 1's row count: offset 24 + 8k + 16, past one page of 8 + 8k.
+        let rows1 = 24 + 16 + 16 + 24;
+        assert!(resealed(rows1, 2).contains("sum to 3"));
+        assert!(resealed(rows1 + 4, 0).contains("empty page")); // its byte length
+        let mut longer = good[..good.len() - 8].to_vec();
+        longer.extend_from_slice(&[0; 9]); // trailing garbage
+        reseal(&mut longer);
+        assert!(SegmentFooter::decode(&longer).unwrap_err().contains("does not hold"));
     }
 
     #[test]
     fn a_maxed_page_count_is_rejected_not_panicked() {
-        // Rows: the page count must match the entries, so both are maxed
-        // (one record per page). Columnar: only the count (bytes 22..30).
-        let mut rows = SegmentFooter::build(2, 1, std::iter::empty()).encode();
-        rows[12..28].fill(0xff);
-        assert!(SegmentFooter::decode(&rows).is_err());
-        let mut f = SegmentFooter::build(2, 4, std::iter::empty());
-        f.format = PageFormat::ColumnarV2;
-        f.recs_per_page = 0;
-        let mut columnar = f.encode();
-        columnar[22..30].fill(0xff);
-        assert!(SegmentFooter::decode(&columnar).is_err());
-    }
-
-    #[test]
-    fn v2_columnar_footer_round_trips() {
-        let entries: Vec<(CellKey, f64, f64)> =
-            (0..10).map(|i| (cell(&[i, i * 2]), 0.5, i as f64)).collect();
-        let mut f = SegmentFooter::build(2, 4, entries.iter().map(|(c, w, m)| (c, *w, *m)));
-        f.order = CellOrder::Morton;
-        f.format = PageFormat::ColumnarV2;
-        f.recs_per_page = 0;
-        f.page_rows = vec![4, 4, 2];
-        f.page_bytes = vec![97, 102, 33];
-        let bytes = f.encode();
-        assert_eq!(SegmentFooter::decode(&bytes).unwrap(), f);
-
-        // Row sums are validated.
-        let mut g = f.clone();
-        g.page_rows = vec![4, 4, 3];
-        assert!(SegmentFooter::decode(&g.encode()).is_err());
-        // Zero-length pages are rejected.
-        let mut g = f.clone();
-        g.page_rows = vec![10, 0, 0];
-        assert!(SegmentFooter::decode(&g.encode()).is_err());
-    }
-
-    #[test]
-    fn morton_rows_footer_uses_version_2() {
-        let entries: Vec<(CellKey, f64, f64)> =
-            (0..5).map(|i| (cell(&[i, 9 - i]), 1.0, i as f64)).collect();
-        let mut f = SegmentFooter::build(2, 2, entries.iter().map(|(c, w, m)| (c, *w, *m)));
-        f.order = CellOrder::Morton;
-        let bytes = f.encode();
-        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), FOOTER_VERSION_V2);
-        assert_eq!(SegmentFooter::decode(&bytes).unwrap(), f);
-        // The canonical rows layout stays on version 1 byte for byte.
-        f.order = CellOrder::Canonical;
-        let bytes = f.encode();
-        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), FOOTER_VERSION);
-        assert_eq!(SegmentFooter::decode(&bytes).unwrap(), f);
+        let mut bad = SegmentFooter::new(2).encode();
+        bad[16..24].fill(0xff);
+        reseal(&mut bad);
+        assert!(SegmentFooter::decode(&bad).is_err());
     }
 
     #[test]

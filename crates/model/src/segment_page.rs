@@ -1,10 +1,10 @@
-//! Columnar compressed segment pages (format v2) and cell orderings.
+//! Columnar compressed segment pages: the one page format of an EDB
+//! segment.
 //!
-//! Format v1 stores each segment page as row-oriented fixed-width
-//! [`EdbRecord`]s (`4k + 24` bytes each, `PAGE_SIZE / width` per page).
-//! Format v2 stores the same entries *columnar* and *delta-compressed*,
-//! so a page holds several times more entries — and the exact-I/O meter,
-//! which charges per page, reads proportionally fewer pages:
+//! A page stores its entries *columnar* and *delta-compressed*, several
+//! times denser than fixed-width [`EdbRecord`] rows (`4k + 24` bytes each),
+//! and packed to fit one `PAGE_SIZE` block — so the exact-I/O meter, which
+//! charges per page, reads proportionally fewer pages:
 //!
 //! ```text
 //! varint n                          entry count
@@ -26,147 +26,15 @@
 //! to an uncompressed scan in the same order. The trailing checksum turns
 //! any torn, truncated or bit-flipped page into a decode *error* instead
 //! of a silent short read.
-//!
-//! [`CellOrder`] picks the sort key a segment is built with. `Canonical`
-//! is the lexicographic cell order of [`crate::cmp_cells`]; `Morton`
-//! interleaves the coordinate bits (a Z-order space-filling curve), which
-//! clusters cells that are close in *every* dimension onto the same pages
-//! — so per-page fence boxes tighten in every dimension, not just the
-//! leading one, and trailing-dimension query boxes prune as well as
-//! leading-dimension ones. Fence pruning itself is order-agnostic: it only
-//! ever sees per-page min/max leaf intervals.
 
 use crate::records::EdbRecord;
-use crate::region::{CellKey, RegionBox};
+use crate::region::RegionBox;
 use crate::segment_meta::PageFence;
 use crate::MAX_DIMS;
 pub use iolap_storage::fnv1a64;
 use iolap_storage::PAGE_SIZE;
 
-/// Page format tag carried by the segment footer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PageFormat {
-    /// Row-oriented fixed-width records (format v1).
-    Rows,
-    /// Columnar delta+varint compressed pages (format v2).
-    ColumnarV2,
-}
-
-impl PageFormat {
-    /// The on-disk tag byte.
-    pub fn tag(self) -> u8 {
-        match self {
-            PageFormat::Rows => 1,
-            PageFormat::ColumnarV2 => 2,
-        }
-    }
-
-    /// Decode a tag byte.
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            1 => Some(PageFormat::Rows),
-            2 => Some(PageFormat::ColumnarV2),
-            _ => None,
-        }
-    }
-}
-
-/// The order entries are sorted into at segment build/compaction time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CellOrder {
-    /// Lexicographic cell order ([`crate::cmp_cells`]): clusters by the
-    /// leading dimension only.
-    Canonical,
-    /// Morton (Z-order): bit-interleaved coordinates, clustering cells
-    /// that are near in every dimension.
-    Morton,
-}
-
-/// A segment sort key: 256 bits compared lexicographically.
-pub type OrderKey = [u64; 4];
-
-impl CellOrder {
-    /// The on-disk tag byte.
-    pub fn tag(self) -> u8 {
-        match self {
-            CellOrder::Canonical => 0,
-            CellOrder::Morton => 1,
-        }
-    }
-
-    /// Decode a tag byte.
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(CellOrder::Canonical),
-            1 => Some(CellOrder::Morton),
-            _ => None,
-        }
-    }
-
-    /// The sort key of `cell` under this order, ignoring dimensions
-    /// beyond `k` (like [`crate::canonical_sort_key`] does).
-    ///
-    /// Canonical packs the coordinates big-end first, so comparing keys
-    /// equals [`crate::cmp_cells`]; Morton interleaves the coordinate
-    /// bits, most significant first.
-    pub fn sort_key(self, cell: &CellKey, k: usize) -> OrderKey {
-        let mut key = [0u64; 4];
-        match self {
-            CellOrder::Canonical => {
-                for d in 0..k {
-                    key[d / 2] |= u64::from(cell[d]) << (32 * (1 - (d % 2)));
-                }
-            }
-            CellOrder::Morton => {
-                for i in 0..32 * k {
-                    let bit = u64::from((cell[i % k] >> (31 - i / k)) & 1);
-                    key[i / 64] |= bit << (63 - (i % 64));
-                }
-            }
-        }
-        key
-    }
-}
-
-/// How a segment lays its entries out: sort order × page format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SegmentLayout {
-    /// Sort order applied at build/compaction time.
-    pub order: CellOrder,
-    /// Page encoding.
-    pub format: PageFormat,
-}
-
-impl SegmentLayout {
-    /// The PR 5 layout: canonical order, row-oriented pages.
-    pub fn v1_canonical() -> Self {
-        SegmentLayout { order: CellOrder::Canonical, format: PageFormat::Rows }
-    }
-
-    /// Compressed columnar pages in canonical order — the default.
-    ///
-    /// Keeping canonical order by default means the entry visit order,
-    /// and therefore every f64 accumulation, is unchanged from the
-    /// row-format layout; only the at-rest page bytes shrink.
-    pub fn v2_canonical() -> Self {
-        SegmentLayout { order: CellOrder::Canonical, format: PageFormat::ColumnarV2 }
-    }
-
-    /// Compressed columnar pages in Morton order: fences tighten in every
-    /// dimension, multiplying prune rates on trailing-dimension boxes.
-    /// Opt-in, because reordering entries reorders f64 accumulation.
-    pub fn v2_morton() -> Self {
-        SegmentLayout { order: CellOrder::Morton, format: PageFormat::ColumnarV2 }
-    }
-}
-
-impl Default for SegmentLayout {
-    fn default() -> Self {
-        SegmentLayout::v2_canonical()
-    }
-}
-
-/// Byte budget for one encoded v2 page: a payload must fit in one
+/// Byte budget for one encoded page: a payload must fit in one
 /// `PAGE_SIZE` disk block alongside the segment file's per-page length
 /// prefix.
 pub const MAX_V2_PAGE_BYTES: usize = PAGE_SIZE - 8;
@@ -302,7 +170,7 @@ impl<'a> Reader<'a> {
 ///
 /// Panics if `recs` is empty — pages are never empty by construction.
 pub fn encode_page(k: usize, recs: &[EdbRecord], out: &mut Vec<u8>) {
-    assert!(!recs.is_empty(), "v2 pages are never empty");
+    assert!(!recs.is_empty(), "pages are never empty");
     let start = out.len();
     put_varint(out, recs.len() as u64);
     // Fact-id stream: absolute head, wrapping zigzag deltas after.
@@ -338,7 +206,7 @@ pub fn encode_page(k: usize, recs: &[EdbRecord], out: &mut Vec<u8>) {
     out.extend_from_slice(&sum.to_le_bytes());
 }
 
-/// Decode one v2 page into `out` (cleared first), validating the checksum
+/// Decode one page into `out` (cleared first), validating the checksum
 /// and every stream length. Never panics on malformed input.
 ///
 /// This is the scan kernel's "all rows, all columns" case: the same
@@ -411,7 +279,7 @@ pub struct PageScratch {
 }
 
 impl PageScratch {
-    /// Decode one v2 page into the column scratch and mark the rows
+    /// Decode one page into the column scratch and mark the rows
     /// `select` keeps; returns the page's row count. Never panics on
     /// malformed input.
     ///
@@ -571,7 +439,7 @@ fn read_values(r: &mut Reader, out: &mut [u64]) -> Result<(), String> {
 // incremental page builder
 // ---------------------------------------------------------------------------
 
-/// Accumulates records for one v2 page while tracking the *exact* encoded
+/// Accumulates records for one page while tracking the *exact* encoded
 /// size, so segment builds can close a page just before it would overflow
 /// [`MAX_V2_PAGE_BYTES`] without trial-encoding.
 pub struct PageBuilder {
@@ -949,54 +817,5 @@ mod tests {
     /// Test-only peek at the builder's buffered records.
     fn current(b: &PageBuilder) -> &[EdbRecord] {
         &b.recs
-    }
-
-    #[test]
-    fn morton_key_orders_by_interleaved_bits() {
-        let key = |c: &[u32]| {
-            let mut cell = [0u32; MAX_DIMS];
-            cell[..c.len()].copy_from_slice(c);
-            CellOrder::Morton.sort_key(&cell, 2)
-        };
-        // (0,0) < (1,0) < (0,2) in Z-order for 2 dims: interleave gives
-        // y-bit then x-bit at each level... verify relative ordering via
-        // known Z-curve properties: (0,0) is least; (1,1) > (1,0) > (0,1)?
-        // d=0 is the first (most significant) bit at each level.
-        assert!(key(&[0, 0]) < key(&[0, 1]));
-        assert!(key(&[0, 1]) < key(&[1, 0]));
-        assert!(key(&[1, 0]) < key(&[1, 1]));
-        // Locality: points in the same quadrant sort together.
-        assert!(key(&[2, 2]) > key(&[1, 1]));
-    }
-
-    #[test]
-    fn canonical_key_matches_cmp_cells() {
-        let mk = |c: &[u32]| {
-            let mut cell = [0u32; MAX_DIMS];
-            cell[..c.len()].copy_from_slice(c);
-            cell
-        };
-        let cells =
-            [mk(&[0, 0, 0]), mk(&[0, 0, 9]), mk(&[0, 1, 0]), mk(&[2, 0, 0]), mk(&[2, 0, 1])];
-        for a in &cells {
-            for b in &cells {
-                let want = crate::cmp_cells(a, b, 3);
-                let got =
-                    CellOrder::Canonical.sort_key(a, 3).cmp(&CellOrder::Canonical.sort_key(b, 3));
-                assert_eq!(want, got, "{a:?} vs {b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn order_keys_ignore_dimensions_beyond_k() {
-        let mut a = [0u32; MAX_DIMS];
-        let mut b = [0u32; MAX_DIMS];
-        a[..2].copy_from_slice(&[3, 4]);
-        b[..2].copy_from_slice(&[3, 4]);
-        b[5] = 999; // stale garbage beyond k
-        for order in [CellOrder::Canonical, CellOrder::Morton] {
-            assert_eq!(order.sort_key(&a, 2), order.sort_key(&b, 2));
-        }
     }
 }

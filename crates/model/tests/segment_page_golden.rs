@@ -1,5 +1,5 @@
-//! Golden-file tests pinning the columnar page encoding (format v2) and
-//! the version-2 footer layout.
+//! Golden-file tests pinning the columnar page encoding and the segment
+//! footer framing.
 //!
 //! Both are persisted formats: pages and footers written by one build must
 //! decode under every later build. Each test encodes a fixed value and
@@ -11,9 +11,7 @@
 //! bump the relevant version constant): `BLESS=1 cargo test -p iolap-model
 //! --test segment_page_golden`.
 
-use iolap_model::{
-    decode_page, encode_page, CellOrder, EdbRecord, PageFormat, SegmentFooter, MAX_DIMS,
-};
+use iolap_model::{decode_page, encode_page, EdbRecord, SegmentFooter, MAX_DIMS};
 use std::path::PathBuf;
 
 fn rec(fact_id: u64, c: &[u32], weight: f64, measure: f64) -> EdbRecord {
@@ -72,38 +70,35 @@ fn golden_page_still_decodes_to_the_reference_records() {
     assert_eq!(back, reference_page());
 }
 
-/// A fixed version-2 footer: Morton order, columnar pages with explicit
-/// per-page row counts and byte lengths.
-fn reference_footer_v2() -> SegmentFooter {
+/// A fixed footer over the reference records in three pages (the last
+/// partial), with explicit encoded lengths.
+fn reference_footer() -> SegmentFooter {
     // Bounding boxes use exclusive upper bounds, so footer cells must stay
     // below u32::MAX; clamp the codec-only max-range coordinate.
-    let cells: Vec<_> = reference_page()
-        .iter()
-        .map(|r| {
-            let mut c = r.cell;
-            for d in c.iter_mut() {
+    let recs: Vec<EdbRecord> = reference_page()
+        .into_iter()
+        .map(|mut r| {
+            for d in r.cell.iter_mut() {
                 *d = (*d).min(u32::MAX - 1);
             }
-            (c, r.weight, r.measure)
+            r
         })
         .collect();
-    let mut f = SegmentFooter::build(3, 2, cells.iter().map(|(c, w, m)| (c, *w, *m)));
-    f.order = CellOrder::Morton;
-    f.format = PageFormat::ColumnarV2;
-    f.recs_per_page = 0;
-    f.page_rows = vec![2, 2, 1];
-    f.page_bytes = vec![61, 58, 44];
+    let mut f = SegmentFooter::new(3);
+    for (page, bytes) in recs.chunks(2).zip([61, 58, 44]) {
+        f.push_page(page, bytes);
+    }
     f
 }
 
 #[test]
-fn footer_v2_encoding_matches_the_golden_file() {
-    check(&reference_footer_v2().encode(), "segment_footer_v2.bin");
+fn footer_encoding_matches_the_golden_file() {
+    check(&reference_footer().encode(), "segment_footer_v2.bin");
 }
 
 #[test]
-fn golden_footer_v2_still_decodes() {
+fn golden_footer_still_decodes() {
     let bytes = std::fs::read(golden("segment_footer_v2.bin"))
         .expect("golden file (run with BLESS=1 to create)");
-    assert_eq!(SegmentFooter::decode(&bytes).expect("decodes"), reference_footer_v2());
+    assert_eq!(SegmentFooter::decode(&bytes).expect("decodes"), reference_footer());
 }

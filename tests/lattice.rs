@@ -1,16 +1,14 @@
 //! Property tests for the materialized rollup lattice (DESIGN.md §2.18):
 //! a lattice-planned answer is **f64-bit-identical** to the same plan
-//! executed with forced leaf scans, across random hierarchies, regions,
-//! rollup levels, and segment layouts — cold, after `/update` batches
-//! (dirty cuboid cells recomputed), and after a compaction (cuboids
-//! rebuilt against the re-encoded segment). The forced-leaf mode replays
+//! executed with forced leaf scans, across random hierarchies, regions
+//! and rollup levels — cold, after `/update` batches (dirty cuboid cells
+//! recomputed), and after a compaction (cuboids rebuilt against the
+//! re-encoded segment). The forced-leaf mode replays
 //! the exact piece decomposition with fresh per-grain-cell scans, so any
 //! bit divergence pinpoints a stale or mis-merged cuboid cell.
 
 use iolap::core::maintain::EdbMutation;
-use iolap::core::{
-    allocate, Algorithm, AllocConfig, LatticeConfig, MaintainableEdb, PolicySpec, SegmentLayout,
-};
+use iolap::core::{allocate, Algorithm, AllocConfig, LatticeConfig, MaintainableEdb, PolicySpec};
 use iolap::datagen::{scaled, DatasetKind};
 use iolap::hierarchy::{Hierarchy, HierarchyBuilder};
 use iolap::model::{Fact, FactTable, RegionBox, Schema, MAX_DIMS};
@@ -174,7 +172,6 @@ proptest! {
     #[test]
     fn lattice_plans_are_bit_identical_to_forced_leaf_scans(
         table in arb_table(),
-        layout in 0usize..3,
         qseed in any::<u64>(),
     ) {
         let has_precise = table.num_precise() > 0;
@@ -185,11 +182,6 @@ proptest! {
         let cfg = AllocConfig::builder().in_memory(256).build();
         let run = allocate(&table, &policy, Algorithm::Transitive, &cfg).unwrap();
         let mut medb = MaintainableEdb::build(run, policy).unwrap();
-        medb.set_segment_layout(match layout {
-            0 => SegmentLayout::v1_canonical(),
-            1 => SegmentLayout::v2_canonical(),
-            _ => SegmentLayout::v2_morton(),
-        });
         // Materialize cuboids even for the tiny segments these tables
         // produce.
         medb.set_lattice_config(LatticeConfig { min_segment_entries: 1, ..Default::default() });

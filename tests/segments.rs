@@ -5,21 +5,30 @@
 //!    cursor are bit-identical to a naive scan of every entry in every
 //!    segment page — pruning may only skip pages provably disjoint from
 //!    the box, so the visited entry sequence (and every f64) is unchanged.
+//!    The same holds after each segment is saved and loaded back.
 //! 2. **Compaction is a rewrite, not an edit** — base + k delta segments
 //!    compacted back into few tiers hold exactly the same live entry
 //!    multiset as `snapshot_entries`, and its accounted page I/O is exact:
 //!    the same mutation sequence charges the same meter reading, run to
 //!    run.
+//! 3. **Pages read are pinned** on one fixed set of trailing-dimension
+//!    boxes.
+//! 4. **Damage at rest is loud**: any single flipped bit in a saved
+//!    segment file gives a typed error at load or scan, or (in padding)
+//!    the bit-identical answer — never a different one; and a file cut
+//!    short anywhere never loads.
 
 use iolap::core::maintain::{EdbMutation, MaintainableEdb};
 use iolap::core::{
-    accumulate_region, allocate, Algorithm, AllocConfig, CoreError, PolicySpec, SegmentCursor,
-    SegmentLayout, SegmentView,
+    accumulate_region, allocate, Algorithm, AllocConfig, CoreError, EdbSegment, PolicySpec,
+    SegmentCursor, SegmentView,
 };
 use iolap::datagen::{scaled, DatasetKind};
 use iolap::hierarchy::{Hierarchy, HierarchyBuilder};
 use iolap::model::{paper_example, Fact, FactId, FactTable, RegionBox, Schema, MAX_DIMS};
+use iolap::storage::{StorageError, TempDir, PAGE_SIZE};
 use proptest::prelude::*;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Strategy: a random 2-level hierarchy with ≤ 12 leaves.
@@ -77,8 +86,8 @@ fn arb_box() -> impl Strategy<Value = (u32, u32, u32, u32)> {
 
 /// A naive full-entry scan: every page of every segment decoded in page
 /// order, no fences — the independent reimplementation the pruned cursor
-/// is checked against. `records()` decompresses columnar pages, so this
-/// also exercises the v2 decode path.
+/// is checked against. `records()` decodes every page, so this also
+/// exercises the whole-page decode path.
 fn naive_scan(views: &[SegmentView], region: &RegionBox) -> (f64, f64) {
     let mut sum = 0.0;
     let mut count = 0.0;
@@ -113,6 +122,8 @@ proptest! {
         let run = allocate(&table, &policy, Algorithm::Transitive, &cfg).unwrap();
         let views = run.edb.segments().unwrap();
         let total_pages: u64 = views.iter().map(|v| v.segment.num_pages()).sum();
+        let dir = TempDir::new("seg-prop").unwrap();
+        let loaded = save_and_load(&views, dir.path());
 
         for &(x, y, w, h) in &boxes {
             let mut lo = [0u32; MAX_DIMS];
@@ -144,8 +155,53 @@ proptest! {
             prop_assert_eq!(fsum.to_bits(), want_sum.to_bits());
             prop_assert_eq!(fcount.to_bits(), want_count.to_bits());
             prop_assert_eq!(full.stats().pages_read, total_pages);
+
+            // Saved and loaded back, the views answer the same bits.
+            let (lsum, lcount, _) = accumulate_region(&loaded, &region).unwrap();
+            prop_assert_eq!(lsum.to_bits(), want_sum.to_bits());
+            prop_assert_eq!(lcount.to_bits(), want_count.to_bits());
+        }
+
+        // A flipped fence bit in a saved file never loads.
+        for (i, v) in views.iter().enumerate() {
+            let path = dir.path().join(format!("seg{i}"));
+            flip_first_fence_bit(&path, &v.segment);
+            let err = EdbSegment::load(&path, 2).err();
+            prop_assert!(
+                matches!(err, Some(CoreError::Storage(StorageError::Corrupt(_)))),
+                "view {} loaded with a flipped fence bit: {:?}", i, err
+            );
         }
     }
+}
+
+/// Save every view's segment to `dir` (`seg0`, `seg1`, …) and load it back
+/// under the view's exclusion set.
+fn save_and_load(views: &[SegmentView], dir: &Path) -> Vec<SegmentView> {
+    views
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            let path = dir.join(format!("seg{i}"));
+            v.segment.save(&path).unwrap();
+            let segment = Arc::new(EdbSegment::load(&path, v.segment.k()).unwrap());
+            SegmentView { segment, exclude: v.exclude.clone() }
+        })
+        .collect()
+}
+
+/// Flip the top bit of page 0's fence `lo[0]` in the file `seg` was saved
+/// to. The byte is found by diffing two footer encodings, so this does not
+/// restate the footer layout.
+fn flip_first_fence_bit(path: &Path, seg: &EdbSegment) {
+    let mut flipped = seg.footer().clone();
+    flipped.fences[0].lo[0] ^= 1 << 31;
+    let (good, bad) = (seg.footer().encode(), flipped.encode());
+    let at = (0..good.len()).find(|&i| good[i] != bad[i]).unwrap();
+    let footer_start = (1 + seg.num_pages() as usize) * PAGE_SIZE;
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[footer_start + at] = bad[at];
+    std::fs::write(path, &bytes).unwrap();
 }
 
 /// Live-entry multiset of a set of segment views, as sortable keys.
@@ -282,74 +338,16 @@ fn compaction_leaves_no_temp_files_behind() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every layout (row/columnar × canonical/Morton) answers bit-identically
-/// to the naive decoded scan of its own views, and all layouts hold the
-/// same live multiset. Bit-identity across *orders* is not promised —
-/// reordering reorders f64 accumulation — but within an order the
-/// compressed format must not perturb a single bit.
+/// Pages a fence-pruned scan reads over one fixed set of boxes that
+/// restrict only *trailing* dimensions — the dice shape where canonical
+/// fences (tight on the leading dimension only) prune least. The counts
+/// are exact: same dataset, same allocation, same boxes, same fences.
+/// Re-record only with a change that is meant to move them, and say so;
+/// the wall-time half is `e2e`'s `dice_cold`.
 #[test]
-fn every_layout_is_bit_identical_to_its_own_naive_scan() {
-    use iolap::core::{CellOrder, PageFormat};
-    let run = allocate(
-        &paper_example::table1(),
-        &PolicySpec::em_count(0.01),
-        Algorithm::Transitive,
-        &AllocConfig::builder().in_memory(256).build(),
-    )
-    .unwrap();
-    let mut edb = run.edb;
-    let schema = paper_example::schema();
-    let boxes: Vec<RegionBox> = {
-        let full = SegmentCursor::all_region(schema.k());
-        let mut ma = full;
-        ma.hi[0] = 2; // MA leaves
-        let mut sedan = full;
-        sedan.lo[1] = 0;
-        sedan.hi[1] = 2;
-        vec![full, ma, sedan]
-    };
-
-    let layouts = [
-        SegmentLayout::v1_canonical(),
-        SegmentLayout::v2_canonical(),
-        SegmentLayout { order: CellOrder::Morton, format: PageFormat::Rows },
-        SegmentLayout::v2_morton(),
-    ];
-    let mut multisets = Vec::new();
-    for layout in layouts {
-        edb.set_segment_layout(layout);
-        let views = edb.segments().unwrap();
-        for region in &boxes {
-            let (want_sum, want_count) = naive_scan(&views, region);
-            let (sum, count, _) = accumulate_region(&views, region).unwrap();
-            assert_eq!(sum.to_bits(), want_sum.to_bits(), "{layout:?} SUM bits for {region:?}");
-            assert_eq!(count.to_bits(), want_count.to_bits(), "{layout:?} COUNT bits");
-        }
-        multisets.push(live_multiset(&views));
-    }
-    for m in &multisets[1..] {
-        assert_eq!(m, &multisets[0], "layouts must hold the same live multiset");
-    }
-}
-
-/// Pages a fence-pruned scan reads, per layout, over one fixed set of
-/// boxes that restrict only *trailing* dimensions — the dice shape where
-/// canonical fences (tight on the leading dimension only) prune little
-/// and Morton fences prune in every dimension. The counts are exact:
-/// same dataset, same allocation, same boxes, same fences. Re-record only
-/// with a change that is meant to move a layout's page count, and say so
-/// — they are the page-count half of the next layout decision (ROADMAP
-/// item 2); the wall-time half is `e2e`'s `dice_cold`.
-#[test]
-fn pages_read_per_layout_are_pinned_on_trailing_dimension_boxes() {
-    use iolap::core::{CellOrder, PageFormat};
-    /// (layout, pages in the segment, pages read over all boxes).
-    const PINNED: [(SegmentLayout, u64, u64); 4] = [
-        (SegmentLayout { order: CellOrder::Canonical, format: PageFormat::Rows }, 36, 546),
-        (SegmentLayout { order: CellOrder::Canonical, format: PageFormat::ColumnarV2 }, 14, 222),
-        (SegmentLayout { order: CellOrder::Morton, format: PageFormat::Rows }, 36, 370),
-        (SegmentLayout { order: CellOrder::Morton, format: PageFormat::ColumnarV2 }, 13, 154),
-    ];
+fn pages_read_are_pinned_on_trailing_dimension_boxes() {
+    /// (pages in the segment, pages read over all boxes).
+    const PINNED: (u64, u64) = (14, 222);
     let table = scaled(DatasetKind::Automotive, 5_000, 42);
     let schema = table.schema().clone();
     let k = schema.k();
@@ -360,7 +358,6 @@ fn pages_read_per_layout_are_pinned_on_trailing_dimension_boxes() {
         &AllocConfig::builder().in_memory(2048).build(),
     )
     .unwrap();
-    let mut edb = run.edb;
 
     // Per trailing dimension d ≥ 1: four boxes a twentieth of d wide, ALL
     // elsewhere; then four dices restricting the last two dimensions to a
@@ -390,71 +387,145 @@ fn pages_read_per_layout_are_pinned_on_trailing_dimension_boxes() {
         boxes.push(bx);
     }
 
-    let mut got = Vec::new();
-    for (layout, ..) in PINNED {
-        edb.set_segment_layout(layout);
-        let views = edb.segments().unwrap();
-        let total: u64 = views.iter().map(|v| v.segment.num_pages()).sum();
-        let mut read = 0;
-        for bx in &boxes {
-            read += accumulate_region(&views, bx).unwrap().2.pages_read;
-        }
-        got.push((layout, total, read));
+    let views = run.edb.segments().unwrap();
+    let total: u64 = views.iter().map(|v| v.segment.num_pages()).sum();
+    let mut read = 0;
+    for bx in &boxes {
+        read += accumulate_region(&views, bx).unwrap().2.pages_read;
     }
-    assert_eq!(got, PINNED, "a layout's page count moved");
-    // The gate the retired segment bench enforced, now a relation between
-    // constants: v2 + Morton reads at most half of what v1 canonical does.
-    assert!(2 * PINNED[3].2 <= PINNED[0].2);
+    assert_eq!((total, read), PINNED, "the segment's page count moved");
 }
 
-/// A bit-flipped compressed page must surface from the scan as the
-/// storage error it is — through `iolap::Error` — never a panic or a
-/// silently short answer; and a truncated segment file must fail at load.
-#[test]
-fn corrupt_and_truncated_compressed_segments_surface_as_storage_errors() {
-    use iolap::core::EdbSegment;
+/// The base segment of a Transitive allocation of Automotive-2k: several
+/// pages, small enough to rewrite once per flipped bit.
+fn automotive_base_segment() -> (Arc<Schema>, Arc<EdbSegment>) {
+    let table = scaled(DatasetKind::Automotive, 2_000, 7);
     let run = allocate(
-        &paper_example::table1(),
+        &table,
         &PolicySpec::em_count(0.01),
         Algorithm::Transitive,
         &AllocConfig::builder().in_memory(256).build(),
     )
     .unwrap();
-    let mut edb = run.edb;
-    edb.set_segment_layout(SegmentLayout::v2_canonical());
-    let views = edb.segments().unwrap();
-    let k = paper_example::schema().k();
+    let seg = run.edb.segments().unwrap()[0].segment.clone();
+    (table.schema().clone(), seg)
+}
 
-    let dir = std::env::temp_dir().join(format!("iolap-seg-corrupt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("base.seg");
-    views[0].segment.save(&path).unwrap();
+/// What one damaged segment file gave: a typed error, or answers.
+fn answers_or_error(path: &Path, k: usize, boxes: &[RegionBox]) -> Option<Vec<(u64, u64)>> {
+    let seg = match EdbSegment::load(path, k) {
+        Ok(seg) => Arc::new(seg),
+        Err(CoreError::Storage(_)) => return None,
+        Err(e) => panic!("load failed with an untyped error: {e:?}"),
+    };
+    let views = [SegmentView::new(seg)];
+    let mut out = Vec::new();
+    for bx in boxes {
+        match accumulate_region(&views, bx) {
+            Ok((sum, count, _)) => out.push((sum.to_bits(), count.to_bits())),
+            Err(CoreError::Storage(_)) => return None,
+            Err(e) => panic!("scan failed with an untyped error: {e:?}"),
+        }
+    }
+    Some(out)
+}
 
-    // Flip one bit inside the first encoded page's payload (the first
-    // data block follows the one-page header; its u32 length prefix is
-    // followed by the payload, so offset 16 is well inside it).
-    let mut bytes = std::fs::read(&path).unwrap();
-    let page = 4096;
-    bytes[page + 16] ^= 0x10;
+/// A bit-flipped segment file must fail as the storage error it is —
+/// through `iolap::Error` — or, where the bit is padding, answer exactly
+/// as before; never a panic or a different answer. The sweep flips every
+/// bit of the header fields and of the footer (fences, stats, checksum),
+/// every bit of each page's length prefix, and sampled payload and
+/// padding bits.
+#[test]
+fn corrupt_and_truncated_compressed_segments_surface_as_storage_errors() {
+    let (schema, seg) = automotive_base_segment();
+    let k = schema.k();
+    assert!(seg.num_pages() >= 3, "the sweep wants several pages");
+    // The whole space, and each half of every dimension.
+    let mut boxes = vec![SegmentCursor::all_region(k)];
+    for d in 0..k {
+        let mid = schema.dim(d).num_leaves() / 2;
+        let (mut low, mut high) = (SegmentCursor::all_region(k), SegmentCursor::all_region(k));
+        low.hi[d] = mid;
+        high.lo[d] = mid;
+        boxes.extend([low, high]);
+    }
+
+    let dir = TempDir::new("seg-corrupt").unwrap();
+    let path = dir.path().join("base.seg");
+    seg.save(&path).unwrap();
+    let good = std::fs::read(&path).unwrap();
+    let want = answers_or_error(&path, k, &boxes).expect("the clean file answers");
+
+    // Whole bytes to sweep bit by bit, and whether they are padding.
+    let mut sweep: Vec<(usize, bool)> = (0..26).map(|at| (at, false)).collect();
+    sweep.extend([(26, true), (PAGE_SIZE - 1, true)]);
+    let pages = seg.num_pages() as usize;
+    for (p, &len) in seg.footer().page_bytes.iter().enumerate() {
+        let block = (1 + p) * PAGE_SIZE;
+        let len = len as usize;
+        sweep.extend((block..block + 4).map(|at| (at, false)));
+        sweep.extend([block + 4, block + 4 + len / 2, block + 3 + len].map(|at| (at, false)));
+        if 4 + len < PAGE_SIZE {
+            sweep.push((block + PAGE_SIZE - 1, true));
+        }
+    }
+    let footer_start = (1 + pages) * PAGE_SIZE;
+    let footer_len = seg.footer().encode().len();
+    sweep.extend((footer_start..footer_start + footer_len).map(|at| (at, false)));
+    if footer_start + footer_len < good.len() {
+        sweep.push((good.len() - 1, true));
+    }
+
+    let (mut errors, mut same) = (0, 0);
+    for (at, padding) in sweep {
+        for bit in 0..8 {
+            let mut bytes = good.clone();
+            bytes[at] ^= 1 << bit;
+            std::fs::write(&path, &bytes).unwrap();
+            match answers_or_error(&path, k, &boxes) {
+                None => errors += 1,
+                Some(got) => {
+                    assert_eq!(got, want, "byte {at} bit {bit} changed an answer");
+                    same += 1;
+                    // Only padding may be flipped unnoticed.
+                    assert!(padding, "byte {at} bit {bit} loaded and answered unnoticed");
+                }
+            }
+        }
+    }
+    assert!(errors > 0 && same > 0, "{errors} errors, {same} unchanged");
+
+    // A flipped payload bit surfaces from the scan as a corrupt page,
+    // through the facade error too.
+    let mut bytes = good.clone();
+    bytes[PAGE_SIZE + 16] ^= 0x10;
     std::fs::write(&path, &bytes).unwrap();
-
-    // Loading only validates the frame; the damage surfaces at scan time.
-    let seg = EdbSegment::load(&path, k).unwrap();
-    let views = vec![SegmentView {
-        segment: Arc::new(seg),
-        exclude: Arc::new(std::collections::HashSet::new()),
-    }];
-    let region = SegmentCursor::all_region(k);
-    let err = accumulate_region(&views, &region).unwrap_err();
-    assert!(matches!(err, CoreError::Storage(_)), "want a storage error, got {err:?}");
+    let views = [SegmentView::new(Arc::new(EdbSegment::load(&path, k).unwrap()))];
+    let err = accumulate_region(&views, &boxes[0]).unwrap_err();
+    assert!(matches!(err, CoreError::Storage(StorageError::Corrupt(_))), "{err:?}");
     let facade: iolap::Error = err.into();
     assert!(facade.to_string().contains("corrupt"), "{facade}");
+}
 
-    // Truncating the file kills the load itself (the footer frame is
-    // incomplete) — an error, not a panic or a short segment.
-    bytes.truncate(bytes.len() - 7);
-    std::fs::write(&path, &bytes).unwrap();
-    assert!(EdbSegment::load(&path, k).is_err(), "truncated segment must not load");
-
-    std::fs::remove_dir_all(&dir).ok();
+/// A segment file cut short anywhere — inside the header, at or inside a
+/// data page, inside the footer — fails at load with a storage error, never
+/// a panic or a short segment.
+#[test]
+fn truncated_segment_files_never_load() {
+    let (_, seg) = automotive_base_segment();
+    let k = seg.k();
+    let dir = TempDir::new("seg-truncated").unwrap();
+    let path = dir.path().join("base.seg");
+    seg.save(&path).unwrap();
+    let good = std::fs::read(&path).unwrap();
+    let mut cuts = vec![0, 25, good.len() - 7, good.len() - 1];
+    for block in (PAGE_SIZE..good.len()).step_by(PAGE_SIZE) {
+        cuts.extend([block - 1, block, block + 3, block + PAGE_SIZE / 2]);
+    }
+    for cut in cuts.into_iter().filter(|&c| c < good.len()) {
+        std::fs::write(&path, &good[..cut]).unwrap();
+        let err = EdbSegment::load(&path, k).err();
+        assert!(matches!(err, Some(CoreError::Storage(_))), "cut at {cut}: {err:?}");
+    }
 }

@@ -291,7 +291,7 @@ fn updates_invalidate_only_overlapping_cache_entries() {
     let pruned = h.obs().counter("edb.pages_pruned").unwrap().get();
     assert!(read + pruned > 0, "served queries must account their page scans");
     // Every page read moved bytes through the exact-I/O meter, and the
-    // published (default ColumnarV2) segments compress: the gauge reports
+    // published segments compress: the gauge reports
     // milli-ratio > 1000 = shrinking at rest.
     if read > 0 {
         assert!(
