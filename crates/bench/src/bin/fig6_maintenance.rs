@@ -21,7 +21,7 @@
 
 use iolap_bench::runs::print_table;
 use iolap_bench::{Args, Json};
-use iolap_core::maintain::{FactUpdate, MaintainableEdb};
+use iolap_core::maintain::{EdbMutation, MaintainableEdb};
 use iolap_core::{allocate, Algorithm, AllocConfig, PolicySpec};
 use iolap_datagen::scaled;
 use std::time::Instant;
@@ -102,16 +102,19 @@ fn main() {
     for (name, pool) in &workloads {
         for &pct in &percents {
             let n = ((args.facts as f64) * pct / 100.0).max(1.0) as usize;
-            let updates: Vec<FactUpdate> = (0..n)
+            let updates: Vec<EdbMutation> = (0..n)
                 .map(|i| {
                     // Deterministic pseudo-random pick from the pool.
                     let idx = (i as u64).wrapping_mul(2_654_435_761).wrapping_add(args.seed)
                         % pool.len() as u64;
-                    FactUpdate { fact_id: pool[idx as usize], new_measure: 500.0 + i as f64 }
+                    EdbMutation::UpdateMeasure {
+                        fact_id: pool[idx as usize],
+                        new_measure: 500.0 + i as f64,
+                    }
                 })
                 .collect();
             let pins_before = pins();
-            let rep = maintained.apply_updates(&updates).expect("updates");
+            let rep = maintained.apply_batch(&updates).expect("updates");
             let batch_pins = pins() - pins_before;
             let ratio = rep.wall.as_secs_f64() / rebuild.as_secs_f64();
             points.push(vec![

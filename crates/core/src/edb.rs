@@ -207,22 +207,6 @@ impl ExtendedDatabase {
         Ok(())
     }
 
-    /// Stream the entries in `[start, end)`, clamped to the file length.
-    /// The maintenance segment layer uses this to fold only the tail
-    /// appended since its last refresh instead of re-reading the file.
-    pub fn for_each_range(
-        &mut self,
-        start: u64,
-        end: u64,
-        mut f: impl FnMut(&EdbRecord),
-    ) -> Result<()> {
-        let end = end.min(self.file.len());
-        for i in start..end {
-            f(&self.file.get(i)?);
-        }
-        Ok(())
-    }
-
     /// Collect entries grouped by fact id (tests / small data only).
     pub fn weight_map(&mut self) -> Result<WeightMap> {
         let mut m: WeightMap = HashMap::new();
@@ -323,14 +307,11 @@ impl ExtendedDatabase {
         Ok((edb, k))
     }
 
-    /// Discard all entries (used by the maintenance path when splicing).
-    pub fn clear(&mut self) -> Result<()> {
-        self.file.clear()?;
-        self.num_precise_entries = 0;
-        self.num_imprecise_entries = 0;
-        self.facts_allocated = 0;
-        self.invalidate_caches();
-        Ok(())
+    /// Free the entry file: its buffered pages are dropped without
+    /// write-back and its backing file is removed. Maintenance calls this
+    /// once the entries live in its base segment tier.
+    pub fn delete(self) -> Result<()> {
+        Ok(self.file.delete()?)
     }
 }
 

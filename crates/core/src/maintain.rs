@@ -22,15 +22,19 @@
 //!
 //! [`MaintainableEdb::apply_batch`] follows the paper's four steps: find
 //! the overlapped components, fetch them, re-run allocation over those
-//! facts, and replace their EDB entries. Beyond the measure updates the
-//! paper evaluates (Figure 6), this implementation also supports the
-//! **insertions and deletions** Section 9 sketches: inserting a fact can
-//! *merge* connected components (handled through the same smallest-id
-//! convention as the Transitive algorithm) and deleting one can *split*
-//! them (re-identified with a local BFS).
+//! facts, and replace their EDB entries. The published segment tiers are
+//! the only copy of the EDB: a re-emitted run waits in a pending list
+//! until the next refresh folds it into a delta tier, and the run it
+//! replaces is retired through its tier's exclusion set.
+//!
+//! Beyond the measure updates the paper evaluates (Figure 6), this
+//! implementation also supports the **insertions and deletions** Section
+//! 9 sketches: inserting a fact can *merge* connected components (handled
+//! through the same smallest-id convention as the Transitive algorithm)
+//! and deleting one can *split* them (re-identified with a local BFS).
 
 use crate::cuboid::{CuboidLattice, LatticeConfig};
-use crate::edb::ExtendedDatabase;
+use crate::edb::WeightMap;
 use crate::error::{CoreError, Result};
 use crate::inmem::InMemProblem;
 use crate::passes::AncCache;
@@ -62,15 +66,6 @@ pub enum EdbMutation {
     Insert(Fact),
     /// Delete an existing fact.
     Delete(FactId),
-}
-
-/// One measure update (kept as the convenient Figure 6 workload form).
-#[derive(Debug, Clone, Copy)]
-pub struct FactUpdate {
-    /// The fact to update.
-    pub fact_id: FactId,
-    /// Its new measure value.
-    pub new_measure: f64,
 }
 
 /// Where a fact lives in the maintenance files.
@@ -154,10 +149,6 @@ pub struct UpdateReport {
     pub touched: Vec<RegionBox>,
 }
 
-/// Per-fact `(cell, weight)` entries, as returned by
-/// [`MaintainableEdb::current_weights`].
-pub type WeightsByFact = HashMap<FactId, Vec<([u32; iolap_model::MAX_DIMS], f64)>>;
-
 /// A compaction captured off the apply path by
 /// [`MaintainableEdb::prepare_compaction`]: the frozen input tiers plus
 /// everything the merge needs, detached from the EDB so
@@ -219,7 +210,6 @@ impl CompactionPlan {
 pub struct MaintainableEdb {
     prep: PreparedData,
     policy: PolicySpec,
-    edb: ExtendedDatabase,
     comps: HashMap<u32, CompMeta>,
     next_ccid: u32,
     fact_locs: HashMap<FactId, FactLoc>,
@@ -245,18 +235,12 @@ pub struct MaintainableEdb {
     dead_cells: HashSet<u64>,
     dead_facts: HashSet<u64>,
     dead_precise: HashSet<u64>,
-    /// Facts whose EDB entries are tombstoned.
-    deleted_facts: HashSet<FactId>,
-    /// Entries `[0, base_len)` are the original Transitive output.
-    base_len: u64,
-    /// Facts re-emitted by maintenance (latest appended run wins).
-    superseded: HashSet<FactId>,
-    /// File index where each re-emitted fact's *latest* appended run
-    /// starts. Appended entries below their fact's start belong to a
-    /// superseded run — this is the authority for run replacement, not
-    /// fact-id adjacency (two consecutive runs of the same fact would
-    /// be indistinguishable by adjacency alone and double-count).
-    run_starts: HashMap<FactId, u64>,
+    /// Re-emitted runs not yet folded into a delta tier, each tagged with
+    /// its emission sequence number: a fact's newer run replaces its
+    /// older one and sorts last.
+    pending: HashMap<FactId, (u64, Vec<EdbRecord>)>,
+    /// Emission sequence number of the next pending run.
+    pending_seq: u64,
     /// Published segments: index 0 is the base tier (the Transitive output
     /// or a post-compaction merge), later entries are delta segments in
     /// publication order.
@@ -265,12 +249,9 @@ pub struct MaintainableEdb {
     /// snapshots share these `Arc`s, so retiring a fact clones the set of
     /// the affected segment only.
     seg_excl: Vec<Arc<HashSet<FactId>>>,
-    /// EDB file index already folded into `segs`.
-    seg_cursor: u64,
-    /// Which segment holds each re-emitted fact's live run.
+    /// Which delta segment holds each re-emitted fact's live run (facts
+    /// absent here live in the base tier, if anywhere).
     seg_owner: HashMap<FactId, usize>,
-    /// Deleted facts whose exclusion has already been placed.
-    seg_deleted: HashSet<FactId>,
     /// Delta-segment count that triggers a compaction.
     compaction_threshold: usize,
     /// When true (default) the threshold compacts inline on the refresh
@@ -293,8 +274,10 @@ pub struct MaintainableEdb {
 
 impl MaintainableEdb {
     /// Build from a completed **Transitive** run ("can be piggybacked onto
-    /// the component processing step of the Transitive algorithm").
-    pub fn build(run: AllocationRun, policy: PolicySpec) -> Result<Self> {
+    /// the component processing step of the Transitive algorithm"). The
+    /// run's EDB becomes the base segment tier, and its record file is
+    /// freed.
+    pub fn build(mut run: AllocationRun, policy: PolicySpec) -> Result<Self> {
         let resolved = run
             .ccid_resolution
             .ok_or_else(|| CoreError::Config("maintenance requires a Transitive run".into()))?;
@@ -400,12 +383,13 @@ impl MaintainableEdb {
             facts_by_dims.keys().map(|dims| level_vec_of(&schema, dims)).collect();
         level_vecs.sort_unstable();
         level_vecs.dedup();
-        let base_len = run.edb.num_entries();
+        let mut base = Vec::with_capacity(run.edb.num_entries() as usize);
+        run.edb.for_each(|e| base.push(e.clone()))?;
+        run.edb.delete()?;
 
         Ok(MaintainableEdb {
             prep,
             policy,
-            edb: run.edb,
             comps,
             next_ccid,
             fact_locs,
@@ -419,15 +403,11 @@ impl MaintainableEdb {
             dead_cells: HashSet::new(),
             dead_facts: HashSet::new(),
             dead_precise: HashSet::new(),
-            deleted_facts: HashSet::new(),
-            base_len,
-            superseded: HashSet::new(),
-            run_starts: HashMap::new(),
-            segs: Vec::new(),
-            seg_excl: Vec::new(),
-            seg_cursor: 0,
+            pending: HashMap::new(),
+            pending_seq: 0,
+            segs: vec![Arc::new(EdbSegment::build(k, base))],
+            seg_excl: vec![Arc::new(HashSet::new())],
             seg_owner: HashMap::new(),
-            seg_deleted: HashSet::new(),
             compaction_threshold: 4,
             inline_compaction: true,
             compactions: 0,
@@ -442,35 +422,19 @@ impl MaintainableEdb {
         self.comps.len()
     }
 
-    /// Access the (maintained) EDB.
-    pub fn edb_mut(&mut self) -> &mut ExtendedDatabase {
-        &mut self.edb
-    }
-
-    /// Current weights per fact: deleted facts are gone; facts re-emitted
-    /// by maintenance take their *latest* appended run; everything else
-    /// comes from the original Transitive output.
-    pub fn current_weights(&mut self) -> Result<WeightsByFact> {
-        let mut latest: WeightsByFact = HashMap::new();
-        let base_len = self.base_len;
-        let superseded = self.superseded.clone();
-        let deleted = self.deleted_facts.clone();
-        let run_starts = self.run_starts.clone();
-        let mut idx = 0u64;
-        self.edb.for_each(|e| {
-            let keep = if idx < base_len {
-                !superseded.contains(&e.fact_id) && !deleted.contains(&e.fact_id)
-            } else {
-                // Only the fact's latest appended run is live.
-                !deleted.contains(&e.fact_id)
-                    && run_starts.get(&e.fact_id).is_some_and(|&s| idx >= s)
-            };
-            if keep {
-                latest.entry(e.fact_id).or_default().push((e.cell, e.weight));
-            }
-            idx += 1;
-        })?;
-        Ok(latest)
+    /// Current weights per fact: the live entries of the published
+    /// tiers, after folding in any pending runs.
+    pub fn current_weights(&mut self) -> Result<WeightMap> {
+        let mut out = WeightMap::new();
+        for v in self.snapshot_segments()? {
+            v.segment.for_each_entry(|e| {
+                if !v.exclude.contains(&e.fact_id) {
+                    out.entry(e.fact_id).or_default().push((e.cell, e.weight));
+                }
+                Ok(())
+            })?;
+        }
+        Ok(out)
     }
 
     /// The schema the maintained EDB lives in.
@@ -478,62 +442,14 @@ impl MaintainableEdb {
         &self.prep.schema
     }
 
-    /// Materialize the current EDB as a flat record list in a
-    /// deterministic order: live base entries in file order, then — for
-    /// each fact re-emitted by maintenance — its *latest* appended run,
-    /// runs ordered by their position in the EDB file.
-    ///
-    /// Before any mutation this is exactly the Transitive run's EDB in
-    /// file order, so an aggregation loop over the returned slice is
-    /// bit-identical to [`crate::edb::ExtendedDatabase::for_each`] over
-    /// the original output (same entries, same order, same f64 sums).
-    pub fn snapshot_entries(&mut self) -> Result<Vec<EdbRecord>> {
-        let base_len = self.base_len;
-        let superseded = self.superseded.clone();
-        let deleted = self.deleted_facts.clone();
-        let run_starts = self.run_starts.clone();
-        let mut base: Vec<EdbRecord> = Vec::new();
-        // Latest appended run per fact, keyed for ordering by the file
-        // index where the run starts.
-        let mut runs: HashMap<FactId, (u64, Vec<EdbRecord>)> = HashMap::new();
-        let mut idx = 0u64;
-        self.edb.for_each(|e| {
-            if idx < base_len {
-                if !superseded.contains(&e.fact_id) && !deleted.contains(&e.fact_id) {
-                    base.push(e.clone());
-                }
-            } else if !deleted.contains(&e.fact_id) {
-                // Only the fact's latest appended run is live (same rule
-                // as current_weights).
-                if let Some(&start) = run_starts.get(&e.fact_id) {
-                    if idx >= start {
-                        runs.entry(e.fact_id)
-                            .or_insert_with(|| (start, Vec::new()))
-                            .1
-                            .push(e.clone());
-                    }
-                }
-            }
-            idx += 1;
-        })?;
-        let mut appended: Vec<(u64, Vec<EdbRecord>)> = runs.into_values().collect();
-        appended.sort_unstable_by_key(|(start, _)| *start);
-        for (_, mut recs) in appended {
-            base.append(&mut recs);
-        }
-        Ok(base)
-    }
-
     // -- segment layer -------------------------------------------------------
 
     /// The EDB as immutable segment views: one base segment (the Transitive
-    /// output in canonical cell order) plus one delta segment per batch of
-    /// appended runs, with superseded and deleted facts retired through
-    /// per-view exclusion sets. The live entries across the returned views
-    /// are exactly the multiset [`MaintainableEdb::snapshot_entries`]
-    /// returns. Unchanged segments come back as the *same* `Arc`s on every
-    /// call, so publishing a snapshot costs O(segments) — only the EDB tail
-    /// appended since the last call is read.
+    /// output in canonical cell order) plus one delta segment per refresh
+    /// of re-emitted runs, with replaced and deleted facts retired through
+    /// per-view exclusion sets. Unchanged segments come back as
+    /// the *same* `Arc`s on every call, so publishing a snapshot costs
+    /// O(segments) plus the runs emitted since the last call.
     pub fn snapshot_segments(&mut self) -> Result<Vec<SegmentView>> {
         self.refresh_segments()?;
         Ok(self
@@ -714,70 +630,25 @@ impl MaintainableEdb {
         Ok(arc)
     }
 
-    /// Fold everything appended since the last refresh into the segment
-    /// tiers and retire newly superseded or deleted facts.
+    /// Fold the pending runs into one new delta tier, retiring each
+    /// fact's previous run.
     fn refresh_segments(&mut self) -> Result<()> {
-        let k = self.prep.schema.k();
-        let len = self.edb.num_entries();
-        if self.segs.is_empty() {
-            // The base tier: every original entry, sorted canonically.
-            let mut base = Vec::with_capacity(self.base_len as usize);
-            self.edb.for_each_range(0, self.base_len, |e| base.push(e.clone()))?;
-            self.segs.push(Arc::new(EdbSegment::build(k, base)));
-            self.seg_excl.push(Arc::new(HashSet::new()));
-            self.seg_cursor = self.base_len;
-        }
-        if self.seg_cursor < len {
-            // Only each fact's latest appended run goes into the delta
-            // (the snapshot_entries rule): entries below the fact's
-            // recorded run start belong to a superseded run, possibly
-            // from earlier in this same unfolded range.
-            let run_starts = self.run_starts.clone();
-            let mut runs: Vec<(FactId, Vec<EdbRecord>)> = Vec::new();
-            let mut at: HashMap<FactId, usize> = HashMap::new();
-            let mut idx = self.seg_cursor;
-            self.edb.for_each_range(self.seg_cursor, len, |e| {
-                if run_starts.get(&e.fact_id).is_some_and(|&s| idx >= s) {
-                    let slot = *at.entry(e.fact_id).or_insert_with(|| {
-                        runs.push((e.fact_id, Vec::new()));
-                        runs.len() - 1
-                    });
-                    runs[slot].1.push(e.clone());
-                }
-                idx += 1;
-            })?;
+        let mut runs: Vec<(FactId, (u64, Vec<EdbRecord>))> = self.pending.drain().collect();
+        if !runs.is_empty() {
+            // Emission order, which `EdbSegment::build`'s stable sort keeps
+            // among entries of one cell.
+            runs.sort_unstable_by_key(|(_, (seq, _))| *seq);
+            let idx = self.segs.len();
             let mut entries = Vec::new();
-            let mut claimed: Vec<FactId> = Vec::new();
-            for (id, recs) in runs {
-                entries.extend(recs);
-                claimed.push(id);
+            for (id, (_, run)) in runs {
+                entries.extend(run);
+                // In an earlier delta if it had one, else in the base tier
+                // (a no-op for inserted facts — they have no base entries).
+                let owner = self.seg_owner.insert(id, idx).unwrap_or(0);
+                Arc::make_mut(&mut self.seg_excl[owner]).insert(id);
             }
-            if !entries.is_empty() {
-                let idx = self.segs.len();
-                self.segs.push(Arc::new(EdbSegment::build(k, entries)));
-                self.seg_excl.push(Arc::new(HashSet::new()));
-                for id in claimed {
-                    // Retire the fact's previous run: in an earlier delta
-                    // if it had one, else in the base tier (a no-op for
-                    // freshly inserted facts — they have no base entries).
-                    let owner = self.seg_owner.get(&id).copied().unwrap_or(0);
-                    Arc::make_mut(&mut self.seg_excl[owner]).insert(id);
-                    self.seg_owner.insert(id, idx);
-                    self.seg_deleted.remove(&id);
-                }
-            }
-            self.seg_cursor = len;
-        }
-        // Deleted facts: retire them wherever their live run sits. (A fact
-        // re-emitted above was taken out of `seg_deleted`, so a deletion
-        // that outlived the re-emission is re-applied to the new owner —
-        // mirroring snapshot_entries' deleted-facts filter.)
-        let newly: Vec<FactId> =
-            self.deleted_facts.iter().filter(|f| !self.seg_deleted.contains(f)).copied().collect();
-        for id in newly {
-            let owner = self.seg_owner.get(&id).copied().unwrap_or(0);
-            Arc::make_mut(&mut self.seg_excl[owner]).insert(id);
-            self.seg_deleted.insert(id);
+            self.segs.push(Arc::new(EdbSegment::build(self.prep.schema.k(), entries)));
+            self.seg_excl.push(Arc::new(HashSet::new()));
         }
         if self.inline_compaction {
             // The background compactor's plan, run and install, back to back.
@@ -797,15 +668,6 @@ impl MaintainableEdb {
             }
         }
         Ok(())
-    }
-
-    /// Apply a batch of measure updates (the Figure 6 workload).
-    pub fn apply_updates(&mut self, updates: &[FactUpdate]) -> Result<UpdateReport> {
-        let muts: Vec<EdbMutation> = updates
-            .iter()
-            .map(|u| EdbMutation::UpdateMeasure { fact_id: u.fact_id, new_measure: u.new_measure })
-            .collect();
-        self.apply_batch(&muts)
     }
 
     /// Apply a batch of mutations: measure updates, insertions, deletions.
@@ -887,13 +749,10 @@ impl MaintainableEdb {
                     // flat "Non-Overlap Precise" line).
                 }
                 // Refresh the fact's own weight-1 entry.
-                self.superseded.insert(fact_id);
-                self.run_starts.insert(fact_id, self.edb.num_entries());
-                self.edb.push(
-                    &EdbRecord { fact_id, cell, weight: 1.0, measure: new_measure },
-                    true,
-                    false,
-                )?;
+                self.push_run(
+                    fact_id,
+                    vec![EdbRecord { fact_id, cell, weight: 1.0, measure: new_measure }],
+                );
             }
             Some(FactLoc::Imprecise(i, covered)) => {
                 if self.dead_facts.contains(&i) {
@@ -932,13 +791,10 @@ impl MaintainableEdb {
             self.prep.precise.push(&fact)?;
             let pi = self.prep.precise.len() - 1;
             self.fact_locs.insert(fact.id, FactLoc::Precise(pi));
-            self.superseded.insert(fact.id);
-            self.run_starts.insert(fact.id, self.edb.num_entries());
-            self.edb.push(
-                &EdbRecord { fact_id: fact.id, cell, weight: 1.0, measure: fact.measure },
-                true,
-                true,
-            )?;
+            self.push_run(
+                fact.id,
+                vec![EdbRecord { fact_id: fact.id, cell, weight: 1.0, measure: fact.measure }],
+            );
             let delta0_add = match self.policy.quantity {
                 Quantity::Count => 1.0,
                 Quantity::Measure => fact.measure,
@@ -999,14 +855,12 @@ impl MaintainableEdb {
                 debug_assert_eq!(self.cell_ccid.len() as u64, self.prep.cells.len());
                 for (fi, id, dims) in strays {
                     // A rebuild allocates the fact to this cell: it becomes
-                    // covered, and its stale tombstone (if stranded) goes.
+                    // covered, and the re-solve emits its new run.
                     self.fact_locs.insert(id, FactLoc::Imprecise(fi, true));
                     self.fact_ccid.insert(fi, cc);
                     let m = self.comps.get_mut(&cc).expect("live");
                     m.extra_facts.push(fi);
                     m.grow(&region_of(&schema, &dims));
-                    self.deleted_facts.remove(&id);
-                    self.superseded.insert(id);
                     dirty.insert(cc);
                 }
             }
@@ -1049,7 +903,6 @@ impl MaintainableEdb {
             m.extra_facts.push(fi);
             m.grow(&bx);
             self.fact_ccid.insert(fi, cc);
-            self.superseded.insert(fact.id);
             dirty.insert(cc);
         }
         Ok(())
@@ -1068,7 +921,7 @@ impl MaintainableEdb {
                     return Err(CoreError::BadInput(format!("fact {fact_id} already deleted")));
                 }
                 self.fact_locs.remove(&fact_id);
-                self.deleted_facts.insert(fact_id);
+                self.retire(fact_id);
                 let f = self.prep.precise.get(i)?;
                 let cell = schema.cell_of(&f).expect("precise");
                 report.touched.push(RegionBox::point(&cell, schema.k()));
@@ -1103,7 +956,7 @@ impl MaintainableEdb {
                     return Err(CoreError::BadInput(format!("fact {fact_id} already deleted")));
                 }
                 self.fact_locs.remove(&fact_id);
-                self.deleted_facts.insert(fact_id);
+                self.retire(fact_id);
                 let f = self.prep.facts.get(i)?;
                 report.touched.push(region_of(&schema, &f.dims));
                 if covered {
@@ -1282,8 +1135,7 @@ impl MaintainableEdb {
                     self.fact_ccid.remove(&facts[j]);
                     self.fact_locs.insert(fact_ids[j], FactLoc::Imprecise(facts[j], false));
                     // Their old entries are stale.
-                    self.superseded.insert(fact_ids[j]);
-                    self.deleted_facts.insert(fact_ids[j]);
+                    self.retire(fact_ids[j]);
                 }
                 continue;
             }
@@ -1339,19 +1191,28 @@ impl MaintainableEdb {
         for (off, c) in prob.cells.iter().enumerate() {
             self.prep.cells.set(cell_idx[off], c)?;
         }
-        let mut pending: Vec<EdbRecord> = Vec::new();
-        prob.emit(|e| pending.push(e));
-        let mut seen: HashSet<FactId> = HashSet::new();
-        for e in &pending {
-            if seen.insert(e.fact_id) {
-                self.superseded.insert(e.fact_id);
-                self.deleted_facts.remove(&e.fact_id);
-                self.run_starts.insert(e.fact_id, self.edb.num_entries());
-            }
-            self.edb.push(e, false, false)?;
-            report.entries_rewritten += 1;
+        let mut emitted: Vec<EdbRecord> = Vec::new();
+        prob.emit(|e| emitted.push(e));
+        report.entries_rewritten += emitted.len() as u64;
+        // `emit` writes each fact's entries contiguously: one run per fact.
+        for run in emitted.chunk_by(|a, b| a.fact_id == b.fact_id) {
+            self.push_run(run[0].fact_id, run.to_vec());
         }
         Ok(())
+    }
+
+    /// Queue `run` as the fact's live run, replacing any pending one.
+    fn push_run(&mut self, fact_id: FactId, run: Vec<EdbRecord>) {
+        self.pending.insert(fact_id, (self.pending_seq, run));
+        self.pending_seq += 1;
+    }
+
+    /// Retire a deleted or stranded fact: exclude it from the tier that
+    /// holds its live run and drop any pending one.
+    fn retire(&mut self, fact_id: FactId) {
+        let owner = self.seg_owner.get(&fact_id).copied().unwrap_or(0);
+        Arc::make_mut(&mut self.seg_excl[owner]).insert(fact_id);
+        self.pending.remove(&fact_id);
     }
 }
 
@@ -1378,6 +1239,10 @@ mod tests {
         MaintainableEdb::build(run, policy.clone()).unwrap()
     }
 
+    fn update(fact_id: FactId, new_measure: f64) -> EdbMutation {
+        EdbMutation::UpdateMeasure { fact_id, new_measure }
+    }
+
     #[test]
     fn builds_component_index() {
         let m = build_maintainable(&PolicySpec::em_count(0.01));
@@ -1400,14 +1265,14 @@ mod tests {
         // component is re-solved (the flat "Non-Overlap Precise" line of
         // Figure 6).
         let mut m = build_maintainable(&PolicySpec::em_count(0.001));
-        let rep = m.apply_updates(&[FactUpdate { fact_id: 2, new_measure: 999.0 }]).unwrap();
+        let rep = m.apply_batch(&[update(2, 999.0)]).unwrap();
         assert_eq!(rep.affected_components, 0);
 
         // Under EM-Measure, exactly the fact's own component is affected:
         // p2 = (MA, Sierra) lives in CC2 = cells {c2, c3} + facts
         // {p7, p9, p12}.
         let mut m = build_maintainable(&PolicySpec::em_measure(0.001));
-        let rep = m.apply_updates(&[FactUpdate { fact_id: 2, new_measure: 999.0 }]).unwrap();
+        let rep = m.apply_batch(&[update(2, 999.0)]).unwrap();
         assert_eq!(rep.affected_components, 1);
         assert_eq!(rep.affected_tuples, 2 + 3);
     }
@@ -1419,7 +1284,7 @@ mod tests {
         let before = m.current_weights().unwrap();
         // Boost (MA, Sierra)'s measure: p9 = (East, Truck) should shift
         // weight toward c2.
-        m.apply_updates(&[FactUpdate { fact_id: 2, new_measure: 100_000.0 }]).unwrap();
+        m.apply_batch(&[update(2, 100_000.0)]).unwrap();
         let after = m.current_weights().unwrap();
         let w_before: HashMap<_, _> = before[&9].iter().cloned().collect();
         let w_after: HashMap<_, _> = after[&9].iter().cloned().collect();
@@ -1437,42 +1302,32 @@ mod tests {
     #[test]
     fn consecutive_runs_of_one_fact_do_not_double_count() {
         // Under EM-Count a precise measure update re-emits only the fact's
-        // own weight-1 entry, so back-to-back updates append runs for the
+        // own weight-1 entry, so back-to-back updates emit runs for the
         // same fact with nothing between them. Run replacement must still
         // retire the older run — adjacency alone cannot tell them apart.
-        let mut m = build_maintainable(&PolicySpec::em_count(0.01));
-        m.apply_batch(&[EdbMutation::UpdateMeasure { fact_id: 2, new_measure: 100.0 }]).unwrap();
-        m.apply_batch(&[EdbMutation::UpdateMeasure { fact_id: 2, new_measure: 200.0 }]).unwrap();
+        let policy = PolicySpec::em_count(0.01);
+        let mut m = build_maintainable(&policy);
+        m.apply_batch(&[update(2, 100.0)]).unwrap();
+        m.apply_batch(&[update(2, 200.0)]).unwrap();
         let w = m.current_weights().unwrap();
         assert_eq!(w[&2].len(), 1, "one live entry, not one per run: {:?}", w[&2]);
-        let snap = m.snapshot_entries().unwrap();
-        let mine: Vec<&EdbRecord> = snap.iter().filter(|e| e.fact_id == 2).collect();
-        assert_eq!(mine.len(), 1);
-        assert_eq!(mine[0].measure, 200.0, "the newer run wins");
+        assert_matches_rebuild(&mut m, &with_measure(paper_example::table1(), 2, 200.0), &policy);
 
-        // Same fact twice within one batch: the segment fold sees both
-        // runs inside a single unfolded range and must keep only the last.
-        m.apply_batch(&[
-            EdbMutation::UpdateMeasure { fact_id: 2, new_measure: 300.0 },
-            EdbMutation::UpdateMeasure { fact_id: 2, new_measure: 400.0 },
-        ])
-        .unwrap();
-        let views = m.snapshot_segments().unwrap();
-        let live: Vec<EntryKey> =
-            live_multiset(&views).into_iter().filter(|(id, ..)| *id == 2).collect();
-        assert_eq!(live.len(), 1, "segments double-counted fact 2: {live:?}");
-        assert_eq!(f64::from_bits(live[0].3), 400.0);
-        assert_eq!(live_multiset(&views), entry_multiset(&m.snapshot_entries().unwrap()));
+        // Same fact twice within one batch: the refresh sees both runs
+        // before one fold and must keep only the last.
+        m.apply_batch(&[update(2, 300.0), update(2, 400.0)]).unwrap();
+        assert_matches_rebuild(&mut m, &with_measure(paper_example::table1(), 2, 400.0), &policy);
     }
 
-    /// Helper: maintained weights must equal a from-scratch rebuild of the
-    /// mutated table.
+    /// Helper: the served EDB must equal a full rebuild of the
+    /// mutated table: the same (fact, cell) entries, each once, weights
+    /// within 1e-6, and each entry carrying its fact's current measure.
     fn assert_matches_rebuild(
         m: &mut MaintainableEdb,
         table: &iolap_model::FactTable,
         policy: &PolicySpec,
     ) {
-        let maintained = m.current_weights().unwrap();
+        let got = live_multiset(&m.snapshot_segments().unwrap());
         let mut run = allocate(
             table,
             policy,
@@ -1480,25 +1335,21 @@ mod tests {
             &AllocConfig::builder().in_memory(256).build(),
         )
         .unwrap();
-        let rebuilt = run.edb.weight_map().unwrap();
-        let mut mk: Vec<_> = maintained.keys().copied().collect();
-        let mut rk: Vec<_> = rebuilt.keys().copied().collect();
-        mk.sort_unstable();
-        rk.sort_unstable();
-        assert_eq!(mk, rk, "allocated fact sets differ");
-        for (id, entries) in &rebuilt {
-            let want: HashMap<_, _> = entries.iter().cloned().collect();
-            let got: HashMap<_, _> = maintained[id].iter().cloned().collect();
-            assert_eq!(want.len(), got.len(), "fact {id}");
-            for (cell, w) in &want {
-                assert!(
-                    (got[cell] - w).abs() < 1e-6,
-                    "fact {id} cell {:?}: rebuilt {} vs maintained {}",
-                    &cell[..2],
-                    w,
-                    got[cell]
-                );
-            }
+        let mut want: Vec<EntryKey> = Vec::new();
+        run.edb
+            .for_each(|e| want.push((e.fact_id, e.cell, e.weight.to_bits(), e.measure.to_bits())))
+            .unwrap();
+        want.sort_unstable();
+        let keys = |v: &[EntryKey]| v.iter().map(|e| (e.0, e.1)).collect::<Vec<_>>();
+        assert_eq!(keys(&got), keys(&want), "served (fact, cell) entries differ");
+        for ((id, cell, gw, gm), (_, _, w, measure)) in got.into_iter().zip(want) {
+            let (gw, w) = (f64::from_bits(gw), f64::from_bits(w));
+            assert!(
+                (gw - w).abs() < 1e-6,
+                "fact {id} cell {:?}: rebuilt {w} vs served {gw}",
+                &cell[..2]
+            );
+            assert_eq!(gm, measure, "fact {id} cell {:?}: stale measure", &cell[..2]);
         }
     }
 
@@ -1506,27 +1357,15 @@ mod tests {
     fn maintenance_matches_full_rebuild() {
         let policy = PolicySpec::em_measure(0.00001);
         let mut m = build_maintainable(&policy);
-        m.apply_updates(&[
-            FactUpdate { fact_id: 1, new_measure: 500.0 },
-            FactUpdate { fact_id: 13, new_measure: 7.0 },
-        ])
-        .unwrap();
-        let mut t = paper_example::table1();
-        for f in t.facts_mut() {
-            if f.id == 1 {
-                f.measure = 500.0;
-            }
-            if f.id == 13 {
-                f.measure = 7.0;
-            }
-        }
+        m.apply_batch(&[update(1, 500.0), update(13, 7.0)]).unwrap();
+        let t = with_measure(with_measure(paper_example::table1(), 1, 500.0), 13, 7.0);
         assert_matches_rebuild(&mut m, &t, &policy);
     }
 
     #[test]
     fn unknown_fact_rejected() {
         let mut m = build_maintainable(&PolicySpec::em_count(0.01));
-        assert!(m.apply_updates(&[FactUpdate { fact_id: 999, new_measure: 1.0 }]).is_err());
+        assert!(m.apply_batch(&[update(999, 1.0)]).is_err());
         assert!(m.apply_batch(&[EdbMutation::Delete(999)]).is_err());
     }
 
@@ -1698,32 +1537,34 @@ mod tests {
         out
     }
 
-    fn entry_multiset(entries: &[EdbRecord]) -> Vec<EntryKey> {
-        let mut out: Vec<EntryKey> = entries
-            .iter()
-            .map(|e| (e.fact_id, e.cell, e.weight.to_bits(), e.measure.to_bits()))
-            .collect();
-        out.sort_unstable();
-        out
+    /// `t` with fact `id`'s measure replaced.
+    fn with_measure(
+        mut t: iolap_model::FactTable,
+        id: FactId,
+        measure: f64,
+    ) -> iolap_model::FactTable {
+        for f in t.facts_mut().iter_mut().filter(|f| f.id == id) {
+            f.measure = measure;
+        }
+        t
     }
 
     #[test]
-    fn segments_track_snapshot_entries_through_mutations() {
+    fn segments_track_the_rebuild_through_mutations() {
         let policy = PolicySpec::em_count(0.00001);
         let mut m = build_maintainable(&policy);
         let views = m.snapshot_segments().unwrap();
         assert_eq!(views.len(), 1, "pristine EDB is one base segment");
-        assert_eq!(live_multiset(&views), entry_multiset(&m.snapshot_entries().unwrap()));
+        assert_matches_rebuild(&mut m, &paper_example::table1(), &policy);
 
-        let s = paper_example::schema();
-        let all = s.dim(0).node_by_name("ALL").unwrap().0;
-        let sierra = s.dim(1).node_by_name("Sierra").unwrap().0;
-        m.apply_batch(&[EdbMutation::Insert(Fact::new(60, &[all, sierra], 30.0))]).unwrap();
-        m.apply_updates(&[FactUpdate { fact_id: 1, new_measure: 500.0 }]).unwrap();
+        let sierra = named_fact(60, "ALL", "Sierra", 30.0);
+        m.apply_batch(&[EdbMutation::Insert(sierra.clone())]).unwrap();
+        m.apply_batch(&[update(1, 500.0)]).unwrap();
         m.apply_batch(&[EdbMutation::Delete(11)]).unwrap();
         let views = m.snapshot_segments().unwrap();
         assert!(views.len() > 1, "mutations publish delta segments");
-        assert_eq!(live_multiset(&views), entry_multiset(&m.snapshot_entries().unwrap()));
+        let t = with_measure(table1_with(&[11], &[sierra]), 1, 500.0);
+        assert_matches_rebuild(&mut m, &t, &policy);
     }
 
     #[test]
@@ -1735,7 +1576,7 @@ mod tests {
         assert!(Arc::ptr_eq(&snap1[0].segment, &snap2[0].segment));
         assert!(Arc::ptr_eq(&snap1[0].exclude, &snap2[0].exclude));
 
-        m.apply_updates(&[FactUpdate { fact_id: 2, new_measure: 999.0 }]).unwrap();
+        m.apply_batch(&[update(2, 999.0)]).unwrap();
         let snap3 = m.snapshot_segments().unwrap();
         assert!(Arc::ptr_eq(&snap1[0].segment, &snap3[0].segment), "base segment is reused");
         assert_eq!(snap3.len(), 2, "one delta for the batch");
@@ -1750,11 +1591,15 @@ mod tests {
         let mut m = build_maintainable(&policy);
         m.set_compaction_threshold(2);
         for round in 0..4 {
-            m.apply_updates(&[FactUpdate { fact_id: 2, new_measure: 100.0 + round as f64 }])
-                .unwrap();
+            let measure = 100.0 + round as f64;
+            m.apply_batch(&[update(2, measure)]).unwrap();
             let views = m.snapshot_segments().unwrap();
             assert!(views.len() <= 3, "tiering keeps the segment count bounded");
-            assert_eq!(live_multiset(&views), entry_multiset(&m.snapshot_entries().unwrap()));
+            assert_matches_rebuild(
+                &mut m,
+                &with_measure(paper_example::table1(), 2, measure),
+                &policy,
+            );
         }
         assert!(m.num_compactions() >= 1, "threshold 2 must have compacted");
     }
@@ -1764,12 +1609,12 @@ mod tests {
         let policy = PolicySpec::em_measure(0.001);
         let mut m = build_maintainable(&policy);
         m.set_compaction_threshold(1);
-        m.apply_updates(&[FactUpdate { fact_id: 2, new_measure: 50.0 }]).unwrap();
+        m.apply_batch(&[update(2, 50.0)]).unwrap();
         let _ = m.snapshot_segments().unwrap(); // compacts the delta tier
         assert!(m.num_compactions() >= 1);
         m.apply_batch(&[EdbMutation::Delete(11)]).unwrap();
-        let views = m.snapshot_segments().unwrap();
-        assert_eq!(live_multiset(&views), entry_multiset(&m.snapshot_entries().unwrap()));
+        let t = with_measure(table1_with(&[11], &[]), 2, 50.0);
+        assert_matches_rebuild(&mut m, &t, &policy);
     }
 
     #[test]
@@ -1779,8 +1624,7 @@ mod tests {
         m.set_compaction_threshold(2);
         m.set_background_compaction(true);
         for round in 0..4 {
-            m.apply_updates(&[FactUpdate { fact_id: 2, new_measure: 100.0 + round as f64 }])
-                .unwrap();
+            m.apply_batch(&[update(2, 100.0 + round as f64)]).unwrap();
             let _ = m.snapshot_segments().unwrap();
         }
         assert_eq!(m.num_compactions(), 0, "background mode never compacts inline");
@@ -1791,27 +1635,27 @@ mod tests {
         // schedule.
         let plan_a = m.prepare_compaction().unwrap().expect("over threshold");
         let plan_b = m.prepare_compaction().unwrap().expect("still over threshold");
-        m.apply_updates(&[FactUpdate { fact_id: 1, new_measure: 7.0 }]).unwrap();
+        m.apply_batch(&[update(1, 7.0)]).unwrap();
         m.apply_batch(&[EdbMutation::Delete(11)]).unwrap();
-        let _ = m.snapshot_segments().unwrap();
+        let before = live_multiset(&m.snapshot_segments().unwrap());
 
         let done = plan_a.run().unwrap();
         assert!(m.install_compaction(done).unwrap(), "append-only interleaving installs");
         assert_eq!(m.num_compactions(), 1);
         let views = m.snapshot_segments().unwrap();
-        assert_eq!(live_multiset(&views), entry_multiset(&m.snapshot_entries().unwrap()));
+        assert_eq!(live_multiset(&views), before, "installing moves no live entry");
+        let t = with_measure(with_measure(table1_with(&[11], &[]), 2, 103.0), 1, 7.0);
+        assert_matches_rebuild(&mut m, &t, &policy);
 
         // The second plan's inputs were spliced away: install refuses it.
         let stale = plan_b.run().unwrap();
         assert!(!m.install_compaction(stale).unwrap(), "stale plan must not install");
         assert_eq!(m.num_compactions(), 1);
-        let views = m.snapshot_segments().unwrap();
-        assert_eq!(live_multiset(&views), entry_multiset(&m.snapshot_entries().unwrap()));
+        assert_eq!(live_multiset(&m.snapshot_segments().unwrap()), before);
 
         // Further mutations keep the invariant after the remap.
-        m.apply_updates(&[FactUpdate { fact_id: 2, new_measure: 1.5 }]).unwrap();
-        let views = m.snapshot_segments().unwrap();
-        assert_eq!(live_multiset(&views), entry_multiset(&m.snapshot_entries().unwrap()));
+        m.apply_batch(&[update(2, 1.5)]).unwrap();
+        assert_matches_rebuild(&mut m, &with_measure(t, 2, 1.5), &policy);
     }
 
     #[test]

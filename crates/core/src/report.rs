@@ -68,7 +68,7 @@ pub struct RunReport {
     /// bytes).
     pub edb_bytes_read: u64,
     /// Segment compression milli-ratio: `uncompressed / encoded × 1000`
-    /// (1000 = row layout, 1700 = pages 1.7× smaller than rows).
+    /// (1000 = uncompressed, 1700 = pages 1.7× smaller).
     pub edb_compression_ratio_milli: u64,
     /// Planner decisions answered from a materialized cuboid (one per
     /// segment view per planned query).

@@ -15,8 +15,8 @@
 //!   `None` ignores imprecise facts, `Contains` counts them only when
 //!   fully inside `q`, `Overlaps` counts them whenever they intersect
 //!   `q`), used as baselines in the examples;
-//! * [`planner`] — the lattice-aware planner that answers agg / rollup /
-//!   pivot from the coarsest covering materialized cuboid
+//! * [`planner`] — the lattice-aware planner that answers aggregates and
+//!   rollups from the coarsest covering materialized cuboid
 //!   (`iolap_core::CuboidLattice`), leaf-scanning only the
 //!   partial-overlap residue, with a forced-leaf verification mode that
 //!   is f64-bit-identical by construction.
@@ -35,7 +35,6 @@ pub use agg::{
 pub use builder::{Query, QueryBuilder};
 pub use pivot::{pivot, Pivot};
 pub use planner::{
-    plan_aggregate, plan_aggregate_views, plan_pivot_views, plan_rollup, plan_rollup_views,
-    PlanMode, PlanStats,
+    plan_aggregate, plan_aggregate_views, plan_rollup, plan_rollup_views, PlanMode, PlanStats,
 };
 pub use rollup::{drilldown, render_rollup, rollup, RollupRow};

@@ -1,5 +1,5 @@
-//! Lattice-aware query planner: answer agg/rollup/pivot from the coarsest
-//! covering cuboid, leaf-scanning only the partial-overlap residue.
+//! Lattice-aware query planner: answer aggregates and rollups from the
+//! coarsest covering cuboid, leaf-scanning only the partial-overlap residue.
 //!
 //! ## Decomposition
 //!
@@ -12,7 +12,7 @@
 //! box into at most `3^k` disjoint pieces; the all-core piece is answered
 //! from the cuboid's mini segment, every other non-empty piece by an
 //! ordinary leaf scan. A cuboid is usable only if its core is non-empty in
-//! every dimension (and, for rollup/pivot, its grain is at or below the
+//! every dimension (and, for a rollup, its grain is at or below the
 //! target level on the slotted dimensions, so each grain cell nests inside
 //! exactly one output node); among usable cuboids the planner picks the
 //! one with the largest core volume — the *coarsest covering* cuboid,
@@ -36,7 +36,6 @@
 
 use crate::agg::{AggFn, AggResult};
 use crate::builder::Query;
-use crate::pivot::Pivot;
 use crate::rollup::RollupRow;
 use iolap_core::{
     Cuboid, CuboidLattice, ExtendedDatabase, Result, SegScanStats, SegmentCursor, SegmentView,
@@ -208,7 +207,7 @@ fn core_cell_count(ranges: &[Vec<(u32, u32)>]) -> u64 {
 }
 
 /// Pick the best usable cuboid of `cuboids` for `region` under the
-/// per-dimension grain `limit` (rollup/pivot target levels; `levels()`
+/// per-dimension grain `limit` (rollup target levels; `levels()`
 /// where unconstrained). Returns the cuboid and its decomposition.
 fn choose_cuboid<'a>(
     cuboids: &'a [Cuboid],
@@ -432,78 +431,6 @@ pub fn plan_rollup_views(
     Ok((rows, stats))
 }
 
-/// Plan and evaluate a two-dimensional pivot over `views`, optionally
-/// diced by `region`. Margins and the grand total are summed from the
-/// dense cell matrix exactly as [`crate::pivot()`] does.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_pivot_views(
-    views: &[SegmentView],
-    lattice: Option<&CuboidLattice>,
-    schema: &Schema,
-    dim_a: usize,
-    level_a: LevelNo,
-    dim_b: usize,
-    level_b: LevelNo,
-    region: Option<&RegionBox>,
-    agg: AggFn,
-    mode: PlanMode,
-) -> Result<(Pivot, PlanStats)> {
-    let ha = schema.dim(dim_a);
-    let hb = schema.dim(dim_b);
-    let rows_nodes = ha.nodes_at_level(level_a).to_vec();
-    let cols_nodes = hb.nodes_at_level(level_b).to_vec();
-    let mut pos_a = std::collections::HashMap::new();
-    for (i, &n) in rows_nodes.iter().enumerate() {
-        pos_a.insert(n, i);
-    }
-    let mut pos_b = std::collections::HashMap::new();
-    for (i, &n) in cols_nodes.iter().enumerate() {
-        pos_b.insert(n, i);
-    }
-    let (nr, nc) = (rows_nodes.len(), cols_nodes.len());
-    let mut sums = vec![vec![0.0f64; nc]; nr];
-    let mut counts = vec![vec![0.0f64; nc]; nr];
-    let rg = region.copied().unwrap_or_else(|| SegmentCursor::all_region(schema.k()));
-    let mut limit = no_limit(schema);
-    limit[dim_a] = level_a;
-    limit[dim_b] = level_b;
-    let mut stats = PlanStats::default();
-    for view in views {
-        scan_view(view, lattice, schema, &rg, &limit, mode, &mut stats, &mut |p| match p {
-            Piece::Leaf(e) => {
-                let r = pos_a[&ha.ancestor_at(e.cell[dim_a], level_a)];
-                let c = pos_b[&hb.ancestor_at(e.cell[dim_b], level_b)];
-                sums[r][c] += e.weight * e.measure;
-                counts[r][c] += e.weight;
-            }
-            Piece::Cell(lo, s, c) => {
-                let r = pos_a[&ha.ancestor_at(lo[dim_a], level_a)];
-                let cc = pos_b[&hb.ancestor_at(lo[dim_b], level_b)];
-                sums[r][cc] += s;
-                counts[r][cc] += c;
-            }
-        })?;
-    }
-    let finish = |sum: f64, count: f64| AggResult::from_parts(agg, sum, count);
-    let cells: Vec<Vec<AggResult>> =
-        (0..nr).map(|r| (0..nc).map(|c| finish(sums[r][c], counts[r][c])).collect()).collect();
-    let row_margin: Vec<AggResult> =
-        (0..nr).map(|r| finish(sums[r].iter().sum(), counts[r].iter().sum())).collect();
-    let col_margin: Vec<AggResult> = (0..nc)
-        .map(|c| finish(sums.iter().map(|row| row[c]).sum(), counts.iter().map(|row| row[c]).sum()))
-        .collect();
-    let total = finish(sums.iter().flatten().sum(), counts.iter().flatten().sum());
-    let pivot = Pivot {
-        rows: rows_nodes.iter().map(|&n| ha.node_name(n)).collect(),
-        cols: cols_nodes.iter().map(|&n| hb.node_name(n)).collect(),
-        cells,
-        row_margin,
-        col_margin,
-        total,
-    };
-    Ok((pivot, stats))
-}
-
 /// [`plan_aggregate_views`] over an [`ExtendedDatabase`]: uses its lazily
 /// built lattice and folds the scan + lattice counters into its
 /// observability totals.
@@ -644,47 +571,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn planned_pivot_bitwise_matches_forced_leaf() {
-        let edb = edb();
-        let schema = paper_example::schema();
-        let views = edb.segments().unwrap();
-        let lattice = edb.lattice(&schema).unwrap();
-        let (a, _) = plan_pivot_views(
-            &views,
-            Some(&lattice),
-            &schema,
-            0,
-            2,
-            1,
-            2,
-            None,
-            AggFn::Sum,
-            PlanMode::Lattice,
-        )
-        .unwrap();
-        let (b, _) = plan_pivot_views(
-            &views,
-            Some(&lattice),
-            &schema,
-            0,
-            2,
-            1,
-            2,
-            None,
-            AggFn::Sum,
-            PlanMode::ForcedLeaf,
-        )
-        .unwrap();
-        for (ra, rb) in a.cells.iter().zip(&b.cells) {
-            for (ca, cb) in ra.iter().zip(rb) {
-                assert_eq!(ca.sum.to_bits(), cb.sum.to_bits());
-                assert_eq!(ca.count.to_bits(), cb.count.to_bits());
-            }
-        }
-        assert_eq!(a.total.sum.to_bits(), b.total.sum.to_bits());
     }
 
     #[test]

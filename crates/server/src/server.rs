@@ -301,7 +301,7 @@ pub(crate) struct ServeMetrics {
     edb_segments: Gauge,
     edb_compactions: Counter,
     /// Aggregate compression ratio of the published segments, in
-    /// milli-units (1000 = row layout, 1700 = 1.7×).
+    /// milli-units (1000 = uncompressed, 1700 = 1.7× smaller).
     compression_ratio: Gauge,
     /// Streaming-ingest instruments: WAL bytes appended, WAL batches
     /// replayed at startup, durable-but-unfolded backlog frames, folds
@@ -350,8 +350,8 @@ impl ServeMetrics {
 }
 
 /// Aggregate compression ratio of a snapshot's segments in milli-units
-/// (1000 = uncompressed row layout). Weighted by entry bytes, so one big
-/// compressed base segment dominates many tiny row deltas.
+/// (1000 = uncompressed). Weighted by entry bytes, so one big base
+/// segment dominates many tiny deltas.
 fn compression_milli(segments: &[iolap_core::SegmentView]) -> i64 {
     let raw: u64 = segments.iter().map(|v| v.segment.uncompressed_bytes()).sum();
     let enc: u64 = segments.iter().map(|v| v.segment.encoded_bytes()).sum();

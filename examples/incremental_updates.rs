@@ -9,7 +9,7 @@
 //! cargo run --release --example incremental_updates
 //! ```
 
-use iolap::core::maintain::{FactUpdate, MaintainableEdb};
+use iolap::core::maintain::{EdbMutation, MaintainableEdb};
 use iolap::core::{allocate, Algorithm, AllocConfig, PolicySpec};
 use iolap::datagen::{generate, GeneratorConfig};
 use std::time::Instant;
@@ -40,13 +40,13 @@ fn main() {
     for pct in [0.1f64, 0.5, 1.0, 2.5, 5.0] {
         let n = ((n_facts as f64) * pct / 100.0).max(1.0) as u64;
         // Random-ish spread of fact ids (precise and imprecise mixed).
-        let updates: Vec<FactUpdate> = (0..n)
-            .map(|i| FactUpdate {
+        let updates: Vec<EdbMutation> = (0..n)
+            .map(|i| EdbMutation::UpdateMeasure {
                 fact_id: (i * 7919) % n_facts + 1,
                 new_measure: 100.0 + i as f64,
             })
             .collect();
-        let rep = maintained.apply_updates(&updates).unwrap();
+        let rep = maintained.apply_batch(&updates).unwrap();
         let ratio = rep.wall.as_secs_f64() / rebuild_time.as_secs_f64();
         println!(
             "{:>7.1}% {:>12} {:>12} {:>14?} {:>11.3}x",

@@ -2,9 +2,14 @@
 //! generated data: the maintained EDB must always equal a from-scratch
 //! rebuild.
 
-use iolap::core::maintain::{FactUpdate, MaintainableEdb};
+use iolap::core::maintain::{EdbMutation, MaintainableEdb};
 use iolap::core::{allocate, Algorithm, AllocConfig, PolicySpec};
-use iolap::datagen::{generate, GeneratorConfig};
+use iolap::datagen::{generate, scaled, DatasetKind, GeneratorConfig};
+use iolap::model::FactId;
+
+fn update(fact_id: FactId, new_measure: f64) -> EdbMutation {
+    EdbMutation::UpdateMeasure { fact_id, new_measure }
+}
 
 #[test]
 fn batched_updates_match_rebuild_on_generated_data() {
@@ -17,18 +22,18 @@ fn batched_updates_match_rebuild_on_generated_data() {
 
     // Update ~1% of the facts (mixed precise/imprecise by construction of
     // the id space: low ids are imprecise).
-    let updates: Vec<FactUpdate> = (1..=15)
-        .map(|i| FactUpdate { fact_id: i * 97 % 1_500 + 1, new_measure: 5_000.0 + i as f64 })
-        .collect();
-    let rep = maintained.apply_updates(&updates).unwrap();
+    let updates: Vec<(FactId, f64)> =
+        (1..=15).map(|i| (i * 97 % 1_500 + 1, 5_000.0 + i as f64)).collect();
+    let muts: Vec<EdbMutation> = updates.iter().map(|&(id, m)| update(id, m)).collect();
+    let rep = maintained.apply_batch(&muts).unwrap();
     assert!(rep.affected_components >= 1);
     let got = maintained.current_weights().unwrap();
 
     // Rebuild from scratch with the same measures.
     for f in table.facts_mut() {
-        for u in &updates {
-            if f.id == u.fact_id {
-                f.measure = u.new_measure;
+        for &(id, measure) in &updates {
+            if f.id == id {
+                f.measure = measure;
             }
         }
     }
@@ -68,8 +73,8 @@ fn repeated_updates_to_same_fact_keep_latest() {
         let w = maintained.current_weights().unwrap();
         (1u64..=80).find(|id| w.contains_key(id)).expect("some imprecise fact allocates")
     };
-    maintained.apply_updates(&[FactUpdate { fact_id: target, new_measure: 1.0 }]).unwrap();
-    maintained.apply_updates(&[FactUpdate { fact_id: target, new_measure: 9_999.0 }]).unwrap();
+    maintained.apply_batch(&[update(target, 1.0)]).unwrap();
+    maintained.apply_batch(&[update(target, 9_999.0)]).unwrap();
     let got = maintained.current_weights().unwrap();
 
     for f in table.facts_mut() {
@@ -123,10 +128,44 @@ fn non_overlapped_precise_updates_are_cheap() {
     assert!(!isolated.is_empty());
 
     let mut maintained = MaintainableEdb::build(run, policy).unwrap();
-    let updates: Vec<FactUpdate> =
-        isolated.iter().take(10).map(|&id| FactUpdate { fact_id: id, new_measure: 1.0 }).collect();
-    let rep = maintained.apply_updates(&updates).unwrap();
+    let updates: Vec<EdbMutation> = isolated.iter().take(10).map(|&id| update(id, 1.0)).collect();
+    let rep = maintained.apply_batch(&updates).unwrap();
     // Singleton components have no imprecise facts → no equations
     // re-evaluated, no entries rewritten.
     assert_eq!(rep.entries_rewritten, 0);
+}
+
+/// Bytes of every file directly inside `dir`.
+fn dir_bytes(dir: &std::path::Path) -> u64 {
+    std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().metadata().unwrap().len()).sum()
+}
+
+/// Maintenance replaces entries; it does not accumulate them. Measure
+/// updates re-emit runs batch after batch, yet a disk-backed EDB whose
+/// pool is far too small to hide them holds the same bytes on disk after
+/// the 200th batch as after the first.
+#[test]
+fn measure_updates_do_not_grow_the_data_directory() {
+    let dir = std::env::temp_dir().join(format!("iolap-no-growth-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let policy = PolicySpec::em_measure(0.01);
+    let table = scaled(DatasetKind::Automotive, 2_000, 7);
+    let cfg = AllocConfig::builder().buffer_pages(8).dir(&dir).build();
+    let run = allocate(&table, &policy, Algorithm::Transitive, &cfg).unwrap();
+    let mut maintained = MaintainableEdb::build(run, policy).unwrap();
+    let ids: Vec<FactId> = table.facts().iter().map(|f| f.id).collect();
+    let mut after_first = 0;
+    for b in 0..200u64 {
+        let batch: Vec<EdbMutation> = (0..10u64)
+            .map(|i| update(ids[((b * 10 + i) * 7_919 % ids.len() as u64) as usize], b as f64))
+            .collect();
+        maintained.apply_batch(&batch).unwrap();
+        let _ = maintained.snapshot_segments().unwrap();
+        if b == 0 {
+            after_first = dir_bytes(&dir);
+        }
+    }
+    assert_eq!(dir_bytes(&dir), after_first, "200 batches grew the data directory");
+    drop(maintained);
+    std::fs::remove_dir_all(&dir).ok();
 }

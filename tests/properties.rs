@@ -4,7 +4,7 @@
 use iolap::core::maintain::{EdbMutation, MaintainableEdb};
 use iolap::core::{allocate, Algorithm, AllocConfig, PolicySpec};
 use iolap::hierarchy::{Hierarchy, HierarchyBuilder};
-use iolap::model::{cmp_cells, Fact, FactTable, RegionBox, Schema};
+use iolap::model::{cmp_cells, Fact, FactId, FactTable, RegionBox, Schema, MAX_DIMS};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -116,13 +116,17 @@ fn arb_script(table: &FactTable, seed: u64, batches: usize) -> Vec<(Vec<EdbMutat
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// P5: maintenance ≡ rebuild. After every batch of a seeded script,
-    /// the maintained weights equal a from-scratch Transitive run over
-    /// the mutated table: the same fact set, and per-cell weights within
-    /// 1e-5. A table with imprecise facts but no candidate cell (which
-    /// allocation rejects) counts as an empty EDB. Iterations are pinned
-    /// with ε = 0, so a component re-solved by maintenance and the same
-    /// component in a rebuild run the same trajectory.
+    /// P5: maintenance ≡ rebuild, read where `/query` reads. After every
+    /// batch of a seeded script, the live entries of the published
+    /// segment tiers equal a fresh Transitive run over the mutated
+    /// table: the same (fact, cell) set, weights within 1e-5, and every
+    /// entry carrying its fact's current measure (a re-solve skipped
+    /// after an imprecise fact's measure update leaves the weights right
+    /// and the measure stale). A table with imprecise facts but no
+    /// candidate cell (which allocation rejects) counts as an empty EDB.
+    /// Iterations are pinned with ε = 0, so a component re-solved by
+    /// maintenance and the same component in a rebuild run the same
+    /// trajectory.
     #[test]
     fn maintenance_matches_rebuild_after_every_batch(table in arb_table(), seed in any::<u64>()) {
         prop_assume!(table.num_precise() > 0);
@@ -136,25 +140,37 @@ proptest! {
         let mut maintained = MaintainableEdb::build(run, policy.clone()).unwrap();
         for (b, (muts, after)) in arb_script(&table, seed, 10).into_iter().enumerate() {
             maintained.apply_batch(&muts).unwrap();
-            let got = maintained.current_weights().unwrap();
-            let want = if after.num_precise() == 0 && after.num_imprecise() > 0 {
-                Default::default()
-            } else {
-                allocate(&after, &policy, Algorithm::Transitive, &cfg).unwrap().edb.weight_map().unwrap()
-            };
-            let mut got_ids: Vec<_> = got.keys().copied().collect();
-            let mut want_ids: Vec<_> = want.keys().copied().collect();
-            got_ids.sort_unstable();
-            want_ids.sort_unstable();
-            prop_assert_eq!(&got_ids, &want_ids, "batch {}: allocated fact sets differ", b);
-            for (id, entries) in &want {
-                let g: HashMap<_, _> = got[id].iter().cloned().collect();
-                prop_assert_eq!(g.len(), entries.len(), "batch {} fact {}", b, id);
-                for (cell, w) in entries {
-                    prop_assert!((g[cell] - w).abs() < 1e-5,
-                        "batch {} fact {} cell {:?}: rebuilt {} vs maintained {}",
-                        b, id, &cell[..2], w, g[cell]);
+            let measure: HashMap<FactId, f64> =
+                after.facts().iter().map(|f| (f.id, f.measure)).collect();
+            let mut got: HashMap<(FactId, [u32; MAX_DIMS]), f64> = HashMap::new();
+            for v in maintained.snapshot_segments().unwrap() {
+                for e in v.segment.records().unwrap() {
+                    if v.exclude.contains(&e.fact_id) {
+                        continue;
+                    }
+                    prop_assert_eq!(measure.get(&e.fact_id).map(|m| m.to_bits()),
+                        Some(e.measure.to_bits()),
+                        "batch {} fact {}: served measure {}", b, e.fact_id, e.measure);
+                    prop_assert!(got.insert((e.fact_id, e.cell), e.weight).is_none(),
+                        "batch {} fact {} served twice at {:?}", b, e.fact_id, &e.cell[..2]);
                 }
+            }
+            let mut want: HashMap<(FactId, [u32; MAX_DIMS]), f64> = HashMap::new();
+            if after.num_precise() > 0 || after.num_imprecise() == 0 {
+                let mut rebuilt = allocate(&after, &policy, Algorithm::Transitive, &cfg).unwrap();
+                rebuilt.edb.for_each(|e| {
+                    want.insert((e.fact_id, e.cell), e.weight);
+                }).unwrap();
+            }
+            let mut got_keys: Vec<_> = got.keys().copied().collect();
+            let mut want_keys: Vec<_> = want.keys().copied().collect();
+            got_keys.sort_unstable();
+            want_keys.sort_unstable();
+            prop_assert_eq!(&got_keys, &want_keys, "batch {}: served (fact, cell) sets differ", b);
+            for (key, w) in &want {
+                prop_assert!((got[key] - w).abs() < 1e-5,
+                    "batch {} fact {} cell {:?}: rebuilt {} vs served {}",
+                    b, key.0, &key.1[..2], w, got[key]);
             }
         }
     }

@@ -7,10 +7,10 @@
 //!    the box, so the visited entry sequence (and every f64) is unchanged.
 //!    The same holds after each segment is saved and loaded back.
 //! 2. **Compaction is a rewrite, not an edit** — base + k delta segments
-//!    compacted back into few tiers hold exactly the same live entry
-//!    multiset as `snapshot_entries`, and its accounted page I/O is exact:
-//!    the same mutation sequence charges the same meter reading, run to
-//!    run.
+//!    compacted back into few tiers hold bit for bit the live entry
+//!    multiset of a replica that never compacts, and both match a full
+//!    rebuild; and its accounted page I/O is exact: the same mutation
+//!    sequence charges the same meter reading, run to run.
 //! 3. **Pages read are pinned** on one fixed set of trailing-dimension
 //!    boxes.
 //! 4. **Damage at rest is loud**: any single flipped bit in a saved
@@ -252,30 +252,69 @@ fn compaction_batches(table: &FactTable) -> Vec<Vec<EdbMutation>> {
     ]
 }
 
+/// `table` after `batch`.
+fn apply_to(table: &FactTable, batch: &[EdbMutation]) -> FactTable {
+    let mut facts = table.facts().to_vec();
+    for m in batch {
+        match m {
+            EdbMutation::UpdateMeasure { fact_id, new_measure } => {
+                facts.iter_mut().filter(|f| f.id == *fact_id).for_each(|f| f.measure = *new_measure)
+            }
+            EdbMutation::Insert(f) => facts.push(f.clone()),
+            EdbMutation::Delete(id) => facts.retain(|f| f.id != *id),
+        }
+    }
+    FactTable::from_facts(table.schema().clone(), facts)
+}
+
+/// The live entries of `views` are a full rebuild of `table`'s:
+/// the same (fact, cell) entries, weights within 1e-6, measures exact.
+fn assert_matches_rebuild(views: &[SegmentView], table: &FactTable) {
+    let cfg = AllocConfig::builder().in_memory(256).build();
+    let mut run =
+        allocate(table, &PolicySpec::em_count(0.01), Algorithm::Transitive, &cfg).unwrap();
+    let mut want = Vec::new();
+    run.edb.for_each(|e| want.push((e.fact_id, e.cell, e.weight, e.measure))).unwrap();
+    want.sort_unstable_by_key(|&(id, cell, ..)| (id, cell));
+    let got = live_multiset(views);
+    assert_eq!(got.len(), want.len(), "live entry counts differ");
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!((g.0, g.1), (w.0, w.1), "served (fact, cell) entries differ");
+        assert!(
+            (f64::from_bits(g.2) - w.2).abs() < 1e-6,
+            "fact {}: weight {} vs {}",
+            g.0,
+            f64::from_bits(g.2),
+            w.2
+        );
+        assert_eq!(g.3, w.3.to_bits(), "fact {}: stale measure", g.0);
+    }
+}
+
 #[test]
 fn compaction_round_trip_preserves_the_sorted_live_multiset() {
-    let table = paper_example::table1();
-    let mut medb = build_medb(&table, AllocConfig::builder().in_memory(256).build());
+    let mut table = paper_example::table1();
+    let cfg = || AllocConfig::builder().in_memory(256).build();
+    let mut medb = build_medb(&table, cfg());
     medb.set_compaction_threshold(1); // compact on every refresh
+    let mut uncompacted = build_medb(&table, cfg());
+    uncompacted.set_compaction_threshold(usize::MAX);
     for batch in compaction_batches(&table) {
         medb.apply_batch(&batch).unwrap();
+        uncompacted.apply_batch(&batch).unwrap();
+        table = apply_to(&table, &batch);
         let views = medb.snapshot_segments().unwrap();
         // threshold 1 keeps the tier count at base + at most one delta.
         assert!(views.len() <= 2, "{} segments after compaction", views.len());
 
-        // The compacted tiers hold exactly the live multiset the flat
-        // snapshot reports.
-        let mut want: Vec<_> = medb
-            .snapshot_entries()
-            .unwrap()
-            .iter()
-            .map(|e| (e.fact_id, e.cell, e.weight.to_bits(), e.measure.to_bits()))
-            .collect();
-        want.sort_unstable();
-        let views = medb.snapshot_segments().unwrap();
-        assert_eq!(live_multiset(&views), want);
+        // Compaction rewrites tiers and moves no live entry, and the live
+        // entries are the rebuild's.
+        let flat = uncompacted.snapshot_segments().unwrap();
+        assert_eq!(live_multiset(&views), live_multiset(&flat));
+        assert_matches_rebuild(&views, &table);
     }
     assert!(medb.num_compactions() >= 1, "threshold 1 must have compacted");
+    assert_eq!(uncompacted.num_compactions(), 0);
 }
 
 #[test]
