@@ -103,7 +103,8 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 
 /// A JSON scalar for machine-readable outputs (the sanctioned dependency
 /// list has no JSON crate, and these outputs are flat enough that a
-/// hand-rolled emitter stays trivial).
+/// hand-rolled emitter stays trivial). Strings and floats go through
+/// `iolap_obs::json`'s escaper and float writer, as the wire format's do.
 #[derive(Debug, Clone)]
 pub enum Json {
     /// Unsigned integer.
@@ -120,21 +121,17 @@ impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Json::U(v) => write!(f, "{v}"),
-            Json::F(v) if v.is_finite() => write!(f, "{v}"),
-            Json::F(_) => write!(f, "null"),
+            Json::F(v) => {
+                let mut out = String::new();
+                iolap_obs::json::write_f64_into(&mut out, *v);
+                f.write_str(&out)
+            }
             Json::B(v) => write!(f, "{v}"),
             Json::S(s) => {
-                f.write_str("\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => f.write_str("\\\"")?,
-                        '\\' => f.write_str("\\\\")?,
-                        '\n' => f.write_str("\\n")?,
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                f.write_str("\"")
+                let mut out = String::from("\"");
+                iolap_obs::json::escape_json_into(&mut out, s);
+                out.push('"');
+                f.write_str(&out)
             }
         }
     }

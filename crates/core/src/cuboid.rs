@@ -280,13 +280,6 @@ impl CuboidLattice {
         CuboidLattice { k, config, segs: Vec::new() }
     }
 
-    /// Build a lattice covering `views` from scratch.
-    pub fn build(schema: &Schema, views: &[SegmentView], config: LatticeConfig) -> Result<Self> {
-        let mut lat = CuboidLattice::new(schema.k(), config);
-        lat.sync(schema, views, &[])?;
-        Ok(lat)
-    }
-
     /// Dimensionality this lattice was built for.
     pub fn k(&self) -> usize {
         self.k
@@ -535,7 +528,9 @@ mod tests {
             (0..32).map(|i| rec(i, (i % 5) as u32, ((i / 5) % 5) as u32, 1.0, 2.0)).collect();
         let view = seg_view(&schema, entries.clone());
         let cfg = LatticeConfig { min_segment_entries: 1, ..LatticeConfig::default() };
-        let mut lat = CuboidLattice::build(&schema, std::slice::from_ref(&view), cfg).unwrap();
+        let mut lat = CuboidLattice::new(schema.k(), cfg);
+        let s0 = lat.sync(&schema, std::slice::from_ref(&view), &[]).unwrap();
+        assert_eq!(s0.built, 1);
         assert!(lat.num_cuboids() > 0);
         assert!(lat.for_view(&view).is_some());
         assert!(lat.encoded_bytes() > 0);

@@ -6,12 +6,11 @@
 //! values so each fact's weights sum to exactly 1. Precise facts get a
 //! single weight-1 entry.
 
-use crate::cuboid::{CuboidLattice, LatticeConfig};
 use crate::error::Result;
 use crate::passes::{AncCache, GroupWindow, OnLoad};
 use crate::prep::PreparedData;
 use crate::segment::{EdbSegment, SegScanStats, SegmentView};
-use iolap_model::{EdbCodec, EdbRecord, FactId, Schema, MAX_DIMS};
+use iolap_model::{EdbCodec, EdbRecord, FactId, MAX_DIMS};
 use iolap_storage::RecordFile;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -36,11 +35,6 @@ pub struct ExtendedDatabase {
     /// Lazily built segment view of the entries (invalidated on write).
     /// Behind a mutex so read-only query paths can share `&self`.
     segments: Mutex<Option<Vec<SegmentView>>>,
-    /// Lazily built cuboid lattice over the segment view (invalidated
-    /// together with `segments`).
-    lattice: Mutex<Option<Arc<CuboidLattice>>>,
-    /// Selection budget for [`ExtendedDatabase::lattice`].
-    lattice_cfg: LatticeConfig,
     /// Cumulative cursor counters from segment scans over this EDB.
     segment_io: Mutex<SegScanStats>,
     /// Observability handle inherited from the env (disabled = free).
@@ -57,37 +51,16 @@ impl ExtendedDatabase {
             num_imprecise_entries: 0,
             facts_allocated: 0,
             segments: Mutex::new(None),
-            lattice: Mutex::new(None),
-            lattice_cfg: LatticeConfig::default(),
             segment_io: Mutex::new(SegScanStats::default()),
             obs: env.obs().clone(),
         })
-    }
-
-    /// Drop the cached segment view and lattice (any write invalidates
-    /// both).
-    fn invalidate_caches(&mut self) {
-        *lock(&self.segments) = None;
-        *lock(&self.lattice) = None;
-    }
-
-    /// Set the storage budget for the lazily built cuboid lattice.
-    /// Invalidates any cached lattice.
-    pub fn set_lattice_config(&mut self, cfg: LatticeConfig) {
-        self.lattice_cfg = cfg;
-        *lock(&self.lattice) = None;
-    }
-
-    /// The lattice selection budget in force.
-    pub fn lattice_config(&self) -> LatticeConfig {
-        self.lattice_cfg
     }
 
     /// Append one entry. `first_for_fact` must be true exactly once per
     /// originating fact (keeps the distinct-fact counter cheap).
     pub fn push(&mut self, rec: &EdbRecord, precise: bool, first_for_fact: bool) -> Result<()> {
         self.file.push(rec)?;
-        self.invalidate_caches();
+        *lock(&self.segments) = None;
         if precise {
             self.num_precise_entries += 1;
         } else {
@@ -128,23 +101,6 @@ impl ExtendedDatabase {
         Ok(guard.as_ref().expect("just built").clone())
     }
 
-    /// The lazily built cuboid lattice over [`ExtendedDatabase::segments`],
-    /// cached until the next write. `schema` must be the schema this EDB
-    /// was materialized under (the planner passes the same one it
-    /// aggregates with).
-    pub fn lattice(&self, schema: &Schema) -> Result<Arc<CuboidLattice>> {
-        let mut guard = lock(&self.lattice);
-        if guard.is_none() {
-            let views = self.segments()?;
-            let lat = CuboidLattice::build(schema, &views, self.lattice_cfg)?;
-            if let Some(g) = self.obs.gauge("edb.cuboid_bytes") {
-                g.set(lat.encoded_bytes() as i64);
-            }
-            *guard = Some(Arc::new(lat));
-        }
-        Ok(Arc::clone(guard.as_ref().expect("just built")))
-    }
-
     /// Record one segment scan's page counters (called by the query crate
     /// after each pruned aggregation) into this EDB's running totals and
     /// the `edb.pages_read` / `edb.pages_pruned` obs counters.
@@ -158,18 +114,6 @@ impl ExtendedDatabase {
         }
         if let Some(c) = self.obs.counter("edb.bytes_read") {
             c.add(stats.bytes_read);
-        }
-    }
-
-    /// Record one planner lattice consult (`hits` views answered from a
-    /// cuboid, `misses` views that fell back to a pure leaf scan) into the
-    /// `edb.cuboid_hits` / `edb.cuboid_misses` obs counters.
-    pub fn note_cuboid_lookup(&self, hits: u64, misses: u64) {
-        if let Some(c) = self.obs.counter("edb.cuboid_hits") {
-            c.add(hits);
-        }
-        if let Some(c) = self.obs.counter("edb.cuboid_misses") {
-            c.add(misses);
         }
     }
 
@@ -235,76 +179,6 @@ impl ExtendedDatabase {
             }
         }
         Ok(Ok(sums.len() as u64))
-    }
-
-    /// Persist all entries to `path` as a flat binary file (a 16-byte
-    /// header + fixed-width records), loadable with
-    /// [`ExtendedDatabase::load`]. The EDB files inside an
-    /// [`iolap_storage::Env`] are session-scoped; this is the hand-off
-    /// format for query-only consumers.
-    pub fn save(&mut self, path: impl AsRef<std::path::Path>, k: usize) -> Result<()> {
-        use std::io::Write;
-        let f = std::fs::File::create(path.as_ref())
-            .map_err(|e| iolap_storage::StorageError::io("creating EDB export", e))?;
-        let mut w = std::io::BufWriter::new(f);
-        let codec = EdbCodec { k };
-        let mut header = [0u8; 16];
-        header[..4].copy_from_slice(b"EDB1");
-        header[4..8].copy_from_slice(&(k as u32).to_le_bytes());
-        header[8..16].copy_from_slice(&self.file.len().to_le_bytes());
-        w.write_all(&header)
-            .map_err(|e| iolap_storage::StorageError::io("writing EDB header", e))?;
-        let mut buf = vec![0u8; iolap_storage::Codec::<EdbRecord>::size(&codec)];
-        let mut err = None;
-        self.for_each(|rec| {
-            iolap_storage::Codec::encode(&codec, rec, &mut buf);
-            if err.is_none() {
-                if let Err(e) = w.write_all(&buf) {
-                    err = Some(iolap_storage::StorageError::io("writing EDB entry", e));
-                }
-            }
-        })?;
-        if let Some(e) = err {
-            return Err(e.into());
-        }
-        w.flush().map_err(|e| iolap_storage::StorageError::io("flushing EDB export", e))?;
-        Ok(())
-    }
-
-    /// Load an EDB exported by [`ExtendedDatabase::save`] into `env`.
-    /// Returns the EDB and its dimension count.
-    pub fn load(
-        env: &iolap_storage::Env,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(Self, usize)> {
-        use std::io::Read;
-        let f = std::fs::File::open(path.as_ref())
-            .map_err(|e| iolap_storage::StorageError::io("opening EDB export", e))?;
-        let mut r = std::io::BufReader::new(f);
-        let mut header = [0u8; 16];
-        r.read_exact(&mut header)
-            .map_err(|e| iolap_storage::StorageError::io("reading EDB header", e))?;
-        if &header[..4] != b"EDB1" {
-            return Err(crate::error::CoreError::BadInput("not an EDB export".into()));
-        }
-        let k = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
-        let n = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        let codec = EdbCodec { k };
-        let size = iolap_storage::Codec::<EdbRecord>::size(&codec);
-        let mut edb = Self::create(env, k)?;
-        let mut buf = vec![0u8; size];
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..n {
-            r.read_exact(&mut buf)
-                .map_err(|e| iolap_storage::StorageError::io("reading EDB entry", e))?;
-            let rec: EdbRecord = iolap_storage::Codec::decode(&codec, &buf);
-            let first = seen.insert(rec.fact_id);
-            // Weight-1 entries are precise by convention; close enough for
-            // the reloaded counters (exact counts ride with the entries).
-            let precise = rec.weight == 1.0;
-            edb.push(&rec, precise, first)?;
-        }
-        Ok((edb, k))
     }
 
     /// Free the entry file: its buffered pages are dropped without
@@ -474,37 +348,6 @@ mod tests {
         let m = edb.weight_map().unwrap();
         let w8: Vec<f64> = m[&8].iter().map(|(_, w)| *w).collect();
         assert_eq!(w8, vec![0.5, 0.5]);
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let env = iolap_storage::Env::builder("edb-io").pool_pages(64).in_memory().build().unwrap();
-        let t = paper_example::table1();
-        let mut p = prepare(&t, &PolicySpec::count(), &env, 8).unwrap();
-        let sets = vec![(0..p.tables.len()).collect::<Vec<_>>()];
-        let mut edb = ExtendedDatabase::create(&env, 2).unwrap();
-        materialize(&mut p, &sets, &mut edb, true).unwrap();
-
-        let dir = iolap_storage::TempDir::new("edb-save").unwrap();
-        let path = dir.path().join("table1.edb");
-        edb.save(&path, 2).unwrap();
-
-        let (mut loaded, k) = ExtendedDatabase::load(&env, &path).unwrap();
-        assert_eq!(k, 2);
-        assert_eq!(loaded.num_entries(), edb.num_entries());
-        assert_eq!(loaded.num_facts_allocated(), edb.num_facts_allocated());
-        let a = edb.weight_map().unwrap();
-        let b = loaded.weight_map().unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let env = iolap_storage::Env::builder("edb-bad").in_memory().build().unwrap();
-        let dir = iolap_storage::TempDir::new("edb-bad").unwrap();
-        let path = dir.path().join("junk");
-        std::fs::write(&path, b"not an edb file at all....").unwrap();
-        assert!(ExtendedDatabase::load(&env, &path).is_err());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! the current span. Events serialize to single-line JSON objects so a
 //! trace file is plain JSONL that any downstream tool can consume.
 
+use crate::json;
 use std::fmt::Write as _;
 
 /// A dynamically-typed value attached to an event as a named field.
@@ -119,7 +120,7 @@ impl Event {
         out.push_str("{\"kind\":\"");
         out.push_str(self.kind.as_str());
         out.push_str("\",\"name\":\"");
-        escape_json_into(&mut out, &self.name);
+        json::escape_json_into(&mut out, &self.name);
         let _ = write!(
             out,
             "\",\"span\":{},\"parent\":{},\"t_us\":{}",
@@ -130,7 +131,7 @@ impl Event {
         }
         for (k, v) in &self.fields {
             out.push_str(",\"");
-            escape_json_into(&mut out, k);
+            json::escape_json_into(&mut out, k);
             out.push_str("\":");
             write_value_into(&mut out, v);
         }
@@ -148,40 +149,12 @@ pub(crate) fn write_value_into(out: &mut String, v: &Value) {
         Value::I64(n) => {
             let _ = write!(out, "{n}");
         }
-        Value::F64(x) => write_f64_into(out, *x),
+        Value::F64(x) => json::write_f64_into(out, *x),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Str(s) => {
             out.push('"');
-            escape_json_into(out, s);
+            json::escape_json_into(out, s);
             out.push('"');
-        }
-    }
-}
-
-/// Append `x` to `out` as a JSON number (`null` for non-finite values).
-pub(crate) fn write_f64_into(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x}");
-        // `{}` renders integral floats without a fraction; keep the value
-        // unambiguously a number either way — JSON has one number type.
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Append `s` to `out` with JSON string escaping (no surrounding quotes).
-pub(crate) fn escape_json_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }

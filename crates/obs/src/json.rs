@@ -1,9 +1,44 @@
-//! A minimal JSON parser, used to validate the crate's own output.
+//! A minimal JSON reader and the workspace's one string escaper and
+//! float writer.
 //!
-//! The engine has no external JSON dependency, so trace lines and metric
-//! exports are emitted by hand; this module is the matching reader. Tests
-//! round-trip every emitted document through [`parse`] to guarantee the
-//! hand-rolled writers stay well-formed.
+//! The engine has no external JSON dependency, so trace lines, metric
+//! exports, the server's wire format and the figure harnesses' reports
+//! are emitted by hand, each through [`escape_json_into`] and
+//! [`write_f64_into`]; [`parse`] is the matching reader. Tests round-trip
+//! every emitted document through [`parse`] to guarantee the hand-rolled
+//! writers stay well-formed.
+
+use std::fmt::Write as _;
+
+/// Append `s` to `out` with JSON string escaping (no surrounding quotes).
+pub fn escape_json_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+/// Append `x` to `out` as a JSON number: Rust's shortest round-trip
+/// `Display`, so [`parse`] reads back the same bits (`null` for
+/// non-finite values).
+pub fn write_f64_into(out: &mut String, x: f64) {
+    if x.is_finite() {
+        // `{}` renders integral floats without a fraction; the value is
+        // a number either way — JSON has one number type.
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
+}
 
 /// A parsed JSON value. Numbers are kept as `f64` (adequate for every
 /// count this crate emits below 2^53; exact integers round-trip).
@@ -292,6 +327,30 @@ mod tests {
         assert_eq!(v.get("b").and_then(|b| b.get("c")).and_then(|c| c.as_str()), Some("x\ny"));
         assert_eq!(v.get("b").and_then(|b| b.get("d")).and_then(|d| d.as_bool()), Some(true));
         assert_eq!(v.get("b").and_then(|b| b.get("e")), Some(&Json::Null));
+    }
+
+    #[test]
+    fn float_writer_round_trips_bits() {
+        for v in [0.0, 1.0 / 3.0, 2.5 / 6.5, f64::MIN_POSITIVE, 1e300, -605.125] {
+            let mut s = String::new();
+            write_f64_into(&mut s, v);
+            let back: f64 = s.parse().unwrap();
+            assert_eq!(back.to_bits(), v.to_bits(), "{s}");
+        }
+        let mut s = String::new();
+        write_f64_into(&mut s, f64::NAN);
+        assert_eq!(s, "null");
+    }
+
+    #[test]
+    fn escape_controls_and_quotes() {
+        let mut s = String::new();
+        escape_json_into(&mut s, "a\"b\\c\nd");
+        assert_eq!(s, "a\\\"b\\\\c\\nd");
+        let mut doc = String::from("{\"k\":\"");
+        escape_json_into(&mut doc, "x\u{1}y");
+        doc.push_str("\"}");
+        assert!(parse(&doc).is_ok(), "{doc}");
     }
 
     #[test]

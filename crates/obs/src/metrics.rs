@@ -208,7 +208,7 @@ impl Metrics {
                 out.push(',');
             }
             out.push('"');
-            crate::event::escape_json_into(&mut out, name);
+            crate::json::escape_json_into(&mut out, name);
             let _ = write!(out, "\":{v}");
         }
         out.push_str("},\"gauges\":{");
@@ -217,7 +217,7 @@ impl Metrics {
                 out.push(',');
             }
             out.push('"');
-            crate::event::escape_json_into(&mut out, name);
+            crate::json::escape_json_into(&mut out, name);
             let _ = write!(out, "\":{v}");
         }
         out.push_str("},\"histograms\":{");
@@ -226,7 +226,7 @@ impl Metrics {
                 out.push(',');
             }
             out.push('"');
-            crate::event::escape_json_into(&mut out, name);
+            crate::json::escape_json_into(&mut out, name);
             let _ = write!(out, "\":{{\"count\":{},\"sum\":{},\"buckets\":[", h.count(), h.sum());
             for (j, (le, cum)) in h.cumulative_buckets().iter().enumerate() {
                 if j > 0 {

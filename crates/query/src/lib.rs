@@ -10,16 +10,19 @@
 //! * [`Query`] / [`QueryBuilder`] — a region (one hierarchy node per
 //!   dimension) plus an aggregate ([`AggFn`]);
 //! * [`aggregate_edb`] — allocation-weighted SUM / COUNT / AVERAGE over an
-//!   EDB;
+//!   EDB, through `iolap_core::accumulate_region` and
+//!   [`AggResult::from_parts`]: the one aggregate evaluator, which the
+//!   server's `/query` runs too;
 //! * [`aggregate_classical`] — the classical alternatives ([`Classical`]:
 //!   `None` ignores imprecise facts, `Contains` counts them only when
 //!   fully inside `q`, `Overlaps` counts them whenever they intersect
 //!   `q`), used as baselines in the examples;
-//! * [`planner`] — the lattice-aware planner that answers aggregates and
-//!   rollups from the coarsest covering materialized cuboid
-//!   (`iolap_core::CuboidLattice`), leaf-scanning only the
-//!   partial-overlap residue, with a forced-leaf verification mode that
-//!   is f64-bit-identical by construction.
+//! * [`planner`] — [`plan_rollup_views`], the one rollup evaluator:
+//!   [`rollup()`] and [`drilldown`] call it without a lattice, the server's
+//!   `/rollup` with the published `iolap_core::CuboidLattice`, whose
+//!   coarsest covering cuboid answers the grain-aligned core while leaf
+//!   scans answer only the partial-overlap residue. A forced-leaf
+//!   verification mode is f64-bit-identical by construction.
 
 #![warn(missing_docs)]
 
@@ -34,7 +37,5 @@ pub use agg::{
 };
 pub use builder::{Query, QueryBuilder};
 pub use pivot::{pivot, Pivot};
-pub use planner::{
-    plan_aggregate, plan_aggregate_views, plan_rollup, plan_rollup_views, PlanMode, PlanStats,
-};
+pub use planner::{plan_rollup_views, PlanMode, PlanStats};
 pub use rollup::{drilldown, render_rollup, rollup, RollupRow};

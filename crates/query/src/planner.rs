@@ -1,5 +1,9 @@
-//! Lattice-aware query planner: answer aggregates and rollups from the
-//! coarsest covering cuboid, leaf-scanning only the partial-overlap residue.
+//! Lattice-aware rollup planner: the one evaluator for rollups and
+//! drill-downs. With a lattice it answers each view from the coarsest
+//! covering cuboid, leaf-scanning only the partial-overlap residue; with
+//! `lattice: None` it is one pruned leaf scan per view. (Region
+//! aggregates run through `iolap_core::accumulate_region`; a rollup at a
+//! dimension's top level, diced by the region, is the same answer.)
 //!
 //! ## Decomposition
 //!
@@ -12,9 +16,9 @@
 //! box into at most `3^k` disjoint pieces; the all-core piece is answered
 //! from the cuboid's mini segment, every other non-empty piece by an
 //! ordinary leaf scan. A cuboid is usable only if its core is non-empty in
-//! every dimension (and, for a rollup, its grain is at or below the
-//! target level on the slotted dimensions, so each grain cell nests inside
-//! exactly one output node); among usable cuboids the planner picks the
+//! every dimension and its grain on the rollup dimension is at or below
+//! the target level, so each grain cell nests inside exactly one output
+//! node; among usable cuboids the planner picks the
 //! one with the largest core volume — the *coarsest covering* cuboid,
 //! because coarser grains materialize fewer, bigger cells over the same
 //! core. Views with no usable cuboid fall back to a whole-box leaf scan
@@ -35,11 +39,8 @@
 //! (`tests/lattice.rs`) asserts this per query.
 
 use crate::agg::{AggFn, AggResult};
-use crate::builder::Query;
 use crate::rollup::RollupRow;
-use iolap_core::{
-    Cuboid, CuboidLattice, ExtendedDatabase, Result, SegScanStats, SegmentCursor, SegmentView,
-};
+use iolap_core::{Cuboid, CuboidLattice, Result, SegScanStats, SegmentCursor, SegmentView};
 use iolap_hierarchy::LevelNo;
 use iolap_model::{CellKey, RegionBox, Schema, MAX_DIMS};
 
@@ -336,46 +337,6 @@ fn scan_view(
     Ok(())
 }
 
-/// `limit[d] = levels(d)`: no grain constraint anywhere.
-fn no_limit(schema: &Schema) -> [LevelNo; MAX_DIMS] {
-    let mut l = [1; MAX_DIMS];
-    for (d, slot) in l.iter_mut().enumerate().take(schema.k()) {
-        *slot = schema.dim(d).levels();
-    }
-    l
-}
-
-/// Plan and evaluate a region aggregate over `views`.
-///
-/// With `lattice: None` (or no usable cuboid) this degrades to exactly
-/// one pruned leaf scan per view — the pre-lattice baseline.
-pub fn plan_aggregate_views(
-    views: &[SegmentView],
-    lattice: Option<&CuboidLattice>,
-    schema: &Schema,
-    region: &RegionBox,
-    agg: AggFn,
-    mode: PlanMode,
-) -> Result<(AggResult, PlanStats)> {
-    let mut stats = PlanStats::default();
-    let limit = no_limit(schema);
-    let mut sum = 0.0f64;
-    let mut count = 0.0f64;
-    for view in views {
-        scan_view(view, lattice, schema, region, &limit, mode, &mut stats, &mut |p| match p {
-            Piece::Leaf(e) => {
-                sum += e.weight * e.measure;
-                count += e.weight;
-            }
-            Piece::Cell(_, s, c) => {
-                sum += s;
-                count += c;
-            }
-        })?;
-    }
-    Ok((AggResult::from_parts(agg, sum, count), stats))
-}
-
 /// Plan and evaluate a rollup along `dim` at `level` over `views`,
 /// optionally diced by `region`.
 ///
@@ -402,8 +363,11 @@ pub fn plan_rollup_views(
     let mut sums = vec![0.0f64; nodes.len()];
     let mut counts = vec![0.0f64; nodes.len()];
     let rg = region.copied().unwrap_or_else(|| SegmentCursor::all_region(schema.k()));
-    let mut limit = no_limit(schema);
-    limit[dim] = level;
+    // Grain limit: `level` on the rollup dimension, none elsewhere.
+    let mut limit = [1; MAX_DIMS];
+    for (d, slot) in limit.iter_mut().enumerate().take(schema.k()) {
+        *slot = if d == dim { level } else { schema.dim(d).levels() };
+    }
     let mut stats = PlanStats::default();
     for view in views {
         scan_view(view, lattice, schema, &rg, &limit, mode, &mut stats, &mut |p| match p {
@@ -431,112 +395,114 @@ pub fn plan_rollup_views(
     Ok((rows, stats))
 }
 
-/// [`plan_aggregate_views`] over an [`ExtendedDatabase`]: uses its lazily
-/// built lattice and folds the scan + lattice counters into its
-/// observability totals.
-pub fn plan_aggregate(
-    edb: &ExtendedDatabase,
-    schema: &Schema,
-    query: &Query,
-    mode: PlanMode,
-) -> Result<(AggResult, PlanStats)> {
-    let views = edb.segments()?;
-    let lattice = edb.lattice(schema)?;
-    let out = plan_aggregate_views(&views, Some(&lattice), schema, &query.region, query.agg, mode)?;
-    edb.note_segment_scan(out.1.scan);
-    edb.note_cuboid_lookup(out.1.cuboid_hits, out.1.cuboid_misses);
-    Ok(out)
-}
-
-/// [`plan_rollup_views`] over an [`ExtendedDatabase`] (see
-/// [`plan_aggregate`]).
-#[allow(clippy::too_many_arguments)]
-pub fn plan_rollup(
-    edb: &ExtendedDatabase,
-    schema: &Schema,
-    dim: usize,
-    level: LevelNo,
-    query: Option<&Query>,
-    agg: AggFn,
-    mode: PlanMode,
-) -> Result<(Vec<RollupRow>, PlanStats)> {
-    let views = edb.segments()?;
-    let lattice = edb.lattice(schema)?;
-    let region = query.map(|q| q.region);
-    let out =
-        plan_rollup_views(&views, Some(&lattice), schema, dim, level, region.as_ref(), agg, mode)?;
-    edb.note_segment_scan(out.1.scan);
-    edb.note_cuboid_lookup(out.1.cuboid_hits, out.1.cuboid_misses);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::QueryBuilder;
-    use iolap_core::{allocate, Algorithm, AllocConfig, LatticeConfig, PolicySpec};
+    use iolap_core::{
+        accumulate_region, allocate, Algorithm, AllocConfig, LatticeConfig, MaintainableEdb,
+        PolicySpec,
+    };
     use iolap_model::paper_example;
+    use std::sync::Arc;
 
-    fn edb() -> ExtendedDatabase {
-        let mut edb = allocate(
+    /// The paper example's maintained EDB, as the server publishes it:
+    /// segment views plus their lattice (forced to materialize on the
+    /// tiny segment).
+    fn snapshot() -> (Vec<SegmentView>, Arc<CuboidLattice>) {
+        let policy = PolicySpec::em_count(0.001);
+        let run = allocate(
             &paper_example::table1(),
-            &PolicySpec::em_count(0.001),
+            &policy,
             Algorithm::Transitive,
             &AllocConfig::builder().in_memory(256).build(),
         )
-        .unwrap()
-        .edb;
-        // The paper example is tiny; force lattice construction anyway.
-        edb.set_lattice_config(LatticeConfig { min_segment_entries: 1, ..Default::default() });
-        edb
+        .unwrap();
+        let mut medb = MaintainableEdb::build(run, policy).unwrap();
+        medb.set_lattice_config(LatticeConfig { min_segment_entries: 1, ..Default::default() });
+        (medb.snapshot_segments().unwrap(), medb.snapshot_lattice().unwrap())
     }
 
+    #[allow(clippy::too_many_arguments)]
+    fn plan(
+        views: &[SegmentView],
+        lattice: Option<&CuboidLattice>,
+        schema: &Schema,
+        dim: usize,
+        level: LevelNo,
+        region: Option<&RegionBox>,
+        mode: PlanMode,
+    ) -> (Vec<RollupRow>, PlanStats) {
+        plan_rollup_views(views, lattice, schema, dim, level, region, AggFn::Sum, mode).unwrap()
+    }
+
+    /// A region aggregate is the one row of a rollup at a dimension's top
+    /// level, diced by the region.
     #[test]
-    fn lattice_and_forced_leaf_agree_bitwise_on_aggregates() {
-        let edb = edb();
+    fn top_level_rollups_agree_bitwise_between_lattice_and_forced_leaf() {
+        let (views, lattice) = snapshot();
         let schema = paper_example::schema();
-        let queries = [
-            QueryBuilder::new(schema.clone()).build().unwrap(),
-            QueryBuilder::new(schema.clone()).at("Location", "East").build().unwrap(),
-            QueryBuilder::new(schema.clone()).at("Location", "MA").build().unwrap(),
+        let regions = [
+            QueryBuilder::new(schema.clone()).build().unwrap().region,
+            QueryBuilder::new(schema.clone()).at("Location", "East").build().unwrap().region,
+            QueryBuilder::new(schema.clone()).at("Location", "MA").build().unwrap().region,
             QueryBuilder::new(schema.clone())
                 .at("Location", "West")
                 .at("Automobile", "Truck")
                 .build()
-                .unwrap(),
+                .unwrap()
+                .region,
         ];
-        for q in &queries {
-            let (a, _) = plan_aggregate(&edb, &schema, q, PlanMode::Lattice).unwrap();
-            let (b, _) = plan_aggregate(&edb, &schema, q, PlanMode::ForcedLeaf).unwrap();
-            assert_eq!(a.sum.to_bits(), b.sum.to_bits());
-            assert_eq!(a.count.to_bits(), b.count.to_bits());
+        for region in &regions {
+            for dim in 0..schema.k() {
+                let top = schema.dim(dim).levels();
+                let (a, _) = plan(
+                    &views,
+                    Some(&lattice),
+                    &schema,
+                    dim,
+                    top,
+                    Some(region),
+                    PlanMode::Lattice,
+                );
+                let (b, _) = plan(
+                    &views,
+                    Some(&lattice),
+                    &schema,
+                    dim,
+                    top,
+                    Some(region),
+                    PlanMode::ForcedLeaf,
+                );
+                assert_eq!(a.len(), 1);
+                assert_eq!(a[0].result.sum.to_bits(), b[0].result.sum.to_bits());
+                assert_eq!(a[0].result.count.to_bits(), b[0].result.count.to_bits());
+            }
         }
     }
 
     #[test]
-    fn full_space_aggregate_hits_the_lattice_and_reads_fewer_pages() {
-        let edb = edb();
+    fn full_space_top_level_rollup_hits_the_lattice() {
+        let (views, lattice) = snapshot();
         let schema = paper_example::schema();
-        let q = QueryBuilder::new(schema.clone()).agg(AggFn::Sum).build().unwrap();
-        let (_, st) = plan_aggregate(&edb, &schema, &q, PlanMode::Lattice).unwrap();
+        let top = schema.dim(0).levels();
+        let (_, st) = plan(&views, Some(&lattice), &schema, 0, top, None, PlanMode::Lattice);
         assert_eq!(st.cuboid_hits, 1);
         assert_eq!(st.cuboid_misses, 0);
         assert!(st.scan.pages_read >= 1);
     }
 
     #[test]
-    fn planned_rollup_matches_library_rollup_within_tolerance() {
-        let edb = edb();
+    fn planned_rollup_matches_the_leaf_scan_rollup_within_tolerance() {
+        let (views, lattice) = snapshot();
         let schema = paper_example::schema();
         for dim in 0..2 {
             for level in 1..=schema.dim(dim).levels() {
                 let (rows, _) =
-                    plan_rollup(&edb, &schema, dim, level, None, AggFn::Sum, PlanMode::Lattice)
-                        .unwrap();
-                let lib =
-                    crate::rollup::rollup(&edb, &schema, dim, level, None, AggFn::Sum).unwrap();
-                assert_eq!(rows.len(), lib.len());
-                for (a, b) in rows.iter().zip(&lib) {
+                    plan(&views, Some(&lattice), &schema, dim, level, None, PlanMode::Lattice);
+                let (leaf, _) = plan(&views, None, &schema, dim, level, None, PlanMode::Lattice);
+                assert_eq!(rows.len(), leaf.len());
+                for (a, b) in rows.iter().zip(&leaf) {
                     assert_eq!(a.node, b.node);
                     assert!(
                         (a.result.sum - b.result.sum).abs() < 1e-9,
@@ -552,18 +518,16 @@ mod tests {
 
     #[test]
     fn planned_rollup_bitwise_matches_forced_leaf() {
-        let edb = edb();
+        let (views, lattice) = snapshot();
         let schema = paper_example::schema();
-        let dice = QueryBuilder::new(schema.clone()).at("Location", "East").build().unwrap();
+        let dice = QueryBuilder::new(schema.clone()).at("Location", "East").build().unwrap().region;
         for dim in 0..2 {
             for level in 1..=schema.dim(dim).levels() {
                 for q in [None, Some(&dice)] {
                     let (a, _) =
-                        plan_rollup(&edb, &schema, dim, level, q, AggFn::Sum, PlanMode::Lattice)
-                            .unwrap();
+                        plan(&views, Some(&lattice), &schema, dim, level, q, PlanMode::Lattice);
                     let (b, _) =
-                        plan_rollup(&edb, &schema, dim, level, q, AggFn::Sum, PlanMode::ForcedLeaf)
-                            .unwrap();
+                        plan(&views, Some(&lattice), &schema, dim, level, q, PlanMode::ForcedLeaf);
                     for (x, y) in a.iter().zip(&b) {
                         assert_eq!(x.result.sum.to_bits(), y.result.sum.to_bits());
                         assert_eq!(x.result.count.to_bits(), y.result.count.to_bits());
@@ -575,18 +539,16 @@ mod tests {
 
     #[test]
     fn no_lattice_baseline_is_one_leaf_scan_per_view() {
-        let edb = edb();
+        let (views, _) = snapshot();
         let schema = paper_example::schema();
-        let views = edb.segments().unwrap();
-        let q = QueryBuilder::new(schema.clone()).agg(AggFn::Sum).build().unwrap();
-        let (base, st) =
-            plan_aggregate_views(&views, None, &schema, &q.region, q.agg, PlanMode::Lattice)
-                .unwrap();
+        let top = schema.dim(0).levels();
+        let (rows, st) = plan(&views, None, &schema, 0, top, None, PlanMode::Lattice);
         assert_eq!(st.cuboid_hits, 0);
         assert_eq!(st.cuboid_misses, views.len() as u64);
-        // Identical to the flat library loop: same single pass.
-        let lib = crate::agg::aggregate_edb(&edb, &q).unwrap();
-        assert_eq!(base.sum.to_bits(), lib.sum.to_bits());
-        assert_eq!(base.count.to_bits(), lib.count.to_bits());
+        // Identical to the region aggregate: the same single pass.
+        let (sum, count, _) =
+            accumulate_region(&views, &SegmentCursor::all_region(schema.k())).unwrap();
+        assert_eq!(rows[0].result.sum.to_bits(), sum.to_bits());
+        assert_eq!(rows[0].result.count.to_bits(), count.to_bits());
     }
 }

@@ -11,9 +11,10 @@
 
 use crate::agg::{AggFn, AggResult};
 use crate::builder::Query;
+use crate::planner::{plan_rollup_views, PlanMode};
 use iolap_core::ExtendedDatabase;
 use iolap_hierarchy::{LevelNo, NodeId};
-use iolap_model::Schema;
+use iolap_model::{RegionBox, Schema};
 
 /// One row of a roll-up result.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,8 +30,9 @@ pub struct RollupRow {
 /// Roll the EDB up along dimension `dim` at hierarchy level `level`,
 /// within the (optional) region of `query`; `agg` picks the aggregate.
 ///
-/// Runs in one scan of the EDB: each entry is attributed to its ancestor
-/// node via the O(1) leaf→ancestor table.
+/// Runs [`plan_rollup_views`] without a lattice: one pruned scan of the
+/// EDB's segment view, each entry attributed to its ancestor node via the
+/// O(1) leaf→ancestor table.
 pub fn rollup(
     edb: &ExtendedDatabase,
     schema: &Schema,
@@ -39,62 +41,29 @@ pub fn rollup(
     query: Option<&Query>,
     agg: AggFn,
 ) -> iolap_core::Result<Vec<RollupRow>> {
-    rollup_impl(edb, schema, dim, level, query, agg, None)
+    rollup_region(edb, schema, dim, level, query.map(|q| &q.region), agg)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rollup_impl(
+fn rollup_region(
     edb: &ExtendedDatabase,
     schema: &Schema,
     dim: usize,
     level: LevelNo,
-    query: Option<&Query>,
+    region: Option<&RegionBox>,
     agg: AggFn,
-    restrict: Option<(usize, std::ops::Range<u32>)>,
 ) -> iolap_core::Result<Vec<RollupRow>> {
-    let h = schema.dim(dim);
-    let nodes = h.nodes_at_level(level);
-    // Dense accumulator indexed by the node's position at its level.
-    let mut pos_of = std::collections::HashMap::with_capacity(nodes.len());
-    for (i, &n) in nodes.iter().enumerate() {
-        pos_of.insert(n, i);
-    }
-    let mut sums = vec![0.0f64; nodes.len()];
-    let mut counts = vec![0.0f64; nodes.len()];
-
-    // Fold the dice region and the drill-down restriction into one box so
-    // the segment cursor can fence-prune against their intersection.
-    let mut region =
-        query.map_or_else(|| iolap_core::SegmentCursor::all_region(schema.k()), |q| q.region);
-    if let Some((rd, range)) = &restrict {
-        region.lo[*rd] = region.lo[*rd].max(range.start);
-        region.hi[*rd] = region.hi[*rd].min(range.end);
-    }
     let views = edb.segments()?;
-    let mut cursor = iolap_core::SegmentCursor::new(&views, region);
-    cursor.for_each(|e| {
-        let anc = h.ancestor_at(e.cell[dim], level);
-        let i = pos_of[&anc];
-        sums[i] += e.weight * e.measure;
-        counts[i] += e.weight;
-    })?;
-    let stats = cursor.stats();
-    edb.note_segment_scan(stats);
-
-    Ok(nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| RollupRow {
-            node,
-            name: h.node_name(node),
-            result: AggResult::from_parts(agg, sums[i], counts[i]),
-        })
-        .collect())
+    let (rows, stats) =
+        plan_rollup_views(&views, None, schema, dim, level, region, agg, PlanMode::Lattice)?;
+    edb.note_segment_scan(stats.scan);
+    Ok(rows)
 }
 
 /// Drill down one step: aggregate each *child* of `parent` (a node at
 /// level ≥ 2 of dimension `dim`), restricted to `parent`'s own region —
-/// the interactive OLAP navigation the EDB enables.
+/// the interactive OLAP navigation the EDB enables. This is a rollup at
+/// the child level diced by the parent's box, keeping the parent's
+/// children (in DFS order).
 pub fn drilldown(
     edb: &ExtendedDatabase,
     schema: &Schema,
@@ -106,8 +75,13 @@ pub fn drilldown(
     let parent_level = h.level_of(parent);
     assert!(parent_level >= 2, "leaves have no children");
     let child_level = parent_level - 1;
+    // Fold the parent's leaf range into the dice box so the segment
+    // cursor fence-prunes against it.
     let range = h.leaf_range(parent);
-    let rows = rollup_impl(edb, schema, dim, child_level, None, agg, Some((dim, range)))?;
+    let mut region = iolap_core::SegmentCursor::all_region(schema.k());
+    region.lo[dim] = range.start;
+    region.hi[dim] = range.end;
+    let rows = rollup_region(edb, schema, dim, child_level, Some(&region), agg)?;
     Ok(rows.into_iter().filter(|r| h.contains(parent, r.node)).collect())
 }
 

@@ -22,8 +22,8 @@
 //!    by `max_connections`, not by the worker count. The reactor answers
 //!    what is bounded and non-blocking itself (a cache hit, a cheap
 //!    rejection — [`Handler::begin`]); workers pull the rest as *ready,
-//!    fully-parsed requests*. Saturation sheds with `503` per
-//!    [`ShedPolicy`], sockets carry read/write/idle timeouts, handler
+//!    fully-parsed requests*. Saturation sheds with a `503` and a
+//!    close, sockets carry read/write/idle timeouts, handler
 //!    panics cost one `500`, and shutdown drains gracefully.
 //!
 //! The HTTP surface is a deliberate std-only subset (no async runtime,
@@ -60,7 +60,7 @@ pub use cache::{CacheKey, CachedResult, ShardedCache};
 pub use engine::{EngineHandle, Handler, Response, Step};
 pub use server::{
     http_roundtrip, read_response, read_response_from, ServeConfig, ServeConfigBuilder, ServeError,
-    Server, ServerBuilder, ServerHandle, ShedPolicy,
+    Server, ServerBuilder, ServerHandle,
 };
 pub use snapshot::EdbSnapshot;
 pub use sys::raise_nofile_limit;

@@ -60,7 +60,7 @@
 
 use crate::engine::{count_status, finish_request, observe_latency, EngineShared, Response, Step};
 use crate::http::{response_bytes, try_parse, ParseStatus, ReadError};
-use crate::server::{ServeConfig, ShedPolicy};
+use crate::server::ServeConfig;
 use crate::sys::{Event, Interest, Poller, Waker};
 use crate::wire::ServeError;
 use std::collections::HashMap;
@@ -338,21 +338,19 @@ impl Reactor {
         }
     }
 
-    /// Over `max_connections`: refuse the newly-accepted socket according
-    /// to the shed policy. The 503 is written best-effort in one
+    /// Over `max_connections`: refuse the newly-accepted socket with a
+    /// 503 and close it. The 503 is written best-effort in one
     /// nonblocking call — a fresh socket's send buffer is empty, so the
     /// ~150-byte response either lands immediately or the client just
     /// sees a dropped connection; the reactor never stalls on a shed.
     fn shed_connection(&self, stream: TcpStream) {
         self.shared.metrics.shed.inc();
-        if let ShedPolicy::Respond503 = self.cfg.shed {
-            self.shared.metrics.resp_server_error.inc();
-            let (status, body) =
-                ServeError::Unavailable("server at connection capacity, retry later".into())
-                    .to_response();
-            let bytes = response_bytes(status, "application/json", body.as_bytes(), false);
-            let _ = write_nonblocking(&stream, &bytes, 0);
-        }
+        self.shared.metrics.resp_server_error.inc();
+        let (status, body) =
+            ServeError::Unavailable("server at connection capacity, retry later".into())
+                .to_response();
+        let bytes = response_bytes(status, "application/json", body.as_bytes(), false);
+        let _ = write_nonblocking(&stream, &bytes, 0);
     }
 
     fn on_conn_event(&mut self, id: u64, ev: &Event) {
@@ -516,13 +514,8 @@ impl Reactor {
             }
             Err(TrySendError::Full(_)) => {
                 self.shared.metrics.shed.inc();
-                match self.cfg.shed {
-                    ShedPolicy::Respond503 => {
-                        let err = ServeError::Unavailable("server saturated, retry later".into());
-                        self.respond_error(id, err);
-                    }
-                    ShedPolicy::DropConnection => self.close(id),
-                }
+                let err = ServeError::Unavailable("server saturated, retry later".into());
+                self.respond_error(id, err);
             }
             Err(TrySendError::Disconnected(_)) => self.close(id),
         }

@@ -10,8 +10,8 @@
 //!   rejections (malformed JSON, unknown node, 404/405) are answered
 //!   right there; everything else goes as *ready work* into a bounded
 //!   queue. A full queue (or a connection count at `max_connections`)
-//!   is saturation: the client gets an inline `503` per [`ShedPolicy`]
-//!   (*load shedding* — fail fast instead of queueing unboundedly).
+//!   is saturation: the client gets an inline `503` and the connection
+//!   closes (*load shedding* — fail fast instead of queueing unboundedly).
 //! * **workers** (N) — pull ready work off the shared queue and run it:
 //!   scans, rollups, updates, `/healthz`, `/metrics`. Each job is
 //!   wrapped in `catch_unwind`, so a handler panic costs one `500`, not
@@ -51,16 +51,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What to do with a connection the server cannot take on: over
-/// `max_connections`, or a ready-request queue already full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedPolicy {
-    /// Answer `503` (best-effort, never blocking the reactor) and close.
-    Respond503,
-    /// Close without a response — cheapest possible shed.
-    DropConnection,
-}
-
 /// Tuning knobs for serving. Construct with [`ServeConfig::builder`];
 /// the fields stay public for inspection and struct-literal updates.
 #[derive(Debug, Clone)]
@@ -69,9 +59,10 @@ pub struct ServeConfig {
     /// concurrent connections (the reactor owns those).
     pub workers: usize,
     /// Bounded ready-request queue between the reactor and the workers;
-    /// a full queue sheds load per [`ShedPolicy`].
+    /// a full queue sheds load with a `503`.
     pub queue_depth: usize,
-    /// Maximum concurrent connections; excess accepts are shed.
+    /// Maximum concurrent connections; excess accepts are shed with a
+    /// `503`.
     pub max_connections: usize,
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
@@ -86,8 +77,6 @@ pub struct ServeConfig {
     pub idle_timeout: Duration,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// What to do at saturation.
-    pub shed: ShedPolicy,
     /// Observability handle. A disabled handle is silently upgraded to
     /// [`Obs::metrics_only`] so `/metrics` always has something to say.
     pub obs: Obs,
@@ -118,7 +107,6 @@ impl Default for ServeConfig {
             write_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(60),
             max_body_bytes: 1 << 20,
-            shed: ShedPolicy::Respond503,
             obs: Obs::disabled(),
             wal_path: None,
             group_window: Duration::ZERO,
@@ -132,14 +120,13 @@ impl ServeConfig {
     /// [`AllocConfig::builder`]: chain only the knobs you care about.
     ///
     /// ```
-    /// use iolap_serve::{ServeConfig, ShedPolicy};
+    /// use iolap_serve::ServeConfig;
     /// use std::time::Duration;
     ///
     /// let cfg = ServeConfig::builder()
     ///     .workers(2)
     ///     .max_connections(10_000)
     ///     .idle_timeout(Duration::from_secs(30))
-    ///     .shed(ShedPolicy::Respond503)
     ///     .build();
     /// assert_eq!(cfg.workers, 2);
     /// ```
@@ -206,12 +193,6 @@ impl ServeConfigBuilder {
     /// Largest accepted request body, in bytes.
     pub fn max_body_bytes(mut self, n: usize) -> Self {
         self.cfg.max_body_bytes = n;
-        self
-    }
-
-    /// Behavior at saturation (connection cap or full ready queue).
-    pub fn shed(mut self, policy: ShedPolicy) -> Self {
-        self.cfg.shed = policy;
         self
     }
 
@@ -1156,9 +1137,10 @@ impl Coord {
         let report = self.medb.apply_batch(muts).map_err(|e| format!("maintenance failed: {e}"))?;
         apply_mirror(&mut self.mirror, muts);
 
-        // `snapshot_segments` reads only the EDB tail appended by this
-        // batch and hands back the same `Arc`s for segments the batch
-        // left alone, so publication cost is O(segments), not O(entries).
+        // `snapshot_segments` folds only the runs this batch re-emitted
+        // into one new delta tier and hands back the same `Arc`s for
+        // segments the batch left alone, so publication cost is
+        // O(segments), not O(entries).
         let segments =
             self.medb.snapshot_segments().map_err(|e| format!("snapshot failed: {e}"))?;
         // Sync the cuboid lattice to the batch. A failure here degrades
@@ -1475,7 +1457,6 @@ mod tests {
         assert_eq!(built.write_timeout, def.write_timeout);
         assert_eq!(built.idle_timeout, def.idle_timeout);
         assert_eq!(built.max_body_bytes, def.max_body_bytes);
-        assert_eq!(built.shed, def.shed);
     }
 
     #[test]
@@ -1490,7 +1471,6 @@ mod tests {
             .write_timeout(Duration::from_millis(102))
             .idle_timeout(Duration::from_millis(103))
             .max_body_bytes(1024)
-            .shed(ShedPolicy::DropConnection)
             .build();
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.queue_depth, 7);
@@ -1501,6 +1481,5 @@ mod tests {
         assert_eq!(cfg.write_timeout, Duration::from_millis(102));
         assert_eq!(cfg.idle_timeout, Duration::from_millis(103));
         assert_eq!(cfg.max_body_bytes, 1024);
-        assert_eq!(cfg.shed, ShedPolicy::DropConnection);
     }
 }

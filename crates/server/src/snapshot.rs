@@ -3,11 +3,11 @@
 //! Request workers never touch the mutable [`iolap_core::MaintainableEdb`]
 //! — they clone an `Arc<EdbSnapshot>` and aggregate over its immutable
 //! segment views. The coordinator thread refreshes the views after each
-//! `/update` batch (via `MaintainableEdb::snapshot_segments`, which reads
-//! only the EDB tail appended by the batch and reuses unchanged segments
-//! by `Arc` identity) and publishes a new snapshot atomically, so readers
-//! never block on writers, writers never wait for readers, and publishing
-//! costs O(segments) rather than O(entries).
+//! `/update` batch (via `MaintainableEdb::snapshot_segments`, which folds
+//! only the runs the batch re-emitted into a new delta tier and reuses
+//! unchanged segments by `Arc` identity) and publishes a new snapshot
+//! atomically, so readers never block on writers, writers never wait for
+//! readers, and publishing costs O(segments) rather than O(entries).
 //!
 //! The aggregation here **is** the library's: `/query` runs the same
 //! [`iolap_core::accumulate_region`] + [`AggResult::from_parts`] loop as
@@ -15,7 +15,8 @@
 //! querying the materialized EDB directly when the views hold the same
 //! entries (`tests/serve_consistency.rs` asserts the f64 bits). Fence
 //! pruning skips only pages provably disjoint from the query box, so it
-//! never perturbs those bits.
+//! never perturbs those bits. `/rollup` runs the library's one rollup
+//! evaluator, `plan_rollup_views`, with the published lattice.
 
 use iolap_core::{accumulate_region, CuboidLattice, SegScanStats, SegmentView};
 use iolap_hierarchy::LevelNo;

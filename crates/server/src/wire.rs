@@ -1,48 +1,54 @@
-//! The server's JSON wire format — hand-rolled emitters in the style of
-//! `iolap_obs::metrics::to_json`, with `iolap_obs::json::parse` as the
-//! reader, shared between the request handlers and the bench/CI clients
-//! so neither side duplicates the parsing.
+//! The server's JSON wire format — hand-rolled emitters that write
+//! strings and floats through `iolap_obs::json`'s one escaper and float
+//! writer, with `iolap_obs::json::parse` as the reader, shared between
+//! the request handlers and the bench/CI clients so neither side
+//! duplicates the parsing.
 //!
 //! Every `parse_*` function returns `Err` (never panics) on malformed
 //! input; the server maps those to `400 Bad Request`.
 //!
-//! Floats are emitted with Rust's shortest-round-trip `Display`, so a
-//! value parsed back with `str::parse::<f64>` (which the JSON reader
-//! uses) is **bit-identical** to the one the server computed — the
-//! property `tests/serve_consistency.rs` leans on.
+//! Floats are emitted with Rust's shortest-round-trip `Display`
+//! ([`write_f64_into`]), so a value parsed back with `str::parse::<f64>`
+//! (which the JSON reader uses) is **bit-identical** to the one the
+//! server computed — the property `tests/serve_consistency.rs` leans on.
 
-use iolap_obs::json::{self, Json};
+use iolap_obs::json::{self, escape_json_into, write_f64_into, Json};
 use iolap_query::{AggFn, AggResult, Classical, RollupRow};
+use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
 // Emission helpers
 // ---------------------------------------------------------------------------
 
-/// Escape a string for embedding in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// Append `s` to `out` as a JSON string literal.
+fn push_str_lit(out: &mut String, s: &str) {
+    out.push('"');
+    escape_json_into(out, s);
+    out.push('"');
 }
 
-/// Format an `f64` as a JSON value (shortest round-trip; non-finite
-/// values — which no well-formed aggregate produces — become `null`).
-pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
+/// Append `"region":{"Dim":"Node",…}`.
+fn push_region(out: &mut String, at: &[(&str, &str)]) {
+    out.push_str("\"region\":{");
+    for (i, (d, n)) in at.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_str_lit(out, d);
+        out.push(':');
+        push_str_lit(out, n);
     }
+    out.push('}');
+}
+
+/// Append `"value":…,"sum":…,"count":…`.
+fn push_result(out: &mut String, r: &AggResult) {
+    out.push_str("\"value\":");
+    write_f64_into(out, r.value);
+    out.push_str(",\"sum\":");
+    write_f64_into(out, r.sum);
+    out.push_str(",\"count\":");
+    write_f64_into(out, r.count);
 }
 
 /// The wire name of an aggregate function.
@@ -146,16 +152,11 @@ fn parse_region(v: &Json) -> Result<Vec<(String, String)>, String> {
 
 /// Build a `/query` body (client side: bench bins, tests, examples).
 pub fn query_body(at: &[(&str, &str)], agg: AggFn, classical: Option<Classical>) -> String {
-    let mut s = String::from("{\"region\":{");
-    for (i, (d, n)) in at.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\"{}\":\"{}\"", escape(d), escape(n)));
-    }
-    s.push_str(&format!("}},\"agg\":\"{}\"", agg_name(agg)));
+    let mut s = String::from("{");
+    push_region(&mut s, at);
+    let _ = write!(s, ",\"agg\":\"{}\"", agg_name(agg));
     if let Some(sem) = classical {
-        s.push_str(&format!(",\"classical\":\"{}\"", classical_name(sem)));
+        let _ = write!(s, ",\"classical\":\"{}\"", classical_name(sem));
     }
     s.push('}');
     s
@@ -163,15 +164,10 @@ pub fn query_body(at: &[(&str, &str)], agg: AggFn, classical: Option<Classical>)
 
 /// Serialize a `/query` response.
 pub fn query_response(r: &AggResult, agg: AggFn, cached: bool, epoch: u64) -> String {
-    format!(
-        "{{\"value\":{},\"sum\":{},\"count\":{},\"agg\":\"{}\",\"cached\":{},\"epoch\":{}}}",
-        fmt_f64(r.value),
-        fmt_f64(r.sum),
-        fmt_f64(r.count),
-        agg_name(agg),
-        cached,
-        epoch
-    )
+    let mut s = String::from("{");
+    push_result(&mut s, r);
+    let _ = write!(s, ",\"agg\":\"{}\",\"cached\":{cached},\"epoch\":{epoch}}}", agg_name(agg));
+    s
 }
 
 // ---------------------------------------------------------------------------
@@ -214,15 +210,13 @@ pub fn parse_rollup(body: &str) -> Result<RollupRequest, String> {
 
 /// Build a `/rollup` body (client side).
 pub fn rollup_body(dim: &str, level: &str, at: &[(&str, &str)], agg: AggFn) -> String {
-    let mut s =
-        format!("{{\"dim\":\"{}\",\"level\":\"{}\",\"region\":{{", escape(dim), escape(level));
-    for (i, (d, n)) in at.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\"{}\":\"{}\"", escape(d), escape(n)));
-    }
-    s.push_str(&format!("}},\"agg\":\"{}\"}}", agg_name(agg)));
+    let mut s = String::from("{\"dim\":");
+    push_str_lit(&mut s, dim);
+    s.push_str(",\"level\":");
+    push_str_lit(&mut s, level);
+    s.push(',');
+    push_region(&mut s, at);
+    let _ = write!(s, ",\"agg\":\"{}\"}}", agg_name(agg));
     s
 }
 
@@ -233,15 +227,13 @@ pub fn rollup_response(rows: &[RollupRow], agg: AggFn, epoch: u64) -> String {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&format!(
-            "{{\"name\":\"{}\",\"value\":{},\"sum\":{},\"count\":{}}}",
-            escape(&row.name),
-            fmt_f64(row.result.value),
-            fmt_f64(row.result.sum),
-            fmt_f64(row.result.count)
-        ));
+        s.push_str("{\"name\":");
+        push_str_lit(&mut s, &row.name);
+        s.push(',');
+        push_result(&mut s, &row.result);
+        s.push('}');
     }
-    s.push_str(&format!("],\"agg\":\"{}\",\"epoch\":{}}}", agg_name(agg), epoch));
+    let _ = write!(s, "],\"agg\":\"{}\",\"epoch\":{epoch}}}", agg_name(agg));
     s
 }
 
@@ -343,22 +335,25 @@ pub fn update_body(muts: &[MutationReq]) -> String {
             s.push(',');
         }
         match m {
-            MutationReq::Update { fact_id, measure } => s.push_str(&format!(
-                "{{\"op\":\"update\",\"fact_id\":{fact_id},\"measure\":{}}}",
-                fmt_f64(*measure)
-            )),
+            MutationReq::Update { fact_id, measure } => {
+                let _ = write!(s, "{{\"op\":\"update\",\"fact_id\":{fact_id},\"measure\":");
+                write_f64_into(&mut s, *measure);
+                s.push('}');
+            }
             MutationReq::Insert { id, dims, measure } => {
-                s.push_str(&format!("{{\"op\":\"insert\",\"id\":{id},\"dims\":["));
+                let _ = write!(s, "{{\"op\":\"insert\",\"id\":{id},\"dims\":[");
                 for (j, d) in dims.iter().enumerate() {
                     if j > 0 {
                         s.push(',');
                     }
-                    s.push_str(&format!("\"{}\"", escape(d)));
+                    push_str_lit(&mut s, d);
                 }
-                s.push_str(&format!("],\"measure\":{}}}", fmt_f64(*measure)));
+                s.push_str("],\"measure\":");
+                write_f64_into(&mut s, *measure);
+                s.push('}');
             }
             MutationReq::Delete { fact_id } => {
-                s.push_str(&format!("{{\"op\":\"delete\",\"fact_id\":{fact_id}}}"))
+                let _ = write!(s, "{{\"op\":\"delete\",\"fact_id\":{fact_id}}}");
             }
         }
     }
@@ -410,7 +405,10 @@ pub fn staged_response(wal_batch: u64, staged: u64, epoch: u64) -> String {
 
 /// A JSON error envelope.
 pub fn error_body(msg: &str) -> String {
-    format!("{{\"error\":\"{}\"}}", escape(msg))
+    let mut s = String::from("{\"error\":");
+    push_str_lit(&mut s, msg);
+    s.push('}');
+    s
 }
 
 // ---------------------------------------------------------------------------
@@ -519,12 +517,9 @@ impl ServeError {
     /// compatibility; `"code"` and `"status"` are machine-readable.
     pub fn to_response(&self) -> (u16, String) {
         let status = self.status();
-        let body = format!(
-            "{{\"error\":\"{}\",\"code\":\"{}\",\"status\":{}}}",
-            escape(&self.message()),
-            self.code(),
-            status
-        );
+        let mut body = String::from("{\"error\":");
+        push_str_lit(&mut body, &self.message());
+        let _ = write!(body, ",\"code\":\"{}\",\"status\":{status}}}", self.code());
         (status, body)
     }
 }
@@ -651,23 +646,6 @@ mod tests {
         ] {
             assert!(parse_update(bad).is_err(), "accepted {bad:?}");
         }
-    }
-
-    #[test]
-    fn float_formatting_round_trips_bits() {
-        for v in [0.0, 1.0 / 3.0, 2.5 / 6.5, f64::MIN_POSITIVE, 1e300, -605.125] {
-            let s = fmt_f64(v);
-            let back: f64 = s.parse().unwrap();
-            assert_eq!(back.to_bits(), v.to_bits(), "{s}");
-        }
-        assert_eq!(fmt_f64(f64::NAN), "null");
-    }
-
-    #[test]
-    fn escape_controls_and_quotes() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        let doc = format!("{{\"k\":\"{}\"}}", escape("x\u{1}y"));
-        assert!(iolap_obs::json::parse(&doc).is_ok(), "{doc}");
     }
 
     #[test]

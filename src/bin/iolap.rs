@@ -33,9 +33,10 @@
 //!     over the region — or, with --rollup, the per-node rollup along
 //!     DIM at LEVEL diced to the region — and print the server's JSON
 //!     response shape to stdout. Region, level, and aggregate names
-//!     resolve exactly as over HTTP, and answers are planned over the
-//!     materialized cuboid lattice (--stats reports the cuboid
-//!     hit/miss tallies next to the scan counters).
+//!     resolve exactly as over HTTP, and the answer is `/query`'s or
+//!     `/rollup`'s evaluator run over the freshly allocated EDB's leaf
+//!     segments (--stats prints the pages and bytes that scan read as a
+//!     second JSON line).
 //! ```
 
 use iolap::datagen::{scaled, DatasetKind};
@@ -368,54 +369,38 @@ fn cmd_query(args: &[String]) -> i32 {
             return 1;
         }
     };
-    use iolap::query::{plan_aggregate, plan_rollup, PlanMode};
-    let q = iolap::query::Query { region, agg };
-    // Both shapes run through the lattice planner — the server's answer
-    // paths — and print the matching wire response (epoch 0: freshly
+    use iolap::query::{aggregate_edb_stats, plan_rollup_views, PlanMode, Query};
+    use iolap::serve::wire;
+    let q = Query { region, agg };
+    // Each shape runs through its one evaluator — the server's answer
+    // paths — and prints the matching wire response (epoch 0: freshly
     // allocated).
-    let stats = match rollup_at {
-        Some((dim, level)) => {
-            let (rows, stats) = match plan_rollup(
-                &run.edb,
-                &schema,
-                dim,
-                level,
-                Some(&q),
-                agg,
-                PlanMode::Lattice,
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return 1;
-                }
-            };
-            println!("{}", iolap::serve::wire::rollup_response(&rows, agg, 0));
-            stats
-        }
-        None => {
-            let (result, stats) = match plan_aggregate(&run.edb, &schema, &q, PlanMode::Lattice) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return 1;
-                }
-            };
-            println!("{}", iolap::serve::wire::query_response(&result, agg, false, 0));
-            stats
+    let answer = match rollup_at {
+        Some((dim, level)) => run
+            .edb
+            .segments()
+            .and_then(|views| {
+                let dice = Some(&q.region);
+                plan_rollup_views(&views, None, &schema, dim, level, dice, agg, PlanMode::Lattice)
+            })
+            .map(|(rows, stats)| (wire::rollup_response(&rows, agg, 0), stats.scan)),
+        None => aggregate_edb_stats(&run.edb, &q)
+            .map(|(result, stats)| (wire::query_response(&result, agg, false, 0), stats)),
+    };
+    let (line, stats) = match answer {
+        Ok(x) => x,
+        Err(e) => {
+            eprintln!("{e}");
+            return 1;
         }
     };
+    println!("{line}");
     if has_flag(args, "--stats") {
         // Counters as a second JSON line so the first line stays
         // byte-identical to the server's response shape.
         println!(
-            "{{\"pages_read\":{},\"pages_pruned\":{},\"bytes_read\":{},\
-             \"cuboid_hits\":{},\"cuboid_misses\":{}}}",
-            stats.scan.pages_read,
-            stats.scan.pages_pruned,
-            stats.scan.bytes_read,
-            stats.cuboid_hits,
-            stats.cuboid_misses
+            "{{\"pages_read\":{},\"pages_pruned\":{},\"bytes_read\":{}}}",
+            stats.pages_read, stats.pages_pruned, stats.bytes_read
         );
     }
     0

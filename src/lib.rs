@@ -82,6 +82,5 @@ pub mod prelude {
     pub use iolap_query::{aggregate_edb, pivot, rollup, AggFn, QueryBuilder};
     pub use iolap_serve::{
         ServeConfig, ServeConfigBuilder, ServeError, Server, ServerBuilder, ServerHandle,
-        ShedPolicy,
     };
 }

@@ -12,7 +12,7 @@ use iolap::core::{allocate, Algorithm, AllocConfig, LatticeConfig, MaintainableE
 use iolap::datagen::{scaled, DatasetKind};
 use iolap::hierarchy::{Hierarchy, HierarchyBuilder};
 use iolap::model::{Fact, FactTable, RegionBox, Schema, MAX_DIMS};
-use iolap::query::{plan_aggregate_views, plan_rollup_views, AggFn, PlanMode, PlanStats};
+use iolap::query::{plan_rollup_views, AggFn, PlanMode, PlanStats};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -84,30 +84,33 @@ fn random_region(schema: &Schema, seed: u64) -> RegionBox {
     RegionBox { lo, hi, k: schema.k() as u8 }
 }
 
-/// Assert Lattice and ForcedLeaf modes agree bit-for-bit on an aggregate
-/// and on rollups along both dimensions (full space and diced).
+/// Assert Lattice and ForcedLeaf modes agree bit-for-bit on the region
+/// aggregate (a top-level rollup) and on rollups along both dimensions
+/// (full space and diced).
 fn assert_bit_identical(medb: &mut MaintainableEdb, seed: u64, phase: &str) {
     let schema = medb.schema().clone();
     let views = medb.snapshot_segments().expect("segments");
     let lattice = medb.snapshot_lattice().expect("lattice");
     let region = random_region(&schema, seed);
 
-    for agg in [AggFn::Sum, AggFn::Count, AggFn::Avg] {
-        let (a, _) =
-            plan_aggregate_views(&views, Some(&lattice), &schema, &region, agg, PlanMode::Lattice)
-                .expect("lattice aggregate");
-        let (b, _) = plan_aggregate_views(
-            &views,
-            Some(&lattice),
-            &schema,
-            &region,
-            agg,
-            PlanMode::ForcedLeaf,
-        )
-        .expect("forced-leaf aggregate");
-        assert_eq!(a.sum.to_bits(), b.sum.to_bits(), "{phase}: agg sum bits {agg:?}");
-        assert_eq!(a.count.to_bits(), b.count.to_bits(), "{phase}: agg count bits {agg:?}");
-        assert_eq!(a.value.to_bits(), b.value.to_bits(), "{phase}: agg value bits {agg:?}");
+    // A region aggregate is the one row of a rollup at a dimension's top
+    // level, diced by the region.
+    for d in 0..schema.k() {
+        let top = schema.dim(d).levels();
+        for agg in [AggFn::Sum, AggFn::Count, AggFn::Avg] {
+            let plan = |mode| {
+                let dice = Some(&region);
+                plan_rollup_views(&views, Some(&lattice), &schema, d, top, dice, agg, mode)
+                    .expect("top-level rollup")
+                    .0
+            };
+            let (a, b) = (plan(PlanMode::Lattice), plan(PlanMode::ForcedLeaf));
+            assert_eq!((a.len(), b.len()), (1, 1), "{phase}: one row at the top level");
+            let (a, b) = (a[0].result, b[0].result);
+            assert_eq!(a.sum.to_bits(), b.sum.to_bits(), "{phase}: agg sum bits {agg:?} dim {d}");
+            assert_eq!(a.count.to_bits(), b.count.to_bits(), "{phase}: agg count bits {agg:?}");
+            assert_eq!(a.value.to_bits(), b.value.to_bits(), "{phase}: agg value bits {agg:?}");
+        }
     }
 
     for dim in 0..schema.k() {
