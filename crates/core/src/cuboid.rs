@@ -28,21 +28,33 @@
 //! no live entries are not stored at all (a fresh scan of such a box
 //! contributes nothing, not `±0.0`).
 //!
+//! **One accumulation kernel.** Every cell comes from one cursor per
+//! segment view that feeds every cuboid at once: an entry lands in the
+//! *dense slot* `Σ_d pos_d × stride_d` of each grain, where `pos_d` is the
+//! position of the entry's level-`grain[d]` ancestor among that level's
+//! nodes ([`Hierarchy::level_offsets`](iolap_hierarchy::Hierarchy::level_offsets))
+//! and dimension 0 is the most significant digit. A level's nodes ascend
+//! by leaf interval, so slot order is canonical lex order of the cells'
+//! lo corners and no sort is needed; grain selection admits only grains
+//! of at most half the segment's entry count, which bounds the slot array.
+//! A cell's sub-sequence of the scan is the one a fresh scan of its box
+//! visits, so the kernel keeps the bit-identity contract.
+//!
 //! **Maintenance.** Segments are immutable; the only way a published
 //! segment's content changes is through its exclusion set growing as
 //! facts are retired. [`CuboidLattice::sync`] therefore (1) drops lattices
 //! whose segment no longer exists (compaction rewrote the tier — fresh
-//! cuboids are built for the new segments), and (2) for a surviving
-//! segment whose exclusion set changed, recomputes exactly the cells
-//! overlapping the supplied dirty region boxes (the same
-//! `UpdateReport.touched` geometry that drives server cache
-//! invalidation) by fresh leaf scans of the current view.
+//! cuboids are built for the new segments, all grains in one full scan),
+//! and (2) for a surviving segment whose exclusion set changed, marks the
+//! cells of every cuboid that overlap the supplied dirty region boxes (the
+//! same `UpdateReport.touched` geometry that drives server cache
+//! invalidation) and recomputes exactly those in one scan of the current
+//! view over their bounding box.
 
 use crate::error::Result;
 use crate::segment::{EdbSegment, SegScanStats, SegmentCursor, SegmentView};
 use iolap_hierarchy::LevelNo;
-use iolap_model::{cmp_cells, CellKey, EdbRecord, FactId, RegionBox, Schema, MAX_DIMS};
-use std::collections::HashMap;
+use iolap_model::{CellKey, EdbRecord, FactId, RegionBox, Schema, MAX_DIMS};
 use std::sync::Arc;
 
 /// One hierarchy level per dimension: the granularity of a cuboid.
@@ -104,39 +116,18 @@ pub struct Cuboid {
 }
 
 impl Cuboid {
-    /// Build the cuboid for `view` at `grain` with one full pruning scan.
+    /// Build the cuboid for `view` at `grain` with one full pruning scan:
+    /// the one-grain call of the lattice's accumulation kernel. The slot
+    /// array spans every cell of the grain, so `grain` should be one
+    /// [`CuboidLattice`] would select.
     ///
     /// Each entry is slotted into the accumulator of the grain cell that
     /// contains it, so per cell the visited sub-sequence (and therefore
     /// the f64 accumulation) is identical to a fresh leaf scan of that
     /// cell's box on the same view.
     pub fn build(schema: &Schema, view: &SegmentView, grain: Grain) -> Result<Cuboid> {
-        let k = schema.k();
-        let mut slots: HashMap<CellKey, usize> = HashMap::new();
-        let mut cells: Vec<CuboidCell> = Vec::new();
-        let region = SegmentCursor::all_region(k);
-        let views = [view.clone()];
-        let mut cursor = SegmentCursor::new(&views, region);
-        cursor.for_each(|e| {
-            let mut lo: CellKey = [0; MAX_DIMS];
-            let mut hi: CellKey = [0; MAX_DIMS];
-            for d in 0..k {
-                let h = schema.dim(d);
-                let r = h.leaf_range(h.ancestor_at(e.cell[d], grain[d]));
-                lo[d] = r.start;
-                hi[d] = r.end;
-            }
-            let i = *slots.entry(lo).or_insert_with(|| {
-                cells.push(CuboidCell { lo, hi, sum: 0.0, count: 0.0 });
-                cells.len() - 1
-            });
-            let c = &mut cells[i];
-            c.sum += e.weight * e.measure;
-            c.count += e.weight;
-        })?;
-        cells.sort_unstable_by(|a, b| cmp_cells(&a.lo, &b.lo, k));
-        let mini = encode_mini(k, &cells);
-        Ok(Cuboid { grain, cells, mini })
+        let (mut cuboids, _) = build_cuboids(schema, view, &[grain])?;
+        Ok(cuboids.pop().expect("one grain builds one cuboid"))
     }
 
     /// Number of grain cells materialized.
@@ -153,56 +144,172 @@ impl Cuboid {
     pub fn mini_view(&self) -> SegmentView {
         SegmentView::new(Arc::clone(&self.mini))
     }
+}
 
-    /// Recompute every cell whose box overlaps one of `dirty` by a fresh
-    /// leaf scan of the current `view`; drop cells that became empty and
-    /// re-encode the mini segment if anything changed. Returns the number
-    /// of cells recomputed and the scan cost paid.
-    pub fn recompute_dirty(
-        &mut self,
-        k: usize,
-        view: &SegmentView,
-        dirty: &[RegionBox],
-    ) -> Result<(u64, SegScanStats)> {
-        let mut io = SegScanStats::default();
-        let mut recomputed = 0u64;
+/// One grain cell's accumulator in a [`DenseGrain`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// The kernel accumulates into marked slots only: every slot of a
+    /// build, the dirty cells of a recompute.
+    marked: bool,
+    /// At least one live entry landed here.
+    live: bool,
+    sum: f64,
+    count: f64,
+}
+
+/// Every cell of one grain, addressed densely: the cell holding leaf cell
+/// `c` is slot `Σ_d level_offsets(grain[d])[c[d]] × stride[d]`.
+struct DenseGrain<'s> {
+    grain: Grain,
+    offsets: [&'s [u32]; MAX_DIMS],
+    stride: [usize; MAX_DIMS],
+    slots: Vec<Slot>,
+}
+
+impl<'s> DenseGrain<'s> {
+    /// Slots for every cell of `grain`, all marked or none.
+    fn new(schema: &'s Schema, grain: Grain, marked: bool) -> Self {
+        let mut offsets: [&[u32]; MAX_DIMS] = [&[]; MAX_DIMS];
+        let mut stride = [0usize; MAX_DIMS];
+        let mut len = 1usize;
+        for d in (0..schema.k()).rev() {
+            let h = schema.dim(d);
+            offsets[d] = h.level_offsets(grain[d]);
+            stride[d] = len;
+            len = len
+                .checked_mul(h.nodes_at_level(grain[d]).len())
+                .expect("a grain's cell count fits in memory");
+        }
+        let slots = vec![Slot { marked, ..Slot::default() }; len];
+        DenseGrain { grain, offsets, stride, slots }
+    }
+
+    /// The slot of the grain cell holding leaf cell `cell`.
+    #[inline]
+    fn slot(&self, k: usize, cell: &CellKey) -> usize {
+        (0..k).map(|d| self.offsets[d][cell[d] as usize] as usize * self.stride[d]).sum()
+    }
+
+    /// The non-empty cells, in slot order (canonical lex order of `lo`).
+    fn cells(&self, schema: &Schema) -> Vec<CuboidCell> {
+        let k = schema.k();
+        let live = self.slots.iter().enumerate().filter(|(_, s)| s.live);
+        live.map(|(i, s)| {
+            let mut lo: CellKey = [0; MAX_DIMS];
+            let mut hi: CellKey = [0; MAX_DIMS];
+            for d in 0..k {
+                let h = schema.dim(d);
+                let nodes = h.nodes_at_level(self.grain[d]);
+                let r = h.leaf_range(nodes[i / self.stride[d] % nodes.len()]);
+                lo[d] = r.start;
+                hi[d] = r.end;
+            }
+            CuboidCell { lo, hi, sum: s.sum, count: s.count }
+        })
+        .collect()
+    }
+}
+
+/// The accumulation kernel every cuboid cell comes from: one cursor over
+/// `view` inside `region`, adding each live entry's `w·m` and `w` into
+/// its slot of every grain in `grains` where that slot is marked.
+fn accumulate(
+    k: usize,
+    view: &SegmentView,
+    region: RegionBox,
+    grains: &mut [DenseGrain],
+) -> Result<SegScanStats> {
+    let views = [view.clone()];
+    let mut cursor = SegmentCursor::new(&views, region);
+    cursor.for_each(|e| {
+        for g in grains.iter_mut() {
+            let i = g.slot(k, &e.cell);
+            let s = &mut g.slots[i];
+            if s.marked {
+                s.sum += e.weight * e.measure;
+                s.count += e.weight;
+                s.live = true;
+            }
+        }
+    })?;
+    Ok(cursor.stats())
+}
+
+/// One cuboid per grain of `grains` for `view`, from one full scan.
+fn build_cuboids(
+    schema: &Schema,
+    view: &SegmentView,
+    grains: &[Grain],
+) -> Result<(Vec<Cuboid>, SegScanStats)> {
+    let k = schema.k();
+    let mut dense: Vec<DenseGrain> =
+        grains.iter().map(|&g| DenseGrain::new(schema, g, true)).collect();
+    let io = accumulate(k, view, SegmentCursor::all_region(k), &mut dense)?;
+    let cuboids = dense
+        .iter()
+        .map(|g| {
+            let cells = g.cells(schema);
+            let mini = encode_mini(k, &cells);
+            Cuboid { grain: g.grain, cells, mini }
+        })
+        .collect();
+    Ok((cuboids, io))
+}
+
+/// Recompute, against the current `view`, every cell of `cuboids` whose
+/// box overlaps one of `dirty`, in one scan over those cells' bounding
+/// box. Cells left without a live entry are dropped, and a cuboid's mini
+/// segment is re-encoded if any of its cells changed. Returns the number
+/// of cells recomputed and the scan cost paid.
+fn recompute_cuboids(
+    schema: &Schema,
+    view: &SegmentView,
+    cuboids: &mut [Cuboid],
+    dirty: &[RegionBox],
+) -> Result<(u64, SegScanStats)> {
+    let k = schema.k();
+    let mut recomputed = 0u64;
+    let mut region: Option<RegionBox> = None;
+    let mut dense = Vec::with_capacity(cuboids.len());
+    for c in cuboids.iter() {
+        let mut g = DenseGrain::new(schema, c.grain, false);
+        for cell in &c.cells {
+            let cb = RegionBox { lo: cell.lo, hi: cell.hi, k: k as u8 };
+            if dirty.iter().any(|b| b.overlaps(&cb)) {
+                let i = g.slot(k, &cell.lo);
+                g.slots[i].marked = true;
+                recomputed += 1;
+                region = Some(region.map_or(cb, |r| r.union(&cb)));
+            }
+        }
+        dense.push(g);
+    }
+    let Some(region) = region else {
+        return Ok((0, SegScanStats::default()));
+    };
+    let io = accumulate(k, view, region, &mut dense)?;
+    for (c, g) in cuboids.iter_mut().zip(&dense) {
         let mut changed = false;
-        let views = [view.clone()];
-        let mut keep: Vec<CuboidCell> = Vec::with_capacity(self.cells.len());
-        for cell in &self.cells {
-            let mut cb = RegionBox::point(&cell.lo, k);
-            cb.lo = cell.lo;
-            cb.hi = cell.hi;
-            if !dirty.iter().any(|b| b.overlaps(&cb)) {
+        let mut keep: Vec<CuboidCell> = Vec::with_capacity(c.cells.len());
+        for cell in &c.cells {
+            let s = g.slots[g.slot(k, &cell.lo)];
+            if !s.marked {
                 keep.push(*cell);
-                continue;
-            }
-            recomputed += 1;
-            let mut sum = 0.0f64;
-            let mut count = 0.0f64;
-            let mut visited = false;
-            let mut cursor = SegmentCursor::new(&views, cb);
-            cursor.for_each(|e| {
-                sum += e.weight * e.measure;
-                count += e.weight;
-                visited = true;
-            })?;
-            io.absorb(cursor.stats());
-            if sum.to_bits() != cell.sum.to_bits() || count.to_bits() != cell.count.to_bits() {
-                changed = true;
-            }
-            if visited {
-                keep.push(CuboidCell { lo: cell.lo, hi: cell.hi, sum, count });
+            } else if s.live {
+                changed |= s.sum.to_bits() != cell.sum.to_bits()
+                    || s.count.to_bits() != cell.count.to_bits();
+                keep.push(CuboidCell { sum: s.sum, count: s.count, ..*cell });
             } else {
                 changed = true; // cell emptied out — must disappear from the mini
             }
         }
         if changed {
-            self.mini = encode_mini(k, &keep);
+            c.mini = encode_mini(k, &keep);
         }
-        self.cells = keep;
-        Ok((recomputed, io))
+        c.cells = keep;
     }
+    Ok((recomputed, io))
 }
 
 /// Encode cuboid cells as a mini segment (canonical order), so the mini
@@ -257,7 +364,8 @@ pub struct LatticeSync {
     pub built: u64,
     /// Individual cuboid cells recomputed by dirty-box overlap.
     pub cells_recomputed: u64,
-    /// Leaf-scan cost paid building and recomputing.
+    /// Leaf-scan cost paid building and recomputing: at most one scan
+    /// per segment view.
     pub scan: SegScanStats,
 }
 
@@ -310,16 +418,17 @@ impl CuboidLattice {
         self.segs.iter().map(|s| s.cuboids.len()).sum()
     }
 
-    /// Reconcile the lattice with the current `views`.
+    /// Reconcile the lattice with the current `views`, scanning each view
+    /// at most once.
     ///
     /// * Lattices whose segment is no longer among `views` are dropped
     ///   (compaction replaced the tier).
     /// * A surviving lattice whose view's exclusion set changed has every
-    ///   cell overlapping a `dirty` box recomputed by fresh leaf scans; if
-    ///   `dirty` is empty it is rebuilt outright (defensive — exclusions
-    ///   only ever change inside reported touched boxes).
+    ///   cell overlapping a `dirty` box recomputed, all cuboids in one
+    ///   scan; if `dirty` is empty it is rebuilt outright (defensive —
+    ///   exclusions only ever change inside reported touched boxes).
     /// * New segments meeting [`LatticeConfig::min_segment_entries`] get
-    ///   cuboids selected and built.
+    ///   cuboids selected and built, all grains in one scan.
     pub fn sync(
         &mut self,
         schema: &Schema,
@@ -341,17 +450,13 @@ impl CuboidLattice {
                     if dirty.is_empty() {
                         // No geometry to localize the change: rebuild.
                         let grains: Vec<Grain> = sl.cuboids.iter().map(|c| c.grain).collect();
-                        let mut cuboids = Vec::with_capacity(grains.len());
-                        for g in grains {
-                            cuboids.push(Cuboid::build(schema, view, g)?);
-                        }
+                        let (cuboids, io) = build_cuboids(schema, view, &grains)?;
                         sl.cuboids = cuboids;
+                        out.scan.absorb(io);
                     } else {
-                        for c in &mut sl.cuboids {
-                            let (n, io) = c.recompute_dirty(self.k, view, dirty)?;
-                            out.cells_recomputed += n;
-                            out.scan.absorb(io);
-                        }
+                        let (n, io) = recompute_cuboids(schema, view, &mut sl.cuboids, dirty)?;
+                        out.cells_recomputed += n;
+                        out.scan.absorb(io);
                     }
                     sl.excl = Arc::clone(&view.exclude);
                 }
@@ -359,13 +464,12 @@ impl CuboidLattice {
                     if view.segment.len() < self.config.min_segment_entries {
                         continue;
                     }
-                    let mut cuboids = Vec::new();
-                    for grain in select_grains(schema, &view.segment, &self.config) {
-                        cuboids.push(Cuboid::build(schema, view, grain)?);
-                    }
-                    if cuboids.is_empty() {
+                    let grains = select_grains(schema, &view.segment, &self.config);
+                    if grains.is_empty() {
                         continue;
                     }
+                    let (cuboids, io) = build_cuboids(schema, view, &grains)?;
+                    out.scan.absorb(io);
                     out.built += 1;
                     self.segs.push(SegLattice {
                         seg: Arc::clone(&view.segment),

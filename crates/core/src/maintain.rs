@@ -611,9 +611,11 @@ impl MaintainableEdb {
     /// may compact tiers), then the lattice syncs — lattices of compacted
     /// segments are dropped and rebuilt whole, while a surviving segment
     /// whose exclusion set grew has exactly the cells overlapping the
-    /// queued `UpdateReport::touched` boxes recomputed by fresh leaf
-    /// scans. Published snapshots keep their previous lattice `Arc`
-    /// (copy-on-write), so readers never observe a half-synced lattice.
+    /// queued `UpdateReport::touched` boxes recomputed, every cuboid in
+    /// one scan of the segment. Published snapshots keep their previous
+    /// lattice `Arc` (copy-on-write), so readers never observe a
+    /// half-synced lattice. The upkeep is counted in
+    /// `edb.cuboid_cells_recomputed` and `edb.cuboid_upkeep_pages`.
     pub fn snapshot_lattice(&mut self) -> Result<Arc<CuboidLattice>> {
         let views = self.snapshot_segments()?;
         let schema = self.prep.schema.clone();
@@ -622,8 +624,15 @@ impl MaintainableEdb {
             .lattice
             .take()
             .unwrap_or_else(|| Arc::new(CuboidLattice::new(schema.k(), self.lattice_cfg)));
-        Arc::make_mut(&mut arc).sync(&schema, &views, &dirty)?;
-        if let Some(g) = self.prep.env.obs().gauge("edb.cuboid_bytes") {
+        let sync = Arc::make_mut(&mut arc).sync(&schema, &views, &dirty)?;
+        let obs = self.prep.env.obs();
+        if let Some(c) = obs.counter("edb.cuboid_cells_recomputed") {
+            c.add(sync.cells_recomputed);
+        }
+        if let Some(c) = obs.counter("edb.cuboid_upkeep_pages") {
+            c.add(sync.scan.pages_read);
+        }
+        if let Some(g) = obs.gauge("edb.cuboid_bytes") {
             g.set(arc.encoded_bytes() as i64);
         }
         self.lattice = Some(Arc::clone(&arc));

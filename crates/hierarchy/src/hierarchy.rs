@@ -65,6 +65,9 @@ pub struct Hierarchy {
     leaf_nodes: Vec<NodeId>,
     /// `anc[l-1][leaf]` = arena id of the ancestor of `leaf` at level `l`.
     anc: Vec<Vec<u32>>,
+    /// `off[l-1][leaf]` = position of that ancestor within
+    /// `level_nodes[l-1]`.
+    off: Vec<Vec<u32>>,
     /// Arena ids of the nodes at each level (index `l-1`), in DFS order.
     level_nodes: Vec<Vec<NodeId>>,
     /// Explicit display name → the lowest arena id carrying it (names
@@ -92,15 +95,19 @@ impl Hierarchy {
             lvl.sort_by_key(|&id| nodes[id.0 as usize].lo);
         }
         let mut anc: Vec<Vec<u32>> = Vec::with_capacity(levels);
+        let mut off: Vec<Vec<u32>> = Vec::with_capacity(levels);
         for l in 1..=levels {
             let mut row = vec![0u32; leaf_nodes.len()];
-            for &nid in &level_nodes[l - 1] {
+            let mut pos = vec![0u32; leaf_nodes.len()];
+            for (i, &nid) in level_nodes[l - 1].iter().enumerate() {
                 let n = &nodes[nid.0 as usize];
                 for leaf in n.lo..n.hi {
                     row[leaf as usize] = nid.0;
+                    pos[leaf as usize] = i as u32;
                 }
             }
             anc.push(row);
+            off.push(pos);
         }
         let mut names = HashMap::new();
         for (i, n) in nodes.iter().enumerate() {
@@ -108,7 +115,7 @@ impl Hierarchy {
                 names.entry(s.as_str().into()).or_insert(NodeId(i as u32));
             }
         }
-        let h = Hierarchy { name, level_names, nodes, leaf_nodes, anc, level_nodes, names };
+        let h = Hierarchy { name, level_names, nodes, leaf_nodes, anc, off, level_nodes, names };
         debug_assert!(h.validate().is_ok(), "builder produced invalid hierarchy");
         h
     }
@@ -197,6 +204,14 @@ impl Hierarchy {
     /// `level = 1` returns the leaf's own node.
     pub fn ancestor_at(&self, leaf: LeafId, level: LevelNo) -> NodeId {
         NodeId(self.anc[(level - 1) as usize][leaf as usize])
+    }
+
+    /// The leaf → level-offset table of level `level`: entry `leaf` is the
+    /// position of [`ancestor_at`](Self::ancestor_at)`(leaf, level)` within
+    /// [`nodes_at_level`](Self::nodes_at_level)`(level)`. Offsets ascend
+    /// with the leaf id, so they number a level's nodes in DFS order.
+    pub fn level_offsets(&self, level: LevelNo) -> &[u32] {
+        &self.off[(level - 1) as usize]
     }
 
     /// The ancestor of an arbitrary node at `level ≥ node.level`.
@@ -410,6 +425,23 @@ mod tests {
                 if let Some(p) = h.node(id).parent {
                     id = p;
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn level_offsets_index_nodes_at_level() {
+        let h = Hierarchy::balanced("Time", &["Week", "Month", "Quarter"], &[4, 3, 4]);
+        for l in 1..=h.levels() {
+            let off = h.level_offsets(l);
+            assert_eq!(off.len(), h.num_leaves() as usize);
+            for leaf in 0..h.num_leaves() {
+                let pos = off[leaf as usize] as usize;
+                assert_eq!(
+                    h.nodes_at_level(l)[pos],
+                    h.ancestor_at(leaf, l),
+                    "leaf {leaf} level {l}"
+                );
             }
         }
     }

@@ -41,7 +41,7 @@ use iolap_core::{
 use iolap_model::{Fact, FactId, FactTable, RegionBox, Schema, MAX_DIMS};
 use iolap_obs::{Counter, Gauge, Histogram, Obs};
 use iolap_query::{aggregate_classical, AggFn, Classical, Query};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -88,7 +88,10 @@ pub struct ServeConfig {
     /// contract: each `/update` folds into the EDB before its response.
     /// A nonzero window acks at WAL-durable and defers the fold until
     /// the window elapses or [`group_frames`](Self::group_frames) WAL
-    /// frames are staged, amortizing segment maintenance across batches.
+    /// frames are staged: it moves the fold off the ack path. The fold
+    /// itself still applies, snapshots, syncs the lattice and publishes
+    /// once per batch, and the group drained together shares one fsync
+    /// either way.
     pub group_window: Duration,
     /// Staged-frame threshold that triggers an early fold when the
     /// group-commit window is nonzero.
@@ -1295,17 +1298,22 @@ fn publish(shared: &Shared, epoch: u64, snap: &Arc<EdbSnapshot>, touched: &[Regi
 
 /// Validate one batch against the acknowledged id set *without*
 /// mutating it unless every mutation passes (apply_batch has no
-/// rollback, and a rejected batch must leave no trace).
+/// rollback, and a rejected batch must leave no trace). The batch's own
+/// inserts and deletes go to an overlay (`true` = present) that is
+/// committed only on success, so the cost is O(batch), not O(ids).
 fn validate_batch(
     acked_ids: &mut HashSet<FactId>,
     muts: &[EdbMutation],
 ) -> Result<(), (u16, String)> {
     let reject = |i: usize, msg: String| (400u16, format!("mutation {i}: {msg}"));
-    let mut ids = acked_ids.clone();
+    let mut overlay: HashMap<FactId, bool> = HashMap::new();
+    let present = |overlay: &HashMap<FactId, bool>, id: &FactId| {
+        overlay.get(id).copied().unwrap_or_else(|| acked_ids.contains(id))
+    };
     for (i, m) in muts.iter().enumerate() {
         match m {
             EdbMutation::UpdateMeasure { fact_id, new_measure } => {
-                if !ids.contains(fact_id) {
+                if !present(&overlay, fact_id) {
                     return Err(reject(i, format!("no fact {fact_id}")));
                 }
                 if !new_measure.is_finite() {
@@ -1313,21 +1321,29 @@ fn validate_batch(
                 }
             }
             EdbMutation::Delete(fact_id) => {
-                if !ids.remove(fact_id) {
+                if !present(&overlay, fact_id) {
                     return Err(reject(i, format!("no fact {fact_id}")));
                 }
+                overlay.insert(*fact_id, false);
             }
             EdbMutation::Insert(f) => {
                 if !f.measure.is_finite() {
                     return Err(reject(i, "measure must be finite".into()));
                 }
-                if !ids.insert(f.id) {
+                if present(&overlay, &f.id) {
                     return Err(reject(i, format!("fact id {} already exists", f.id)));
                 }
+                overlay.insert(f.id, true);
             }
         }
     }
-    *acked_ids = ids;
+    for (id, present) in overlay {
+        if present {
+            acked_ids.insert(id);
+        } else {
+            acked_ids.remove(&id);
+        }
+    }
     Ok(())
 }
 

@@ -699,6 +699,30 @@ fn generated_datasets_accept_inserts_by_printed_node_name() {
     h.shutdown();
 }
 
+/// A rejected batch leaves no trace: its insert and delete, which passed
+/// before the bad update, are not committed, so each succeeds afterwards.
+#[test]
+fn a_rejected_batch_commits_none_of_its_mutations() {
+    let h = start(ServeConfig::default());
+    let mut c = connect(&h);
+    let insert = r#"{"op":"insert","id":9001,"dims":["MA","Civic"],"measure":5.0}"#;
+    let bad = format!(
+        r#"{{"mutations":[{insert},{{"op":"delete","fact_id":2}},{{"op":"update","fact_id":999999,"measure":1.0}}]}}"#
+    );
+    let (status, resp) = http_roundtrip(&mut c, "POST", "/update", &bad).unwrap();
+    assert_eq!(status, 400, "{resp}");
+    assert!(resp.contains("mutation 2"), "the update is what fails: {resp}");
+
+    let (status, resp) =
+        http_roundtrip(&mut c, "POST", "/update", &format!(r#"{{"mutations":[{insert}]}}"#))
+            .unwrap();
+    assert_eq!(status, 200, "fact 9001 was not inserted by the rejected batch: {resp}");
+    let update = r#"{"mutations":[{"op":"update","fact_id":2,"measure":7.0}]}"#;
+    let (status, resp) = http_roundtrip(&mut c, "POST", "/update", update).unwrap();
+    assert_eq!(status, 200, "fact 2 was not deleted by the rejected batch: {resp}");
+    h.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Streaming ingest: WAL durability, group commit, restart recovery.
 // ---------------------------------------------------------------------------

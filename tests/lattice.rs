@@ -5,13 +5,20 @@
 //! recomputed), and after a compaction (cuboids rebuilt against the
 //! re-encoded segment). The forced-leaf mode replays
 //! the exact piece decomposition with fresh per-grain-cell scans, so any
-//! bit divergence pinpoints a stale or mis-merged cuboid cell.
+//! bit divergence pinpoints a stale or mis-merged cuboid cell. A second
+//! oracle (P6) holds the maintained lattice itself to a fresh build after
+//! every batch of a seeded update/insert/delete history, and the upkeep
+//! is pinned at one scan per segment view per sync.
 
 use iolap::core::maintain::EdbMutation;
-use iolap::core::{allocate, Algorithm, AllocConfig, LatticeConfig, MaintainableEdb, PolicySpec};
+use iolap::core::{
+    allocate, Algorithm, AllocConfig, Cuboid, CuboidLattice, LatticeConfig, MaintainableEdb,
+    PolicySpec,
+};
 use iolap::datagen::{scaled, DatasetKind};
 use iolap::hierarchy::{Hierarchy, HierarchyBuilder};
 use iolap::model::{Fact, FactTable, RegionBox, Schema, MAX_DIMS};
+use iolap::obs::Obs;
 use iolap::query::{plan_rollup_views, AggFn, PlanMode, PlanStats};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -301,4 +308,191 @@ fn coarse_rollups_read_ten_times_less_through_the_lattice() {
     }
     assert!(medb.num_compactions() > 0, "threshold 1 must have compacted");
     assert_eq!(got, PINNED, "a coarse rollup's page or byte count moved");
+}
+
+/// xorshift64: the seeded histories' only source of randomness.
+fn xorshift(s: &mut u64) -> u64 {
+    *s ^= *s << 13;
+    *s ^= *s >> 7;
+    *s ^= *s << 17;
+    *s
+}
+
+/// P6: the maintained lattice equals a fresh build of the current views —
+/// the same segments carry a lattice, with the same grains, and every
+/// cuboid has the cells (`lo`, `hi`), `sum` / `count` bits and
+/// mini-segment records `Cuboid::build` produces over the same view.
+fn assert_lattice_is_fresh(
+    medb: &mut MaintainableEdb,
+    cfg: LatticeConfig,
+    phase: &str,
+) -> Result<(), TestCaseError> {
+    let schema = medb.schema().clone();
+    let lattice = medb.snapshot_lattice().unwrap();
+    let views = medb.snapshot_segments().unwrap();
+    let mut fresh = CuboidLattice::new(schema.k(), cfg);
+    fresh.sync(&schema, &views, &[]).unwrap();
+    prop_assert_eq!(lattice.segs().len(), fresh.segs().len(), "{}: lattice count", phase);
+    for (v, view) in views.iter().enumerate() {
+        let (got, want) = (lattice.for_view(view), fresh.for_view(view));
+        prop_assert_eq!(got.is_some(), want.is_some(), "{}: view {} has a lattice", phase, v);
+        let (Some(got), Some(want)) = (got, want) else { continue };
+        let grains = |sl: &iolap::core::SegLattice| -> Vec<_> {
+            sl.cuboids.iter().map(|c| c.grain).collect()
+        };
+        prop_assert_eq!(grains(got), grains(want), "{}: view {} grains", phase, v);
+        for cuboid in &got.cuboids {
+            let built = Cuboid::build(&schema, view, cuboid.grain).unwrap();
+            let cells = |c: &Cuboid| -> Vec<_> {
+                c.cells.iter().map(|c| (c.lo, c.hi, c.sum.to_bits(), c.count.to_bits())).collect()
+            };
+            prop_assert_eq!(
+                cells(cuboid),
+                cells(&built),
+                "{}: view {} grain {:?} cells",
+                phase,
+                v,
+                cuboid.grain
+            );
+            let records = |c: &Cuboid| -> Vec<_> {
+                let recs = c.mini.records().unwrap();
+                recs.iter()
+                    .map(|r| (r.fact_id, r.cell, r.weight.to_bits(), r.measure.to_bits()))
+                    .collect()
+            };
+            prop_assert_eq!(
+                records(cuboid),
+                records(&built),
+                "{}: view {} grain {:?} mini records",
+                phase,
+                v,
+                cuboid.grain
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// P6: seeded histories of measure updates, inserts and deletes keep
+    /// the maintained lattice equal to a fresh build after every batch,
+    /// with compaction after every tier (threshold 1) and after four. The
+    /// compactions run as the server runs them, between batches, so two
+    /// snapshots in a row see the same views.
+    #[test]
+    fn maintained_lattice_equals_a_fresh_build_after_every_batch(
+        table in arb_table(),
+        seed in any::<u64>(),
+        threshold in prop_oneof![Just(1usize), Just(4usize)],
+    ) {
+        let schema = table.schema().clone();
+        let mut live: Vec<u64> = table.facts().iter().map(|f| f.id).collect();
+        let mut next_id = live.iter().max().copied().unwrap_or(0) + 1;
+        let policy = PolicySpec::em_count(0.01);
+        let cfg = AllocConfig::builder().in_memory(256).build();
+        let run = allocate(&table, &policy, Algorithm::Transitive, &cfg).unwrap();
+        let mut medb = MaintainableEdb::build(run, policy).unwrap();
+        let lattice_cfg =
+            LatticeConfig { min_segment_entries: 1, max_cuboids: 8, ..Default::default() };
+        medb.set_lattice_config(lattice_cfg);
+        medb.set_compaction_threshold(threshold);
+        medb.set_background_compaction(true);
+        assert_lattice_is_fresh(&mut medb, lattice_cfg, "cold")?;
+
+        let mut s = seed | 1;
+        for b in 0..6 {
+            let mut batch = Vec::new();
+            for _ in 0..1 + xorshift(&mut s) % 4 {
+                let r = xorshift(&mut s);
+                let pick = (r >> 8) as usize % live.len();
+                let m = match r % 3 {
+                    0 => EdbMutation::UpdateMeasure {
+                        fact_id: live[pick],
+                        new_measure: 1.0 + (r >> 20) as f64 % 100.0,
+                    },
+                    1 if live.len() > 1 => EdbMutation::Delete(live.swap_remove(pick)),
+                    _ => {
+                        let dims: Vec<u32> = (0..schema.k())
+                            .map(|d| {
+                                let (h, r) = (schema.dim(d), xorshift(&mut s));
+                                if r % 10 < 6 {
+                                    h.leaf_node((r >> 8) as u32 % h.num_leaves()).0
+                                } else {
+                                    (r >> 8) as u32 % h.num_nodes()
+                                }
+                            })
+                            .collect();
+                        live.push(next_id);
+                        next_id += 1;
+                        EdbMutation::Insert(Fact::new(next_id - 1, &dims, 1.0 + (r % 50) as f64))
+                    }
+                };
+                batch.push(m);
+            }
+            medb.apply_batch(&batch).unwrap();
+            if let Some(plan) = medb.prepare_compaction().unwrap() {
+                prop_assert!(medb.install_compaction(plan.run().unwrap()).unwrap());
+            }
+            assert_lattice_is_fresh(&mut medb, lattice_cfg, &format!("batch {b}"))?;
+        }
+    }
+}
+
+/// Lattice upkeep is one scan per segment view and is counted: each
+/// `CuboidLattice::sync` reads at most the pages of the views it built
+/// or recomputed — all of them, once, for a cold build — however many
+/// cuboids and dirty cells it serves. `snapshot_lattice` reports the same
+/// sync as `edb.cuboid_cells_recomputed` and `edb.cuboid_upkeep_pages`.
+#[test]
+fn each_sync_scans_a_view_once_and_counts_its_upkeep() {
+    let table = scaled(DatasetKind::Automotive, 5_000, 42);
+    let schema = table.schema().clone();
+    let policy = PolicySpec::em_count(0.01);
+    let obs = Obs::metrics_only();
+    let cfg = AllocConfig::builder().in_memory(2048).obs(obs.clone()).build();
+    let run = allocate(&table, &policy, Algorithm::Transitive, &cfg).unwrap();
+    let mut medb = MaintainableEdb::build(run, policy).unwrap();
+    let lattice_cfg =
+        LatticeConfig { budget_bytes: 8 << 20, min_segment_entries: 1, max_cuboids: 16 };
+    medb.set_lattice_config(lattice_cfg);
+    let counter = |name: &str| obs.counter(name).unwrap().get();
+
+    // The mirror runs the syncs `snapshot_lattice` runs, on the same views
+    // and dirty boxes, so its `LatticeSync`s are what the counters saw.
+    let mut mirror = CuboidLattice::new(schema.k(), lattice_cfg);
+    let views = medb.snapshot_segments().unwrap();
+    let cold = mirror.sync(&schema, &views, &[]).unwrap();
+    medb.snapshot_lattice().unwrap();
+    let pages: u64 = views.iter().map(|v| v.segment.num_pages()).sum();
+    assert!(
+        mirror.num_cuboids() > 1 && pages > 1,
+        "{} cuboids, {pages} pages",
+        mirror.num_cuboids()
+    );
+    assert_eq!(cold.scan.pages_read, pages, "a cold build reads every page once");
+    assert_eq!(counter("edb.cuboid_upkeep_pages"), pages);
+    assert_eq!(counter("edb.cuboid_cells_recomputed"), 0);
+
+    let batch: Vec<EdbMutation> = (0..50u64)
+        .map(|i| EdbMutation::UpdateMeasure {
+            fact_id: table.facts()[((i * 2_654_435_761) % 5_000) as usize].id,
+            new_measure: 500.0 + i as f64,
+        })
+        .collect();
+    let report = medb.apply_batch(&batch).unwrap();
+    let views = medb.snapshot_segments().unwrap();
+    // Views no lattice matches are the ones this sync builds or recomputes.
+    let bound: u64 =
+        views.iter().filter(|v| mirror.for_view(v).is_none()).map(|v| v.segment.num_pages()).sum();
+    let warm = mirror.sync(&schema, &views, &report.touched).unwrap();
+    medb.snapshot_lattice().unwrap();
+    assert!(warm.cells_recomputed > 1, "the batch dirtied {} cells", warm.cells_recomputed);
+    assert!(
+        warm.scan.pages_read <= bound,
+        "{} pages read for {} dirty cells; the views built or recomputed hold {bound}",
+        warm.scan.pages_read,
+        warm.cells_recomputed
+    );
+    assert_eq!(counter("edb.cuboid_cells_recomputed"), warm.cells_recomputed);
+    assert_eq!(counter("edb.cuboid_upkeep_pages"), pages + warm.scan.pages_read);
 }
