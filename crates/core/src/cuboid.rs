@@ -12,11 +12,16 @@
 //! [`CuboidLattice`] materializes a small set of such cuboids per segment
 //! view, chosen greedily by estimated benefit (segment page count ×
 //! query-coverage of the grain) under a configurable storage budget
-//! ([`LatticeConfig`]). Each cuboid is stored as a *mini* [`EdbSegment`]
-//! through the ordinary segment/page machinery — entry `cell` is the
-//! lo-corner leaf cell of the grain cell, `weight` the pre-aggregated
-//! count, `measure` the pre-aggregated sum — so cuboid reads reuse fence
-//! pruning, the page codecs and [`SegScanStats`] accounting unchanged.
+//! ([`LatticeConfig`]). A [`Cuboid`] is its grain plus one dense
+//! `(sum, count)` slot per grain cell and one presence bit per slot: the
+//! cell holding leaf cell `c` is slot `Σ_d pos_d × stride_d`, where
+//! `pos_d` is the position of `c`'s level-`grain[d]` ancestor among that
+//! level's nodes
+//! ([`Hierarchy::level_offsets`](iolap_hierarchy::Hierarchy::level_offsets))
+//! and dimension 0 is the most significant digit. A level's nodes ascend
+//! by leaf interval, so slot order is canonical lex order of the cells'
+//! lo corners. The planner reads present slots directly; a cuboid read
+//! decodes no page.
 //!
 //! **Bit-identity contract.** Every stored `(sum, count)` is produced by
 //! accumulating `weight * measure` / `weight` over exactly the entries of
@@ -24,37 +29,31 @@
 //! That is byte-for-byte the loop a fresh [`SegmentCursor`] leaf scan of
 //! the grain-cell box performs on the same view, so a stored pair is
 //! f64-bit-identical to an on-demand leaf scan of its cell — the property
-//! the query planner's *forced leaf* verification mode checks. Cells with
-//! no live entries are not stored at all (a fresh scan of such a box
+//! the query planner's *forced leaf* verification mode checks. A slot
+//! with no live entry is not present (a fresh scan of such a box
 //! contributes nothing, not `±0.0`).
 //!
-//! **One accumulation kernel.** Every cell comes from one cursor per
-//! segment view that feeds every cuboid at once: an entry lands in the
-//! *dense slot* `Σ_d pos_d × stride_d` of each grain, where `pos_d` is the
-//! position of the entry's level-`grain[d]` ancestor among that level's
-//! nodes ([`Hierarchy::level_offsets`](iolap_hierarchy::Hierarchy::level_offsets))
-//! and dimension 0 is the most significant digit. A level's nodes ascend
-//! by leaf interval, so slot order is canonical lex order of the cells'
-//! lo corners and no sort is needed; grain selection admits only grains
-//! of at most half the segment's entry count, which bounds the slot array.
-//! A cell's sub-sequence of the scan is the one a fresh scan of its box
-//! visits, so the kernel keeps the bit-identity contract.
+//! **One accumulation kernel.** Every slot is filled by one cursor per
+//! segment view that feeds every cuboid at once. Grain selection admits
+//! only grains of at most half the segment's entry count, which bounds
+//! the slot array. A cell's sub-sequence of the scan is the one a fresh
+//! scan of its box visits, so the kernel keeps the bit-identity contract.
 //!
 //! **Maintenance.** Segments are immutable; the only way a published
 //! segment's content changes is through its exclusion set growing as
 //! facts are retired. [`CuboidLattice::sync`] therefore (1) drops lattices
 //! whose segment no longer exists (compaction rewrote the tier — fresh
 //! cuboids are built for the new segments, all grains in one full scan),
-//! and (2) for a surviving segment whose exclusion set changed, marks the
-//! cells of every cuboid that overlap the supplied dirty region boxes (the
-//! same `UpdateReport.touched` geometry that drives server cache
-//! invalidation) and recomputes exactly those in one scan of the current
-//! view over their bounding box.
+//! and (2) for a surviving segment whose exclusion set changed, recomputes
+//! the present cells of every cuboid that overlap the supplied dirty
+//! region boxes (the same `UpdateReport.touched` geometry that drives
+//! server cache invalidation) in one scan of the current view over their
+//! bounding box, and overwrites exactly those slots.
 
 use crate::error::Result;
 use crate::segment::{EdbSegment, SegScanStats, SegmentCursor, SegmentView};
 use iolap_hierarchy::LevelNo;
-use iolap_model::{CellKey, EdbRecord, FactId, RegionBox, Schema, MAX_DIMS};
+use iolap_model::{CellKey, FactId, RegionBox, Schema, MAX_DIMS};
 use std::sync::Arc;
 
 /// One hierarchy level per dimension: the granularity of a cuboid.
@@ -62,15 +61,15 @@ use std::sync::Arc;
 /// collapses it to the ALL root.
 pub type Grain = [LevelNo; MAX_DIMS];
 
-/// Rough at-rest bytes per mini-segment entry, used only to price
-/// candidate cuboids against [`LatticeConfig::budget_bytes`] before they
-/// are built.
+/// The selection's price per grain cell, in bytes: candidate cuboids are
+/// priced at `cells × EST_ENTRY_BYTES` against
+/// [`LatticeConfig::budget_bytes`] before they are built.
 const EST_ENTRY_BYTES: u64 = 48;
 
 /// Storage/selection budget for the per-segment cuboid lattice.
 #[derive(Debug, Clone, Copy)]
 pub struct LatticeConfig {
-    /// Estimated at-rest byte budget for all cuboids of one segment.
+    /// Estimated byte budget for all cuboids of one segment.
     pub budget_bytes: u64,
     /// Segments with fewer live entries than this get no lattice at all
     /// (a leaf scan is already cheap).
@@ -85,9 +84,9 @@ impl Default for LatticeConfig {
     }
 }
 
-/// One pre-aggregated grain cell: the half-open leaf box `[lo, hi)` of a
-/// grain cell that holds at least one live entry, with its accumulated
-/// allocation-weighted sum and count.
+/// One pre-aggregated grain cell, as [`Cuboid::cells`] yields it: the
+/// half-open leaf box `[lo, hi)` of a grain cell that holds at least one
+/// live entry, with its accumulated allocation-weighted sum and count.
 #[derive(Debug, Clone, Copy)]
 pub struct CuboidCell {
     /// Lo corner (inclusive) of the grain cell's leaf box.
@@ -100,19 +99,24 @@ pub struct CuboidCell {
     pub count: f64,
 }
 
-/// One materialized cuboid: every non-empty grain cell of one segment
-/// view at one grain, plus its mini-segment encoding.
+/// One grain cell's accumulator.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    sum: f64,
+    count: f64,
+}
+
+/// One materialized cuboid: every grain cell of one segment view at one
+/// grain, addressed densely — the cell holding leaf cell `c` is slot
+/// `Σ_d level_offsets(grain[d])[c[d]] × stride[d]` — with a presence bit
+/// per slot that is set iff at least one live entry landed there.
 #[derive(Clone)]
 pub struct Cuboid {
     /// The level-vector this cuboid is aggregated at.
     pub grain: Grain,
-    /// Non-empty cells, sorted by canonical lex order of `lo`. Source of
-    /// truth for maintenance; `mini` is its encoded mirror.
-    pub cells: Vec<CuboidCell>,
-    /// The cells encoded as a mini [`EdbSegment`] (`cell = lo`,
-    /// `weight = count`, `measure = sum`, `fact_id` = cell index), so
-    /// cuboid reads go through fence pruning and page I/O accounting.
-    pub mini: Arc<EdbSegment>,
+    stride: [usize; MAX_DIMS],
+    slots: Vec<Slot>,
+    present: Vec<u64>,
 }
 
 impl Cuboid {
@@ -130,107 +134,97 @@ impl Cuboid {
         Ok(cuboids.pop().expect("one grain builds one cuboid"))
     }
 
-    /// Number of grain cells materialized.
-    pub fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// At-rest encoded bytes of the mini segment.
-    pub fn encoded_bytes(&self) -> u64 {
-        self.mini.encoded_bytes()
-    }
-
-    /// A scannable view of the mini segment (no exclusions).
-    pub fn mini_view(&self) -> SegmentView {
-        SegmentView::new(Arc::clone(&self.mini))
-    }
-}
-
-/// One grain cell's accumulator in a [`DenseGrain`].
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    /// The kernel accumulates into marked slots only: every slot of a
-    /// build, the dirty cells of a recompute.
-    marked: bool,
-    /// At least one live entry landed here.
-    live: bool,
-    sum: f64,
-    count: f64,
-}
-
-/// Every cell of one grain, addressed densely: the cell holding leaf cell
-/// `c` is slot `Σ_d level_offsets(grain[d])[c[d]] × stride[d]`.
-struct DenseGrain<'s> {
-    grain: Grain,
-    offsets: [&'s [u32]; MAX_DIMS],
-    stride: [usize; MAX_DIMS],
-    slots: Vec<Slot>,
-}
-
-impl<'s> DenseGrain<'s> {
-    /// Slots for every cell of `grain`, all marked or none.
-    fn new(schema: &'s Schema, grain: Grain, marked: bool) -> Self {
-        let mut offsets: [&[u32]; MAX_DIMS] = [&[]; MAX_DIMS];
+    /// An empty cuboid: a zero slot for every cell of `grain`, none present.
+    fn new(schema: &Schema, grain: Grain) -> Cuboid {
         let mut stride = [0usize; MAX_DIMS];
         let mut len = 1usize;
         for d in (0..schema.k()).rev() {
-            let h = schema.dim(d);
-            offsets[d] = h.level_offsets(grain[d]);
             stride[d] = len;
             len = len
-                .checked_mul(h.nodes_at_level(grain[d]).len())
+                .checked_mul(schema.dim(d).nodes_at_level(grain[d]).len())
                 .expect("a grain's cell count fits in memory");
         }
-        let slots = vec![Slot { marked, ..Slot::default() }; len];
-        DenseGrain { grain, offsets, stride, slots }
+        Cuboid {
+            grain,
+            stride,
+            slots: vec![Slot::default(); len],
+            present: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    /// Per dimension, the leaf → slot-digit table of this grain.
+    fn offsets<'s>(&self, schema: &'s Schema) -> [&'s [u32]; MAX_DIMS] {
+        let mut offsets: [&[u32]; MAX_DIMS] = [&[]; MAX_DIMS];
+        for (d, o) in offsets.iter_mut().enumerate().take(schema.k()) {
+            *o = schema.dim(d).level_offsets(self.grain[d]);
+        }
+        offsets
     }
 
     /// The slot of the grain cell holding leaf cell `cell`.
     #[inline]
-    fn slot(&self, k: usize, cell: &CellKey) -> usize {
-        (0..k).map(|d| self.offsets[d][cell[d] as usize] as usize * self.stride[d]).sum()
+    fn slot(&self, k: usize, offsets: &[&[u32]; MAX_DIMS], cell: &CellKey) -> usize {
+        (0..k).map(|d| offsets[d][cell[d] as usize] as usize * self.stride[d]).sum()
     }
 
-    /// The non-empty cells, in slot order (canonical lex order of `lo`).
-    fn cells(&self, schema: &Schema) -> Vec<CuboidCell> {
-        let k = schema.k();
-        let live = self.slots.iter().enumerate().filter(|(_, s)| s.live);
-        live.map(|(i, s)| {
-            let mut lo: CellKey = [0; MAX_DIMS];
-            let mut hi: CellKey = [0; MAX_DIMS];
-            for d in 0..k {
-                let h = schema.dim(d);
-                let nodes = h.nodes_at_level(self.grain[d]);
-                let r = h.leaf_range(nodes[i / self.stride[d] % nodes.len()]);
-                lo[d] = r.start;
-                hi[d] = r.end;
-            }
-            CuboidCell { lo, hi, sum: s.sum, count: s.count }
-        })
-        .collect()
+    /// Slot `i`'s grain cell with its accumulators.
+    fn cell(&self, schema: &Schema, i: usize) -> CuboidCell {
+        let mut lo: CellKey = [0; MAX_DIMS];
+        let mut hi: CellKey = [0; MAX_DIMS];
+        for d in 0..schema.k() {
+            let h = schema.dim(d);
+            let nodes = h.nodes_at_level(self.grain[d]);
+            let r = h.leaf_range(nodes[i / self.stride[d] % nodes.len()]);
+            lo[d] = r.start;
+            hi[d] = r.end;
+        }
+        let Slot { sum, count } = self.slots[i];
+        CuboidCell { lo, hi, sum, count }
+    }
+
+    /// The present cells, in slot order (canonical lex order of `lo`).
+    pub fn cells<'a>(&'a self, schema: &'a Schema) -> impl Iterator<Item = CuboidCell> + 'a {
+        (0..self.slots.len())
+            .filter(|&i| has_bit(&self.present, i))
+            .map(move |i| self.cell(schema, i))
+    }
+
+    /// Number of present grain cells.
+    pub fn num_cells(&self) -> usize {
+        self.present.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Bytes held: the slot array plus the presence bits.
+    pub fn encoded_bytes(&self) -> u64 {
+        (self.slots.len() * std::mem::size_of::<Slot>() + self.present.len() * 8) as u64
     }
 }
 
-/// The accumulation kernel every cuboid cell comes from: one cursor over
-/// `view` inside `region`, adding each live entry's `w·m` and `w` into
-/// its slot of every grain in `grains` where that slot is marked.
+/// Bit `i` of a slot bitset.
+fn has_bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] >> (i % 64) & 1 != 0
+}
+
+/// The accumulation kernel every cuboid slot comes from: one cursor over
+/// `view` inside `region`, adding each live entry's `w·m` and `w` into its
+/// slot of every cuboid in `cuboids`.
 fn accumulate(
-    k: usize,
+    schema: &Schema,
     view: &SegmentView,
     region: RegionBox,
-    grains: &mut [DenseGrain],
+    cuboids: &mut [Cuboid],
 ) -> Result<SegScanStats> {
+    let k = schema.k();
+    let offsets: Vec<_> = cuboids.iter().map(|c| c.offsets(schema)).collect();
     let views = [view.clone()];
     let mut cursor = SegmentCursor::new(&views, region);
     cursor.for_each(|e| {
-        for g in grains.iter_mut() {
-            let i = g.slot(k, &e.cell);
-            let s = &mut g.slots[i];
-            if s.marked {
-                s.sum += e.weight * e.measure;
-                s.count += e.weight;
-                s.live = true;
-            }
+        for (c, o) in cuboids.iter_mut().zip(&offsets) {
+            let i = c.slot(k, o, &e.cell);
+            let s = &mut c.slots[i];
+            s.sum += e.weight * e.measure;
+            s.count += e.weight;
+            c.present[i / 64] |= 1 << (i % 64);
         }
     })?;
     Ok(cursor.stats())
@@ -242,90 +236,54 @@ fn build_cuboids(
     view: &SegmentView,
     grains: &[Grain],
 ) -> Result<(Vec<Cuboid>, SegScanStats)> {
-    let k = schema.k();
-    let mut dense: Vec<DenseGrain> =
-        grains.iter().map(|&g| DenseGrain::new(schema, g, true)).collect();
-    let io = accumulate(k, view, SegmentCursor::all_region(k), &mut dense)?;
-    let cuboids = dense
-        .iter()
-        .map(|g| {
-            let cells = g.cells(schema);
-            let mini = encode_mini(k, &cells);
-            Cuboid { grain: g.grain, cells, mini }
-        })
-        .collect();
+    let mut cuboids: Vec<Cuboid> = grains.iter().map(|&g| Cuboid::new(schema, g)).collect();
+    let io = accumulate(schema, view, SegmentCursor::all_region(schema.k()), &mut cuboids)?;
     Ok((cuboids, io))
 }
 
-/// Recompute, against the current `view`, every cell of `cuboids` whose
-/// box overlaps one of `dirty`, in one scan over those cells' bounding
-/// box. Cells left without a live entry are dropped, and a cuboid's mini
-/// segment is re-encoded if any of its cells changed. Returns the number
-/// of cells recomputed and the scan cost paid.
+/// Recompute, against the current `view`, every present cell of
+/// `cuboids` whose box overlaps one of `dirty`: one scan over those
+/// cells' bounding box accumulates into zeroed cuboids of the same
+/// grains, and the dirty cells' slots are copied back from them. A cell
+/// left without a live entry becomes absent. Returns the number of cells
+/// recomputed and the scan cost paid.
+///
+/// Accumulating into zeroed copies keeps the kernel free of a per-entry
+/// dirty test; the clean cells inside the bounding box are discarded.
 fn recompute_cuboids(
     schema: &Schema,
     view: &SegmentView,
     cuboids: &mut [Cuboid],
     dirty: &[RegionBox],
 ) -> Result<(u64, SegScanStats)> {
-    let k = schema.k();
-    let mut recomputed = 0u64;
+    let k = schema.k() as u8;
     let mut region: Option<RegionBox> = None;
-    let mut dense = Vec::with_capacity(cuboids.len());
+    let mut marked: Vec<Vec<usize>> = Vec::with_capacity(cuboids.len());
     for c in cuboids.iter() {
-        let mut g = DenseGrain::new(schema, c.grain, false);
-        for cell in &c.cells {
-            let cb = RegionBox { lo: cell.lo, hi: cell.hi, k: k as u8 };
+        let mut slots = Vec::new();
+        for i in (0..c.slots.len()).filter(|&i| has_bit(&c.present, i)) {
+            let cell = c.cell(schema, i);
+            let cb = RegionBox { lo: cell.lo, hi: cell.hi, k };
             if dirty.iter().any(|b| b.overlaps(&cb)) {
-                let i = g.slot(k, &cell.lo);
-                g.slots[i].marked = true;
-                recomputed += 1;
+                slots.push(i);
                 region = Some(region.map_or(cb, |r| r.union(&cb)));
             }
         }
-        dense.push(g);
+        marked.push(slots);
     }
     let Some(region) = region else {
         return Ok((0, SegScanStats::default()));
     };
-    let io = accumulate(k, view, region, &mut dense)?;
-    for (c, g) in cuboids.iter_mut().zip(&dense) {
-        let mut changed = false;
-        let mut keep: Vec<CuboidCell> = Vec::with_capacity(c.cells.len());
-        for cell in &c.cells {
-            let s = g.slots[g.slot(k, &cell.lo)];
-            if !s.marked {
-                keep.push(*cell);
-            } else if s.live {
-                changed |= s.sum.to_bits() != cell.sum.to_bits()
-                    || s.count.to_bits() != cell.count.to_bits();
-                keep.push(CuboidCell { sum: s.sum, count: s.count, ..*cell });
-            } else {
-                changed = true; // cell emptied out — must disappear from the mini
-            }
+    let mut fresh: Vec<Cuboid> = cuboids.iter().map(|c| Cuboid::new(schema, c.grain)).collect();
+    let io = accumulate(schema, view, region, &mut fresh)?;
+    for ((c, f), slots) in cuboids.iter_mut().zip(&fresh).zip(&marked) {
+        for &i in slots {
+            c.slots[i] = f.slots[i];
+            let bit = 1 << (i % 64);
+            c.present[i / 64] = c.present[i / 64] & !bit | f.present[i / 64] & bit;
         }
-        if changed {
-            c.mini = encode_mini(k, &keep);
-        }
-        c.cells = keep;
     }
-    Ok((recomputed, io))
-}
-
-/// Encode cuboid cells as a mini segment (canonical order), so the mini
-/// cursor visits cells in lex order of their lo corners.
-fn encode_mini(k: usize, cells: &[CuboidCell]) -> Arc<EdbSegment> {
-    let entries: Vec<EdbRecord> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, c)| EdbRecord {
-            fact_id: i as FactId,
-            cell: c.lo,
-            weight: c.count,
-            measure: c.sum,
-        })
-        .collect();
-    Arc::new(EdbSegment::build(k, entries))
+    Ok((marked.iter().map(|m| m.len() as u64).sum(), io))
 }
 
 /// The lattice of one segment view: the segment's identity (its `Arc` and
@@ -349,7 +307,7 @@ impl SegLattice {
             && (Arc::ptr_eq(&self.excl, &view.exclude) || *self.excl == *view.exclude)
     }
 
-    /// At-rest encoded bytes across all cuboids.
+    /// Bytes held across all cuboids (slot arrays and presence bits).
     pub fn encoded_bytes(&self) -> u64 {
         self.cuboids.iter().map(|c| c.encoded_bytes()).sum()
     }
@@ -408,7 +366,8 @@ impl CuboidLattice {
         self.segs.iter().find(|sl| sl.matches(view))
     }
 
-    /// Total at-rest encoded bytes across every cuboid.
+    /// Bytes held across every cuboid: the slot arrays and presence bits
+    /// the lattice holds.
     pub fn encoded_bytes(&self) -> u64 {
         self.segs.iter().map(|s| s.encoded_bytes()).sum()
     }
@@ -512,8 +471,8 @@ fn candidate_grains(schema: &Schema) -> Vec<Grain> {
 ///
 /// Benefit is `segment pages × coverage`, where coverage is the fraction
 /// of (dim, level) query targets this grain can serve exactly (a grain
-/// serves every level at or above it). Cost is the estimated at-rest size
-/// of the mini segment. Grains whose cell count approaches the segment's
+/// serves every level at or above it). Cost is the grain's cell count,
+/// priced at [`EST_ENTRY_BYTES`] a cell. Grains whose cell count approaches the segment's
 /// entry count are skipped — reading them would cost as much as the leaf
 /// scan they replace.
 fn select_grains(schema: &Schema, seg: &EdbSegment, config: &LatticeConfig) -> Vec<Grain> {
@@ -536,7 +495,7 @@ fn select_grains(schema: &Schema, seg: &EdbSegment, config: &LatticeConfig) -> V
         let score = pages * coverage / cost as f64;
         scored.push((score, g, cost));
     }
-    // Deterministic order: score desc, then grain lex asc as tie-break.
+    // A fixed order: score desc, then grain lex asc as tie-break.
     scored.sort_by(|a, b| {
         b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
     });
@@ -559,6 +518,7 @@ fn select_grains(schema: &Schema, seg: &EdbSegment, config: &LatticeConfig) -> V
 mod tests {
     use super::*;
     use iolap_hierarchy::HierarchyBuilder;
+    use iolap_model::EdbRecord;
 
     fn two_level(tag: &str, parents: &[u32], groups: u32) -> iolap_hierarchy::Hierarchy {
         HierarchyBuilder::new(tag)
@@ -598,9 +558,9 @@ mod tests {
         let view = seg_view(&schema, entries);
         let grain: Grain = [2, 2, 0, 0, 0, 0, 0, 0];
         let cuboid = Cuboid::build(&schema, &view, grain).unwrap();
-        assert!(!cuboid.cells.is_empty());
+        assert!(cuboid.num_cells() > 0);
         let views = [view];
-        for cell in &cuboid.cells {
+        for cell in cuboid.cells(&schema) {
             let mut cb = RegionBox::point(&cell.lo, schema.k());
             cb.lo = cell.lo;
             cb.hi = cell.hi;
@@ -615,14 +575,10 @@ mod tests {
             assert_eq!(sum.to_bits(), cell.sum.to_bits());
             assert_eq!(count.to_bits(), cell.count.to_bits());
         }
-        // Mini segment mirrors the cells in the same order.
-        let recs = cuboid.mini.records().unwrap();
-        assert_eq!(recs.len(), cuboid.cells.len());
-        for (r, c) in recs.iter().zip(&cuboid.cells) {
-            assert_eq!(r.cell, c.lo);
-            assert_eq!(r.measure.to_bits(), c.sum.to_bits());
-            assert_eq!(r.weight.to_bits(), c.count.to_bits());
-        }
+        // Slot order is canonical lex order of the lo corners.
+        let cells: Vec<CuboidCell> = cuboid.cells(&schema).collect();
+        assert_eq!(cells.len(), cuboid.num_cells());
+        assert!(cells.windows(2).all(|w| w[0].lo < w[1].lo));
     }
 
     #[test]
@@ -652,7 +608,7 @@ mod tests {
         // Recomputed cells are bit-identical to fresh scans of the new view.
         let views = [dirtied.clone()];
         for cuboid in &sl.cuboids {
-            for cell in &cuboid.cells {
+            for cell in cuboid.cells(&schema) {
                 let mut cb = RegionBox::point(&cell.lo, schema.k());
                 cb.lo = cell.lo;
                 cb.hi = cell.hi;

@@ -523,7 +523,9 @@ impl MaintainableEdb {
 
     /// The size-tiering rule: past the threshold, merge every delta tier,
     /// folding the base tier in too once the deltas have grown to its
-    /// size. `None` when the tier count is within threshold.
+    /// size. `None` when the tier count is within threshold, or when that
+    /// leaves a single input tier: rewriting it alone would lower no tier
+    /// count and only swap its `Arc` (and so rebuild its lattice).
     fn compaction_plan(&self) -> Result<Option<CompactionPlan>> {
         if self.segs.len() <= self.compaction_threshold {
             return Ok(None);
@@ -537,6 +539,9 @@ impl MaintainableEdb {
             delta_live += live(i)?;
         }
         let start = if delta_live >= live(0)? { 0 } else { 1 };
+        if self.segs.len() - start < 2 {
+            return Ok(None);
+        }
         let inputs = self.segs[start..]
             .iter()
             .zip(&self.seg_excl[start..])
@@ -1619,11 +1624,29 @@ mod tests {
         let mut m = build_maintainable(&policy);
         m.set_compaction_threshold(1);
         m.apply_batch(&[update(2, 50.0)]).unwrap();
-        let _ = m.snapshot_segments().unwrap(); // compacts the delta tier
+        let _ = m.snapshot_segments().unwrap();
+        m.apply_batch(&[update(2, 60.0)]).unwrap();
+        let _ = m.snapshot_segments().unwrap(); // merges the two delta tiers
         assert!(m.num_compactions() >= 1);
         m.apply_batch(&[EdbMutation::Delete(11)]).unwrap();
-        let t = with_measure(table1_with(&[11], &[]), 2, 50.0);
+        let t = with_measure(table1_with(&[11], &[]), 2, 60.0);
         assert_matches_rebuild(&mut m, &t, &policy);
+    }
+
+    #[test]
+    fn a_lone_delta_tier_is_not_rewritten() {
+        let policy = PolicySpec::em_measure(0.001);
+        let mut m = build_maintainable(&policy);
+        m.set_compaction_threshold(1);
+        m.apply_batch(&[update(2, 50.0)]).unwrap();
+        let first = m.snapshot_segments().unwrap();
+        assert_eq!(first.len(), 2, "base plus one delta smaller than it");
+        let compactions = m.num_compactions();
+        for _ in 0..4 {
+            let again = m.snapshot_segments().unwrap();
+            assert_eq!(m.num_compactions(), compactions, "a one-tier merge ran");
+            assert!(Arc::ptr_eq(&again[1].segment, &first[1].segment), "delta rewritten");
+        }
     }
 
     #[test]

@@ -70,14 +70,6 @@ pub struct RunReport {
     /// Segment compression milli-ratio: `uncompressed / encoded × 1000`
     /// (1000 = uncompressed, 1700 = pages 1.7× smaller).
     pub edb_compression_ratio_milli: u64,
-    /// Planner decisions answered from a materialized cuboid (one per
-    /// segment view per planned query).
-    pub edb_cuboid_hits: u64,
-    /// Planner decisions that fell back to a leaf scan of the view.
-    pub edb_cuboid_misses: u64,
-    /// Encoded bytes of the materialized cuboid lattice (mini-segment
-    /// pages across all cuboids).
-    pub edb_cuboid_bytes: u64,
 }
 
 /// Connected-component census from the Transitive algorithm — the numbers
@@ -150,9 +142,6 @@ impl RunReport {
         metrics.counter("report.edb.pages_pruned").add(self.edb_pages_pruned);
         metrics.counter("report.edb.pages_read").add(self.edb_pages_read);
         metrics.counter("report.edb.bytes_read").add(self.edb_bytes_read);
-        metrics.counter("report.edb.cuboid_hits").add(self.edb_cuboid_hits);
-        metrics.counter("report.edb.cuboid_misses").add(self.edb_cuboid_misses);
-        metrics.gauge("report.edb.cuboid_bytes").set(self.edb_cuboid_bytes as i64);
         metrics.gauge("report.edb.compression_ratio").set(self.edb_compression_ratio_milli as i64);
         metrics.gauge("report.converged").set(i64::from(self.converged));
         metrics.gauge("report.over_budget").set(i64::from(self.over_budget));
@@ -311,9 +300,6 @@ mod tests {
             edb_pages_read: 10,
             edb_bytes_read: 4096,
             edb_compression_ratio_milli: 1700,
-            edb_cuboid_hits: 6,
-            edb_cuboid_misses: 2,
-            edb_cuboid_bytes: 512,
             ..Default::default()
         };
         let prom = r.to_prometheus();
@@ -323,9 +309,6 @@ mod tests {
         assert!(prom.contains("iolap_report_edb_pages_read 10"), "{prom}");
         assert!(prom.contains("iolap_report_edb_bytes_read 4096"), "{prom}");
         assert!(prom.contains("iolap_report_edb_compression_ratio 1700"), "{prom}");
-        assert!(prom.contains("iolap_report_edb_cuboid_hits 6"), "{prom}");
-        assert!(prom.contains("iolap_report_edb_cuboid_misses 2"), "{prom}");
-        assert!(prom.contains("iolap_report_edb_cuboid_bytes 512"), "{prom}");
     }
 
     #[test]

@@ -14,25 +14,26 @@
 //! and a *core* `[core.lo, core.hi)` whose boundaries are grain-cell
 //! boundaries. The product of those per-dimension choices tiles the query
 //! box into at most `3^k` disjoint pieces; the all-core piece is answered
-//! from the cuboid's mini segment, every other non-empty piece by an
-//! ordinary leaf scan. A cuboid is usable only if its core is non-empty in
-//! every dimension and its grain on the rollup dimension is at or below
-//! the target level, so each grain cell nests inside exactly one output
-//! node; among usable cuboids the planner picks the
-//! one with the largest core volume — the *coarsest covering* cuboid,
-//! because coarser grains materialize fewer, bigger cells over the same
-//! core. Views with no usable cuboid fall back to a whole-box leaf scan
+//! from the cuboid's present slots, read in slot order and filtered to the
+//! core, every other non-empty piece by an ordinary leaf scan. A cuboid
+//! read decodes no page, so only leaf scans count in [`PlanStats::scan`].
+//! A cuboid is usable only if its core is non-empty in every dimension
+//! and its grain on the rollup dimension is at or below the target level,
+//! so each grain cell nests inside exactly one output node; among usable
+//! cuboids the planner picks the one with the largest core volume — the
+//! *coarsest covering* cuboid, because coarser grains materialize fewer,
+//! bigger cells over the same core. Views with no usable cuboid fall back to a whole-box leaf scan
 //! (`cuboid_misses`).
 //!
 //! ## Bit-identity
 //!
-//! Answers are merged in deterministic order — views in snapshot order,
+//! Answers are merged in a fixed order — views in snapshot order,
 //! pieces in lexicographic order of the per-dimension choice vectors,
 //! entries in segment-scan order — and every accumulator starts at `0.0`.
 //! [`PlanMode::ForcedLeaf`] executes the *same* plan with cuboid reads
 //! replaced by fresh leaf scans of each grain cell (skipping cells that
-//! visit no entry, since empty cells are not materialized): because each
-//! stored `(sum, count)` is bit-identical to exactly that fresh scan (see
+//! visit no entry, since a slot no entry reached is not present): because
+//! each stored `(sum, count)` is bit-identical to exactly that fresh scan (see
 //! `iolap_core::cuboid`), the two modes produce f64-bit-identical results
 //! in every lifecycle state — cold, after update batches (dirty-cell
 //! recompute) and after compaction (cuboid rebuild). The proptest suite
@@ -47,7 +48,8 @@ use iolap_model::{CellKey, RegionBox, Schema, MAX_DIMS};
 /// How the planner executes the plan it builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanMode {
-    /// Answer core pieces from materialized cuboid mini segments.
+    /// Answer core pieces from the cuboid's present slots, in slot order
+    /// (canonical lex order of the cells' lo corners).
     Lattice,
     /// Verification harness: build the same plan, but answer each core
     /// grain cell with a fresh leaf scan of its box. Bit-identical to
@@ -63,8 +65,9 @@ pub struct PlanStats {
     /// Views that fell back to a pure leaf scan (no lattice coverage or
     /// no usable cuboid for this query).
     pub cuboid_misses: u64,
-    /// Page/byte counters over every cursor the plan ran (mini-segment
-    /// reads in `Lattice` mode, leaf reads otherwise).
+    /// Page/byte counters over every leaf cursor the plan ran: the
+    /// residue and uncovered views in both modes, plus the per-cell scans
+    /// of the core in `ForcedLeaf` mode. A `Lattice` core reads no page.
     pub scan: SegScanStats,
 }
 
@@ -234,7 +237,7 @@ fn choose_cuboid<'a>(
         };
         let cells = core_cell_count(&core_grain_ranges(schema, &c.grain, &core));
         // Largest core first; then fewest grain cells; then first in
-        // selection order. All deterministic.
+        // selection order. The order is total, so the choice is fixed.
         let better = match &best {
             None => true,
             Some((bv, bc, bi, _)) => {
@@ -250,7 +253,7 @@ fn choose_cuboid<'a>(
 }
 
 /// Evaluate one view's share of the query, feeding every leaf entry or
-/// pre-aggregated cell to `sink` in deterministic plan order.
+/// pre-aggregated cell to `sink` in plan order, which is fixed.
 #[allow(clippy::too_many_arguments)]
 fn scan_view(
     view: &SegmentView,
@@ -284,17 +287,16 @@ fn scan_view(
         match mode {
             PlanMode::Lattice => {
                 // The grain divides the core, so a grain cell's box is
-                // inside the core iff its lo corner is — lo-corner region
-                // filtering on the mini segment is exact.
-                let mini = [cuboid.mini_view()];
-                let mut cursor = SegmentCursor::new(&mini, piece);
-                cursor.for_each(|e| sink(Piece::Cell(&e.cell, e.measure, e.weight)))?;
-                stats.scan.absorb(cursor.stats());
+                // inside the core iff its lo corner is — filtering the
+                // present cells by lo corner is exact.
+                for cell in cuboid.cells(schema).filter(|c| piece.contains_cell(&c.lo)) {
+                    sink(Piece::Cell(&cell.lo, cell.sum, cell.count));
+                }
             }
             PlanMode::ForcedLeaf => {
                 // Same cells, same order (lex by lo corner), each from a
                 // fresh leaf scan; cells with no live entry are skipped,
-                // mirroring "empty cells are not materialized".
+                // mirroring the cuboid's presence bits.
                 let ranges = core_grain_ranges(schema, &cuboid.grain, &piece);
                 let k = schema.k();
                 let mut idx = vec![0usize; k];
@@ -489,7 +491,8 @@ mod tests {
         let (_, st) = plan(&views, Some(&lattice), &schema, 0, top, None, PlanMode::Lattice);
         assert_eq!(st.cuboid_hits, 1);
         assert_eq!(st.cuboid_misses, 0);
-        assert!(st.scan.pages_read >= 1);
+        // The full space is grain-aligned: all core, no residue to scan.
+        assert_eq!(st.scan.pages_read, 0, "a covered core reads no page");
     }
 
     #[test]
