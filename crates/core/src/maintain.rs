@@ -44,10 +44,8 @@ use crate::runner::AllocationRun;
 use crate::segment::{EdbSegment, SegmentView};
 use iolap_model::records::NO_CCID;
 use iolap_model::{
-    canonical_sort_key, CellKey, CellRecord, EdbCodec, EdbRecord, Fact, FactId, LevelVec,
-    RegionBox, WorkFactRecord, MAX_DIMS,
+    CellKey, CellRecord, EdbRecord, Fact, FactId, LevelVec, RegionBox, WorkFactRecord, MAX_DIMS,
 };
-use iolap_storage::{external_sort, Env, SortBudget};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -150,12 +148,10 @@ pub struct UpdateReport {
 }
 
 /// A compaction captured off the apply path by
-/// [`MaintainableEdb::prepare_compaction`]: the frozen input tiers plus
-/// everything the merge needs, detached from the EDB so
-/// [`CompactionPlan::run`] can execute on a background thread.
+/// [`MaintainableEdb::prepare_compaction`]: the frozen input tiers,
+/// detached from the EDB so [`CompactionPlan::run`] can execute on a
+/// background thread.
 pub struct CompactionPlan {
-    env: Env,
-    k: usize,
     /// First tier index being merged (0 when the base tier is included).
     start: usize,
     /// Input views frozen at prepare time.
@@ -172,36 +168,27 @@ pub struct CompactionResult {
 }
 
 impl CompactionPlan {
-    /// Run the merge through an accounted temp file and external sort (its
-    /// I/O charges the environment's exact page counters), safe to call
-    /// from any thread — the inputs are immutable `Arc` snapshots and the
-    /// buffer pool is shared and thread-safe.
+    /// Merge the input tiers in memory: their live entries, concatenated
+    /// in tier order, go through [`EdbSegment::build`]. Each tier is
+    /// already in canonical cell order and the build's sort is stable, so
+    /// it only merges the runs, and entries of one cell keep tier order.
+    /// Touches no pager or buffer pool; safe to call from any thread —
+    /// the inputs are immutable `Arc` snapshots.
     pub fn run(self) -> Result<CompactionResult> {
-        let k = self.k;
-        let mut tmp = self.env.create_file("seg-compact", EdbCodec { k })?;
+        let mut entries = Vec::new();
         for v in &self.inputs {
             v.segment.for_each_entry(|e| {
                 if !v.exclude.contains(&e.fact_id) {
-                    tmp.push(e)?;
+                    entries.push(e.clone());
                 }
                 Ok(())
             })?;
         }
-        let mut sorted = external_sort(&self.env, tmp, SortBudget::pages(16), |e| {
-            canonical_sort_key(&e.cell, k)
-        })?;
-        let mut entries = Vec::with_capacity(sorted.len() as usize);
-        let mut cursor = sorted.scan();
-        while let Some(e) = cursor.next()? {
-            entries.push(e);
-        }
-        drop(cursor);
-        sorted.delete()?;
         Ok(CompactionResult {
             start: self.start,
             input_segs: self.inputs.iter().map(|v| v.segment.clone()).collect(),
             input_excl: self.inputs.iter().map(|v| v.exclude.clone()).collect(),
-            merged: Arc::new(EdbSegment::from_sorted(k, entries)),
+            merged: Arc::new(EdbSegment::build(self.inputs[0].segment.k(), entries)),
         })
     }
 }
@@ -249,9 +236,13 @@ pub struct MaintainableEdb {
     /// snapshots share these `Arc`s, so retiring a fact clones the set of
     /// the affected segment only.
     seg_excl: Vec<Arc<HashSet<FactId>>>,
-    /// Which delta segment holds each re-emitted fact's live run (facts
-    /// absent here live in the base tier, if anywhere).
-    seg_owner: HashMap<FactId, usize>,
+    /// Per-segment live-entry counts, parallel to `segs`: what the
+    /// size-tiering rule reads, so planning decodes no page.
+    seg_live: Vec<u64>,
+    /// The tier that holds each fact's run and how many of its entries
+    /// there are live (0 once retired). A deleted fact's entry is
+    /// dropped; a stranded one keeps its tier until its next run.
+    live_runs: HashMap<FactId, (usize, u32)>,
     /// Delta-segment count that triggers a compaction.
     compaction_threshold: usize,
     /// When true (default) the threshold compacts inline on the refresh
@@ -384,7 +375,11 @@ impl MaintainableEdb {
         level_vecs.sort_unstable();
         level_vecs.dedup();
         let mut base = Vec::with_capacity(run.edb.num_entries() as usize);
-        run.edb.for_each(|e| base.push(e.clone()))?;
+        let mut live_runs: HashMap<FactId, (usize, u32)> = HashMap::new();
+        run.edb.for_each(|e| {
+            live_runs.entry(e.fact_id).or_insert((0, 0)).1 += 1;
+            base.push(e.clone());
+        })?;
         run.edb.delete()?;
 
         Ok(MaintainableEdb {
@@ -405,9 +400,10 @@ impl MaintainableEdb {
             dead_precise: HashSet::new(),
             pending: HashMap::new(),
             pending_seq: 0,
+            seg_live: vec![base.len() as u64],
             segs: vec![Arc::new(EdbSegment::build(k, base))],
             seg_excl: vec![Arc::new(HashSet::new())],
-            seg_owner: HashMap::new(),
+            live_runs,
             compaction_threshold: 4,
             inline_compaction: true,
             compactions: 0,
@@ -452,12 +448,14 @@ impl MaintainableEdb {
     /// O(segments) plus the runs emitted since the last call.
     pub fn snapshot_segments(&mut self) -> Result<Vec<SegmentView>> {
         self.refresh_segments()?;
-        Ok(self
-            .segs
-            .iter()
-            .zip(&self.seg_excl)
-            .map(|(s, e)| SegmentView { segment: s.clone(), exclude: e.clone() })
-            .collect())
+        Ok(self.views(0))
+    }
+
+    /// The published tiers from `start` on, as views.
+    fn views(&self, start: usize) -> Vec<SegmentView> {
+        let excl = &self.seg_excl[start..];
+        let segs = self.segs[start..].iter().zip(excl);
+        segs.map(|(s, e)| SegmentView { segment: s.clone(), exclude: e.clone() }).collect()
     }
 
     /// Number of segments the next snapshot will publish.
@@ -472,9 +470,9 @@ impl MaintainableEdb {
     }
 
     /// Cumulative accounted page I/O of the environment backing this EDB.
-    /// Allocation, maintenance re-runs, and segment compaction (its temp
-    /// file and external sort included) all charge the same meter, so a
-    /// test can pin a compaction's exact I/O as a before/after delta.
+    /// Allocation and maintenance re-runs charge this one meter, so a test
+    /// can pin a batch's exact I/O as a before/after delta. Segment
+    /// refreshes and compactions run in memory and charge nothing.
     pub fn accounted_io(&self) -> iolap_storage::IoSnapshot {
         self.prep.env.stats().snapshot()
     }
@@ -504,55 +502,34 @@ impl MaintainableEdb {
         self.inline_compaction = !background;
     }
 
-    /// True when the published tier count exceeds the compaction
-    /// threshold — with background compaction, the cue to schedule a
-    /// [`MaintainableEdb::prepare_compaction`] plan.
+    /// True when [`MaintainableEdb::prepare_compaction`] would return a
+    /// plan — with background compaction, the cue to schedule one.
+    /// Reads tier counts only.
     pub fn needs_compaction(&self) -> bool {
-        self.segs.len() > self.compaction_threshold
+        self.compaction_plan().is_some()
     }
 
     /// Capture a compaction plan off the apply path: the input tiers are
     /// frozen as `Arc` views (segments plus their exclusion sets at this
     /// instant), so [`CompactionPlan::run`] can merge them on a background
     /// thread while the coordinator keeps applying batches. Returns `None`
-    /// when the tier count is within threshold.
+    /// when the tiering rule asks for no merge.
     pub fn prepare_compaction(&mut self) -> Result<Option<CompactionPlan>> {
         self.refresh_segments()?;
-        self.compaction_plan()
+        Ok(self.compaction_plan())
     }
 
     /// The size-tiering rule: past the threshold, merge every delta tier,
     /// folding the base tier in too once the deltas have grown to its
-    /// size. `None` when the tier count is within threshold, or when that
-    /// leaves a single input tier: rewriting it alone would lower no tier
-    /// count and only swap its `Arc` (and so rebuild its lattice).
-    fn compaction_plan(&self) -> Result<Option<CompactionPlan>> {
-        if self.segs.len() <= self.compaction_threshold {
-            return Ok(None);
-        }
-        let live = |i: usize| -> Result<u64> {
-            SegmentView { segment: self.segs[i].clone(), exclude: self.seg_excl[i].clone() }
-                .live_entries()
-        };
-        let mut delta_live = 0u64;
-        for i in 1..self.segs.len() {
-            delta_live += live(i)?;
-        }
-        let start = if delta_live >= live(0)? { 0 } else { 1 };
-        if self.segs.len() - start < 2 {
-            return Ok(None);
-        }
-        let inputs = self.segs[start..]
-            .iter()
-            .zip(&self.seg_excl[start..])
-            .map(|(s, e)| SegmentView { segment: s.clone(), exclude: e.clone() })
-            .collect();
-        Ok(Some(CompactionPlan {
-            env: self.prep.env.clone(),
-            k: self.prep.schema.k(),
-            start,
-            inputs,
-        }))
+    /// live size. `None` when the tier count is within threshold, or when
+    /// that leaves a single input tier: rewriting it alone would lower no
+    /// tier count and only swap its `Arc` (and so rebuild its lattice).
+    fn compaction_plan(&self) -> Option<CompactionPlan> {
+        let delta_live: u64 = self.seg_live[1..].iter().sum();
+        let start = if delta_live >= self.seg_live[0] { 0 } else { 1 };
+        let n = self.segs.len();
+        (n > self.compaction_threshold && n - start >= 2)
+            .then(|| CompactionPlan { start, inputs: self.views(start) })
     }
 
     /// Splice a background-merged tier into the published segment list.
@@ -583,11 +560,13 @@ impl MaintainableEdb {
         }
         self.segs.splice(start..start + n, [merged]);
         self.seg_excl.splice(start..start + n, [Arc::new(excl)]);
-        for owner in self.seg_owner.values_mut() {
-            if (start..start + n).contains(owner) {
-                *owner = start;
-            } else if *owner >= start + n {
-                *owner -= n - 1;
+        let live = self.seg_live[start..start + n].iter().sum();
+        self.seg_live.splice(start..start + n, [live]);
+        for (tier, _) in self.live_runs.values_mut() {
+            if (start..start + n).contains(tier) {
+                *tier = start;
+            } else if *tier >= start + n {
+                *tier -= n - 1;
             }
         }
         self.compactions += 1;
@@ -655,18 +634,21 @@ impl MaintainableEdb {
             let idx = self.segs.len();
             let mut entries = Vec::new();
             for (id, (_, run)) in runs {
-                entries.extend(run);
-                // In an earlier delta if it had one, else in the base tier
-                // (a no-op for inserted facts — they have no base entries).
-                let owner = self.seg_owner.insert(id, idx).unwrap_or(0);
+                // The tier of its previous run, else the base tier (a no-op
+                // for inserted facts — they have no base entries).
+                let (owner, len) =
+                    self.live_runs.insert(id, (idx, run.len() as u32)).unwrap_or((0, 0));
+                self.seg_live[owner] -= u64::from(len);
                 Arc::make_mut(&mut self.seg_excl[owner]).insert(id);
+                entries.extend(run);
             }
+            self.seg_live.push(entries.len() as u64);
             self.segs.push(Arc::new(EdbSegment::build(self.prep.schema.k(), entries)));
             self.seg_excl.push(Arc::new(HashSet::new()));
         }
         if self.inline_compaction {
             // The background compactor's plan, run and install, back to back.
-            if let Some(plan) = self.compaction_plan()? {
+            if let Some(plan) = self.compaction_plan() {
                 self.install_compaction(plan.run()?)?;
             }
         }
@@ -935,7 +917,7 @@ impl MaintainableEdb {
                     return Err(CoreError::BadInput(format!("fact {fact_id} already deleted")));
                 }
                 self.fact_locs.remove(&fact_id);
-                self.retire(fact_id);
+                self.retire(fact_id, true);
                 let f = self.prep.precise.get(i)?;
                 let cell = schema.cell_of(&f).expect("precise");
                 report.touched.push(RegionBox::point(&cell, schema.k()));
@@ -970,7 +952,7 @@ impl MaintainableEdb {
                     return Err(CoreError::BadInput(format!("fact {fact_id} already deleted")));
                 }
                 self.fact_locs.remove(&fact_id);
-                self.retire(fact_id);
+                self.retire(fact_id, true);
                 let f = self.prep.facts.get(i)?;
                 report.touched.push(region_of(&schema, &f.dims));
                 if covered {
@@ -1149,7 +1131,7 @@ impl MaintainableEdb {
                     self.fact_ccid.remove(&facts[j]);
                     self.fact_locs.insert(fact_ids[j], FactLoc::Imprecise(facts[j], false));
                     // Their old entries are stale.
-                    self.retire(fact_ids[j]);
+                    self.retire(fact_ids[j], false);
                 }
                 continue;
             }
@@ -1222,9 +1204,14 @@ impl MaintainableEdb {
     }
 
     /// Retire a deleted or stranded fact: exclude it from the tier that
-    /// holds its live run and drop any pending one.
-    fn retire(&mut self, fact_id: FactId) {
-        let owner = self.seg_owner.get(&fact_id).copied().unwrap_or(0);
+    /// holds its run and drop any pending one. A deleted fact leaves
+    /// `live_runs`; a stranded one keeps its tier with no live entry.
+    fn retire(&mut self, fact_id: FactId, deleted: bool) {
+        let (owner, len) = self.live_runs.remove(&fact_id).unwrap_or((0, 0));
+        self.seg_live[owner] -= u64::from(len);
+        if !deleted {
+            self.live_runs.insert(fact_id, (owner, 0));
+        }
         Arc::make_mut(&mut self.seg_excl[owner]).insert(fact_id);
         self.pending.remove(&fact_id);
     }
@@ -1688,6 +1675,104 @@ mod tests {
         // Further mutations keep the invariant after the remap.
         m.apply_batch(&[update(2, 1.5)]).unwrap();
         assert_matches_rebuild(&mut m, &with_measure(t, 2, 1.5), &policy);
+    }
+
+    /// A seeded batch over `live` (ids of the table's current facts):
+    /// measure updates, deletes, fresh inserts, the re-insert of an id
+    /// deleted earlier, and now and then an update of a quarter of the
+    /// table, so the deltas can outgrow the base tier.
+    fn random_batch(
+        table: &iolap_model::FactTable,
+        live: &mut Vec<FactId>,
+        gone: &mut Vec<Fact>,
+        next_id: &mut FactId,
+        s: &mut u64,
+    ) -> Vec<EdbMutation> {
+        let mut next = || {
+            *s ^= *s << 13;
+            *s ^= *s >> 7;
+            *s ^= *s << 17;
+            *s
+        };
+        let mut batch = Vec::new();
+        if next() % 8 == 0 {
+            let all: Vec<FactId> = live.iter().copied().filter(|id| id % 4 == 0).collect();
+            batch.extend(all.into_iter().map(|id| update(id, 7.0)));
+        }
+        for _ in 0..1 + next() % 6 {
+            let r = next();
+            let pick = (r >> 8) as usize % live.len();
+            batch.push(match r % 5 {
+                0 | 1 => update(live[pick], (r >> 20) as f64 % 100.0),
+                2 if live.len() > 1 => {
+                    let id = live.swap_remove(pick);
+                    let mut f = table.facts().iter().find(|f| f.id == id).cloned();
+                    gone.extend(f.take());
+                    EdbMutation::Delete(id)
+                }
+                3 if !gone.is_empty() => {
+                    let f = gone.swap_remove((r >> 8) as usize % gone.len());
+                    live.push(f.id);
+                    EdbMutation::Insert(f)
+                }
+                _ => {
+                    let mut f = table.facts()[(r >> 8) as usize % table.len()].clone();
+                    f.id = *next_id;
+                    *next_id += 1;
+                    live.push(f.id);
+                    EdbMutation::Insert(f)
+                }
+            });
+        }
+        batch
+    }
+
+    #[test]
+    fn planning_reads_counts_and_agrees_with_needs_compaction() {
+        use iolap_datagen::{scaled, DatasetKind};
+        for seed in [3u64, 11, 42] {
+            let table = scaled(DatasetKind::Automotive, 400, seed);
+            let policy = PolicySpec::em_count(0.01);
+            for (threshold, background) in [(1, false), (1, true), (4, false), (4, true)] {
+                let cfg = AllocConfig::builder().in_memory(256).build();
+                let run = allocate(&table, &policy, Algorithm::Transitive, &cfg).unwrap();
+                let mut m = MaintainableEdb::build(run, policy.clone()).unwrap();
+                m.set_compaction_threshold(threshold);
+                m.set_background_compaction(background);
+                let mut live: Vec<FactId> = table.facts().iter().map(|f| f.id).collect();
+                let (mut gone, mut next_id) = (Vec::new(), 1_000_000);
+                let mut s = seed * 2 + 1;
+                let mut held: Option<CompactionPlan> = None;
+                for b in 0..24 {
+                    let batch = random_batch(&table, &mut live, &mut gone, &mut next_id, &mut s);
+                    m.apply_batch(&batch).unwrap();
+                    let views = m.snapshot_segments().unwrap();
+                    let at = format!("seed {seed}, threshold {threshold}, batch {b}");
+                    let decodes = crate::segment::page_decodes();
+                    let needs = m.needs_compaction();
+                    let plan = m.prepare_compaction().unwrap();
+                    assert_eq!(crate::segment::page_decodes(), decodes, "{at}: planning decoded");
+                    assert_eq!(needs, plan.is_some(), "{at}");
+                    let counted: Vec<u64> =
+                        views.iter().map(|v| v.live_entries().unwrap()).collect();
+                    assert_eq!(m.seg_live, counted, "{at}: live counts drifted");
+                    // A plan held across one batch installs over its
+                    // retirements; the next is installed at once.
+                    if let Some(plan) = held.take() {
+                        assert!(m.install_compaction(plan.run().unwrap()).unwrap(), "{at}");
+                    } else if let Some(plan) = plan {
+                        if b % 2 == 0 {
+                            held = Some(plan);
+                        } else {
+                            assert!(m.install_compaction(plan.run().unwrap()).unwrap(), "{at}");
+                        }
+                    }
+                }
+                if background {
+                    assert!(m.num_compactions() >= 1, "seed {seed}, threshold {threshold}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,8 +35,8 @@
 
 use crate::error::{CoreError, Result};
 use iolap_model::{
-    canonical_sort_key, cmp_cells, EdbRecord, FactId, PageBuilder, PageScratch, PageSelect,
-    RegionBox, SegmentFooter, MAX_DIMS, MAX_V2_PAGE_BYTES,
+    cmp_cells, EdbRecord, FactId, PageBuilder, PageScratch, PageSelect, RegionBox, SegmentFooter,
+    MAX_DIMS, MAX_V2_PAGE_BYTES,
 };
 use iolap_storage::StorageError;
 use std::collections::HashSet;
@@ -48,6 +48,14 @@ use std::sync::Arc;
 thread_local! {
     /// Checksum passes this thread has asked the page kernel for.
     static CHECKSUM_PASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Pages this thread has decoded, through any entry point.
+    static PAGE_DECODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Pages this thread has decoded so far.
+#[cfg(test)]
+pub(crate) fn page_decodes() -> u64 {
+    PAGE_DECODES.with(|c| c.get())
 }
 
 /// One immutable, sorted, page-aligned run of EDB entries with its fence
@@ -69,19 +77,11 @@ impl EdbSegment {
     /// Build a segment from entries in any order: stable-sorts them into
     /// canonical cell order (ties keep input order, so a deterministic
     /// input order yields a deterministic — and thus bit-reproducible —
-    /// segment) and encodes the pages.
+    /// segment) and encodes the pages. Input made of runs that are each
+    /// already sorted — a compaction's concatenated tiers — costs the sort
+    /// only the merges of those runs.
     pub fn build(k: usize, mut entries: Vec<EdbRecord>) -> Self {
-        entries.sort_by_cached_key(|e| canonical_sort_key(&e.cell, k));
-        Self::from_sorted(k, entries)
-    }
-
-    /// Wrap entries already in canonical cell order (e.g. the output of an
-    /// external sort) without re-sorting.
-    pub fn from_sorted(k: usize, entries: Vec<EdbRecord>) -> Self {
-        debug_assert!(
-            entries.windows(2).all(|w| cmp_cells(&w[0].cell, &w[1].cell, k).is_le()),
-            "segment entries must be in canonical cell order"
-        );
+        entries.sort_by(|a, b| cmp_cells(&a.cell, &b.cell, k));
         let mut pages = Vec::new();
         let mut footer = SegmentFooter::new(k);
         let mut builder = PageBuilder::new(k);
@@ -198,8 +198,11 @@ impl EdbSegment {
         // an unverified page both verify it, and both store `true`.
         let seen = self.verified[p].load(Ordering::Acquire);
         #[cfg(test)]
-        if !seen {
-            CHECKSUM_PASSES.with(|c| c.set(c.get() + 1));
+        {
+            PAGE_DECODES.with(|c| c.set(c.get() + 1));
+            if !seen {
+                CHECKSUM_PASSES.with(|c| c.set(c.get() + 1));
+            }
         }
         let rows = scratch
             .decode(self.k, &self.pages[p], !seen, select)

@@ -1172,7 +1172,7 @@ impl Coord {
             let _ = h.join();
         }
         self.shared.metrics.ingest_compaction_queue.set(0);
-        // A failed merge (e.g. temp-file I/O) left the input tiers
+        // A failed merge (a corrupt input page) left the input tiers
         // untouched; skip the install and retry below if still needed.
         if let Ok(done) = result {
             match self.medb.install_compaction(done) {

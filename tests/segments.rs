@@ -10,7 +10,9 @@
 //!    compacted back into few tiers hold bit for bit the live entry
 //!    multiset of a replica that never compacts, and both match a full
 //!    rebuild; and its accounted page I/O is exact: the same mutation
-//!    sequence charges the same meter reading, run to run.
+//!    sequence charges the same meter reading, run to run. Every merged
+//!    tier is byte for byte the one a spill-and-external-sort reference
+//!    merge builds (proptest).
 //! 3. **Pages read are pinned** on one fixed set of trailing-dimension
 //!    boxes.
 //! 4. **Damage at rest is loud**: any single flipped bit in a saved
@@ -25,8 +27,11 @@ use iolap::core::{
 };
 use iolap::datagen::{scaled, DatasetKind};
 use iolap::hierarchy::{Hierarchy, HierarchyBuilder};
-use iolap::model::{paper_example, Fact, FactId, FactTable, RegionBox, Schema, MAX_DIMS};
-use iolap::storage::{StorageError, TempDir, PAGE_SIZE};
+use iolap::model::{
+    canonical_sort_key, paper_example, EdbCodec, Fact, FactId, FactTable, RegionBox, Schema,
+    MAX_DIMS,
+};
+use iolap::storage::{external_sort, Env, SortBudget, StorageError, TempDir, PAGE_SIZE};
 use proptest::prelude::*;
 use std::path::Path;
 use std::sync::Arc;
@@ -321,13 +326,12 @@ fn compaction_round_trip_preserves_the_sorted_live_multiset() {
 fn compaction_io_is_exactly_accounted_and_reproducible() {
     // Two independent replicas replay the identical mutation sequence;
     // exact I/O accounting means their meters agree read for read, write
-    // for write — including every compaction's temp file and external
-    // sort. Any hidden (unaccounted) I/O path would have to desynchronize
-    // eventually; equality run-to-run plus a nonzero compaction delta is
-    // the strongest pin that doesn't hardcode a page count. The last
-    // compaction folds the base tier in: its spill (≈ 1 440 entries, 15
-    // pages) outgrows the 8-page pool, so it pays real eviction and
-    // re-read I/O. Deleting the temp files charges none.
+    // for write. Any hidden (unaccounted) I/O path would have to
+    // desynchronize eventually; equality run-to-run is the strongest pin
+    // that doesn't hardcode a page count. The pool is 8 pages, far below
+    // the merged tiers (the last compaction folds the base tier in,
+    // ≈ 1 440 entries), yet every refresh that compacted charges exactly
+    // zero pages: the merge runs in memory and touches no pager.
     let table = scaled(DatasetKind::Automotive, 2_000, 7);
     let run_all = || {
         let mut medb = build_medb(&table, AllocConfig::builder().in_memory(8).build());
@@ -336,9 +340,10 @@ fn compaction_io_is_exactly_accounted_and_reproducible() {
         let mut deltas = Vec::new();
         for batch in compaction_batches(&table) {
             medb.apply_batch(&batch).unwrap();
-            let pre = medb.accounted_io();
+            let (pre, compactions) = (medb.accounted_io(), medb.num_compactions());
             let _ = medb.snapshot_segments().unwrap();
-            deltas.push(medb.accounted_io() - pre);
+            let compacted = medb.num_compactions() > compactions;
+            deltas.push((compacted, medb.accounted_io() - pre));
         }
         (medb.num_compactions(), medb.accounted_io() - before, deltas)
     };
@@ -348,15 +353,15 @@ fn compaction_io_is_exactly_accounted_and_reproducible() {
     assert!(compactions_a >= 1);
     assert_eq!(total_a, total_b, "accounted I/O must be exact, not approximate");
     assert_eq!(deltas_a, deltas_b, "per-refresh I/O must replay identically");
-    assert!(
-        deltas_a.iter().any(|d| d.total() > 0),
-        "compaction must charge the meter (temp file + external sort)"
-    );
+    for (i, (compacted, io)) in deltas_a.iter().enumerate() {
+        if *compacted {
+            assert_eq!(io.total(), 0, "refresh {i} compacted and charged {io:?}");
+        }
+    }
 }
 
-/// A compaction's spill and sorted output are deleted with their pagers,
-/// so a disk-backed environment's directory holds the same files after
-/// nineteen compactions as before them.
+/// A compaction creates no file, so a disk-backed environment's directory
+/// holds the same files after nineteen compactions as before them.
 #[test]
 fn compaction_leaves_no_temp_files_behind() {
     let dir = std::env::temp_dir().join(format!("iolap-seg-files-{}", std::process::id()));
@@ -377,6 +382,141 @@ fn compaction_leaves_no_temp_files_behind() {
     assert_eq!(files(), before, "every compaction must delete its temp files");
     drop(medb);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The reference merge: the live entries of `inputs`, in tier order,
+/// spilled to a temp file on a tiny in-memory pool, external-sorted by
+/// canonical cell key (a stable sort, so ties keep tier order), read back
+/// and built into a segment.
+fn reference_merge(inputs: &[SegmentView]) -> EdbSegment {
+    let k = inputs[0].segment.k();
+    let env = Env::builder("seg-ref").in_memory().pool_pages(8).build().unwrap();
+    let mut tmp = env.create_file("seg-compact", EdbCodec { k }).unwrap();
+    for v in inputs {
+        for e in v.segment.records().unwrap() {
+            if !v.exclude.contains(&e.fact_id) {
+                tmp.push(&e).unwrap();
+            }
+        }
+    }
+    let mut sorted =
+        external_sort(&env, tmp, SortBudget::pages(2), |e| canonical_sort_key(&e.cell, k)).unwrap();
+    let mut entries = Vec::new();
+    let mut cursor = sorted.scan();
+    while let Some(e) = cursor.next().unwrap() {
+        entries.push(e);
+    }
+    drop(cursor);
+    sorted.delete().unwrap();
+    EdbSegment::build(k, entries)
+}
+
+/// A seeded batch over `live`: measure updates, deletes and fresh inserts
+/// (precise or imprecise), and now and then an update of every live fact,
+/// which outgrows the base tier so a merge folds it in.
+fn random_batch(
+    schema: &Schema,
+    live: &mut Vec<FactId>,
+    next_id: &mut FactId,
+    s: &mut u64,
+) -> Vec<EdbMutation> {
+    let mut next = || {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
+    };
+    if next() % 6 == 0 {
+        return live
+            .iter()
+            .map(|&id| EdbMutation::UpdateMeasure { fact_id: id, new_measure: 5.0 })
+            .collect();
+    }
+    (0..1 + next() % 4)
+        .map(|_| {
+            let r = next();
+            let pick = (r >> 8) as usize % live.len();
+            match r % 3 {
+                0 => EdbMutation::UpdateMeasure {
+                    fact_id: live[pick],
+                    new_measure: 1.0 + (r >> 20) as f64 % 100.0,
+                },
+                1 if live.len() > 1 => EdbMutation::Delete(live.swap_remove(pick)),
+                _ => {
+                    let dims: Vec<u32> = (0..schema.k())
+                        .map(|d| {
+                            let (h, r) = (schema.dim(d), next());
+                            if r % 10 < 6 {
+                                h.leaf_node((r >> 8) as u32 % h.num_leaves()).0
+                            } else {
+                                (r >> 8) as u32 % h.num_nodes()
+                            }
+                        })
+                        .collect();
+                    live.push(*next_id);
+                    *next_id += 1;
+                    EdbMutation::Insert(Fact::new(*next_id - 1, &dims, 1.0 + (r % 50) as f64))
+                }
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// Every tier a background compaction installs, at thresholds 1 and 4,
+    /// equals the reference merge of the views its plan froze: the same
+    /// records, the same footer bytes and the same saved file. Some plans
+    /// are held across a batch, so exclusions grow between plan and
+    /// install.
+    #[test]
+    fn merged_tiers_are_byte_identical_to_an_external_sort_merge(
+        table in arb_table(),
+        seed in any::<u64>(),
+    ) {
+        prop_assume!(table.num_precise() > 0 || table.num_imprecise() == 0);
+        let dir = TempDir::new("seg-merge-prop").unwrap();
+        for threshold in [1, 4] {
+            let mut medb = build_medb(&table, AllocConfig::builder().in_memory(128).build());
+            medb.set_compaction_threshold(threshold);
+            medb.set_background_compaction(true);
+            let mut live: Vec<FactId> = table.facts().iter().map(|f| f.id).collect();
+            let mut next_id = live.iter().max().unwrap() + 1;
+            let mut s = seed | 1;
+            let mut held = None;
+            for b in 0..12 {
+                let batch = random_batch(table.schema(), &mut live, &mut next_id, &mut s);
+                medb.apply_batch(&batch).unwrap();
+                let views = medb.snapshot_segments().unwrap();
+                let (frozen, plan) = match held.take() {
+                    Some(held) => held,
+                    None => match medb.prepare_compaction().unwrap() {
+                        Some(plan) if b % 3 == 0 => {
+                            held = Some((views, plan));
+                            continue;
+                        }
+                        Some(plan) => (views, plan),
+                        None => continue,
+                    },
+                };
+                prop_assert!(medb.install_compaction(plan.run().unwrap()).unwrap());
+                let after = medb.snapshot_segments().unwrap();
+                let start = usize::from(Arc::ptr_eq(&after[0].segment, &frozen[0].segment));
+                let (merged, want) = (&after[start].segment, reference_merge(&frozen[start..]));
+                let at = format!("threshold {threshold}, batch {b}, start {start}");
+                prop_assert_eq!(merged.records().unwrap(), want.records().unwrap(), "{}", at);
+                prop_assert_eq!(merged.footer().encode(), want.footer().encode(), "{}", at);
+                let (got_path, want_path) = (dir.path().join("got"), dir.path().join("want"));
+                merged.save(&got_path).unwrap();
+                want.save(&want_path).unwrap();
+                prop_assert!(
+                    std::fs::read(&got_path).unwrap() == std::fs::read(&want_path).unwrap(),
+                    "{}: saved bytes differ", at
+                );
+            }
+        }
+    }
 }
 
 /// Pages a fence-pruned scan reads over one fixed set of boxes that
