@@ -36,12 +36,15 @@ pub struct CacheKey {
     lo: [u32; MAX_DIMS],
     hi: [u32; MAX_DIMS],
     k: u8,
-    /// Aggregate discriminant + classical semantics discriminant.
+    /// Aggregate discriminant + classical semantics discriminant (always
+    /// 0 from the server, which refuses classical queries).
     kind: u8,
 }
 
 impl CacheKey {
-    /// Build a key for an aggregate over `region`.
+    /// Build a key for an aggregate over `region`. The server always
+    /// passes `classical: None`; the argument stays for callers that key
+    /// parsed requests as they come.
     pub fn new(region: &RegionBox, agg: AggFn, classical: Option<Classical>) -> Self {
         let a = match agg {
             AggFn::Sum => 0u8,

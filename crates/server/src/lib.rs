@@ -12,7 +12,7 @@
 //!    machinery (`iolap_core::MaintainableEdb`) and atomically publishes
 //!    the next epoch. Queries never block updates and vice versa.
 //! 2. **A sharded result cache with targeted invalidation** — results are
-//!    keyed by `(region, aggregate, semantics)`; an update invalidates
+//!    keyed by `(region, aggregate)`; an update invalidates
 //!    only the entries whose region overlaps a bounding box the batch
 //!    touched (the same component-locality argument — Theorem 12 — that
 //!    makes maintenance itself cheap).

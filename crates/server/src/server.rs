@@ -40,7 +40,7 @@ use iolap_core::{
 };
 use iolap_model::{Fact, FactId, FactTable, RegionBox, Schema, MAX_DIMS};
 use iolap_obs::{Counter, Gauge, Histogram, Obs};
-use iolap_query::{aggregate_classical, AggFn, Classical, Query};
+use iolap_query::AggFn;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -616,6 +616,11 @@ fn utf8_body(body: &[u8]) -> Result<&str, Response> {
     std::str::from_utf8(body).map_err(|_| bad_request("request body must be UTF-8"))
 }
 
+/// Why `/query` refuses a `"classical"` field: the server holds the EDB,
+/// not the fact table the companion paper's baselines scan.
+const CLASSICAL_MSG: &str = "classical baselines are not served: evaluate them over the fact \
+     table with iolap_query::aggregate_classical";
+
 /// The reactor-side stage of `/query`: parse, resolve the region, probe
 /// the cache. A hit — and every malformed request — is answered here; a
 /// miss hands its region, cache key and snapshot to a worker, which
@@ -630,12 +635,15 @@ fn begin_query(body: &[u8], shared: &Arc<Shared>) -> Step {
         Ok(q) => q,
         Err(msg) => return reject(&msg),
     };
+    if q.classical.is_some() {
+        return reject(CLASSICAL_MSG);
+    }
     let region = match resolve_region(&shared.schema, &q.at) {
         Ok(r) => r,
         Err(msg) => return reject(&msg),
     };
-    let (agg, classical) = (q.agg, q.classical);
-    let key = CacheKey::new(&region, agg, classical);
+    let agg = q.agg;
+    let key = CacheKey::new(&region, agg, None);
     if shared.cache_enabled {
         if let Some(hit) = shared.cache.get(&key) {
             shared.metrics.cache_hit.inc();
@@ -645,7 +653,7 @@ fn begin_query(body: &[u8], shared: &Arc<Shared>) -> Step {
         shared.metrics.cache_miss.inc();
     }
     let (snap, shared) = (shared.snapshot(), shared.clone());
-    Step::Work(Box::new(move || scan_query(region, key, agg, classical, &snap, &shared)))
+    Step::Work(Box::new(move || scan_query(region, key, agg, &snap, &shared)))
 }
 
 /// The worker-side stage of a `/query` the cache missed: scan, insert,
@@ -654,30 +662,18 @@ fn scan_query(
     region: RegionBox,
     key: CacheKey,
     agg: AggFn,
-    classical: Option<Classical>,
     snap: &EdbSnapshot,
     shared: &Shared,
 ) -> Response {
-    let result = match classical {
-        Some(sem) => {
-            let query = Query { region, agg };
-            aggregate_classical(&snap.table, &query, sem)
-        }
-        None => {
-            // A corrupt compressed page surfaces from the cursor as the
-            // storage error it is — a 500, never a silent short answer.
-            let (result, stats) = match snap.aggregate_with_stats(&region, agg) {
-                Ok(rs) => rs,
-                Err(e) => {
-                    return err_response(ServeError::Internal(format!("scan failed: {e}")));
-                }
-            };
-            shared.metrics.pages_read.add(stats.pages_read);
-            shared.metrics.pages_pruned.add(stats.pages_pruned);
-            shared.metrics.bytes_read.add(stats.bytes_read);
-            result
-        }
+    // A corrupt compressed page surfaces from the cursor as the storage
+    // error it is — a 500, never a silent short answer.
+    let (result, stats) = match snap.aggregate_with_stats(&region, agg) {
+        Ok(rs) => rs,
+        Err(e) => return err_response(ServeError::Internal(format!("scan failed: {e}"))),
     };
+    shared.metrics.pages_read.add(stats.pages_read);
+    shared.metrics.pages_pruned.add(stats.pages_pruned);
+    shared.metrics.bytes_read.add(stats.bytes_read);
     if shared.cache_enabled {
         let out = shared.cache.insert(key, CachedResult { result, epoch: snap.epoch });
         if out.inserted {
@@ -843,8 +839,11 @@ fn coordinator_main(
     // the need, and the merge happens on a background thread whose
     // result installs through the usual epoch-swap publish.
     medb.set_background_compaction(true);
-    let mut mirror = table; // fact-table mirror for classical baselines
-    let mut acked_ids: HashSet<FactId> = mirror.facts().iter().map(|f| f.id).collect();
+    // Past allocation the boot table yields only the acknowledged id set;
+    // it drops here, and every snapshot shares one empty table.
+    let mut acked_ids: HashSet<FactId> = table.facts().iter().map(|f| f.id).collect();
+    let empty_table = Arc::new(FactTable::new(table.schema().clone()));
+    drop(table);
     let mut epoch = 0u64;
 
     // Recover the write-ahead log *before* the first snapshot publishes.
@@ -859,7 +858,7 @@ fn coordinator_main(
         match MutationWal::open_or_create(path, medb.io_stats()) {
             Ok((w, rec)) => {
                 for muts in &rec.batches {
-                    if let Err(e) = fold_batch(&mut medb, &mut mirror, muts) {
+                    if let Err(e) = medb.apply_batch(muts) {
                         let _ =
                             ready_tx.send(Err(format!("WAL replay failed at batch {epoch}: {e}")));
                         return;
@@ -891,7 +890,7 @@ fn coordinator_main(
     let first = Arc::new(EdbSnapshot {
         epoch,
         schema: schema.clone(),
-        table: Arc::new(mirror.clone()),
+        table: empty_table,
         segments,
         lattice: lattice.clone(),
     });
@@ -909,7 +908,6 @@ fn coordinator_main(
     let compactions_seen = medb.num_compactions();
     let coord = Coord {
         medb,
-        mirror,
         acked_ids,
         epoch,
         wal,
@@ -928,7 +926,6 @@ fn coordinator_main(
 /// The update coordinator's working state (one thread owns it all).
 struct Coord {
     medb: MaintainableEdb,
-    mirror: FactTable,
     /// Ids as of the last *acknowledged* batch — includes the deferred
     /// backlog, so validation at ack time sees pending effects.
     acked_ids: HashSet<FactId>,
@@ -1070,10 +1067,10 @@ impl Coord {
                     Ok(out) => Ok(UpdateReply::Applied(out)),
                     Err(msg) => {
                         // apply_batch / snapshot_segments failed partway:
-                        // the EDB may disagree with the mirror and the
-                        // published snapshot, and apply_batch has no
-                        // rollback. Poison: reads keep the last
-                        // consistent snapshot, writes get 503.
+                        // the EDB may disagree with the published
+                        // snapshot and the acknowledged ids, and
+                        // apply_batch has no rollback. Poison: reads keep
+                        // the last consistent snapshot, writes get 503.
                         self.shared.poisoned.store(true, Ordering::Release);
                         Err((500, msg))
                     }
@@ -1138,7 +1135,6 @@ impl Coord {
     /// *poison* — the caller must set the flag.
     fn fold_publish(&mut self, muts: &[EdbMutation]) -> Result<UpdateOutcome, String> {
         let report = self.medb.apply_batch(muts).map_err(|e| format!("maintenance failed: {e}"))?;
-        apply_mirror(&mut self.mirror, muts);
 
         // `snapshot_segments` folds only the runs this batch re-emitted
         // into one new delta tier and hands back the same `Arc`s for
@@ -1155,7 +1151,7 @@ impl Coord {
         let snap = Arc::new(EdbSnapshot {
             epoch: self.epoch,
             schema: self.medb.schema().clone(),
-            table: Arc::new(self.mirror.clone()),
+            table: self.shared.snapshot().table.clone(),
             segments,
             lattice,
         });
@@ -1195,7 +1191,7 @@ impl Coord {
     }
 
     /// Swap the published snapshot's segments for the merged set without
-    /// touching epoch, cache, or the fact-table mirror.
+    /// touching epoch or cache.
     fn republish_segments(&mut self) {
         let Ok(segments) = self.medb.snapshot_segments() else {
             return;
@@ -1362,34 +1358,6 @@ fn apply_id_effects(ids: &mut HashSet<FactId>, muts: &[EdbMutation]) {
             }
         }
     }
-}
-
-/// Mirror a batch onto the fact table (classical baselines read it).
-fn apply_mirror(mirror: &mut FactTable, muts: &[EdbMutation]) {
-    for m in muts {
-        match m {
-            EdbMutation::UpdateMeasure { fact_id, new_measure } => {
-                if let Some(f) = mirror.facts_mut().iter_mut().find(|f| f.id == *fact_id) {
-                    f.measure = *new_measure;
-                }
-            }
-            EdbMutation::Insert(f) => mirror.facts_mut().push(f.clone()),
-            EdbMutation::Delete(fact_id) => {
-                mirror.facts_mut().retain(|f| f.id != *fact_id);
-            }
-        }
-    }
-}
-
-/// Replay one recovered WAL batch through the normal apply path.
-fn fold_batch(
-    medb: &mut MaintainableEdb,
-    mirror: &mut FactTable,
-    muts: &[EdbMutation],
-) -> iolap_core::Result<()> {
-    medb.apply_batch(muts)?;
-    apply_mirror(mirror, muts);
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------

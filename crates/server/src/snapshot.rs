@@ -30,7 +30,9 @@ pub struct EdbSnapshot {
     pub epoch: u64,
     /// The dataset schema (shared across all epochs).
     pub schema: Arc<Schema>,
-    /// The fact table as of this epoch (for classical baselines).
+    /// Always empty: the server keeps no fact table and reads this field
+    /// nowhere. Every snapshot shares one empty table made at boot; the
+    /// field goes when the pinned snapshot shape next changes.
     pub table: Arc<FactTable>,
     /// The EDB as immutable segment views (base + deltas). Each view is
     /// two `Arc`s, so cloning a snapshot's worth is O(segments); segments

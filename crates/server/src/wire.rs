@@ -102,8 +102,9 @@ pub struct QueryRequest {
     pub at: Vec<(String, String)>,
     /// The aggregate (default SUM).
     pub agg: AggFn,
-    /// When set, evaluate under a classical baseline semantics on the raw
-    /// fact table instead of the allocation-weighted EDB.
+    /// A classical baseline semantics. The server answers a request that
+    /// sets it with a 400: it holds the EDB, not the fact table, and the
+    /// baselines are `iolap_query::aggregate_classical`'s.
     pub classical: Option<Classical>,
 }
 

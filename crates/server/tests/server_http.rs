@@ -95,6 +95,18 @@ fn malformed_bodies_are_400_and_never_kill_the_worker() {
         assert_eq!(status, 400, "{bad:?} → {body}");
         assert!(iolap_obs::json::parse(&body).unwrap().get("error").is_some());
     }
+    // Classical baselines are a library comparison, not a served query.
+    for sem in ["none", "contains", "overlaps"] {
+        let bad = format!("{{\"region\":{{\"Location\":\"MA\"}},\"classical\":\"{sem}\"}}");
+        let (status, body) = http_roundtrip(&mut c, "POST", "/query", &bad).unwrap();
+        assert_eq!(status, 400, "{bad:?} → {body}");
+        let v = iolap_obs::json::parse(&body).unwrap();
+        let err = v.get("error").and_then(|e| e.as_str()).unwrap_or_default();
+        assert!(err.contains("aggregate_classical"), "{body}");
+    }
+    assert_eq!(counter(&h, "serve.cache.insert"), 0, "a refused query caches nothing");
+    let (status, body) = http_roundtrip(&mut c, "POST", "/query", "{}").unwrap();
+    assert_eq!(status, 200, "{body}");
     // The same worker still answers afterwards.
     let (status, _) = http_roundtrip(&mut c, "GET", "/healthz", "").unwrap();
     assert_eq!(status, 200);
@@ -751,7 +763,9 @@ fn synchronous_wal_updates_survive_restart() {
 
     let h = start(cfg());
     let mut c = connect(&h);
-    let upd = "{\"mutations\":[{\"op\":\"update\",\"fact_id\":2,\"measure\":500.0}]}";
+    let upd = "{\"mutations\":[{\"op\":\"update\",\"fact_id\":2,\"measure\":500.0},\
+               {\"op\":\"delete\",\"fact_id\":2},\
+               {\"op\":\"insert\",\"id\":9001,\"dims\":[\"MA\",\"Civic\"],\"measure\":42.0}]}";
     let (status, body) = http_roundtrip(&mut c, "POST", "/update", upd).unwrap();
     assert_eq!(status, 200, "{body}");
     let v = iolap_obs::json::parse(&body).unwrap();
@@ -769,6 +783,19 @@ fn synchronous_wal_updates_survive_restart() {
     assert_eq!(v.get("epoch").and_then(|e| e.as_u64()), Some(1), "epoch survives restart: {hb}");
     let (_, after) = http_roundtrip(&mut c, "POST", "/query", query).unwrap();
     assert_eq!(normalize_cached(&after), normalize_cached(&before), "recovered bits differ");
+    // Id validation sees the replayed batch's delete and insert.
+    let upd = "{\"mutations\":[{\"op\":\"update\",\"fact_id\":2,\"measure\":1.0}]}";
+    let (status, body) = http_roundtrip(&mut c, "POST", "/update", upd).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("no fact 2"), "{body}");
+    let upd = "{\"mutations\":[{\"op\":\"insert\",\"id\":9001,\"dims\":[\"MA\",\"Civic\"],\
+               \"measure\":1.0}]}";
+    let (status, body) = http_roundtrip(&mut c, "POST", "/update", upd).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("already exists"), "{body}");
+    let upd = "{\"mutations\":[{\"op\":\"delete\",\"fact_id\":9001}]}";
+    let (status, body) = http_roundtrip(&mut c, "POST", "/update", upd).unwrap();
+    assert_eq!(status, 200, "{body}");
     h.shutdown();
 }
 
