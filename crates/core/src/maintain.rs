@@ -149,8 +149,11 @@ pub struct UpdateReport {
 
 /// A compaction captured off the apply path by
 /// [`MaintainableEdb::prepare_compaction`]: the frozen input tiers,
-/// detached from the EDB so [`CompactionPlan::run`] can execute on a
-/// background thread.
+/// detached from the EDB so [`CompactionPlan::run`] can execute on
+/// another thread, or between batches. The server never takes this path
+/// (its coordinator merges inline, inside the fold); the benchmark
+/// harness's write-path reference and the crash-recovery, lattice and
+/// segment tests drive it.
 pub struct CompactionPlan {
     /// First tier index being merged (0 when the base tier is included).
     start: usize,
@@ -496,8 +499,12 @@ impl MaintainableEdb {
     /// set, [`MaintainableEdb::snapshot_segments`] never merges tiers
     /// inline; the owner polls [`MaintainableEdb::needs_compaction`] and
     /// drives [`MaintainableEdb::prepare_compaction`] →
-    /// [`CompactionPlan::run`] (on its own thread) →
-    /// [`MaintainableEdb::install_compaction`].
+    /// [`CompactionPlan::run`] (on its own thread, or between batches) →
+    /// [`MaintainableEdb::install_compaction`]. The default, inline mode
+    /// is what the server runs; this mode is driven by the benchmark
+    /// harness's write-path reference, which times the merge as its own
+    /// stage, and by the tests that crash or interleave batches around
+    /// an install.
     pub fn set_background_compaction(&mut self, background: bool) {
         self.inline_compaction = !background;
     }
@@ -569,10 +576,10 @@ impl MaintainableEdb {
                 *tier -= n - 1;
             }
         }
+        // Counted here only; the server surfaces the delta as
+        // `edb.compactions`, so an `Obs` shared with allocation counts
+        // each merge once.
         self.compactions += 1;
-        if let Some(c) = self.prep.env.obs().counter("edb.compactions") {
-            c.add(1);
-        }
         if let Some(g) = self.prep.env.obs().gauge("edb.segments") {
             g.set(self.segs.len() as i64);
         }

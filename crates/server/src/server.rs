@@ -20,7 +20,9 @@
 //!   tail the socket wouldn't take.
 //! * **coordinator** (1) — owns the mutable [`MaintainableEdb`]. Builds
 //!   the initial allocation, then serially applies `/update` batches,
-//!   invalidates the cache, and publishes fresh [`EdbSnapshot`]s.
+//!   invalidates the cache, and publishes fresh [`EdbSnapshot`]s. A
+//!   fold that crosses the tier threshold also compacts, inline; no
+//!   other thread touches the EDB.
 //!
 //! Shutdown: [`ServerHandle::shutdown`] (or drop) raises a flag and
 //! wakes the reactor, which stops accepting, closes idle keep-alive
@@ -35,9 +37,7 @@ use crate::snapshot::{resolve_level, resolve_region, EdbSnapshot};
 use crate::wire;
 pub use crate::wire::ServeError;
 use iolap_core::maintain::EdbMutation;
-use iolap_core::{
-    allocate, Algorithm, AllocConfig, CompactionResult, MaintainableEdb, MutationWal, PolicySpec,
-};
+use iolap_core::{allocate, Algorithm, AllocConfig, MaintainableEdb, MutationWal, PolicySpec};
 use iolap_model::{Fact, FactId, FactTable, RegionBox, Schema, MAX_DIMS};
 use iolap_obs::{Counter, Gauge, Histogram, Obs};
 use iolap_query::AggFn;
@@ -246,14 +246,6 @@ enum UpdateReply {
     Durable { wal_batch: u64, staged: u64, epoch: u64 },
 }
 
-/// One request to the update coordinator.
-enum CoordJob {
-    /// Apply a mutation batch.
-    Update { muts: Vec<EdbMutation>, reply: Sender<Result<UpdateReply, (u16, String)>> },
-    /// A background segment merge finished (or failed); install it.
-    CompactionDone(Box<Result<CompactionResult, String>>),
-}
-
 /// Application-level metric handles resolved once at startup (hot paths
 /// never re-hash names); the transport-level handles live in the engine.
 /// The server's `Obs` is always at least metrics-only.
@@ -289,14 +281,13 @@ pub(crate) struct ServeMetrics {
     compression_ratio: Gauge,
     /// Streaming-ingest instruments: WAL bytes appended, WAL batches
     /// replayed at startup, durable-but-unfolded backlog frames, folds
-    /// of staged batches into delta segments, group-commit fsync
-    /// latency, and whether a background merge is in flight.
+    /// of staged batches into delta segments, and group-commit fsync
+    /// latency.
     ingest_wal_bytes: Counter,
     ingest_recovered: Counter,
     ingest_backlog: Gauge,
     ingest_folds: Counter,
     ingest_group_commit_us: Histogram,
-    ingest_compaction_queue: Gauge,
 }
 
 impl ServeMetrics {
@@ -328,7 +319,6 @@ impl ServeMetrics {
             ingest_backlog: obs.gauge("ingest.backlog").expect("enabled"),
             ingest_folds: c("ingest.folds"),
             ingest_group_commit_us: obs.histogram("ingest.group_commit_us").expect("enabled"),
-            ingest_compaction_queue: obs.gauge("ingest.compaction_queue").expect("enabled"),
         }
     }
 }
@@ -357,7 +347,7 @@ pub(crate) struct Shared {
     cache_enabled: bool,
     obs: Obs,
     pub(crate) metrics: ServeMetrics,
-    update_tx: Mutex<Option<Sender<CoordJob>>>,
+    update_tx: Mutex<Option<Sender<UpdateJob>>>,
     /// Set when a maintenance batch failed partway: the EDB may be
     /// inconsistent with the published snapshot, so further `/update`s
     /// are refused (503) and `/healthz` reports degraded. Reads keep
@@ -436,7 +426,7 @@ impl ServerBuilder {
         // the readiness channel below.
         let (ready_tx, ready_rx) = mpsc::channel::<Result<Arc<EdbSnapshot>, String>>();
         let (shared_tx, shared_rx) = mpsc::channel::<Arc<Shared>>();
-        let (update_tx, update_rx) = mpsc::channel::<CoordJob>();
+        let (update_tx, update_rx) = mpsc::channel::<UpdateJob>();
         let ingest = IngestCfg {
             wal_path: cfg.wal_path.clone(),
             group_window: cfg.group_window,
@@ -768,7 +758,7 @@ fn handle_update(body: &[u8], shared: &Shared) -> Response {
         return err_response(ServeError::Unavailable("server is shutting down".into()));
     };
     let (reply_tx, reply_rx) = mpsc::channel();
-    if tx.send(CoordJob::Update { muts, reply: reply_tx }).is_err() {
+    if tx.send((muts, reply_tx)).is_err() {
         return err_response(ServeError::Unavailable("server is shutting down".into()));
     }
     match reply_rx.recv() {
@@ -813,6 +803,7 @@ struct PendingBatch {
 const POISONED_MSG: &str =
     "maintenance failed earlier; updates disabled (reads still serve the last consistent snapshot)";
 
+/// One `/update` batch and where its reply goes.
 type UpdateJob = (Vec<EdbMutation>, Sender<Result<UpdateReply, (u16, String)>>);
 
 fn coordinator_main(
@@ -822,7 +813,7 @@ fn coordinator_main(
     ingest: IngestCfg,
     ready_tx: Sender<Result<Arc<EdbSnapshot>, String>>,
     shared_rx: Receiver<Arc<Shared>>,
-    update_rx: Receiver<CoordJob>,
+    update_rx: Receiver<UpdateJob>,
 ) {
     // Build the initial allocation. Maintenance requires Transitive (the
     // component index is piggybacked on its component-processing step).
@@ -835,10 +826,6 @@ fn coordinator_main(
             return;
         }
     };
-    // From here on compaction runs off the apply path: folds only stage
-    // the need, and the merge happens on a background thread whose
-    // result installs through the usual epoch-swap publish.
-    medb.set_background_compaction(true);
     // Past allocation the boot table yields only the acknowledged id set;
     // it drops here, and every snapshot shares one empty table.
     let mut acked_ids: HashSet<FactId> = table.facts().iter().map(|f| f.id).collect();
@@ -918,7 +905,6 @@ fn coordinator_main(
         pending: VecDeque::new(),
         pending_frames: 0,
         oldest_pending: None,
-        compaction_thread: None,
     };
     coord.run(update_rx);
 }
@@ -938,11 +924,10 @@ struct Coord {
     pending: VecDeque<PendingBatch>,
     pending_frames: u64,
     oldest_pending: Option<Instant>,
-    compaction_thread: Option<JoinHandle<()>>,
 }
 
 impl Coord {
-    fn run(mut self, update_rx: Receiver<CoordJob>) {
+    fn run(mut self, update_rx: Receiver<UpdateJob>) {
         loop {
             let job = match self.oldest_pending {
                 // Nothing staged: block until the next job or shutdown.
@@ -969,37 +954,16 @@ impl Coord {
                     }
                 }
             };
-            match job {
-                CoordJob::Update { muts, reply } => {
-                    // Group-commit drain: updates already queued behind
-                    // this one ride the same fsync. Stop at the first
-                    // non-update job so FIFO order is preserved.
-                    let mut group: Vec<UpdateJob> = vec![(muts, reply)];
-                    let mut tail = None;
-                    while let Ok(next) = update_rx.try_recv() {
-                        match next {
-                            CoordJob::Update { muts, reply } => group.push((muts, reply)),
-                            CoordJob::CompactionDone(result) => {
-                                tail = Some(result);
-                                break;
-                            }
-                        }
-                    }
-                    self.handle_group(group);
-                    if let Some(result) = tail {
-                        self.handle_compaction_done(*result);
-                    }
-                }
-                CoordJob::CompactionDone(result) => self.handle_compaction_done(*result),
-            }
+            // Group-commit drain: updates already queued behind this one
+            // ride the same fsync.
+            let mut group = vec![job];
+            group.extend(update_rx.try_iter());
+            self.handle_group(group);
         }
         // Graceful shutdown (stdin EOF / handle drop): every batch below
         // was acknowledged durable, so flush the backlog into a delta
         // segment before exit — restart then replays nothing.
         self.fold_pending();
-        if let Some(h) = self.compaction_thread.take() {
-            let _ = h.join();
-        }
     }
 
     /// Validate, WAL-append, group-fsync, then fold or stage one group
@@ -1130,16 +1094,18 @@ impl Coord {
         self.sync_compaction_metric();
     }
 
-    /// Apply one batch, snapshot, bump the epoch, and publish. Then
-    /// consider kicking off a background merge. An `Err` always means
-    /// *poison* — the caller must set the flag.
+    /// Apply one batch, snapshot, bump the epoch, and publish. An `Err`
+    /// always means *poison* — the caller must set the flag.
     fn fold_publish(&mut self, muts: &[EdbMutation]) -> Result<UpdateOutcome, String> {
         let report = self.medb.apply_batch(muts).map_err(|e| format!("maintenance failed: {e}"))?;
 
         // `snapshot_segments` folds only the runs this batch re-emitted
         // into one new delta tier and hands back the same `Arc`s for
         // segments the batch left alone, so publication cost is
-        // O(segments), not O(entries).
+        // O(segments), not O(entries) — except in the fold that crosses
+        // the compaction threshold, which merges tiers in memory before
+        // the lattice sync below, so a merged tier's lattice is built
+        // once. Readers keep the previous snapshot meanwhile.
         let segments =
             self.medb.snapshot_segments().map_err(|e| format!("snapshot failed: {e}"))?;
         // Sync the cuboid lattice to the batch. A failure here degrades
@@ -1156,96 +1122,7 @@ impl Coord {
             lattice,
         });
         let invalidated = publish(&self.shared, self.epoch, &snap, &report.touched);
-        self.maybe_start_compaction();
         Ok(UpdateOutcome { epoch: self.epoch, invalidated, report })
-    }
-
-    /// Install a finished background merge and republish the segment set
-    /// at the *same* epoch: the live entry multiset is unchanged, so
-    /// cached answers stay valid — no epoch bump, no invalidation.
-    fn handle_compaction_done(&mut self, result: Result<CompactionResult, String>) {
-        if let Some(h) = self.compaction_thread.take() {
-            let _ = h.join();
-        }
-        self.shared.metrics.ingest_compaction_queue.set(0);
-        // A failed merge (a corrupt input page) left the input tiers
-        // untouched; skip the install and retry below if still needed.
-        if let Ok(done) = result {
-            match self.medb.install_compaction(done) {
-                Ok(installed) => {
-                    if installed {
-                        self.sync_compaction_metric();
-                        self.republish_segments();
-                    }
-                }
-                Err(_) => {
-                    // install_compaction mutates segment bookkeeping; a
-                    // failure partway is the same class as a failed
-                    // apply_batch.
-                    self.shared.poisoned.store(true, Ordering::Release);
-                    return;
-                }
-            }
-        }
-        self.maybe_start_compaction();
-    }
-
-    /// Swap the published snapshot's segments for the merged set without
-    /// touching epoch or cache.
-    fn republish_segments(&mut self) {
-        let Ok(segments) = self.medb.snapshot_segments() else {
-            return;
-        };
-        let lattice = self.medb.snapshot_lattice().ok();
-        let current = self.shared.snapshot();
-        let snap = Arc::new(EdbSnapshot {
-            epoch: self.epoch,
-            schema: self.medb.schema().clone(),
-            table: current.table.clone(),
-            segments,
-            lattice,
-        });
-        self.shared.metrics.edb_segments.set(snap.segments.len() as i64);
-        self.shared.metrics.compression_ratio.set(compression_milli(&snap.segments));
-        self.shared
-            .metrics
-            .cuboid_bytes
-            .set(snap.lattice.as_ref().map_or(0, |l| l.encoded_bytes()) as i64);
-        *self.shared.snapshot.lock().unwrap_or_else(|p| p.into_inner()) = snap;
-    }
-
-    /// Kick off a background merge when the tier count calls for one and
-    /// none is in flight. The spawned thread owns a `CoordJob` sender
-    /// clone taken from `Shared` *now* — never a persistent clone on the
-    /// coordinator, which would keep its own receive loop alive at
-    /// shutdown.
-    fn maybe_start_compaction(&mut self) {
-        if self.compaction_thread.is_some() || !self.medb.needs_compaction() {
-            return;
-        }
-        let tx = self.shared.update_tx.lock().unwrap_or_else(|p| p.into_inner()).clone();
-        let Some(tx) = tx else {
-            return; // shutting down; the final fold already ran or will
-        };
-        match self.medb.prepare_compaction() {
-            Ok(Some(plan)) => {
-                self.shared.metrics.ingest_compaction_queue.set(1);
-                let spawned = std::thread::Builder::new().name("iolap-serve-compact".into()).spawn(
-                    move || {
-                        let result = plan.run().map_err(|e| format!("{e}"));
-                        let _ = tx.send(CoordJob::CompactionDone(Box::new(result)));
-                    },
-                );
-                match spawned {
-                    Ok(h) => self.compaction_thread = Some(h),
-                    Err(_) => self.shared.metrics.ingest_compaction_queue.set(0),
-                }
-            }
-            Ok(None) => {}
-            // Planning reads segment state; a failure leaves it
-            // untouched. Stay un-compacted rather than poisoning.
-            Err(_) => {}
-        }
     }
 
     fn set_backlog(&self) {

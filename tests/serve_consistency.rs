@@ -17,7 +17,7 @@ use iolap::core::maintain::EdbMutation;
 use iolap::core::{allocate, Algorithm, AllocConfig, MaintainableEdb, PolicySpec};
 use iolap::datagen::{scaled, DatasetKind};
 use iolap::model::{paper_example, FactTable};
-use iolap::obs::json;
+use iolap::obs::{json, Obs};
 use iolap::query::{aggregate_edb, AggFn, Query, QueryBuilder};
 use iolap::serve::snapshot::resolve_region;
 use iolap::serve::wire;
@@ -172,31 +172,49 @@ fn server_query_is_aggregate_edb_bit_for_bit() {
     }
 }
 
+/// Every `QUERIES` answer from the server equals, bit for bit, the same
+/// query over the local replica's current segments. Returns how many
+/// segments the replica publishes.
+fn assert_matches_replica(conn: &mut TcpStream, medb: &mut MaintainableEdb, epoch: u64) -> usize {
+    let snap = EdbSnapshot {
+        epoch,
+        schema: medb.schema().clone(),
+        table: Arc::new(paper_example::table1()), // unused for EDB aggregates
+        segments: medb.snapshot_segments().expect("segments"),
+        lattice: None, // /query aggregates never consult the lattice
+    };
+    for &(at, agg) in QUERIES {
+        let b = at
+            .iter()
+            .fold(QueryBuilder::new(paper_example::schema()).agg(agg), |b, (d, n)| b.at(d, n));
+        let q = b.build().expect("query");
+        let local = snap.aggregate(&q.region, agg).expect("snapshot aggregate");
+        let (v, s, c, _) = server_query(conn, at, agg);
+        assert_eq!(v, local.value.to_bits(), "{at:?} {agg:?} value at epoch {epoch}");
+        assert_eq!(s, local.sum.to_bits(), "{at:?} {agg:?} sum at epoch {epoch}");
+        assert_eq!(c, local.count.to_bits(), "{at:?} {agg:?} count at epoch {epoch}");
+    }
+    snap.segments.len()
+}
+
+/// The server equals a library replica at every epoch, across the
+/// compactions its coordinator runs inside the fold. Allocation and
+/// serving share one `Obs`, so each merge must be counted once.
 #[test]
 fn update_round_trip_stays_bit_identical_to_the_library() {
-    let h = start_server();
+    let obs = Obs::metrics_only();
+    let h = Server::builder(paper_example::table1(), policy())
+        .alloc(AllocConfig::builder().in_memory(256).obs(obs.clone()).build())
+        .config(ServeConfig::builder().obs(obs).build())
+        .bind("127.0.0.1:0")
+        .expect("server starts");
     let mut conn = TcpStream::connect(h.addr()).expect("connect");
 
-    // Mirror the server's state through the maintenance machinery.
+    // Mirror the server's state through the maintenance machinery, in
+    // the default inline-compaction mode the coordinator runs.
     let run = allocate(&paper_example::table1(), &policy(), Algorithm::Transitive, &alloc_cfg())
         .expect("local allocation");
     let mut medb = MaintainableEdb::build(run, policy()).expect("maintainable");
-
-    let muts = vec![
-        wire::MutationReq::Update { fact_id: 2, measure: 500.0 },
-        wire::MutationReq::Insert { id: 50, dims: vec!["NY".into(), "F150".into()], measure: 42.0 },
-    ];
-    let (status, resp) =
-        http_roundtrip(&mut conn, "POST", "/update", &wire::update_body(&muts)).expect("update");
-    assert_eq!(status, 200, "{resp}");
-    let v = json::parse(&resp).unwrap();
-    assert_eq!(v.get("epoch").and_then(|e| e.as_u64()), Some(1));
-
-    // The epoch flip is visible through `/healthz`.
-    let (status, body) = http_roundtrip(&mut conn, "GET", "/healthz", "").expect("healthz");
-    assert_eq!(status, 200, "{body}");
-    let hv = json::parse(&body).unwrap();
-    assert_eq!(hv.get("epoch").and_then(|e| e.as_u64()), Some(1), "{body}");
 
     let ny_f150 = {
         let s = paper_example::schema();
@@ -207,33 +225,57 @@ fn update_round_trip_stays_bit_identical_to_the_library() {
         dims[1] = a;
         iolap::model::Fact { id: 50, dims, measure: 42.0 }
     };
-    medb.apply_batch(&[
-        EdbMutation::UpdateMeasure { fact_id: 2, new_measure: 500.0 },
-        EdbMutation::Insert(ny_f150),
-    ])
-    .expect("local batch");
-
-    // Local post-update view, through the same snapshot machinery the
-    // server publishes from.
-    let snap = EdbSnapshot {
-        epoch: 1,
-        schema: medb.schema().clone(),
-        table: Arc::new(paper_example::table1()), // unused for EDB aggregates
-        segments: medb.snapshot_segments().expect("segments"),
-        lattice: None, // /query aggregates never consult the lattice
-    };
-
-    for &(at, agg) in QUERIES {
-        let b = at
-            .iter()
-            .fold(QueryBuilder::new(paper_example::schema()).agg(agg), |b, (d, n)| b.at(d, n));
-        let q = b.build().expect("query");
-        let local = snap.aggregate(&q.region, agg).expect("snapshot aggregate");
-        let (v, s, c, _) = server_query(&mut conn, at, agg);
-        assert_eq!(v, local.value.to_bits(), "{at:?} {agg:?} value after update");
-        assert_eq!(s, local.sum.to_bits(), "{at:?} {agg:?} sum after update");
-        assert_eq!(c, local.count.to_bits(), "{at:?} {agg:?} count after update");
+    let mut batches = vec![(
+        vec![
+            wire::MutationReq::Update { fact_id: 2, measure: 500.0 },
+            wire::MutationReq::Insert {
+                id: 50,
+                dims: vec!["NY".into(), "F150".into()],
+                measure: 42.0,
+            },
+        ],
+        vec![
+            EdbMutation::UpdateMeasure { fact_id: 2, new_measure: 500.0 },
+            EdbMutation::Insert(ny_f150),
+        ],
+    )];
+    // Six single-mutation batches on precise facts (p1–p5): each adds a
+    // delta tier, enough to cross the default threshold of 4.
+    for (fact_id, measure) in
+        [(1, 110.0), (3, 130.0), (4, 140.0), (5, 150.0), (2, 120.0), (1, 111.0)]
+    {
+        batches.push((
+            vec![wire::MutationReq::Update { fact_id, measure }],
+            vec![EdbMutation::UpdateMeasure { fact_id, new_measure: measure }],
+        ));
     }
+
+    for (epoch, (muts, local)) in (1u64..).zip(batches) {
+        let (status, resp) =
+            http_roundtrip(&mut conn, "POST", "/update", &wire::update_body(&muts))
+                .expect("update");
+        assert_eq!(status, 200, "{resp}");
+        let v = json::parse(&resp).unwrap();
+        assert_eq!(v.get("epoch").and_then(|e| e.as_u64()), Some(epoch));
+
+        // The epoch flip is visible through `/healthz`.
+        let (status, body) = http_roundtrip(&mut conn, "GET", "/healthz", "").expect("healthz");
+        assert_eq!(status, 200, "{body}");
+        let hv = json::parse(&body).unwrap();
+        assert_eq!(hv.get("epoch").and_then(|e| e.as_u64()), Some(epoch), "{body}");
+
+        medb.apply_batch(&local).expect("local batch");
+        // Local post-update view, through the same snapshot machinery the
+        // server publishes from.
+        let views = assert_matches_replica(&mut conn, &mut medb, epoch);
+        assert_eq!(h.obs().gauge("edb.segments").unwrap().get(), views as i64, "epoch {epoch}");
+        assert_eq!(
+            h.obs().counter("edb.compactions").unwrap().get(),
+            medb.num_compactions(),
+            "epoch {epoch}: each merge counted once"
+        );
+    }
+    assert!(medb.num_compactions() >= 1, "seven batches must cross the threshold");
     h.shutdown();
 }
 
