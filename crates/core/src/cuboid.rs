@@ -41,19 +41,17 @@
 //!
 //! **Maintenance.** Segments are immutable; the only way a published
 //! segment's content changes is through its exclusion set growing as
-//! facts are retired. [`CuboidLattice::sync`] therefore (1) drops lattices
-//! whose segment no longer exists (compaction rewrote the tier — fresh
-//! cuboids are built for the new segments, all grains in one full scan),
-//! and (2) for a surviving segment whose exclusion set changed, recomputes
-//! the present cells of every cuboid that overlap the supplied dirty
-//! region boxes (the same `UpdateReport.touched` geometry that drives
-//! server cache invalidation) in one scan of the current view over their
-//! bounding box, and overwrites exactly those slots.
+//! facts are retired. [`CuboidLattice::sync`] therefore has one rule: a
+//! segment's lattice is kept while its segment and exclusion set still
+//! match the view, and every other view — a new segment from a fold or a
+//! compaction, or a surviving one whose exclusion set grew — gets its
+//! cuboids built again, all grains in one full scan. Grain selection
+//! reads the segment only, so a rebuilt view keeps its grains.
 
 use crate::error::Result;
 use crate::segment::{EdbSegment, SegScanStats, SegmentCursor, SegmentView};
 use iolap_hierarchy::LevelNo;
-use iolap_model::{CellKey, FactId, RegionBox, Schema, MAX_DIMS};
+use iolap_model::{CellKey, FactId, Schema, MAX_DIMS};
 use std::sync::Arc;
 
 /// One hierarchy level per dimension: the granularity of a cuboid.
@@ -205,19 +203,19 @@ fn has_bit(bits: &[u64], i: usize) -> bool {
     bits[i / 64] >> (i % 64) & 1 != 0
 }
 
-/// The accumulation kernel every cuboid slot comes from: one cursor over
-/// `view` inside `region`, adding each live entry's `w·m` and `w` into its
-/// slot of every cuboid in `cuboids`.
-fn accumulate(
+/// The accumulation kernel every cuboid slot comes from: one cuboid per
+/// grain of `grains` for `view`, from one full scan that adds each live
+/// entry's `w·m` and `w` into its slot of every cuboid.
+fn build_cuboids(
     schema: &Schema,
     view: &SegmentView,
-    region: RegionBox,
-    cuboids: &mut [Cuboid],
-) -> Result<SegScanStats> {
+    grains: &[Grain],
+) -> Result<(Vec<Cuboid>, SegScanStats)> {
     let k = schema.k();
+    let mut cuboids: Vec<Cuboid> = grains.iter().map(|&g| Cuboid::new(schema, g)).collect();
     let offsets: Vec<_> = cuboids.iter().map(|c| c.offsets(schema)).collect();
     let views = [view.clone()];
-    let mut cursor = SegmentCursor::new(&views, region);
+    let mut cursor = SegmentCursor::new(&views, SegmentCursor::all_region(k));
     cursor.for_each(|e| {
         for (c, o) in cuboids.iter_mut().zip(&offsets) {
             let i = c.slot(k, o, &e.cell);
@@ -227,63 +225,7 @@ fn accumulate(
             c.present[i / 64] |= 1 << (i % 64);
         }
     })?;
-    Ok(cursor.stats())
-}
-
-/// One cuboid per grain of `grains` for `view`, from one full scan.
-fn build_cuboids(
-    schema: &Schema,
-    view: &SegmentView,
-    grains: &[Grain],
-) -> Result<(Vec<Cuboid>, SegScanStats)> {
-    let mut cuboids: Vec<Cuboid> = grains.iter().map(|&g| Cuboid::new(schema, g)).collect();
-    let io = accumulate(schema, view, SegmentCursor::all_region(schema.k()), &mut cuboids)?;
-    Ok((cuboids, io))
-}
-
-/// Recompute, against the current `view`, every present cell of
-/// `cuboids` whose box overlaps one of `dirty`: one scan over those
-/// cells' bounding box accumulates into zeroed cuboids of the same
-/// grains, and the dirty cells' slots are copied back from them. A cell
-/// left without a live entry becomes absent. Returns the number of cells
-/// recomputed and the scan cost paid.
-///
-/// Accumulating into zeroed copies keeps the kernel free of a per-entry
-/// dirty test; the clean cells inside the bounding box are discarded.
-fn recompute_cuboids(
-    schema: &Schema,
-    view: &SegmentView,
-    cuboids: &mut [Cuboid],
-    dirty: &[RegionBox],
-) -> Result<(u64, SegScanStats)> {
-    let k = schema.k() as u8;
-    let mut region: Option<RegionBox> = None;
-    let mut marked: Vec<Vec<usize>> = Vec::with_capacity(cuboids.len());
-    for c in cuboids.iter() {
-        let mut slots = Vec::new();
-        for i in (0..c.slots.len()).filter(|&i| has_bit(&c.present, i)) {
-            let cell = c.cell(schema, i);
-            let cb = RegionBox { lo: cell.lo, hi: cell.hi, k };
-            if dirty.iter().any(|b| b.overlaps(&cb)) {
-                slots.push(i);
-                region = Some(region.map_or(cb, |r| r.union(&cb)));
-            }
-        }
-        marked.push(slots);
-    }
-    let Some(region) = region else {
-        return Ok((0, SegScanStats::default()));
-    };
-    let mut fresh: Vec<Cuboid> = cuboids.iter().map(|c| Cuboid::new(schema, c.grain)).collect();
-    let io = accumulate(schema, view, region, &mut fresh)?;
-    for ((c, f), slots) in cuboids.iter_mut().zip(&fresh).zip(&marked) {
-        for &i in slots {
-            c.slots[i] = f.slots[i];
-            let bit = 1 << (i % 64);
-            c.present[i / 64] = c.present[i / 64] & !bit | f.present[i / 64] & bit;
-        }
-    }
-    Ok((marked.iter().map(|m| m.len() as u64).sum(), io))
+    Ok((cuboids, cursor.stats()))
 }
 
 /// The lattice of one segment view: the segment's identity (its `Arc` and
@@ -292,7 +234,7 @@ fn recompute_cuboids(
 pub struct SegLattice {
     /// The leaf segment these cuboids pre-aggregate.
     pub seg: Arc<EdbSegment>,
-    /// The exclusion set the cells were (re)computed against. A view only
+    /// The exclusion set the cells were computed against. A view only
     /// matches this lattice if its exclusions are equal, so a stale
     /// lattice can never produce a wrong answer — it is simply skipped.
     pub excl: Arc<std::collections::HashSet<FactId>>,
@@ -313,20 +255,6 @@ impl SegLattice {
     }
 }
 
-/// Counters describing one [`CuboidLattice::sync`] pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LatticeSync {
-    /// Segment lattices dropped because their segment was compacted away.
-    pub dropped: u64,
-    /// Segment lattices built fresh for new segments.
-    pub built: u64,
-    /// Individual cuboid cells recomputed by dirty-box overlap.
-    pub cells_recomputed: u64,
-    /// Leaf-scan cost paid building and recomputing: at most one scan
-    /// per segment view.
-    pub scan: SegScanStats,
-}
-
 /// A materialized rollup lattice over a set of segment views.
 ///
 /// Built per segment under [`LatticeConfig`]; consulted by the query
@@ -344,16 +272,6 @@ impl CuboidLattice {
     /// An empty lattice for a `k`-dimensional schema.
     pub fn new(k: usize, config: LatticeConfig) -> Self {
         CuboidLattice { k, config, segs: Vec::new() }
-    }
-
-    /// Dimensionality this lattice was built for.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The selection budget in force.
-    pub fn config(&self) -> LatticeConfig {
-        self.config
     }
 
     /// Per-segment lattices, in view order of the last sync.
@@ -377,68 +295,39 @@ impl CuboidLattice {
         self.segs.iter().map(|s| s.cuboids.len()).sum()
     }
 
-    /// Reconcile the lattice with the current `views`, scanning each view
-    /// at most once.
-    ///
-    /// * Lattices whose segment is no longer among `views` are dropped
-    ///   (compaction replaced the tier).
-    /// * A surviving lattice whose view's exclusion set changed has every
-    ///   cell overlapping a `dirty` box recomputed, all cuboids in one
-    ///   scan; if `dirty` is empty it is rebuilt outright (defensive —
-    ///   exclusions only ever change inside reported touched boxes).
-    /// * New segments meeting [`LatticeConfig::min_segment_entries`] get
-    ///   cuboids selected and built, all grains in one scan.
-    pub fn sync(
-        &mut self,
-        schema: &Schema,
-        views: &[SegmentView],
-        dirty: &[RegionBox],
-    ) -> Result<LatticeSync> {
-        let mut out = LatticeSync::default();
-        let before = self.segs.len();
-        self.segs.retain(|sl| views.iter().any(|v| Arc::ptr_eq(&sl.seg, &v.segment)));
-        out.dropped = (before - self.segs.len()) as u64;
+    /// Reconcile the lattice with the current `views` and return the
+    /// leaf-scan cost paid: a lattice whose segment and exclusion set still
+    /// match its view is kept, and every other view with at least
+    /// [`LatticeConfig::min_segment_entries`] entries gets its grains
+    /// selected and its cuboids built in one scan. Lattices of segments no
+    /// longer among `views` (compaction replaced the tier) are dropped.
+    pub fn sync(&mut self, schema: &Schema, views: &[SegmentView]) -> Result<SegScanStats> {
+        debug_assert_eq!(schema.k(), self.k, "a lattice serves one schema");
+        let mut scan = SegScanStats::default();
+        let mut old = std::mem::take(&mut self.segs);
         for view in views {
-            let existing = self.segs.iter_mut().find(|sl| Arc::ptr_eq(&sl.seg, &view.segment));
-            match existing {
-                Some(sl) => {
-                    if Arc::ptr_eq(&sl.excl, &view.exclude) || *sl.excl == *view.exclude {
-                        sl.excl = Arc::clone(&view.exclude);
-                        continue;
-                    }
-                    if dirty.is_empty() {
-                        // No geometry to localize the change: rebuild.
-                        let grains: Vec<Grain> = sl.cuboids.iter().map(|c| c.grain).collect();
-                        let (cuboids, io) = build_cuboids(schema, view, &grains)?;
-                        sl.cuboids = cuboids;
-                        out.scan.absorb(io);
-                    } else {
-                        let (n, io) = recompute_cuboids(schema, view, &mut sl.cuboids, dirty)?;
-                        out.cells_recomputed += n;
-                        out.scan.absorb(io);
-                    }
-                    sl.excl = Arc::clone(&view.exclude);
-                }
-                None => {
-                    if view.segment.len() < self.config.min_segment_entries {
-                        continue;
-                    }
-                    let grains = select_grains(schema, &view.segment, &self.config);
-                    if grains.is_empty() {
-                        continue;
-                    }
-                    let (cuboids, io) = build_cuboids(schema, view, &grains)?;
-                    out.scan.absorb(io);
-                    out.built += 1;
-                    self.segs.push(SegLattice {
-                        seg: Arc::clone(&view.segment),
-                        excl: Arc::clone(&view.exclude),
-                        cuboids,
-                    });
-                }
+            if let Some(i) = old.iter().position(|sl| sl.matches(view)) {
+                let mut sl = old.swap_remove(i);
+                sl.excl = Arc::clone(&view.exclude);
+                self.segs.push(sl);
+                continue;
             }
+            if view.segment.len() < self.config.min_segment_entries {
+                continue;
+            }
+            let grains = select_grains(schema, &view.segment, &self.config);
+            if grains.is_empty() {
+                continue;
+            }
+            let (cuboids, io) = build_cuboids(schema, view, &grains)?;
+            scan.absorb(io);
+            self.segs.push(SegLattice {
+                seg: Arc::clone(&view.segment),
+                excl: Arc::clone(&view.exclude),
+                cuboids,
+            });
         }
-        Ok(out)
+        Ok(scan)
     }
 }
 
@@ -518,7 +407,7 @@ fn select_grains(schema: &Schema, seg: &EdbSegment, config: &LatticeConfig) -> V
 mod tests {
     use super::*;
     use iolap_hierarchy::HierarchyBuilder;
-    use iolap_model::EdbRecord;
+    use iolap_model::{EdbRecord, RegionBox};
 
     fn two_level(tag: &str, parents: &[u32], groups: u32) -> iolap_hierarchy::Hierarchy {
         HierarchyBuilder::new(tag)
@@ -582,30 +471,37 @@ mod tests {
     }
 
     #[test]
-    fn sync_builds_drops_and_recomputes() {
+    fn sync_builds_drops_and_rebuilds() {
         let schema = schema2();
         let entries: Vec<EdbRecord> =
             (0..32).map(|i| rec(i, (i % 5) as u32, ((i / 5) % 5) as u32, 1.0, 2.0)).collect();
         let view = seg_view(&schema, entries.clone());
+        let pages = view.segment.num_pages();
         let cfg = LatticeConfig { min_segment_entries: 1, ..LatticeConfig::default() };
         let mut lat = CuboidLattice::new(schema.k(), cfg);
-        let s0 = lat.sync(&schema, std::slice::from_ref(&view), &[]).unwrap();
-        assert_eq!(s0.built, 1);
+        let s0 = lat.sync(&schema, std::slice::from_ref(&view)).unwrap();
+        assert_eq!(s0.pages_read, pages, "a build reads every page once");
+        assert_eq!(lat.segs().len(), 1);
         assert!(lat.num_cuboids() > 0);
         assert!(lat.for_view(&view).is_some());
         assert!(lat.encoded_bytes() > 0);
+        let grains: Vec<Grain> = lat.segs()[0].cuboids.iter().map(|c| c.grain).collect();
+        // A matching lattice is kept: no scan.
+        assert_eq!(lat.sync(&schema, std::slice::from_ref(&view)).unwrap().pages_read, 0);
 
         // Exclude one fact: same segment, different exclusions — the stale
-        // lattice must refuse to match until synced.
+        // lattice must refuse to match until synced, and the sync rebuilds
+        // it at the same grains.
         let mut excl = std::collections::HashSet::new();
         excl.insert(7u64);
         let dirtied = SegmentView { segment: Arc::clone(&view.segment), exclude: Arc::new(excl) };
         assert!(lat.for_view(&dirtied).is_none());
-        let dirty = [RegionBox::point(&[2, 1, 0, 0, 0, 0, 0, 0], schema.k())];
-        let s = lat.sync(&schema, std::slice::from_ref(&dirtied), &dirty).unwrap();
-        assert!(s.cells_recomputed > 0);
+        let s = lat.sync(&schema, std::slice::from_ref(&dirtied)).unwrap();
+        assert_eq!(s.pages_read, pages, "a rebuild reads every page once");
+        assert_eq!(lat.segs().len(), 1);
         let sl = lat.for_view(&dirtied).expect("lattice matches after sync");
-        // Recomputed cells are bit-identical to fresh scans of the new view.
+        assert_eq!(sl.cuboids.iter().map(|c| c.grain).collect::<Vec<_>>(), grains);
+        // Rebuilt cells are bit-identical to fresh scans of the new view.
         let views = [dirtied.clone()];
         for cuboid in &sl.cuboids {
             for cell in cuboid.cells(&schema) {
@@ -627,9 +523,9 @@ mod tests {
 
         // Replace the segment entirely: old lattice dropped, new one built.
         let replacement = seg_view(&schema, entries);
-        let s2 = lat.sync(&schema, std::slice::from_ref(&replacement), &[]).unwrap();
-        assert_eq!(s2.dropped, 1);
-        assert_eq!(s2.built, 1);
+        let s2 = lat.sync(&schema, std::slice::from_ref(&replacement)).unwrap();
+        assert_eq!(s2.pages_read, replacement.segment.num_pages());
+        assert_eq!(lat.segs().len(), 1);
         assert!(lat.for_view(&replacement).is_some());
         assert!(lat.for_view(&dirtied).is_none());
     }

@@ -72,9 +72,7 @@ pub mod runner;
 pub mod segment;
 pub mod transitive;
 
-pub use cuboid::{
-    Cuboid, CuboidCell, CuboidLattice, Grain, LatticeConfig, LatticeSync, SegLattice,
-};
+pub use cuboid::{Cuboid, CuboidCell, CuboidLattice, Grain, LatticeConfig, SegLattice};
 pub use edb::ExtendedDatabase;
 pub use error::{CoreError, Result};
 pub use estimate::{plan, PlanEstimate};

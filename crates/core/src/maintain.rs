@@ -258,12 +258,8 @@ pub struct MaintainableEdb {
     /// The materialized cuboid lattice over the published segments,
     /// evolved copy-on-write by [`MaintainableEdb::snapshot_lattice`].
     lattice: Option<Arc<CuboidLattice>>,
-    /// Selection budget for lattice (re)builds.
+    /// Selection budget for lattice builds.
     lattice_cfg: LatticeConfig,
-    /// Touched boxes queued since the last lattice sync: every cuboid
-    /// cell overlapping one of these is recomputed at the next
-    /// [`MaintainableEdb::snapshot_lattice`].
-    lattice_dirty: Vec<RegionBox>,
 }
 
 impl MaintainableEdb {
@@ -412,7 +408,6 @@ impl MaintainableEdb {
             compactions: 0,
             lattice: None,
             lattice_cfg: LatticeConfig::default(),
-            lattice_dirty: Vec::new(),
         })
     }
 
@@ -580,9 +575,6 @@ impl MaintainableEdb {
         // `edb.compactions`, so an `Obs` shared with allocation counts
         // each merge once.
         self.compactions += 1;
-        if let Some(g) = self.prep.env.obs().gauge("edb.segments") {
-            g.set(self.segs.len() as i64);
-        }
         Ok(true)
     }
 
@@ -595,36 +587,26 @@ impl MaintainableEdb {
     }
 
     /// The cuboid lattice over [`MaintainableEdb::snapshot_segments`],
-    /// brought up to date incrementally and published as an `Arc` through
-    /// the same epoch swap as the segments themselves.
+    /// brought up to date and published as an `Arc` through the same epoch
+    /// swap as the segments themselves.
     ///
-    /// Reconciliation order matters: segments are refreshed first (which
-    /// may compact tiers), then the lattice syncs — lattices of compacted
-    /// segments are dropped and rebuilt whole, while a surviving segment
-    /// whose exclusion set grew has exactly the cells overlapping the
-    /// queued `UpdateReport::touched` boxes recomputed, every cuboid in
-    /// one scan of the segment. Published snapshots keep their previous
-    /// lattice `Arc` (copy-on-write), so readers never observe a
-    /// half-synced lattice. The upkeep is counted in
-    /// `edb.cuboid_cells_recomputed` and `edb.cuboid_upkeep_pages`.
+    /// Segments are refreshed first (which may compact tiers), then the
+    /// lattice syncs: a segment whose view is unchanged keeps its cuboids,
+    /// and every other view's are built again in one scan — a compacted
+    /// tier's and a tier whose exclusion set grew alike. Published
+    /// snapshots keep their previous lattice `Arc` (copy-on-write), so
+    /// readers never observe a half-synced lattice. The upkeep is counted
+    /// in `edb.cuboid_upkeep_pages`.
     pub fn snapshot_lattice(&mut self) -> Result<Arc<CuboidLattice>> {
         let views = self.snapshot_segments()?;
         let schema = self.prep.schema.clone();
-        let dirty = std::mem::take(&mut self.lattice_dirty);
         let mut arc = self
             .lattice
             .take()
             .unwrap_or_else(|| Arc::new(CuboidLattice::new(schema.k(), self.lattice_cfg)));
-        let sync = Arc::make_mut(&mut arc).sync(&schema, &views, &dirty)?;
-        let obs = self.prep.env.obs();
-        if let Some(c) = obs.counter("edb.cuboid_cells_recomputed") {
-            c.add(sync.cells_recomputed);
-        }
-        if let Some(c) = obs.counter("edb.cuboid_upkeep_pages") {
-            c.add(sync.scan.pages_read);
-        }
-        if let Some(g) = obs.gauge("edb.cuboid_bytes") {
-            g.set(arc.encoded_bytes() as i64);
+        let scan = Arc::make_mut(&mut arc).sync(&schema, &views)?;
+        if let Some(c) = self.prep.env.obs().counter("edb.cuboid_upkeep_pages") {
+            c.add(scan.pages_read);
         }
         self.lattice = Some(Arc::clone(&arc));
         Ok(arc)
@@ -657,17 +639,6 @@ impl MaintainableEdb {
             // The background compactor's plan, run and install, back to back.
             if let Some(plan) = self.compaction_plan() {
                 self.install_compaction(plan.run()?)?;
-            }
-        }
-        if let Some(g) = self.prep.env.obs().gauge("edb.segments") {
-            g.set(self.segs.len() as i64);
-        }
-        if let Some(g) = self.prep.env.obs().gauge("edb.compression_ratio") {
-            let encoded: u64 = self.segs.iter().map(|s| s.encoded_bytes()).sum();
-            let raw: u64 = self.segs.iter().map(|s| s.uncompressed_bytes()).sum();
-            if encoded > 0 {
-                // Milli-ratio: 1000 = uncompressed, 1700 = 1.7× smaller.
-                g.set((raw as f64 / encoded as f64 * 1000.0) as i64);
             }
         }
         Ok(())
@@ -709,7 +680,6 @@ impl MaintainableEdb {
             }
             self.resolve_component(cc, &mut report)?;
         }
-        self.lattice_dirty.extend_from_slice(&report.touched);
         report.wall = t0.elapsed();
         Ok(report)
     }

@@ -122,12 +122,6 @@ impl PolicySpec {
         self
     }
 
-    /// Same policy with a different epsilon.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.convergence.epsilon = epsilon;
-        self
-    }
-
     /// Is this a single-shot (non-iterative) policy?
     pub fn is_non_iterative(&self) -> bool {
         self.convergence.max_iters == 0

@@ -96,11 +96,6 @@ impl Schema {
         Some(key)
     }
 
-    /// Number of cells in a fact's region.
-    pub fn region_cells(&self, fact: &Fact) -> u64 {
-        self.region(fact).num_cells()
-    }
-
     /// The number of distinct level vectors an imprecise fact could have
     /// (size of the space of potential summary tables, including the
     /// precise one).

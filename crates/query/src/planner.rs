@@ -35,8 +35,8 @@
 //! visit no entry, since a slot no entry reached is not present): because
 //! each stored `(sum, count)` is bit-identical to exactly that fresh scan (see
 //! `iolap_core::cuboid`), the two modes produce f64-bit-identical results
-//! in every lifecycle state — cold, after update batches (dirty-cell
-//! recompute) and after compaction (cuboid rebuild). The proptest suite
+//! in every lifecycle state — cold, after update batches and after
+//! compaction (both rebuild the changed views' cuboids). The proptest suite
 //! (`tests/lattice.rs`) asserts this per query.
 
 use crate::agg::{AggFn, AggResult};

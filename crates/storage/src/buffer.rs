@@ -26,24 +26,23 @@
 //!
 //! # Concurrency
 //!
-//! Allocation itself is single-threaded. The pool's concurrent users are
-//! the query server's ingest coordinator, which folds update batches
-//! through it, and the background compaction thread, which spills and
-//! sorts a merge through the same environment at the same time. The frame
-//! table is split into power-of-two **shards**, each guarded by its own
-//! latch and running its own CLOCK hand over its own share of the
-//! capacity. A page's shard is a hash of `(FileId, PageId)`, so pins of
-//! distinct pages mostly take distinct latches. Each shard counts its own
-//! hits, misses and evictions under its latch; [`BufferPool::hit_stats`]
-//! sums them.
+//! One thread uses the pool at a time: allocation, which is
+//! single-threaded, and then the query server's ingest coordinator, which
+//! folds update batches through the same environment (compaction touches
+//! no pager). The frame table is nonetheless split into power-of-two
+//! **shards**, each guarded by its own latch and running its own CLOCK
+//! hand over its own share of the capacity. A page's shard is a hash of
+//! `(FileId, PageId)`. Each shard counts its own hits, misses and
+//! evictions under its latch; [`BufferPool::hit_stats`] sums them.
 //!
 //! Pools smaller than [`SHARDING_THRESHOLD`] pages use a single shard and
-//! so one global CLOCK. Larger pools stay striped even without contention,
-//! because the eviction order is part of the recorded cost: every
-//! accounted page count at 128 pages and up (the `e2e` ledger's
-//! `alloc_io_pages`, `tests/io_cost_model.rs`'s striped pin) was measured
-//! under per-shard CLOCK, and one global CLOCK charges a different number
-//! of pages. Changing the shard count or the hash moves those numbers.
+//! so one global CLOCK. Larger pools stay striped although no latch is
+//! contended, because the eviction order is part of the recorded cost:
+//! every accounted page count at 128 pages and up (the `e2e` ledger's
+//! `alloc_io_pages`, 1521 / 1725, and `tests/io_cost_model.rs`'s striped
+//! pin) was measured under per-shard CLOCK, and one global CLOCK charges
+//! a different number of pages. Changing the shard count or the hash
+//! moves those numbers.
 
 use crate::error::{Result, StorageError};
 use crate::pager::{PageId, Pager, PAGE_SIZE};

@@ -80,11 +80,6 @@ impl Iolap {
         &self.table
     }
 
-    /// The current run configuration.
-    pub fn alloc_config(&self) -> &AllocConfig {
-        &self.cfg
-    }
-
     /// Run `algorithm` with the configured policy and materialize the EDB.
     pub fn allocate(&self, algorithm: Algorithm) -> Result<AllocationRun> {
         allocate(&self.table, &self.policy, algorithm, &self.cfg)
