@@ -71,20 +71,44 @@ pub enum EdbMutation {
 enum FactLoc {
     /// Index into the precise file.
     Precise(u64),
-    /// Index into the imprecise facts file; `true` if it covers at least
-    /// one candidate cell (unallocatable facts have no entries).
-    Imprecise(u64, bool),
+    /// Index into the imprecise facts file. The fact covers a candidate
+    /// cell (is allocatable) exactly when `fact_ccid` holds the index.
+    Imprecise(u64),
 }
 
-/// Membership of one component: ranges into the component-sorted base
-/// files plus explicitly-listed records (appended by maintenance or
-/// reshuffled by merges/splits).
+/// One kind of a component's members, its cells or its facts, as file
+/// indexes in re-emission order: members from the base files first, in
+/// file order, then later joiners in arrival order. Only live tuples are
+/// listed; one that dies is removed here.
+#[derive(Debug, Clone, Default)]
+struct Members {
+    list: Vec<u64>,
+    /// Length of `list`'s base-file prefix.
+    base: usize,
+}
+
+impl Members {
+    fn remove(&mut self, i: u64) {
+        let at = self.list.iter().position(|&x| x == i).expect("a live member");
+        self.list.remove(at);
+        self.base -= usize::from(at < self.base);
+    }
+
+    /// Append `other`'s base members after these base members, and its
+    /// later members after these later ones.
+    fn absorb(&mut self, other: Members) {
+        let (base, later) = other.list.split_at(other.base);
+        self.list.splice(self.base..self.base, base.iter().copied());
+        self.base += other.base;
+        self.list.extend_from_slice(later);
+    }
+}
+
+/// Membership of one component.
 #[derive(Debug, Clone, Default)]
 struct CompMeta {
-    cell_ranges: Vec<(u64, u64)>,
-    fact_ranges: Vec<(u64, u64)>,
-    extra_cells: Vec<u64>,
-    extra_facts: Vec<u64>,
+    cells: Members,
+    facts: Members,
     /// Bounding box of the component's tuples (feeds `report.touched`).
     bbox: Option<RegionBox>,
 }
@@ -93,34 +117,6 @@ impl CompMeta {
     /// Grow the bounding box to cover `b`.
     fn grow(&mut self, b: &RegionBox) {
         self.bbox = Some(self.bbox.map_or(*b, |x| x.union(b)));
-    }
-
-    fn cell_indexes(&self, dead: &HashSet<u64>) -> Vec<u64> {
-        let mut out = Vec::new();
-        for &(s, e) in &self.cell_ranges {
-            out.extend((s..e).filter(|i| !dead.contains(i)));
-        }
-        out.extend(self.extra_cells.iter().copied().filter(|i| !dead.contains(i)));
-        out
-    }
-
-    fn fact_indexes(&self, dead: &HashSet<u64>) -> Vec<u64> {
-        let mut out = Vec::new();
-        for &(s, e) in &self.fact_ranges {
-            out.extend((s..e).filter(|i| !dead.contains(i)));
-        }
-        out.extend(self.extra_facts.iter().copied().filter(|i| !dead.contains(i)));
-        out
-    }
-
-    fn absorb(&mut self, other: CompMeta) {
-        self.cell_ranges.extend(other.cell_ranges);
-        self.fact_ranges.extend(other.fact_ranges);
-        self.extra_cells.extend(other.extra_cells);
-        self.extra_facts.extend(other.extra_facts);
-        if let Some(b) = other.bbox {
-            self.grow(&b);
-        }
     }
 }
 
@@ -165,8 +161,8 @@ pub struct CompactionPlan {
 /// [`MaintainableEdb::install_compaction`].
 pub struct CompactionResult {
     start: usize,
-    input_segs: Vec<Arc<EdbSegment>>,
-    input_excl: Vec<Arc<HashSet<FactId>>>,
+    /// The plan's input views.
+    inputs: Vec<SegmentView>,
     merged: Arc<EdbSegment>,
 }
 
@@ -187,12 +183,30 @@ impl CompactionPlan {
                 Ok(())
             })?;
         }
-        Ok(CompactionResult {
-            start: self.start,
-            input_segs: self.inputs.iter().map(|v| v.segment.clone()).collect(),
-            input_excl: self.inputs.iter().map(|v| v.exclude.clone()).collect(),
-            merged: Arc::new(EdbSegment::build(self.inputs[0].segment.k(), entries)),
-        })
+        let merged = Arc::new(EdbSegment::build(self.inputs[0].segment.k(), entries));
+        Ok(CompactionResult { start: self.start, inputs: self.inputs, merged })
+    }
+}
+
+/// One published tier: its view and how many of its entries are live,
+/// which the size-tiering rule reads so planning decodes no page. The
+/// exclusion set is copy-on-write: snapshots share its `Arc`, so retiring
+/// a fact clones the set of its own tier only.
+struct Tier {
+    view: SegmentView,
+    live: u64,
+}
+
+impl Tier {
+    /// A tier of every entry of `segment`.
+    fn new(segment: EdbSegment) -> Self {
+        Tier { live: segment.len(), view: SegmentView::new(Arc::new(segment)) }
+    }
+
+    /// Exclude `fact_id`, of which `len` entries here were live.
+    fn retire(&mut self, fact_id: FactId, len: u32) {
+        self.live -= u64::from(len);
+        Arc::make_mut(&mut self.view.exclude).insert(fact_id);
     }
 }
 
@@ -204,44 +218,34 @@ pub struct MaintainableEdb {
     next_ccid: u32,
     fact_locs: HashMap<FactId, FactLoc>,
     /// Component of each record in the cells file (index-aligned; grows
-    /// with insertions).
+    /// with insertions); `NO_CCID` once the cell has died.
     cell_ccid: Vec<u32>,
-    /// Component of each live covered imprecise record (facts-file index).
+    /// Component of each covered imprecise record (facts-file index).
     fact_ccid: HashMap<u64, u32>,
     /// Cells-file index of each base cell, by its canonical position in
     /// `prep.index` (the cells file is ccid-sorted, the index canonical).
     base_cell_file: Vec<u32>,
-    /// Cells appended by maintenance: key → cells-file index.
+    /// Live cells appended by maintenance: key → cells-file index.
     appended_cells: HashMap<CellKey, u64>,
-    /// Every imprecise fact ever held, covered or not, by its dims
-    /// vector: `(facts-file index, id)`. Deleted facts stay and are
-    /// filtered through `dead_facts` on lookup.
-    facts_by_dims: HashMap<[u32; MAX_DIMS], Vec<(u64, FactId)>>,
-    /// The distinct level vectors of `facts_by_dims`' keys, sorted.
+    /// The facts-file index of every live imprecise fact, covered or not,
+    /// by its dims vector.
+    facts_by_dims: HashMap<[u32; MAX_DIMS], Vec<u64>>,
+    /// Every level vector an imprecise fact has had, sorted: bounded by
+    /// the schema, and one left without a fact only probes an empty key.
     level_vecs: Vec<LevelVec>,
-    /// Precise facts mapped to each cell (so deletions know when a cell
-    /// leaves the candidate set).
+    /// Precise facts mapped to each live cell that holds one (so
+    /// deletions know when a cell leaves the candidate set).
     precise_count: HashMap<u64, u32>,
-    dead_cells: HashSet<u64>,
-    dead_facts: HashSet<u64>,
-    dead_precise: HashSet<u64>,
     /// Re-emitted runs not yet folded into a delta tier, each tagged with
     /// its emission sequence number: a fact's newer run replaces its
     /// older one and sorts last.
     pending: HashMap<FactId, (u64, Vec<EdbRecord>)>,
     /// Emission sequence number of the next pending run.
     pending_seq: u64,
-    /// Published segments: index 0 is the base tier (the Transitive output
-    /// or a post-compaction merge), later entries are delta segments in
+    /// Published tiers: index 0 is the base tier (the Transitive output
+    /// or a post-compaction merge), later entries are delta tiers in
     /// publication order.
-    segs: Vec<Arc<EdbSegment>>,
-    /// Per-segment retired-fact sets, parallel to `segs`. Copy-on-write:
-    /// snapshots share these `Arc`s, so retiring a fact clones the set of
-    /// the affected segment only.
-    seg_excl: Vec<Arc<HashSet<FactId>>>,
-    /// Per-segment live-entry counts, parallel to `segs`: what the
-    /// size-tiering rule reads, so planning decodes no page.
-    seg_live: Vec<u64>,
+    tiers: Vec<Tier>,
     /// The tier that holds each fact's run and how many of its entries
     /// there are live (0 once retired). A deleted fact's entry is
     /// dropped; a stranded one keeps its tier until its next run.
@@ -280,80 +284,46 @@ impl MaintainableEdb {
         let mut cell_ccid: Vec<u32> = Vec::with_capacity(prep.cells.len() as usize);
         let mut fact_ccid: HashMap<u64, u32> = HashMap::new();
         let mut base_cell_file = vec![0u32; prep.index.len() as usize];
-        let mut facts_by_dims: HashMap<[u32; MAX_DIMS], Vec<(u64, FactId)>> = HashMap::new();
+        let mut facts_by_dims: HashMap<[u32; MAX_DIMS], Vec<u64>> = HashMap::new();
         let mut next_ccid = 0u32;
 
-        // Cells are ccid-sorted: one contiguous range per component.
+        // Cells are ccid-sorted, so each component's base members come in
+        // file order.
         {
             let mut cursor = prep.cells.scan();
             let mut i = 0u64;
-            let mut open: Option<(u32, u64)> = None;
             while let Some(c) = cursor.next()? {
                 let cc = resolved[c.ccid as usize];
                 next_ccid = next_ccid.max(cc + 1);
                 cell_ccid.push(cc);
                 let pos = prep.index.position(&c.key).expect("every cell is indexed");
                 base_cell_file[pos as usize] = i as u32;
-                match &mut open {
-                    Some((cur, _)) if *cur == cc => {}
-                    _ => {
-                        if let Some((prev, start)) = open.take() {
-                            comps.get_mut(&prev).expect("opened").cell_ranges.push((start, i));
-                        }
-                        open = Some((cc, i));
-                        comps.entry(cc).or_default();
-                    }
-                }
-                comps.get_mut(&cc).expect("present").grow(&RegionBox::point(&c.key, k));
+                let m = comps.entry(cc).or_default();
+                m.cells.list.push(i);
+                m.grow(&RegionBox::point(&c.key, k));
                 i += 1;
-            }
-            if let Some((prev, start)) = open.take() {
-                comps.get_mut(&prev).expect("opened").cell_ranges.push((start, i));
             }
         }
         // Facts likewise (unallocatable NO_CCID facts sort last).
         {
             let mut cursor = prep.facts.scan();
             let mut i = 0u64;
-            let mut open: Option<(u32, u64)> = None;
             while let Some(f) = cursor.next()? {
-                facts_by_dims.entry(f.dims).or_default().push((i, f.id));
+                facts_by_dims.entry(f.dims).or_default().push(i);
+                fact_locs.insert(f.id, FactLoc::Imprecise(i));
                 if f.ccid != NO_CCID {
                     let cc = resolved[f.ccid as usize];
                     fact_ccid.insert(i, cc);
-                    match &mut open {
-                        Some((cur, _)) if *cur == cc => {}
-                        _ => {
-                            if let Some((prev, start)) = open.take() {
-                                comps
-                                    .get_mut(&prev)
-                                    .expect("fact component has cells")
-                                    .fact_ranges
-                                    .push((start, i));
-                            }
-                            open = Some((cc, i));
-                        }
-                    }
-                    comps
-                        .get_mut(&cc)
-                        .expect("fact component has cells")
-                        .grow(&region_of(&schema, &f.dims));
-                    fact_locs.insert(f.id, FactLoc::Imprecise(i, true));
-                } else {
-                    if let Some((prev, start)) = open.take() {
-                        comps
-                            .get_mut(&prev)
-                            .expect("fact component has cells")
-                            .fact_ranges
-                            .push((start, i));
-                    }
-                    fact_locs.insert(f.id, FactLoc::Imprecise(i, false));
+                    let m = comps.get_mut(&cc).expect("fact component has cells");
+                    m.facts.list.push(i);
+                    m.grow(&region_of(&schema, &f.dims));
                 }
                 i += 1;
             }
-            if let Some((prev, start)) = open.take() {
-                comps.get_mut(&prev).expect("opened").fact_ranges.push((start, i));
-            }
+        }
+        for m in comps.values_mut() {
+            m.cells.base = m.cells.list.len();
+            m.facts.base = m.facts.list.len();
         }
         // Precise facts: locations + per-cell precise counts.
         let mut precise_count: HashMap<u64, u32> = HashMap::new();
@@ -394,14 +364,9 @@ impl MaintainableEdb {
             facts_by_dims,
             level_vecs,
             precise_count,
-            dead_cells: HashSet::new(),
-            dead_facts: HashSet::new(),
-            dead_precise: HashSet::new(),
             pending: HashMap::new(),
             pending_seq: 0,
-            seg_live: vec![base.len() as u64],
-            segs: vec![Arc::new(EdbSegment::build(k, base))],
-            seg_excl: vec![Arc::new(HashSet::new())],
+            tiers: vec![Tier::new(EdbSegment::build(k, base))],
             live_runs,
             compaction_threshold: 4,
             inline_compaction: true,
@@ -451,15 +416,13 @@ impl MaintainableEdb {
 
     /// The published tiers from `start` on, as views.
     fn views(&self, start: usize) -> Vec<SegmentView> {
-        let excl = &self.seg_excl[start..];
-        let segs = self.segs[start..].iter().zip(excl);
-        segs.map(|(s, e)| SegmentView { segment: s.clone(), exclude: e.clone() }).collect()
+        self.tiers[start..].iter().map(|t| t.view.clone()).collect()
     }
 
     /// Number of segments the next snapshot will publish.
     pub fn num_segments(&mut self) -> Result<usize> {
         self.refresh_segments()?;
-        Ok(self.segs.len())
+        Ok(self.tiers.len())
     }
 
     /// Completed delta-tier compactions.
@@ -527,9 +490,9 @@ impl MaintainableEdb {
     /// that leaves a single input tier: rewriting it alone would lower no
     /// tier count and only swap its `Arc` (and so rebuild its lattice).
     fn compaction_plan(&self) -> Option<CompactionPlan> {
-        let delta_live: u64 = self.seg_live[1..].iter().sum();
-        let start = if delta_live >= self.seg_live[0] { 0 } else { 1 };
-        let n = self.segs.len();
+        let delta_live: u64 = self.tiers[1..].iter().map(|t| t.live).sum();
+        let start = if delta_live >= self.tiers[0].live { 0 } else { 1 };
+        let n = self.tiers.len();
         (n > self.compaction_threshold && n - start >= 2)
             .then(|| CompactionPlan { start, inputs: self.views(start) })
     }
@@ -546,24 +509,21 @@ impl MaintainableEdb {
     /// tier's exclusion set — the live multiset is untouched, which is
     /// why installation needs no epoch bump and no cache invalidation.
     pub fn install_compaction(&mut self, done: CompactionResult) -> Result<bool> {
-        let CompactionResult { start, input_segs, input_excl, merged } = done;
-        let n = input_segs.len();
-        if self.segs.len() < start + n {
+        let CompactionResult { start, inputs, merged } = done;
+        let n = inputs.len();
+        let Some(tiers) = self.tiers.get(start..start + n) else {
+            return Ok(false);
+        };
+        if !tiers.iter().zip(&inputs).all(|(t, v)| Arc::ptr_eq(&t.view.segment, &v.segment)) {
             return Ok(false);
         }
-        for (i, seg) in input_segs.iter().enumerate() {
-            if !Arc::ptr_eq(&self.segs[start + i], seg) {
-                return Ok(false);
-            }
-        }
         let mut excl: HashSet<FactId> = HashSet::new();
-        for (i, snap) in input_excl.iter().enumerate() {
-            excl.extend(self.seg_excl[start + i].iter().filter(|f| !snap.contains(*f)).copied());
+        for (t, v) in tiers.iter().zip(&inputs) {
+            excl.extend(t.view.exclude.iter().filter(|f| !v.exclude.contains(*f)).copied());
         }
-        self.segs.splice(start..start + n, [merged]);
-        self.seg_excl.splice(start..start + n, [Arc::new(excl)]);
-        let live = self.seg_live[start..start + n].iter().sum();
-        self.seg_live.splice(start..start + n, [live]);
+        let live = tiers.iter().map(|t| t.live).sum();
+        let view = SegmentView { segment: merged, exclude: Arc::new(excl) };
+        self.tiers.splice(start..start + n, [Tier { view, live }]);
         for (tier, _) in self.live_runs.values_mut() {
             if (start..start + n).contains(tier) {
                 *tier = start;
@@ -620,20 +580,17 @@ impl MaintainableEdb {
             // Emission order, which `EdbSegment::build`'s stable sort keeps
             // among entries of one cell.
             runs.sort_unstable_by_key(|(_, (seq, _))| *seq);
-            let idx = self.segs.len();
+            let idx = self.tiers.len();
             let mut entries = Vec::new();
             for (id, (_, run)) in runs {
                 // The tier of its previous run, else the base tier (a no-op
                 // for inserted facts — they have no base entries).
                 let (owner, len) =
                     self.live_runs.insert(id, (idx, run.len() as u32)).unwrap_or((0, 0));
-                self.seg_live[owner] -= u64::from(len);
-                Arc::make_mut(&mut self.seg_excl[owner]).insert(id);
+                self.tiers[owner].retire(id, len);
                 entries.extend(run);
             }
-            self.seg_live.push(entries.len() as u64);
-            self.segs.push(Arc::new(EdbSegment::build(self.prep.schema.k(), entries)));
-            self.seg_excl.push(Arc::new(HashSet::new()));
+            self.tiers.push(Tier::new(EdbSegment::build(self.prep.schema.k(), entries)));
         }
         if self.inline_compaction {
             // The background compactor's plan, run and install, back to back.
@@ -696,9 +653,6 @@ impl MaintainableEdb {
         let schema = self.prep.schema.clone();
         match self.fact_locs.get(&fact_id).copied() {
             Some(FactLoc::Precise(i)) => {
-                if self.dead_precise.contains(&i) {
-                    return Err(CoreError::BadInput(format!("fact {fact_id} was deleted")));
-                }
                 let mut f = self.prep.precise.get(i)?;
                 let old = f.measure;
                 f.measure = new_measure;
@@ -727,19 +681,16 @@ impl MaintainableEdb {
                     vec![EdbRecord { fact_id, cell, weight: 1.0, measure: new_measure }],
                 );
             }
-            Some(FactLoc::Imprecise(i, covered)) => {
-                if self.dead_facts.contains(&i) {
-                    return Err(CoreError::BadInput(format!("fact {fact_id} was deleted")));
-                }
+            Some(FactLoc::Imprecise(i)) => {
                 let mut f = self.prep.facts.get(i)?;
                 f.measure = new_measure;
                 self.prep.facts.set(i, &f)?;
                 report.touched.push(region_of(&schema, &f.dims));
-                if covered {
+                if let Some(&cc) = self.fact_ccid.get(&i) {
                     // Own component only (Theorem 12, see above). Weights
                     // don't depend on imprecise measures, but the fact's
                     // entries denormalize the measure — re-emit them.
-                    dirty.insert(*self.fact_ccid.get(&i).expect("covered fact has a component"));
+                    dirty.insert(cc);
                 }
             }
             None => return Err(CoreError::BadInput(format!("update for unknown fact {fact_id}"))),
@@ -798,20 +749,19 @@ impl MaintainableEdb {
                 // (stranded by a delete, or never covering a cell) join
                 // with it.
                 let mut owners: Vec<u32> = Vec::new();
-                let mut strays: Vec<(u64, FactId, [u32; MAX_DIMS])> = Vec::new();
-                for (fi, id, dims) in self.covering_facts(&cell) {
+                let mut strays: Vec<(u64, [u32; MAX_DIMS])> = Vec::new();
+                for (fi, dims) in self.covering_facts(&cell) {
                     match self.fact_ccid.get(&fi) {
                         Some(&cc) => owners.push(cc),
-                        None => strays.push((fi, id, dims)),
+                        None => strays.push((fi, dims)),
                     }
                 }
                 let pb = RegionBox::point(&cell, schema.k());
                 let cc = if owners.is_empty() {
                     let cc = self.alloc_ccid();
-                    self.comps.insert(
-                        cc,
-                        CompMeta { extra_cells: vec![ci], bbox: Some(pb), ..Default::default() },
-                    );
+                    let mut m = CompMeta { bbox: Some(pb), ..Default::default() };
+                    m.cells.list.push(ci);
+                    self.comps.insert(cc, m);
                     cc
                 } else {
                     // Sorted so the surviving ccid (and with it all later
@@ -819,20 +769,19 @@ impl MaintainableEdb {
                     owners.sort_unstable();
                     let cc = self.merge_components(&owners, report)?;
                     let m = self.comps.get_mut(&cc).expect("merged");
-                    m.extra_cells.push(ci);
+                    m.cells.list.push(ci);
                     m.grow(&pb);
                     dirty.insert(cc);
                     cc
                 };
                 self.cell_ccid.push(cc);
                 debug_assert_eq!(self.cell_ccid.len() as u64, self.prep.cells.len());
-                for (fi, id, dims) in strays {
+                for (fi, dims) in strays {
                     // A rebuild allocates the fact to this cell: it becomes
                     // covered, and the re-solve emits its new run.
-                    self.fact_locs.insert(id, FactLoc::Imprecise(fi, true));
                     self.fact_ccid.insert(fi, cc);
                     let m = self.comps.get_mut(&cc).expect("live");
-                    m.extra_facts.push(fi);
+                    m.facts.list.push(fi);
                     m.grow(&region_of(&schema, &dims));
                     dirty.insert(cc);
                 }
@@ -851,7 +800,8 @@ impl MaintainableEdb {
             };
             self.prep.facts.push(&rec)?;
             let fi = self.prep.facts.len() - 1;
-            self.facts_by_dims.entry(fact.dims).or_default().push((fi, fact.id));
+            self.facts_by_dims.entry(fact.dims).or_default().push(fi);
+            self.fact_locs.insert(fact.id, FactLoc::Imprecise(fi));
             let lv = level_vec_of(&schema, &fact.dims);
             if let Err(at) = self.level_vecs.binary_search(&lv) {
                 self.level_vecs.insert(at, lv);
@@ -859,10 +809,8 @@ impl MaintainableEdb {
             let bx = region_of(&schema, &fact.dims);
             let covered = self.covered_cells(&bx);
             if covered.is_empty() {
-                self.fact_locs.insert(fact.id, FactLoc::Imprecise(fi, false));
                 return Ok(());
             }
-            self.fact_locs.insert(fact.id, FactLoc::Imprecise(fi, true));
             let owners: Vec<u32> = {
                 let set: HashSet<u32> =
                     covered.iter().map(|&ci| self.cell_ccid[ci as usize]).collect();
@@ -873,7 +821,7 @@ impl MaintainableEdb {
             };
             let cc = self.merge_components(&owners, report)?;
             let m = self.comps.get_mut(&cc).expect("merged");
-            m.extra_facts.push(fi);
+            m.facts.list.push(fi);
             m.grow(&bx);
             self.fact_ccid.insert(fi, cc);
             dirty.insert(cc);
@@ -890,9 +838,6 @@ impl MaintainableEdb {
         let schema = self.prep.schema.clone();
         match self.fact_locs.get(&fact_id).copied() {
             Some(FactLoc::Precise(i)) => {
-                if !self.dead_precise.insert(i) {
-                    return Err(CoreError::BadInput(format!("fact {fact_id} already deleted")));
-                }
                 self.fact_locs.remove(&fact_id);
                 self.retire(fact_id, true);
                 let f = self.prep.precise.get(i)?;
@@ -909,32 +854,35 @@ impl MaintainableEdb {
                 let mut c = self.prep.cells.get(ci)?;
                 c.delta0 -= delta0_sub;
                 self.prep.cells.set(ci, &c)?;
-                let remaining = {
-                    let e = self.precise_count.entry(ci).or_insert(1);
-                    *e -= 1;
-                    *e
-                };
                 let cc = self.cell_ccid[ci as usize];
-                if remaining == 0 {
-                    // The cell leaves the candidate set; its component may
-                    // split (or shed facts entirely).
-                    self.dead_cells.insert(ci);
-                    self.split_component(cc, dirty, report)?;
-                } else {
-                    dirty.insert(cc);
+                match self.precise_count.get(&ci).map_or(0, |n| n - 1) {
+                    0 => {
+                        // The cell leaves the candidate set; its component
+                        // may split (or shed facts entirely).
+                        self.precise_count.remove(&ci);
+                        self.appended_cells.remove(&cell);
+                        self.cell_ccid[ci as usize] = NO_CCID;
+                        self.comps.get_mut(&cc).expect("live").cells.remove(ci);
+                        self.split_component(cc, dirty, report)?;
+                    }
+                    n => {
+                        self.precise_count.insert(ci, n);
+                        dirty.insert(cc);
+                    }
                 }
             }
-            Some(FactLoc::Imprecise(i, covered)) => {
-                if !self.dead_facts.insert(i) {
-                    return Err(CoreError::BadInput(format!("fact {fact_id} already deleted")));
-                }
+            Some(FactLoc::Imprecise(i)) => {
                 self.fact_locs.remove(&fact_id);
                 self.retire(fact_id, true);
                 let f = self.prep.facts.get(i)?;
                 report.touched.push(region_of(&schema, &f.dims));
-                if covered {
-                    let cc = *self.fact_ccid.get(&i).expect("covered fact has a component");
-                    self.fact_ccid.remove(&i);
+                let same = self.facts_by_dims.get_mut(&f.dims).expect("indexed by its dims");
+                same.retain(|&fi| fi != i);
+                if same.is_empty() {
+                    self.facts_by_dims.remove(&f.dims);
+                }
+                if let Some(cc) = self.fact_ccid.remove(&i) {
+                    self.comps.get_mut(&cc).expect("live").facts.remove(i);
                     self.split_component(cc, dirty, report)?;
                 }
             }
@@ -955,11 +903,11 @@ impl MaintainableEdb {
     /// re-created after its base record died is appended, so the appended
     /// map is asked first.)
     fn cell_file_index(&self, cell: &CellKey) -> Option<u64> {
-        let ci = match self.appended_cells.get(cell) {
-            Some(&ci) => ci,
-            None => self.base_cell_file[self.prep.index.position(cell)? as usize] as u64,
-        };
-        (!self.dead_cells.contains(&ci)).then_some(ci)
+        if let Some(&ci) = self.appended_cells.get(cell) {
+            return Some(ci);
+        }
+        let ci = self.base_cell_file[self.prep.index.position(cell)? as usize] as u64;
+        (self.cell_ccid[ci as usize] != NO_CCID).then_some(ci)
     }
 
     /// Live candidate cells (file indexes) inside a region, sorted.
@@ -967,27 +915,22 @@ impl MaintainableEdb {
         let mut out = Vec::new();
         self.prep.index.for_each_in_box(bx, |pos| {
             let ci = self.base_cell_file[pos as usize] as u64;
-            if !self.dead_cells.contains(&ci) {
+            if self.cell_ccid[ci as usize] != NO_CCID {
                 out.push(ci);
             }
         });
-        out.extend(
-            self.appended_cells
-                .iter()
-                .filter(|(key, ci)| bx.contains_cell(key) && !self.dead_cells.contains(ci))
-                .map(|(_, &ci)| ci),
-        );
+        let appended = self.appended_cells.iter().filter(|(key, _)| bx.contains_cell(key));
+        out.extend(appended.map(|(_, &ci)| ci));
         out.sort_unstable();
-        out.dedup();
         out
     }
 
     /// Live imprecise facts whose region contains `cell`, covered or not,
-    /// as `(facts-file index, id, dims)` sorted by file index. Facts of
-    /// one level vector cover disjoint regions, so per level vector only
-    /// the facts whose dims equal the cell's ancestors there can match
+    /// as `(facts-file index, dims)` sorted by file index. Facts of one
+    /// level vector cover disjoint regions, so per level vector only the
+    /// facts whose dims equal the cell's ancestors there can match
     /// (DESIGN §2.7).
-    fn covering_facts(&self, cell: &CellKey) -> Vec<(u64, FactId, [u32; MAX_DIMS])> {
+    fn covering_facts(&self, cell: &CellKey) -> Vec<(u64, [u32; MAX_DIMS])> {
         let schema = &self.prep.schema;
         let anc = AncCache::compute(schema, cell);
         let mut out = Vec::new();
@@ -997,15 +940,10 @@ impl MaintainableEdb {
                 *slot = anc.get(d, lv[d]);
             }
             if let Some(facts) = self.facts_by_dims.get(&dims) {
-                out.extend(
-                    facts
-                        .iter()
-                        .filter(|(fi, _)| !self.dead_facts.contains(fi))
-                        .map(|&(fi, id)| (fi, id, dims)),
-                );
+                out.extend(facts.iter().map(|&fi| (fi, dims)));
             }
         }
-        out.sort_unstable_by_key(|&(fi, ..)| fi);
+        out.sort_unstable_by_key(|&(fi, _)| fi);
         out
     }
 
@@ -1021,13 +959,18 @@ impl MaintainableEdb {
         report.merges += ids.len() as u64 - 1;
         for &cc in &ids[1..] {
             let meta = self.comps.remove(&cc).expect("merging live component");
-            for ci in meta.cell_indexes(&self.dead_cells) {
+            for &ci in &meta.cells.list {
                 self.cell_ccid[ci as usize] = target;
             }
-            for fi in meta.fact_indexes(&self.dead_facts) {
+            for &fi in &meta.facts.list {
                 self.fact_ccid.insert(fi, target);
             }
-            self.comps.get_mut(&target).expect("target live").absorb(meta);
+            let t = self.comps.get_mut(&target).expect("target live");
+            t.cells.absorb(meta.cells);
+            t.facts.absorb(meta.facts);
+            if let Some(b) = meta.bbox {
+                t.grow(&b);
+            }
         }
         Ok(target)
     }
@@ -1043,8 +986,7 @@ impl MaintainableEdb {
         let schema = self.prep.schema.clone();
         let meta = self.comps.remove(&cc).expect("splitting live component");
         dirty.remove(&cc);
-        let cells = meta.cell_indexes(&self.dead_cells);
-        let facts = meta.fact_indexes(&self.dead_facts);
+        let (cells, facts) = (meta.cells.list, meta.facts.list);
         if cells.is_empty() && facts.is_empty() {
             return Ok(());
         }
@@ -1106,7 +1048,6 @@ impl MaintainableEdb {
                 // until a new cell in their region takes them back in.
                 for j in piece_facts {
                     self.fact_ccid.remove(&facts[j]);
-                    self.fact_locs.insert(fact_ids[j], FactLoc::Imprecise(facts[j], false));
                     // Their old entries are stale.
                     self.retire(fact_ids[j], false);
                 }
@@ -1116,12 +1057,12 @@ impl MaintainableEdb {
             let mut meta = CompMeta::default();
             for i in piece_cells {
                 self.cell_ccid[cells[i] as usize] = ncc;
-                meta.extra_cells.push(cells[i]);
+                meta.cells.list.push(cells[i]);
                 meta.grow(&RegionBox::point(&cell_recs[i].key, schema.k()));
             }
             for j in piece_facts {
                 self.fact_ccid.insert(facts[j], ncc);
-                meta.extra_facts.push(facts[j]);
+                meta.facts.list.push(facts[j]);
                 meta.grow(&fact_regions[j]);
             }
             self.comps.insert(ncc, meta);
@@ -1135,21 +1076,20 @@ impl MaintainableEdb {
     fn resolve_component(&mut self, cc: u32, report: &mut UpdateReport) -> Result<()> {
         let schema = self.prep.schema.clone();
         let meta = self.comps.get(&cc).expect("resolving live component");
-        let cell_idx = meta.cell_indexes(&self.dead_cells);
-        let fact_idx = meta.fact_indexes(&self.dead_facts);
+        let (cell_idx, fact_idx) = (&meta.cells.list, &meta.facts.list);
         report.affected_tuples += (cell_idx.len() + fact_idx.len()) as u64;
         if fact_idx.is_empty() {
             return Ok(()); // isolated cells: nothing to re-allocate
         }
         let mut cells = Vec::with_capacity(cell_idx.len());
-        for &ci in &cell_idx {
+        for &ci in cell_idx {
             let mut c = self.prep.cells.get(ci)?;
             c.delta = c.delta0;
             c.converged = false;
             cells.push(c);
         }
         let mut facts = Vec::with_capacity(fact_idx.len());
-        for &fi in &fact_idx {
+        for &fi in fact_idx {
             facts.push(self.prep.facts.get(fi)?);
         }
         let mut prob = InMemProblem::build(cells, facts, &schema);
@@ -1185,11 +1125,10 @@ impl MaintainableEdb {
     /// `live_runs`; a stranded one keeps its tier with no live entry.
     fn retire(&mut self, fact_id: FactId, deleted: bool) {
         let (owner, len) = self.live_runs.remove(&fact_id).unwrap_or((0, 0));
-        self.seg_live[owner] -= u64::from(len);
         if !deleted {
             self.live_runs.insert(fact_id, (owner, 0));
         }
-        Arc::make_mut(&mut self.seg_excl[owner]).insert(fact_id);
+        self.tiers[owner].retire(fact_id, len);
         self.pending.remove(&fact_id);
     }
 }
@@ -1732,7 +1671,8 @@ mod tests {
                     assert_eq!(needs, plan.is_some(), "{at}");
                     let counted: Vec<u64> =
                         views.iter().map(|v| v.live_entries().unwrap()).collect();
-                    assert_eq!(m.seg_live, counted, "{at}: live counts drifted");
+                    let live: Vec<u64> = m.tiers.iter().map(|t| t.live).collect();
+                    assert_eq!(live, counted, "{at}: live counts drifted");
                     // A plan held across one batch installs over its
                     // retirements; the next is installed at once.
                     if let Some(plan) = held.take() {
@@ -1765,5 +1705,144 @@ mod tests {
         // Back to the original table's fixpoint.
         let t = paper_example::table1();
         assert_matches_rebuild(&mut m, &t, &policy);
+    }
+
+    /// Sizes of the per-fact and per-cell maps: `fact_locs`, the entries
+    /// and keys of `facts_by_dims`, `appended_cells` and `precise_count`.
+    fn index_sizes(m: &MaintainableEdb) -> [usize; 5] {
+        let by_dims = m.facts_by_dims.values().map(Vec::len).sum();
+        let (locs, keys) = (m.fact_locs.len(), m.facts_by_dims.len());
+        [locs, by_dims, keys, m.appended_cells.len(), m.precise_count.len()]
+    }
+
+    /// Maintenance keeps only live state: every member of every component
+    /// is live and maps back to it, and the lookup maps hold exactly the
+    /// facts of `live` and the live cells.
+    fn assert_live_state(m: &MaintainableEdb, live: &HashSet<FactId>, at: &str) {
+        let is_live = |ci: u64| m.cell_ccid[ci as usize] != NO_CCID;
+        let (mut cells, mut facts) = (0, 0);
+        for (&cc, meta) in &m.comps {
+            assert!(meta.cells.base <= meta.cells.list.len(), "{at}");
+            assert!(meta.facts.base <= meta.facts.list.len(), "{at}");
+            for &ci in &meta.cells.list {
+                assert_eq!(m.cell_ccid[ci as usize], cc, "{at}: cell {ci} of component {cc}");
+            }
+            for &fi in &meta.facts.list {
+                assert_eq!(m.fact_ccid.get(&fi), Some(&cc), "{at}: fact {fi} of component {cc}");
+            }
+            cells += meta.cells.list.len();
+            facts += meta.facts.list.len();
+        }
+        let live_cells: Vec<u64> =
+            (0..m.cell_ccid.len() as u64).filter(|&ci| is_live(ci)).collect();
+        assert_eq!(cells, live_cells.len(), "{at}: a live cell sits in no component");
+        assert_eq!(facts, m.fact_ccid.len(), "{at}: a covered fact sits in no component");
+
+        let ids: HashSet<FactId> = m.fact_locs.keys().copied().collect();
+        assert_eq!(&ids, live, "{at}: fact_locs");
+        let mut imprecise = Vec::new();
+        let mut precise_count: HashMap<u64, u32> = HashMap::new();
+        for loc in m.fact_locs.values() {
+            match *loc {
+                FactLoc::Imprecise(fi) => imprecise.push(fi),
+                FactLoc::Precise(pi) => {
+                    let cell = m.prep.schema.cell_of(&m.prep.precise.get(pi).unwrap()).unwrap();
+                    let ci = m.cell_file_index(&cell).expect("a live precise fact's cell is live");
+                    *precise_count.entry(ci).or_default() += 1;
+                }
+            }
+        }
+        imprecise.sort_unstable();
+        let mut indexed = Vec::new();
+        for (dims, fis) in &m.facts_by_dims {
+            for &fi in fis {
+                assert_eq!(&m.prep.facts.get(fi).unwrap().dims, dims, "{at}: fact {fi}'s key");
+                indexed.push(fi);
+            }
+        }
+        indexed.sort_unstable();
+        assert_eq!(indexed, imprecise, "{at}: facts_by_dims");
+        assert!(m.fact_ccid.keys().all(|fi| imprecise.binary_search(fi).is_ok()), "{at}");
+        assert_eq!(m.precise_count, precise_count, "{at}: precise_count");
+
+        let mut appended: Vec<u64> = m.appended_cells.values().copied().collect();
+        appended.sort_unstable();
+        let n_base = m.base_cell_file.len() as u64;
+        let past_base: Vec<u64> = live_cells.into_iter().filter(|&ci| ci >= n_base).collect();
+        assert_eq!(appended, past_base, "{at}: appended_cells");
+        for (key, &ci) in &m.appended_cells {
+            assert_eq!(&m.prep.cells.get(ci).unwrap().key, key, "{at}: cell {ci}'s key");
+        }
+    }
+
+    #[test]
+    fn maintenance_keeps_only_live_state() {
+        // Table 1 through a history that kills a cell and brings it back
+        // twice, the second time as a round trip whose index sizes must
+        // come back exactly.
+        let policy = PolicySpec::em_count(0.00001);
+        let mut m = build_maintainable(&policy);
+        let t0 = paper_example::table1();
+        let fact = |id: FactId| t0.facts().iter().find(|f| f.id == id).unwrap().clone();
+        let camry = named_fact(70, "ALL", "Camry", 40.0);
+        let (p3, p11, p12) = (fact(3), fact(11), fact(12));
+        let batches: Vec<Vec<EdbMutation>> = vec![
+            // p3 is (NY, F150)'s last precise fact; deleting it strands p12.
+            vec![EdbMutation::Delete(3)],
+            // Its re-insert re-creates the cell, and p12 rejoins.
+            vec![EdbMutation::Insert(p3.clone())],
+            vec![update(12, 5.0), EdbMutation::Insert(camry.clone())],
+            // The re-created cell dies again; p11's delete splits CC1.
+            [3, 11, 12, 70].map(EdbMutation::Delete).to_vec(),
+            [p3, p11, p12, camry].map(EdbMutation::Insert).to_vec(),
+            vec![EdbMutation::Insert(named_fact(71, "TX", "Camry", 5.0))],
+        ];
+        let mut facts = t0.facts().to_vec();
+        let mut before_round_trip = [0; 5];
+        for (b, batch) in batches.iter().enumerate() {
+            if b == 3 {
+                before_round_trip = index_sizes(&m);
+            }
+            m.apply_batch(batch).unwrap();
+            for mu in batch {
+                match mu {
+                    EdbMutation::UpdateMeasure { fact_id, new_measure } => {
+                        facts.iter_mut().filter(|f| f.id == *fact_id).for_each(|f| {
+                            f.measure = *new_measure;
+                        });
+                    }
+                    EdbMutation::Insert(f) => facts.push(f.clone()),
+                    EdbMutation::Delete(id) => facts.retain(|f| f.id != *id),
+                }
+            }
+            let live: HashSet<FactId> = facts.iter().map(|f| f.id).collect();
+            assert_live_state(&m, &live, &format!("batch {b}"));
+            let p12_covered = matches!(m.fact_locs.get(&12),
+                Some(FactLoc::Imprecise(fi)) if m.fact_ccid.contains_key(fi));
+            assert_eq!(p12_covered, b != 0 && b != 3, "batch {b}: p12 covered");
+            if b == 4 {
+                assert_eq!(index_sizes(&m), before_round_trip, "delete + re-insert grew the index");
+            }
+            let t = iolap_model::FactTable::from_facts(t0.schema().clone(), facts.clone());
+            assert_matches_rebuild(&mut m, &t, &policy);
+        }
+
+        // Seeded histories: updates, deletes, fresh inserts and re-inserts.
+        use iolap_datagen::{scaled, DatasetKind};
+        for seed in [3u64, 11] {
+            let table = scaled(DatasetKind::Automotive, 400, seed);
+            let cfg = AllocConfig::builder().in_memory(256).build();
+            let run = allocate(&table, &policy, Algorithm::Transitive, &cfg).unwrap();
+            let mut m = MaintainableEdb::build(run, policy.clone()).unwrap();
+            let mut live: Vec<FactId> = table.facts().iter().map(|f| f.id).collect();
+            let (mut gone, mut next_id) = (Vec::new(), 1_000_000);
+            let mut s = seed * 2 + 1;
+            for b in 0..24 {
+                let batch = random_batch(&table, &mut live, &mut gone, &mut next_id, &mut s);
+                m.apply_batch(&batch).unwrap();
+                let ids = live.iter().copied().collect();
+                assert_live_state(&m, &ids, &format!("seed {seed}, batch {b}"));
+            }
+        }
     }
 }

@@ -2,16 +2,14 @@
 //!
 //! The workspace's no-external-deps discipline extends to the event loop:
 //! instead of pulling in `libc`/`mio`, this module declares the handful
-//! of C symbols the reactor needs (`epoll_*` on Linux, `poll` elsewhere,
-//! `getrlimit`/`setrlimit`) as `extern "C"` items — the Rust standard
-//! library already links the platform libc, so the symbols resolve
-//! without adding a dependency.
+//! of C symbols the reactor needs (`epoll_*`, `getrlimit`/`setrlimit`) as
+//! `extern "C"` items — the Rust standard library already links the
+//! platform libc, so the symbols resolve without adding a dependency.
 //!
 //! Three primitives are exposed:
 //!
 //! * [`Poller`] — level-triggered readiness notification over raw fds
-//!   (epoll on Linux, `poll(2)` on other Unixes). Tokens are plain
-//!   `u64`s chosen by the caller.
+//!   (Linux epoll). Tokens are plain `u64`s chosen by the caller.
 //! * [`Waker`] — a cross-thread wakeup channel built from a loopback
 //!   TCP pair (pure std, no extra syscalls), with a pending-flag so N
 //!   wakes between two [`Waker::clear`]s cost one socket write.
@@ -26,11 +24,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 #[cfg(target_os = "linux")]
 pub(crate) use epoll::Poller;
-#[cfg(all(unix, not(target_os = "linux")))]
-pub(crate) use poll_fallback::Poller;
 
-#[cfg(not(unix))]
-compile_error!("iolap-serve's reactor requires a Unix platform (epoll or poll)");
+#[cfg(not(target_os = "linux"))]
+compile_error!("iolap-serve's reactor requires Linux epoll");
 
 /// What a polled fd is ready for. `error` folds in hangup: a conn with
 /// either flag set should be read (to observe EOF) or torn down.
@@ -70,113 +66,6 @@ impl Interest {
 
 #[cfg(target_os = "linux")]
 mod epoll;
-
-// ---------------------------------------------------------------------------
-// Other Unixes: poll(2) fallback (same interface, O(n) per wait)
-// ---------------------------------------------------------------------------
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod poll_fallback {
-    use super::{Event, Interest};
-    use std::io;
-    use std::os::unix::io::RawFd;
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-    }
-
-    /// `poll(2)`-backed registration table. Correct, portable, and O(n)
-    /// per wait — Linux builds use the epoll implementation instead.
-    pub(crate) struct Poller {
-        fds: Mutex<Vec<(RawFd, u64, Interest)>>,
-    }
-
-    impl Poller {
-        pub(crate) fn new() -> io::Result<Poller> {
-            Ok(Poller { fds: Mutex::new(Vec::new()) })
-        }
-
-        pub(crate) fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.fds.lock().unwrap().push((fd, token, interest));
-            Ok(())
-        }
-
-        pub(crate) fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut fds = self.fds.lock().unwrap();
-            match fds.iter_mut().find(|(f, ..)| *f == fd) {
-                Some(slot) => {
-                    *slot = (fd, token, interest);
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        pub(crate) fn remove(&self, fd: RawFd) -> io::Result<()> {
-            self.fds.lock().unwrap().retain(|(f, ..)| *f != fd);
-            Ok(())
-        }
-
-        pub(crate) fn wait(
-            &self,
-            out: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            out.clear();
-            let regs: Vec<(RawFd, u64, Interest)> = self.fds.lock().unwrap().clone();
-            let mut pfds: Vec<PollFd> = regs
-                .iter()
-                .map(|&(fd, _, interest)| PollFd {
-                    fd,
-                    events: (if interest.readable { POLLIN } else { 0 })
-                        | (if interest.writable { POLLOUT } else { 0 }),
-                    revents: 0,
-                })
-                .collect();
-            let ms: i32 = match timeout {
-                None => -1,
-                Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
-            };
-            loop {
-                // SAFETY: `pfds` is a valid array of the stated length.
-                let n = unsafe { poll(pfds.as_mut_ptr(), pfds.len() as u64, ms) };
-                if n < 0 {
-                    let e = io::Error::last_os_error();
-                    if e.kind() == io::ErrorKind::Interrupted {
-                        continue;
-                    }
-                    return Err(e);
-                }
-                for (pfd, &(_, token, _)) in pfds.iter().zip(regs.iter()) {
-                    if pfd.revents != 0 {
-                        out.push(Event {
-                            token,
-                            readable: pfd.revents & (POLLIN | POLLHUP) != 0,
-                            writable: pfd.revents & POLLOUT != 0,
-                            error: pfd.revents & (POLLERR | POLLHUP) != 0,
-                        });
-                    }
-                }
-                return Ok(());
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Waker
@@ -238,10 +127,7 @@ struct RLimit {
     max: u64,
 }
 
-#[cfg(target_os = "linux")]
 const RLIMIT_NOFILE: i32 = 7;
-#[cfg(all(unix, not(target_os = "linux")))]
-const RLIMIT_NOFILE: i32 = 8;
 
 extern "C" {
     fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;

@@ -452,7 +452,12 @@ fn cmd_serve(args: &[String]) -> i32 {
         db.table().len(),
         db.table().num_imprecise()
     );
+    // One `Obs` for allocation and serving, so the counters maintenance
+    // keeps on the environment's (`edb.cuboid_upkeep_pages`) reach
+    // `/metrics`.
+    let obs = Obs::metrics_only();
     let mut builder = ServeConfig::builder()
+        .obs(obs.clone())
         .workers(workers)
         .queue_depth(queue)
         .cache_capacity(cache)
@@ -467,7 +472,7 @@ fn cmd_serve(args: &[String]) -> i32 {
     }
     let serve_cfg = builder.build();
     let handle = match db
-        .config(AllocConfig::builder().buffer_pages(buffer_pages).build())
+        .config(AllocConfig::builder().buffer_pages(buffer_pages).obs(obs).build())
         .policy(policy)
         .serve(&addr, serve_cfg)
     {

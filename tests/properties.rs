@@ -71,11 +71,13 @@ fn random_node(schema: &Schema, d: usize, r: u64) -> u32 {
 
 /// A seeded script of `batches` mutation batches over `table`, with the
 /// table each batch leaves behind: measure updates, inserts at any level
-/// and deletes, only ever naming live facts.
+/// and deletes, only ever naming live facts. Now and then an insert takes
+/// the id of a fact the script deleted, with new dims.
 fn arb_script(table: &FactTable, seed: u64, batches: usize) -> Vec<(Vec<EdbMutation>, FactTable)> {
     let schema = table.schema().clone();
     let mut facts: Vec<Fact> = table.facts().to_vec();
     let mut next_id = facts.iter().map(|f| f.id).max().unwrap_or(0) + 1;
+    let mut deleted: Vec<FactId> = Vec::new();
     let mut s = seed | 1;
     let mut next = move || {
         s ^= s << 13;
@@ -99,13 +101,20 @@ fn arb_script(table: &FactTable, seed: u64, batches: usize) -> Vec<(Vec<EdbMutat
                     for (d, slot) in dims.iter_mut().enumerate() {
                         *slot = random_node(&schema, d, next());
                     }
-                    let f = Fact::new(next_id, &dims, 1.0 + (next() % 100) as f64);
-                    next_id += 1;
+                    let id = if roll == 7 && !deleted.is_empty() {
+                        deleted.swap_remove((next() % deleted.len() as u64) as usize)
+                    } else {
+                        next_id += 1;
+                        next_id - 1
+                    };
+                    let f = Fact::new(id, &dims, 1.0 + (next() % 100) as f64);
                     facts.push(f.clone());
                     muts.push(EdbMutation::Insert(f));
                 } else {
                     let i = (next() % facts.len() as u64) as usize;
-                    muts.push(EdbMutation::Delete(facts.swap_remove(i).id));
+                    let id = facts.swap_remove(i).id;
+                    deleted.push(id);
+                    muts.push(EdbMutation::Delete(id));
                 }
             }
             (muts, FactTable::from_facts(schema.clone(), facts.clone()))
